@@ -16,12 +16,12 @@ import numpy as np
 from .estimators import COMPLEX, REAL, complex_from_interleaved, interleave_complex
 from .quantum import (
     PauliTermSum,
-    apply_single_qubit_gate,
+    _apply_product_layer,
+    _product_state,
     expectation_with_shots,
     fidelity_with_shots,
     haar_random_state,
     heisenberg_hamiltonian,
-    pauli_expectation,
     w_gate,
 )
 
@@ -142,42 +142,48 @@ def _vqe_hamiltonian(n, j, h, periodic):
 def vqe_state(prob: VqeProblem, z):
     """Build the ansatz state: alternating single-qubit W layers and entanglers.
 
-    Layer l of the parameter vector occupies ``z[l*n:(l+1)*n]``.
+    Layer l of the parameter vector occupies ``z[l*n:(l+1)*n]``.  All W gates
+    come from one vectorized closed-form call.  The first layer acts on
+    |0…0⟩, so it is the product of the gates' first columns; each later layer
+    follows its entangler as one Kronecker-factored product layer.
     """
     n, d = prob.n_qubits, prob.layers
     z = np.asarray(z, dtype=np.complex128)
     if z.size != n * (d + 1):
         raise ValueError(f"expected {n * (d + 1)} complex parameters, got {z.size}")
-    psi = np.zeros(2**n, dtype=np.complex128)
-    psi[0] = 1.0
-    ent = entangling_layer(n, prob.entangler) if d >= 1 else None
-    for layer in range(d + 1):
-        if layer:
-            psi = ent * psi
-        for q in range(n):
-            psi = apply_single_qubit_gate(w_gate(z[layer * n + q]), q, psi)
+    gates = w_gate(z).reshape(d + 1, n, 2, 2)
+    psi = _product_state(gates[0, :, :, 0])
+    if d >= 1:
+        ent = entangling_layer(n, prob.entangler)
+        for layer_gates in gates[1:]:
+            psi = _apply_product_layer(layer_gates, ent * psi)
     return psi
+
+
+def _vqe_energy(prob: VqeProblem, psi, shots, rng=None):
+    """Energy of the state ``psi`` from ``shots`` samples per Pauli term."""
+    ham = _vqe_hamiltonian(prob.n_qubits, prob.j, prob.h, prob.periodic)
+    return expectation_with_shots(psi, ham, shots, rng)
 
 
 def vqe_objective(prob: VqeProblem, params, rng=None):
     """Shot-sampled energy of the ansatz state."""
-    psi = vqe_state(prob, params)
-    ham = _vqe_hamiltonian(prob.n_qubits, prob.j, prob.h, prob.periodic)
-    return expectation_with_shots(psi, ham, prob.shots, rng)
+    return _vqe_energy(prob, vqe_state(prob, params), prob.shots, rng)
 
 
 def vqe_energy_exact(prob: VqeProblem, params):
     """Noiseless energy of the ansatz state."""
-    psi = vqe_state(prob, params)
-    ham = _vqe_hamiltonian(prob.n_qubits, prob.j, prob.h, prob.periodic)
-    return sum(c * pauli_expectation(psi, label) for c, label in ham.terms)
+    return _vqe_energy(prob, vqe_state(prob, params), math.inf)
+
+
+def _vqe_fidelity(prob: VqeProblem, psi_a, psi_b, rng=None):
+    """Shot-sampled fidelity between two ansatz states."""
+    return fidelity_with_shots(psi_a, psi_b, prob.shots, rng)
 
 
 def vqe_fidelity(prob: VqeProblem, params_a, params_b, rng=None):
-    """Shot-sampled fidelity between two ansatz states."""
-    psi_a = vqe_state(prob, params_a)
-    psi_b = vqe_state(prob, params_b)
-    return fidelity_with_shots(psi_a, psi_b, prob.shots, rng)
+    """Shot-sampled fidelity between the ansatz states of two parameter vectors."""
+    return _vqe_fidelity(prob, vqe_state(prob, params_a), vqe_state(prob, params_b), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +205,9 @@ def _bond_operators(n, periodic):
 
 
 _TAYLOR_INV = tuple(1.0 / math.factorial(j) for j in range(13))
+# Norms above 2^_MAX_SQUARINGS would leave the scaled matrix outside the
+# unit ball where the degree-12 Taylor sum is accurate.
+_MAX_SQUARINGS = 60
 
 
 def _expm_stack(a):
@@ -206,13 +215,16 @@ def _expm_stack(a):
 
     Degree-12 Taylor in Paterson-Stockmeyer form with scaling and squaring;
     much faster than per-slice scipy.expm for the sizes used here and
-    accurate to ~1e-13 for the norms reached after scaling.
+    accurate to ~1e-13 for the norms reached after scaling.  A stack whose
+    norm is non-finite or needs more than ``_MAX_SQUARINGS`` squarings gives
+    NaN, which the GRAPE oracles report as a diverged evaluation.
     """
     norm = float(np.abs(a).sum(axis=-1).max(initial=0.0))
     if not math.isfinite(norm):
         return np.full_like(a, np.nan)
     squarings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    squarings = min(squarings, 60)
+    if squarings > _MAX_SQUARINGS:
+        return np.full_like(a, np.nan)
     b = a / (2.0**squarings)
     inv = _TAYLOR_INV
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape)
@@ -265,26 +277,25 @@ def _grape_target(prob: GrapeProblem):
     return target
 
 
-def grape_objective(prob: GrapeProblem, controls, rng=None):
-    """Shot-sampled infidelity 1 − |⟨target|ψ̃_f⟩|²."""
-    psi = grape_final_state(prob, controls)
+def _grape_infidelity(prob: GrapeProblem, psi, shots, rng=None):
+    """1 − |⟨target|ψ⟩|² from ``shots`` samples; NaN for a non-finite state."""
     if not np.all(np.isfinite(psi.view(np.float64))):
         return float("nan")
-    return 1.0 - fidelity_with_shots(_grape_target(prob), psi, prob.shots, rng)
+    return 1.0 - fidelity_with_shots(_grape_target(prob), psi, shots, rng)
+
+
+def grape_objective(prob: GrapeProblem, controls, rng=None):
+    """Shot-sampled infidelity 1 − |⟨target|ψ̃_f⟩|²."""
+    return _grape_infidelity(prob, grape_final_state(prob, controls), prob.shots, rng)
 
 
 def grape_infidelity_exact(prob: GrapeProblem, controls):
     """Noiseless infidelity of the evolved state."""
-    psi = grape_final_state(prob, controls)
-    if not np.all(np.isfinite(psi.view(np.float64))):
-        return float("nan")
-    return 1.0 - fidelity_with_shots(_grape_target(prob), psi, math.inf)
+    return _grape_infidelity(prob, grape_final_state(prob, controls), math.inf)
 
 
-def _grape_fidelity(prob: GrapeProblem, controls_a, controls_b, rng=None):
-    """Shot-sampled fidelity between the final states of two control vectors."""
-    psi_a = grape_final_state(prob, controls_a)
-    psi_b = grape_final_state(prob, controls_b)
+def _grape_fidelity(prob: GrapeProblem, psi_a, psi_b, rng=None):
+    """Shot-sampled fidelity between two final states; NaN if either is non-finite."""
     if not np.all(np.isfinite(psi_a.view(np.float64))) or not np.all(
         np.isfinite(psi_b.view(np.float64))
     ):
@@ -395,21 +406,53 @@ def parameter_projection(problem, field: str = COMPLEX):
     return None
 
 
+class _LastState:
+    """One-entry memo of a state-building function.
+
+    The key is the exact bytes of the complex parameter vector, so a hit
+    returns the state the function built for identical parameters.  It draws
+    no random numbers.
+    """
+
+    def __init__(self, build):
+        self._build = build
+        self._key = None
+        self._psi = None
+
+    def __call__(self, z):
+        key = np.asarray(z, dtype=np.complex128).tobytes()
+        if key != self._key:
+            self._psi = self._build(z)
+            self._key = key
+        return self._psi
+
+
 def make_oracles(problem, rng, field: str = COMPLEX) -> Oracles:
     """Build (objective, fidelity, monitor) callables over the chosen field.
 
     The objective and fidelity share the given rng for shot sampling; the
     monitor is noiseless and rng-free.  Real-field oracles interpret
     parameters as interleaved (Re, Im) pairs of the complex parameters.
+
+    For VQE and GRAPE, the fidelity's first argument and the monitor's
+    argument go through one rng-free memo holding the last state built.  The
+    metric estimate pins the first fidelity argument at the current iterate,
+    which is the point the monitor recorded at the end of the previous
+    iteration, so a quantum-natural iteration builds 7 states instead of 11
+    with the same values and the same random draws.
     """
     if isinstance(problem, VqeProblem):
+        state = lambda z: vqe_state(problem, z)
+        pinned = _LastState(state)
         obj = lambda z: vqe_objective(problem, z, rng)
-        fid = lambda za, zb: vqe_fidelity(problem, za, zb, rng)
-        mon = lambda z: vqe_energy_exact(problem, z)
+        fid = lambda za, zb: _vqe_fidelity(problem, pinned(za), state(zb), rng)
+        mon = lambda z: _vqe_energy(problem, pinned(z), math.inf)
     elif isinstance(problem, GrapeProblem):
+        state = lambda z: grape_final_state(problem, z)
+        pinned = _LastState(state)
         obj = lambda z: grape_objective(problem, z, rng)
-        fid = lambda za, zb: _grape_fidelity(problem, za, zb, rng)
-        mon = lambda z: grape_infidelity_exact(problem, z)
+        fid = lambda za, zb: _grape_fidelity(problem, pinned(za), state(zb), rng)
+        mon = lambda z: _grape_infidelity(problem, pinned(z), math.inf)
     elif isinstance(problem, SgqtProblem):
         obj = lambda z: sgqt_objective(problem, z, rng)
         fid = lambda za, zb: _sgqt_fidelity(problem, za, zb, rng)

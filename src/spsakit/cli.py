@@ -210,6 +210,17 @@ def _format_number(x) -> str:
     return repr(float(x))
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_statistics_csv(path, result):
     rows = ["iteration,mean,std,median,q1,q3,obj_evals,fid_evals"]
     for i, s in enumerate(result.stats):
@@ -258,7 +269,8 @@ def execute(config: ExperimentConfig) -> int:
     try:
         write_statistics_csv(csv_path, result)
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
+            # Strict JSON: statistics of an all-diverged ensemble are null.
+            json.dump(_json_safe(summary), fh, indent=2, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)

@@ -251,7 +251,10 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
     monitor : callable, optional
         Uncharged objective used to record the trace (typically the noiseless
         version of a shot-noisy oracle).  Defaults to an uncharged call to
-        ``objective`` itself.
+        ``objective`` itself: the trace then holds shot-noisy values, and each
+        recording call draws from the objective's rng, so a run without a
+        monitor sees a different noise stream, and takes different steps,
+        than the same run with one.
     project : callable, optional
         Reparameterization applied to the initial point and to every
         candidate iterate, for problems whose parameter space carries a

@@ -77,20 +77,22 @@ def haar_random_state(n: int, rng: np.random.Generator):
     return v / np.linalg.norm(v)
 
 
-def w_gate(z: complex):
+def w_gate(z):
     """Single-qubit gate exp(−i(z σ₊ + z* σ₋)) with σ± = σˣ ± iσʸ.
 
     The generator is the hermitian matrix [[0, 2z], [2z*, 0]], so the
-    exponential has the closed form below with rotation angle 2|z|.
+    exponential has the closed form below with rotation angle 2|z|.  An array
+    of parameters gives the stack of gates, shape ``z.shape + (2, 2)``.
     """
-    r = abs(z)
-    if r == 0:
-        return np.eye(2, dtype=np.complex128)
-    phi = 2.0 * r
-    c = math.cos(phi)
-    s = math.sin(phi)
-    u = z / r
-    return np.array([[c, -1j * s * u], [-1j * s * np.conj(u), c]], dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    r = np.abs(z)
+    # sin(2r)/r is a real quotient, so subnormal |z| cannot overflow it.
+    sinc = np.divide(np.sin(2.0 * r), r, out=np.zeros_like(r), where=r > 0)
+    out = np.empty(z.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(2.0 * r)
+    out[..., 0, 1] = -1j * sinc * z
+    out[..., 1, 0] = -1j * sinc * np.conj(z)
+    return out
 
 
 def apply_single_qubit_gate(gate, qubit: int, psi):
@@ -102,6 +104,51 @@ def apply_single_qubit_gate(gate, qubit: int, psi):
     t = psi.reshape(-1, 2, right)
     out = np.einsum("ab,ibj->iaj", gate, t)
     return out.reshape(psi.shape)
+
+
+def _product_state(amplitudes):
+    """Kronecker product of single-qubit states, row q on qubit q.
+
+    ``amplitudes`` has shape (n, 2); the result has length 2**n and is built
+    by n − 1 broadcast outer products.
+    """
+    psi = np.array(amplitudes[0], dtype=np.complex128)
+    for v in amplitudes[1:]:
+        psi = (psi[:, None] * v[None, :]).ravel()
+    return psi
+
+
+def _kron_factor(gates):
+    """G_0 ⊗ G_1 ⊗ … for a (k, 2, 2) stack, by broadcasting; 1 × 1 for k = 0."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for g in gates:
+        m = out.shape[0]
+        out = (out[:, None, :, None] * g[None, :, None, :]).reshape(2 * m, 2 * m)
+    return out
+
+
+def _kron_halves(gates):
+    """Kronecker factors of the first ⌊n/2⌋ and of the remaining gates."""
+    half = len(gates) // 2
+    return _kron_factor(gates[:half]), _kron_factor(gates[half:])
+
+
+def _apply_kron_halves(a, b, psi):
+    return (a @ psi.reshape(a.shape[0], b.shape[0]) @ b.T).reshape(psi.shape)
+
+
+def _apply_product_layer(gates, psi):
+    """Apply G_0 ⊗ G_1 ⊗ … ⊗ G_{n−1} (gate q on qubit q) to a dense state.
+
+    ``gates`` has shape (n, 2, 2).  The state is viewed as a
+    2^⌊n/2⌋ × 2^⌈n/2⌉ matrix Ψ (row index: the first ⌊n/2⌋ qubits) and
+    mapped to A Ψ Bᵀ, with A and B the Kronecker products of the first
+    ⌊n/2⌋ and of the remaining gates.
+    """
+    n = _num_qubits(psi)
+    if np.shape(gates) != (n, 2, 2):
+        raise ValueError(f"expected {n} single-qubit gates for {n} qubits")
+    return _apply_kron_halves(*_kron_halves(gates), psi)
 
 
 def heisenberg_hamiltonian(n: int, j: float, h: float, periodic: bool = False):
@@ -174,26 +221,95 @@ def _is_exact(shots):
     return shots is None or (isinstance(shots, float) and math.isinf(shots))
 
 
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
+# V with V P V† = Z for each letter P: measuring Z after V measures P.
+_BASIS_CHANGE = {
+    "I": np.eye(2, dtype=np.complex128),
+    "Z": np.eye(2, dtype=np.complex128),
+    "X": _HADAMARD,
+    "Y": _HADAMARD @ np.diag([1.0, -1.0j]),
+}
+
+
+@lru_cache(maxsize=64)
+def _measurement_groups(hamiltonian: PauliTermSum):
+    """Coefficients and qubit-wise-commuting measurement groups of the terms.
+
+    Terms are placed greedily, in term order, into the first group whose
+    basis agrees with them on every qubit where both are not I.  Each group
+    is ``(rotation, index, signs)``: the product-layer basis change as the
+    Kronecker factors ``_apply_product_layer`` would build (None when every
+    letter is Z or I), the positions of the group's terms in ``terms``, and
+    the ±1 eigenvalue of each of them on every computational basis state
+    after the rotation, one row per term.
+    """
+    n = hamiltonian.n_qubits
+    bases, members = [], []
+    for i, (_, label) in enumerate(hamiltonian.terms):
+        for basis, index in zip(bases, members):
+            if all(a == "I" or b == "I" or a == b for a, b in zip(label, basis)):
+                basis[:] = [b if a == "I" else a for a, b in zip(label, basis)]
+                index.append(i)
+                break
+        else:
+            bases.append(list(label))
+            members.append([i])
+
+    idx = np.arange(2**n)
+    groups = []
+    for basis, index in zip(bases, members):
+        signs = np.empty((len(index), idx.size))
+        for row, i in enumerate(index):
+            parity = np.zeros(idx.size, dtype=np.int64)
+            for q, c in enumerate(hamiltonian.terms[i][1]):
+                if c != "I":
+                    parity ^= (idx >> (n - q - 1)) & 1
+            signs[row] = 1.0 - 2.0 * parity
+        rotation = None
+        if any(c in "XY" for c in basis):
+            rotation = _kron_halves(np.stack([_BASIS_CHANGE[c] for c in basis]))
+        groups.append((rotation, np.array(index), signs))
+    coeffs = np.array([float(c) for c, _ in hamiltonian.terms])
+    return coeffs, tuple(groups)
+
+
+def _pauli_term_means(psi, hamiltonian: PauliTermSum):
+    """Exact ⟨ψ|P_i|ψ⟩ of every term, in term order.
+
+    Each qubit-wise-commuting group of terms costs one product-layer basis
+    change of ψ and one ±1 sign-matrix product with the rotated |ψ|².
+    """
+    _, groups = _measurement_groups(hamiltonian)
+    means = np.empty(len(hamiltonian.terms))
+    for rotation, index, signs in groups:
+        phi = psi if rotation is None else _apply_kron_halves(*rotation, psi)
+        means[index] = signs @ (phi.real**2 + phi.imag**2)
+    return means
+
+
 def expectation_with_shots(psi, hamiltonian: PauliTermSum, shots, rng=None):
     """Energy estimate measuring each Pauli term independently.
 
     Every term receives the full ``shots`` budget: the exact two-outcome
-    distribution over its ±1 eigenvalues is sampled binomially and the
-    weighted sample means are added.  ``math.inf`` shots returns the exact
-    expectation.
+    distribution over its ±1 eigenvalues is sampled binomially, one draw per
+    term in term order, and the weighted sample means are added.  The exact
+    term means come from ``_pauli_term_means``; grouping the terms by
+    measurement basis only speeds up that computation and changes no draw.
+    ``math.inf`` shots returns the exact expectation from the same means.
+    A state with NaN amplitudes gives NaN.
     """
+    coeffs, _ = _measurement_groups(hamiltonian)
+    means = _pauli_term_means(psi, hamiltonian)
     if _is_exact(shots):
-        return sum(c * pauli_expectation(psi, label) for c, label in hamiltonian.terms)
+        return float(coeffs @ means)
     shots = int(shots)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    total = 0.0
-    for coeff, label in hamiltonian.terms:
-        mean = pauli_expectation(psi, label)
-        p_plus = min(1.0, max(0.0, (1.0 + mean) / 2.0))
-        successes = rng.binomial(shots, p_plus)
-        total += coeff * (2.0 * successes / shots - 1.0)
-    return total
+    p_plus = np.clip((1.0 + means) / 2.0, 0.0, 1.0)
+    if np.isnan(p_plus).any():
+        return float("nan")
+    successes = rng.binomial(shots, p_plus)
+    return float(coeffs @ (2.0 * successes / shots - 1.0))
 
 
 def fidelity_with_shots(psi, phi, shots, rng=None):

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from statevector_reference import reference_oracles, reference_vqe_state
 
+import spsakit.applications as applications
 from spsakit.applications import (
+    ENTANGLERS,
     GrapeProblem,
     SgqtProblem,
     VqeProblem,
@@ -22,7 +27,15 @@ from spsakit.applications import (
     vqe_objective,
     vqe_state,
 )
-from spsakit.estimators import gradient_estimate, interleave_complex, sample_perturbation
+from spsakit.bench import run_single
+from spsakit.estimators import (
+    COMPLEX,
+    REAL,
+    gradient_estimate,
+    interleave_complex,
+    sample_perturbation,
+)
+from spsakit.optimizers import OptimizerConfig, run
 from spsakit.quantum import exact_ground_energy, haar_random_state, heisenberg_hamiltonian
 
 
@@ -59,6 +72,23 @@ class TestEntanglingLayer:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             entangling_layer(3, "swap_net")
+
+
+_PARAMETER = st.one_of(
+    st.just(0j),
+    st.floats(-3.0, 3.0).map(complex),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _vqe_inputs(draw):
+    layers = draw(st.integers(0, 3))
+    n = draw(st.integers(2 if layers else 1, 8))
+    entangler = draw(st.sampled_from(ENTANGLERS))
+    size = n * (layers + 1)
+    z = draw(st.lists(_PARAMETER, min_size=size, max_size=size))
+    return VqeProblem(n_qubits=n, layers=layers, entangler=entangler), np.array(z)
 
 
 class TestVqe:
@@ -119,6 +149,14 @@ class TestVqe:
         samples = [vqe_objective(prob, z, rng) for _ in range(200)]
         # three terms, each bounded by binomial noise on 2e4 shots
         assert np.mean(samples) == pytest.approx(exact, abs=5e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_vqe_inputs())
+    def test_state_matches_gate_by_gate_build(self, inputs):
+        prob, z = inputs
+        psi = vqe_state(prob, z)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(psi, reference_vqe_state(prob, z), rtol=0, atol=1e-12)
 
 
 class TestGrape:
@@ -203,6 +241,27 @@ class TestGrape:
         prob = GrapeProblem(n_qubits=2, slices=1, shots=math.inf, psi0=psi0)
         controls = np.array([0.0, 0.0, t / prob.dt], dtype=complex)
         assert grape_objective(prob, controls) == pytest.approx(0.0, abs=1e-12)
+
+    def test_propagator_norm_beyond_squaring_cap_gives_nan(self):
+        from spsakit.applications import _expm_stack
+
+        theta = 2.5 * 2.0**60  # needs 62 squarings; the cap is 60
+        out = _expm_stack(np.array([[[-1j * theta]], [[0.5j]]]))
+        assert np.isnan(out).all()
+        ok = _expm_stack(np.array([[[-12j]], [[0.5j]]]))
+        np.testing.assert_allclose(ok[:, 0, 0], np.exp([-12j, 0.5j]), atol=1e-8)
+
+    def test_overflowing_control_is_nan_and_diverges(self):
+        rng = np.random.default_rng(19)
+        prob = materialize(GrapeProblem(n_qubits=2, slices=2, shots=100), rng)
+        controls = np.zeros(6, dtype=complex)
+        controls[2] = 2.0**63  # ZZ coupling; generator norm 2^62
+        assert math.isnan(grape_objective(prob, controls, rng))
+        assert math.isnan(grape_infidelity_exact(prob, controls))
+        oracles = make_oracles(prob, rng)
+        config = OptimizerConfig(method="first_order", max_iterations=3)
+        trace = run(oracles.objective, config, controls, monitor=oracles.monitor)
+        assert trace.diverged
 
 
 class TestSgqt:
@@ -328,3 +387,62 @@ class TestOracleSuite:
         est = total / count
         scale = max(np.linalg.norm(fd), 1e-6)
         assert np.linalg.norm(est - fd) / scale < 0.02
+
+
+class TestPinnedStateMemo:
+    """make_oracles reuses the pinned fidelity state and the monitored state."""
+
+    @staticmethod
+    def _count_builds(monkeypatch, name):
+        original = getattr(applications, name)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(applications, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    @pytest.mark.parametrize("problem, state_fn", [
+        (VqeProblem(n_qubits=4, layers=1, shots=1000), "vqe_state"),
+        (GrapeProblem(n_qubits=3, slices=4, shots=1000), "grape_final_state"),
+    ])
+    def test_quantum_natural_builds_seven_states_per_iteration(
+            self, monkeypatch, problem, state_fn, field):
+        k = 6
+        calls = self._count_builds(monkeypatch, state_fn)
+        config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=k)
+        trace = run_single(problem, config, seed=3)
+        assert not trace.diverged
+        assert len(calls) == 7 * k + 1
+        iters = np.arange(1, k + 1)
+        np.testing.assert_array_equal(trace.objective_evals, 2 * iters)
+        np.testing.assert_array_equal(trace.fidelity_evals, 4 * iters)
+
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    @pytest.mark.parametrize("problem", [
+        VqeProblem(n_qubits=4, layers=1, shots=1000),
+        VqeProblem(n_qubits=3, layers=2, shots=500, periodic=False, entangler="cz_ring"),
+        GrapeProblem(n_qubits=3, slices=4, shots=1000),
+    ])
+    def test_traces_match_reference_oracles(self, problem, field):
+        seed, k = 5, 40
+        problem = materialize(problem, np.random.default_rng(seed))
+        z0 = initial_point(problem, np.random.default_rng(seed + 1))
+        if field == REAL:
+            z0 = interleave_complex(z0)
+        config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=k,
+                                 seed=seed)
+        traces = []
+        for build in (make_oracles, reference_oracles):
+            oracles = build(problem, np.random.default_rng(seed + 2), field)
+            traces.append(run(oracles.objective, config, z0, fidelity=oracles.fidelity,
+                              monitor=oracles.monitor))
+        fast, ref = traces
+        assert not fast.diverged and not ref.diverged
+        np.testing.assert_allclose(fast.objective, ref.objective, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(fast.final_params, ref.final_params, rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(fast.objective_evals, ref.objective_evals)
+        np.testing.assert_array_equal(fast.fidelity_evals, ref.fidelity_evals)

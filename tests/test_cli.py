@@ -122,6 +122,21 @@ class TestExecute:
                                                "iqr", "mean", "std"]
         assert summary["config"]["qubits"] == 2
 
+    def test_all_diverged_ensemble_writes_strict_json(self, tmp_path):
+        # a huge first step drives the controls past the propagator's range
+        code, _, json_path = run_cli(
+            tmp_path, "--application", "grape", "--qubits", "2", "--slices", "2",
+            "--runs", "2", "--iterations", "3", "--gains", "1e30,0.1,0,0.602,0.101")
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        summary = json.loads(json_path.read_text(), parse_constant=reject)
+        assert summary["excluded_runs"] == 2
+        for key in ("median", "iqr", "mean", "std"):
+            assert summary["row"][key] is None
+
     def test_csv_floats_round_trip(self, tmp_path):
         code, csv_path, json_path = run_cli(
             tmp_path, "--application", "sgqt", "--qubits", "2", "--runs", "3",

@@ -275,6 +275,29 @@ class TestRunContracts:
         trace = run(f, cfg, c + 1.0, monitor=lambda z: 42.0)
         np.testing.assert_array_equal(trace.objective, np.full(5, 42.0))
 
+    def test_without_monitor_records_through_the_noisy_objective(self):
+        # Documented behaviour: the recording call is an uncharged third
+        # objective call per iteration, so it draws from the objective's rng.
+        c, f, _ = quadratic_problem("real")
+        cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
+                              max_iterations=6)
+
+        def noisy(rng, log):
+            def objective(z):
+                value = f(z) + 0.1 * rng.standard_normal()
+                log.append(value)
+                return value
+            return objective
+
+        values = []
+        trace = run(noisy(np.random.default_rng(1), values), cfg, c + 1.0)
+        assert len(values) == 3 * 6
+        np.testing.assert_array_equal(trace.objective, values[2::3])
+        np.testing.assert_array_equal(trace.objective_evals, 2 * np.arange(1, 7))
+
+        monitored = run(noisy(np.random.default_rng(1), []), cfg, c + 1.0, monitor=f)
+        assert not np.array_equal(monitored.final_params, trace.final_params)
+
 
 class TestEvaluationAccounting:
     @pytest.mark.parametrize("n_r", [1, 2, 5])

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from statevector_reference import reference_expectation
 
 from spsakit.quantum import (
     PauliTermSum,
+    apply_single_qubit_gate,
     evolve_piecewise,
     exact_ground_energy,
     expectation_with_shots,
@@ -14,6 +18,7 @@ from spsakit.quantum import (
     pauli_expectation,
     w_gate,
 )
+from spsakit.quantum import _apply_product_layer, _pauli_term_means
 
 
 class TestHaarRandomState:
@@ -151,6 +156,70 @@ class TestExpectationWithShots:
             psi = haar_random_state(n, rng)
             expected = float(np.real(np.vdot(psi, dense @ psi)))
             assert expectation_with_shots(psi, ham, math.inf) == pytest.approx(expected, abs=1e-10)
+
+    def test_nan_state_gives_nan(self):
+        ham = heisenberg_hamiltonian(2, 1.0, 0.3)
+        psi = np.full(4, np.nan, dtype=complex)
+        assert math.isnan(expectation_with_shots(psi, ham, 100, np.random.default_rng(0)))
+        assert math.isnan(expectation_with_shots(psi, ham, math.inf))
+
+
+@st.composite
+def _pauli_sums(draw):
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=12))
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(labels), max_size=len(labels)))
+    return PauliTermSum(n_qubits=n, terms=tuple(zip(coeffs, labels)))
+
+
+_MIXED = PauliTermSum(n_qubits=4, terms=(
+    (0.5, "XYZI"), (-1.0, "IIII"), (0.25, "YYII"),
+    (2.0, "XIZZ"), (0.7, "IYZI"), (-0.3, "ZZZZ"),
+))
+
+
+class TestGroupedMeasurement:
+    @settings(max_examples=80, deadline=None)
+    @given(ham=_pauli_sums(), seed=st.integers(0, 2**32 - 1))
+    @example(ham=_MIXED, seed=0)
+    @example(ham=PauliTermSum(n_qubits=3, terms=((1.0, "III"), (-2.0, "III"))), seed=1)
+    def test_term_means_match_per_term_expectations(self, ham, seed):
+        psi = haar_random_state(ham.n_qubits, np.random.default_rng(seed))
+        expected = [pauli_expectation(psi, label) for _, label in ham.terms]
+        np.testing.assert_allclose(_pauli_term_means(psi, ham), expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.lists(st.floats(0.0, 1.0), max_size=40),
+           shots=st.integers(1, 10**6), seed=st.integers(0, 2**32 - 1))
+    def test_vectorized_binomial_matches_sequential_draws(self, p, shots, seed):
+        vec_rng, seq_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        vectorized = vec_rng.binomial(shots, np.array(p, dtype=np.float64))
+        sequential = [seq_rng.binomial(shots, pi) for pi in p]
+        assert vectorized.tolist() == sequential
+        assert vec_rng.random() == seq_rng.random()
+
+    @settings(max_examples=40, deadline=None)
+    @given(ham=_pauli_sums(), shots=st.integers(1, 10**5), seed=st.integers(0, 2**32 - 1))
+    @example(ham=_MIXED, shots=2 * 10**4, seed=0)
+    def test_shot_estimate_matches_per_term_sampling(self, ham, shots, seed):
+        psi = haar_random_state(ham.n_qubits, np.random.default_rng(seed))
+        rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = expectation_with_shots(psi, ham, shots, rng)
+        assert got == pytest.approx(reference_expectation(psi, ham, shots, ref_rng),
+                                    rel=1e-12, abs=1e-12)
+        assert rng.random() == ref_rng.random()
+
+    def test_product_layer_matches_gate_by_gate(self):
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 5):
+            gates = w_gate(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            psi = haar_random_state(n, rng)
+            expected = psi
+            for q in range(n):
+                expected = apply_single_qubit_gate(gates[q], q, expected)
+            np.testing.assert_allclose(_apply_product_layer(gates, psi), expected, atol=1e-12)
+        with pytest.raises(ValueError):
+            _apply_product_layer(gates[:2], psi)
 
 
 class TestFidelityWithShots:
