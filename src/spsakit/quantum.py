@@ -1,4 +1,4 @@
-"""Dense statevector simulator: gates, Pauli-sum Hamiltonians, time evolution,
+"""Dense statevector simulator: gates, Pauli-sum Hamiltonians,
 Haar sampling, and shot-noise measurement of expectations and fidelities.
 
 States are plain complex ndarrays of length 2**n_qubits, normalized to unit
@@ -22,7 +22,6 @@ __all__ = [
     "pauli_expectation",
     "expectation_with_shots",
     "fidelity_with_shots",
-    "evolve_piecewise",
 ]
 
 _PAULI = {
@@ -324,25 +323,3 @@ def fidelity_with_shots(psi, phi, shots, rng=None):
     if shots < 1:
         raise ValueError("shots must be >= 1")
     return rng.binomial(shots, p) / shots
-
-
-def evolve_piecewise(psi0, slices):
-    """Apply exp(−i Δt_m H_m) for each (H_m, Δt_m) in sequence, index 0 first.
-
-    Generators must be hermitian; each exponential is computed from a
-    spectral decomposition, adequate for the dense sizes supported here.
-    """
-    psi = np.asarray(psi0, dtype=np.complex128)
-    n = _num_qubits(psi)
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense evolution limited to {MAX_DENSE_QUBITS} qubits")
-    for generator, dt in slices:
-        g = np.asarray(generator)
-        if g.shape != (psi.size, psi.size):
-            raise ValueError("generator dimension does not match the state")
-        scale = max(1.0, float(np.abs(g).max(initial=0.0)))
-        if np.abs(g - g.conj().T).max(initial=0.0) > 1e-10 * scale:
-            raise ValueError("evolve_piecewise requires hermitian generators")
-        w, u = np.linalg.eigh(g)
-        psi = u @ (np.exp(-1j * dt * w) * (u.conj().T @ psi))
-    return psi

@@ -1,28 +1,28 @@
-"""Gate-by-gate reference implementations of the VQE and GRAPE oracle paths.
+"""Reference implementations of the VQE and GRAPE oracle paths.
 
 The library builds each VQE layer as one Kronecker-factored product layer,
-measures Pauli terms in qubit-wise-commuting groups and memoizes the pinned
-state of the fidelity oracle.  These helpers compute the same quantities one
-gate, one term and one state at a time from ``apply_single_qubit_gate``,
-``w_gate``, ``pauli_expectation`` and ``grape_final_state``, so tests can
-compare the two.
+measures Pauli terms in qubit-wise-commuting groups, propagates GRAPE states
+in the parity sectors of the bond operators and memoizes the pinned state of
+the fidelity oracle.  These helpers compute the same quantities one gate, one
+term and one state at a time from ``apply_single_qubit_gate``, ``w_gate`` and
+``pauli_expectation``, and evolve GRAPE states with full 2^n × 2^n generators
+through ``scipy.linalg.expm``, so tests can compare the two.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 
 from spsakit.applications import (
     GrapeProblem,
     Oracles,
     VqeProblem,
     entangling_layer,
-    grape_final_state,
-    grape_infidelity_exact,
-    grape_objective,
 )
 from spsakit.estimators import REAL, complex_from_interleaved
 from spsakit.quantum import (
+    PauliTermSum,
     apply_single_qubit_gate,
     fidelity_with_shots,
     heisenberg_hamiltonian,
@@ -58,8 +58,63 @@ def reference_expectation(psi, hamiltonian, shots, rng=None):
     return total
 
 
+def evolve_piecewise(psi0, slices):
+    """Apply exp(−i Δt_m H_m) for each (H_m, Δt_m) in sequence, index 0 first.
+
+    Generators must be hermitian; each exponential is computed from a
+    spectral decomposition.
+    """
+    psi = np.asarray(psi0, dtype=np.complex128)
+    for generator, dt in slices:
+        g = np.asarray(generator)
+        if g.shape != (psi.size, psi.size):
+            raise ValueError("generator dimension does not match the state")
+        scale = max(1.0, float(np.abs(g).max(initial=0.0)))
+        if np.abs(g - g.conj().T).max(initial=0.0) > 1e-10 * scale:
+            raise ValueError("evolve_piecewise requires hermitian generators")
+        w, u = np.linalg.eigh(g)
+        psi = u @ (np.exp(-1j * dt * w) * (u.conj().T @ psi))
+    return psi
+
+
+def reference_grape_final_state(prob: GrapeProblem, controls):
+    """GRAPE final state from one full 2^n × 2^n generator per slice.
+
+    Slice m applies scipy's exp(−i Δt H_m) with H_m = −½ Σ_k J_k B_k, where
+    B_k sums σᵏσᵏ over the bonds of ``heisenberg_hamiltonian``, and then
+    renormalizes; a non-finite or zero norm gives an all-NaN state.
+    """
+    n = prob.n_qubits
+    terms = heisenberg_hamiltonian(n, 1.0, 0.0, prob.periodic).terms
+    bonds = [
+        PauliTermSum(n_qubits=n, terms=tuple(t for t in terms if pauli in t[1])).to_dense()
+        for pauli in "XYZ"
+    ]
+    psi = np.asarray(prob.psi0, dtype=np.complex128)
+    for couplings in np.asarray(controls, dtype=np.complex128).reshape(prob.slices, 3):
+        h_m = -0.5 * sum(j * b for j, b in zip(couplings, bonds))
+        psi = scipy.linalg.expm(-1j * prob.dt * h_m) @ psi
+        norm = np.linalg.norm(psi)
+        if not np.isfinite(norm) or norm == 0.0:
+            return np.full_like(psi, np.nan)
+        psi = psi / norm
+    return psi
+
+
 def _finite(psi):
     return bool(np.all(np.isfinite(psi.view(np.float64))))
+
+
+def reference_grape_infidelity(prob: GrapeProblem, controls, shots, rng=None):
+    """1 − |⟨target|ψ_f⟩|² of the reference final state; NaN if it is non-finite."""
+    psi = reference_grape_final_state(prob, controls)
+    if not _finite(psi):
+        return float("nan")
+    target = np.zeros_like(psi)
+    target[0] = 1.0
+    if prob.target is not None:
+        target = np.asarray(prob.target, dtype=np.complex128)
+    return 1.0 - fidelity_with_shots(target, psi, shots, rng)
 
 
 def reference_oracles(problem, rng, field):
@@ -70,9 +125,9 @@ def reference_oracles(problem, rng, field):
         obj = lambda z: reference_expectation(state(z), ham, problem.shots, rng)
         mon = lambda z: reference_expectation(state(z), ham, math.inf)
     elif isinstance(problem, GrapeProblem):
-        state = lambda z: grape_final_state(problem, z)
-        obj = lambda z: grape_objective(problem, z, rng)
-        mon = lambda z: grape_infidelity_exact(problem, z)
+        state = lambda z: reference_grape_final_state(problem, z)
+        obj = lambda z: reference_grape_infidelity(problem, z, problem.shots, rng)
+        mon = lambda z: reference_grape_infidelity(problem, z, math.inf)
     else:
         raise TypeError(type(problem).__name__)
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from statevector_reference import reference_oracles, reference_vqe_state
+import scipy.linalg
+from statevector_reference import (
+    evolve_piecewise,
+    reference_grape_final_state,
+    reference_oracles,
+    reference_vqe_state,
+)
 
 import spsakit.applications as applications
 from spsakit.applications import (
@@ -185,7 +191,6 @@ class TestGrape:
         # with real couplings the generator is hermitian: compare against
         # the generic piecewise evolution
         from spsakit.applications import _bond_operators
-        from spsakit.quantum import evolve_piecewise
 
         rng = np.random.default_rng(6)
         psi0 = haar_random_state(2, rng)
@@ -250,6 +255,122 @@ class TestGrape:
         assert np.isnan(out).all()
         ok = _expm_stack(np.array([[[-12j]], [[0.5j]]]))
         np.testing.assert_allclose(ok[:, 0, 0], np.exp([-12j, 0.5j]), atol=1e-8)
+
+    @pytest.mark.parametrize("n, periodic", [
+        (n, periodic) for n in range(1, 8) for periodic in (False, True)
+        if n >= 3 or not periodic
+    ])
+    def test_bond_operators_preserve_parity_and_flip_symmetry(self, n, periodic):
+        # no entries between even- and odd-popcount states; for odd n the
+        # odd sector, ordered as complements of the even states, carries
+        # the same matrices as the even sector
+        from spsakit.applications import _bond_operators
+
+        parity = np.array([bin(i).count("1") % 2 for i in range(2**n)])
+        bonds = _bond_operators(n, periodic)
+        assert np.count_nonzero(bonds[:, parity[:, None] != parity]) == 0
+        if n % 2:
+            even = np.flatnonzero(parity == 0)
+            odd = even ^ (2**n - 1)
+            np.testing.assert_array_equal(bonds[:, odd[:, None], odd],
+                                          bonds[:, even[:, None], even])
+
+    @pytest.mark.parametrize("n, periodic", [
+        (n, periodic) for n in range(1, 8) for periodic in (False, True)
+        if n >= 3 or not periodic
+    ])
+    def test_bond_sectors_rebuild_the_full_operators(self, n, periodic):
+        from spsakit.applications import _bond_operators, _bond_sectors
+
+        index, blocks = _bond_sectors(n, periodic)
+        h = 2 ** (n - 1)
+        nb = 1 if n % 2 else 2
+        assert index.shape == (nb, h, 2 // nb)
+        assert blocks.shape == (nb, 3, h, h)
+        np.testing.assert_array_equal(np.sort(index, axis=None), np.arange(2**n))
+        full = np.zeros((3, 2**n, 2**n))
+        for b in range(nb):
+            for states in index[b].T:
+                full[:, states[:, None], states] = blocks[b]
+        np.testing.assert_array_equal(full, _bond_operators(n, periodic))
+
+    @staticmethod
+    def _grape_inputs(bound):
+        # n = 1-7 open or periodic (n >= 3), 1-4 slices, complex controls
+        # whose real and imaginary parts lie in [-bound, bound] or are 0
+        part = st.one_of(st.just(0.0), st.floats(-bound, bound))
+
+        @st.composite
+        def inputs(draw):
+            n = draw(st.integers(1, 7))
+            periodic = n >= 3 and draw(st.booleans())
+            slices = draw(st.integers(1, 4))
+            re, im = (np.array(draw(st.lists(part, min_size=3 * slices,
+                                             max_size=3 * slices))) for _ in "ri")
+            psi0 = haar_random_state(n, np.random.default_rng(draw(st.integers(0, 2**16))))
+            prob = GrapeProblem(n_qubits=n, slices=slices, periodic=periodic, psi0=psi0)
+            return prob, re + 1j * im
+
+        return inputs()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_grape_inputs(0.05))
+    def test_final_state_matches_dense_expm_reference(self, inputs):
+        # |parts| <= 0.05 keeps every generator's row-sum norm below 3/4
+        # (0.5 * sqrt(2) * 0.05 * 21 at n = 7 periodic), where the degree-12
+        # Taylor sum errs by < 1e-11; larger norms are covered below
+        prob, controls = inputs
+        out = grape_final_state(prob, controls)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out, reference_grape_final_state(prob, controls),
+                                   rtol=0, atol=1e-10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_grape_inputs(3.0))
+    def test_sector_propagation_matches_full_space_propagation(self, inputs):
+        # the same exponential on the full 2^n x 2^n generators: equal up to
+        # roundoff at any norm, since both stacks get the same squaring count
+        from spsakit.applications import _bond_operators, _expm_stack
+
+        prob, controls = inputs
+        coeffs = (0.5j * prob.dt) * controls.reshape(prob.slices, 3)
+        propagators = _expm_stack(
+            np.einsum("mk,kij->mij", coeffs, _bond_operators(prob.n_qubits, prob.periodic)))
+        psi = prob.psi0
+        for u in propagators:
+            psi = u @ psi
+            psi = psi / np.linalg.norm(psi)
+        np.testing.assert_allclose(grape_final_state(prob, controls), psi, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("norm", [0.5, 1.0, 3.0, 8.0, 32.0, 64.0])
+    def test_expm_stack_matches_scipy(self, norm):
+        # 16 x 16 parity blocks of 5-qubit GRAPE generators, scaled to a
+        # given largest row-sum norm
+        from spsakit.applications import _bond_sectors, _expm_stack
+
+        _, blocks = _bond_sectors(5, False)
+        rng = np.random.default_rng(20)
+        coeffs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        a = np.tensordot(0.5j * coeffs, blocks[0], axes=1)
+        a *= norm / np.abs(a).sum(axis=-1).max()
+        out = _expm_stack(a)
+        ref = np.stack([scipy.linalg.expm(m) for m in a])
+        err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert err.max() < 1e-8
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("slot, value", [
+        (2, 2.0**63),  # ZZ coupling past the squaring cap
+        (1, 1e3j),  # imaginary YY coupling whose propagator overflows
+    ])
+    def test_overflowing_control_is_nan_for_odd_n(self, n, slot, value):
+        rng = np.random.default_rng(21)
+        prob = materialize(GrapeProblem(n_qubits=n, slices=3, shots=100), rng)
+        controls = np.zeros(9, dtype=complex)
+        controls[3 + slot] = value
+        assert np.isnan(grape_final_state(prob, controls)).all()
+        assert math.isnan(grape_objective(prob, controls, rng))
+        assert math.isnan(grape_infidelity_exact(prob, controls))
 
     def test_overflowing_control_is_nan_and_diverges(self):
         rng = np.random.default_rng(19)
@@ -421,6 +542,16 @@ class TestPinnedStateMemo:
         np.testing.assert_array_equal(trace.objective_evals, 2 * iters)
         np.testing.assert_array_equal(trace.fidelity_evals, 4 * iters)
 
+    @staticmethod
+    def _traces(problem, config, z0, seed):
+        """Seeded runs through make_oracles and through reference_oracles."""
+        traces = []
+        for build in (make_oracles, reference_oracles):
+            oracles = build(problem, np.random.default_rng(seed + 2), config.field)
+            traces.append(run(oracles.objective, config, z0, fidelity=oracles.fidelity,
+                              monitor=oracles.monitor))
+        return traces
+
     @pytest.mark.parametrize("field", [COMPLEX, REAL])
     @pytest.mark.parametrize("problem", [
         VqeProblem(n_qubits=4, layers=1, shots=1000),
@@ -435,14 +566,23 @@ class TestPinnedStateMemo:
             z0 = interleave_complex(z0)
         config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=k,
                                  seed=seed)
-        traces = []
-        for build in (make_oracles, reference_oracles):
-            oracles = build(problem, np.random.default_rng(seed + 2), field)
-            traces.append(run(oracles.objective, config, z0, fidelity=oracles.fidelity,
-                              monitor=oracles.monitor))
-        fast, ref = traces
+        fast, ref = self._traces(problem, config, z0, seed)
         assert not fast.diverged and not ref.diverged
         np.testing.assert_allclose(fast.objective, ref.objective, rtol=1e-9, atol=0)
         np.testing.assert_allclose(fast.final_params, ref.final_params, rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(fast.objective_evals, ref.objective_evals)
+        np.testing.assert_array_equal(fast.fidelity_evals, ref.fidelity_evals)
+
+    @pytest.mark.parametrize("method", ["first_order", "quantum_natural"])
+    def test_five_qubit_grape_traces_match_reference_oracles(self, method):
+        seed, k = 9, 12
+        problem = materialize(GrapeProblem(n_qubits=5, slices=25, shots=2**13),
+                              np.random.default_rng(seed))
+        z0 = initial_point(problem, np.random.default_rng(seed + 1))
+        config = OptimizerConfig(method=method, max_iterations=k, seed=seed)
+        fast, ref = self._traces(problem, config, z0, seed)
+        assert not fast.diverged and not ref.diverged
+        np.testing.assert_allclose(fast.objective, ref.objective, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fast.final_params, ref.final_params, rtol=0, atol=1e-10)
         np.testing.assert_array_equal(fast.objective_evals, ref.objective_evals)
         np.testing.assert_array_equal(fast.fidelity_evals, ref.fidelity_evals)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from statevector_reference import reference_expectation
+from statevector_reference import evolve_piecewise, reference_expectation
 
 from spsakit.quantum import (
     PauliTermSum,
     apply_single_qubit_gate,
-    evolve_piecewise,
     exact_ground_energy,
     expectation_with_shots,
     fidelity_with_shots,
