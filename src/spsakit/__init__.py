@@ -27,17 +27,15 @@ from .optimizers import (
     OptimizerConfig,
     PreconditionerState,
     RunTrace,
-    apply_blocking,
     estimate_blocking_tolerance,
     method_label,
     postprocess_gidi,
     postprocess_spall,
-    resample_average,
     run,
     step_first_order,
     step_preconditioned,
 )
-from .applications import GrapeProblem, SgqtProblem, VqeProblem
+from .applications import GrapeProblem, Problem, SgqtProblem, VqeProblem
 from .bench import (
     EnsembleSpec,
     IterationStatistics,

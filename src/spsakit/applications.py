@@ -4,20 +4,30 @@ Every problem is natively parameterized by a flat complex vector; real-field
 optimizers see the same problem through an interleaved (Re, Im) adapter, so
 both fields optimize exactly the same landscape.  ``shots=math.inf`` makes
 any oracle exact.
+
+Uniform problem interface
+-------------------------
+Each problem class implements the ``Problem`` protocol: ``materialize`` and
+``initial_point`` draw the per-run random inputs, ``exact_minimum`` gives the
+known lower bound of the objective, ``state`` builds the state of a parameter
+vector and ``measure`` estimates the objective of a state from shots.
+``make_oracles`` builds every problem's objective, fidelity and monitor from
+these methods alone, so a new workload is one new class.
 """
 
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .estimators import COMPLEX, REAL, complex_from_interleaved, interleave_complex
+from .estimators import COMPLEX, REAL, complex_from_interleaved
 from .quantum import (
     PauliTermSum,
     _apply_product_layer,
     _product_state,
+    exact_ground_energy,
     expectation_with_shots,
     fidelity_with_shots,
     haar_random_state,
@@ -26,26 +36,43 @@ from .quantum import (
 )
 
 __all__ = [
+    "Problem",
     "VqeProblem",
     "GrapeProblem",
     "SgqtProblem",
     "Oracles",
     "entangling_layer",
     "vqe_state",
-    "vqe_objective",
-    "vqe_fidelity",
-    "vqe_energy_exact",
     "grape_final_state",
-    "grape_objective",
-    "grape_infidelity_exact",
-    "sgqt_objective",
-    "sgqt_infidelity_exact",
     "make_oracles",
-    "initial_point",
-    "materialize",
-    "param_count",
     "exact_minimum",
 ]
+
+
+class Problem(Protocol):
+    """What the benchmark harness needs of a workload.
+
+    ``shots`` is the per-evaluation shot budget of the objective and of the
+    fidelity; ``math.inf`` makes both exact.
+    """
+
+    shots: float
+
+    def materialize(self, rng) -> "Problem":
+        """The problem with any per-run random inputs drawn from ``rng``."""
+
+    def initial_point(self, rng) -> np.ndarray:
+        """The complex initial parameter vector of one run."""
+
+    def exact_minimum(self) -> float:
+        """Known lower bound of the objective."""
+
+    def state(self, z) -> np.ndarray:
+        """The normalized state of the complex parameter vector ``z``."""
+
+    def measure(self, psi, shots, rng=None) -> float:
+        """The objective of the state ``psi`` from ``shots`` samples; NaN for a
+        state with NaN amplitudes."""
 
 
 @dataclass(frozen=True)
@@ -65,13 +92,34 @@ class VqeProblem:
     shots: float = 2e4
     entangler: str = "ccz_ring"
 
+    def materialize(self, rng):
+        return self
+
+    def initial_point(self, rng):
+        p = self.n_qubits * (self.layers + 1)
+        return (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / math.sqrt(2.0)
+
+    def exact_minimum(self):
+        """The exact ground energy."""
+        return exact_ground_energy(self._hamiltonian())
+
+    def state(self, z):
+        return vqe_state(self, z)
+
+    def measure(self, psi, shots, rng=None):
+        """Energy of ``psi`` from ``shots`` samples per Pauli term."""
+        return expectation_with_shots(psi, self._hamiltonian(), shots, rng)
+
+    def _hamiltonian(self):
+        return _vqe_hamiltonian(self.n_qubits, self.j, self.h, self.periodic)
+
 
 @dataclass(frozen=True, eq=False)
 class GrapeProblem:
     """Piecewise-constant control of Heisenberg couplings toward a target state.
 
-    ``psi0=None`` means the benchmark harness draws a Haar-random initial
-    state per run; ``target=None`` means the all-zeros state.
+    ``psi0=None`` means ``materialize`` draws a Haar-random initial state per
+    run; ``target=None`` means the all-zeros state.
     """
 
     n_qubits: int = 5
@@ -87,14 +135,68 @@ class GrapeProblem:
         total = self.slices if self.total_time is None else self.total_time
         return total / self.slices
 
+    def materialize(self, rng):
+        if self.psi0 is None:
+            return replace(self, psi0=haar_random_state(self.n_qubits, rng))
+        return self
+
+    def initial_point(self, rng):
+        return np.zeros(3 * self.slices, dtype=np.complex128)
+
+    def exact_minimum(self):
+        return 0.0
+
+    def state(self, z):
+        return grape_final_state(self, z)
+
+    def measure(self, psi, shots, rng=None):
+        """Infidelity 1 − |⟨target|ψ⟩|² from ``shots`` samples."""
+        if self.target is None:
+            target = np.zeros(2**self.n_qubits, dtype=np.complex128)
+            target[0] = 1.0
+        else:
+            target = np.asarray(self.target, dtype=np.complex128)
+        return 1.0 - fidelity_with_shots(target, psi, shots, rng)
+
 
 @dataclass(frozen=True, eq=False)
 class SgqtProblem:
-    """Pure-state estimation by direct minimization of measured infidelity."""
+    """Pure-state estimation by direct minimization of measured infidelity.
+
+    The parameters are the amplitudes of the guess, up to scale: ``state``
+    normalizes them.  ``unknown=None`` means ``materialize`` draws a
+    Haar-random unknown state per run.
+    """
 
     n_qubits: int = 6
     shots: float = 2e4
     unknown: np.ndarray | None = None
+
+    def materialize(self, rng):
+        if self.unknown is None:
+            return replace(self, unknown=haar_random_state(self.n_qubits, rng))
+        return self
+
+    def initial_point(self, rng):
+        return haar_random_state(self.n_qubits, rng)
+
+    def exact_minimum(self):
+        return 0.0
+
+    def state(self, z):
+        amps = np.asarray(z, dtype=np.complex128)
+        if amps.size != 2**self.n_qubits:
+            raise ValueError(f"expected {2**self.n_qubits} amplitudes")
+        norm = np.linalg.norm(amps)
+        if norm == 0.0:
+            raise ValueError("guess amplitudes must not be the zero vector")
+        return amps / norm
+
+    def measure(self, psi, shots, rng=None):
+        """Infidelity 1 − |⟨unknown|ψ⟩|² from ``shots`` samples."""
+        if self.unknown is None:
+            raise ValueError("SgqtProblem.unknown is unset; materialize the problem first")
+        return 1.0 - fidelity_with_shots(self.unknown, psi, shots, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -158,32 +260,6 @@ def vqe_state(prob: VqeProblem, z):
         for layer_gates in gates[1:]:
             psi = _apply_product_layer(layer_gates, ent * psi)
     return psi
-
-
-def _vqe_energy(prob: VqeProblem, psi, shots, rng=None):
-    """Energy of the state ``psi`` from ``shots`` samples per Pauli term."""
-    ham = _vqe_hamiltonian(prob.n_qubits, prob.j, prob.h, prob.periodic)
-    return expectation_with_shots(psi, ham, shots, rng)
-
-
-def vqe_objective(prob: VqeProblem, params, rng=None):
-    """Shot-sampled energy of the ansatz state."""
-    return _vqe_energy(prob, vqe_state(prob, params), prob.shots, rng)
-
-
-def vqe_energy_exact(prob: VqeProblem, params):
-    """Noiseless energy of the ansatz state."""
-    return _vqe_energy(prob, vqe_state(prob, params), math.inf)
-
-
-def _vqe_fidelity(prob: VqeProblem, psi_a, psi_b, rng=None):
-    """Shot-sampled fidelity between two ansatz states."""
-    return fidelity_with_shots(psi_a, psi_b, prob.shots, rng)
-
-
-def vqe_fidelity(prob: VqeProblem, params_a, params_b, rng=None):
-    """Shot-sampled fidelity between the ansatz states of two parameter vectors."""
-    return _vqe_fidelity(prob, vqe_state(prob, params_a), vqe_state(prob, params_b), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +346,30 @@ def _expm_stack(a):
     squarings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
     if squarings > _MAX_SQUARINGS:
         return np.full_like(a, np.nan)
-    b = a / (2.0**squarings)
+    # All work arrays come from one block.  At 5 qubits, some 30 separate
+    # 100 KB temporaries could be trimmed from the heap top and faulted back
+    # in on every call, depending on the heap layout: 170 page faults and 30%
+    # of a build on a 2-core x86-64 machine.  glibc serves an 800 KB block
+    # from the heap without trimming it once the first one has been freed.
+    b, b2, b3, p0, p1, p2, p3, t = np.empty((8,) + a.shape, dtype=a.dtype)
+    np.divide(a, 2.0**squarings, out=b)
+    np.matmul(b, b, out=b2)
+    np.matmul(b2, b, out=b3)
     inv = _TAYLOR_INV
-    b2 = b @ b
-    b3 = b2 @ b
-    p0 = b * inv[1] + b2 * inv[2]
-    p1 = b * inv[4] + b2 * inv[5]
-    p2 = b * inv[7] + b2 * inv[8]
-    p3 = b * inv[10] + b2 * inv[11] + b3 * inv[12]
+    for p, i in ((p0, 1), (p1, 4), (p2, 7), (p3, 10)):
+        np.multiply(b, inv[i], out=p)
+        p += np.multiply(b2, inv[i + 1], out=t)
+    p3 += np.multiply(b3, inv[12], out=t)
     # identity terms go on the diagonals: adding a broadcast eye is far slower
     for p, c in ((p0, 1.0), (p1, inv[3]), (p2, inv[6]), (p3, inv[9])):
         np.einsum("...ii->...i", p)[...] += c
-    out = p0 + b3 @ (p1 + b3 @ (p2 + b3 @ p3))
+    # p0 + b3 @ (p1 + b3 @ (p2 + b3 @ p3)), summed in place
+    p2 += np.matmul(b3, p3, out=t)
+    p1 += np.matmul(b3, p2, out=t)
+    p0 += np.matmul(b3, p1, out=t)
+    out, spare = p0, t
     for _ in range(squarings):
-        out = out @ out
+        out, spare = np.matmul(out, out, out=spare), out
     return out
 
 
@@ -330,74 +416,6 @@ def grape_final_state(prob: GrapeProblem, controls):
     return out
 
 
-def _grape_target(prob: GrapeProblem):
-    if prob.target is not None:
-        return np.asarray(prob.target, dtype=np.complex128)
-    target = np.zeros(2**prob.n_qubits, dtype=np.complex128)
-    target[0] = 1.0
-    return target
-
-
-def _grape_infidelity(prob: GrapeProblem, psi, shots, rng=None):
-    """1 − |⟨target|ψ⟩|² from ``shots`` samples; NaN for a non-finite state."""
-    if not np.all(np.isfinite(psi.view(np.float64))):
-        return float("nan")
-    return 1.0 - fidelity_with_shots(_grape_target(prob), psi, shots, rng)
-
-
-def grape_objective(prob: GrapeProblem, controls, rng=None):
-    """Shot-sampled infidelity 1 − |⟨target|ψ̃_f⟩|²."""
-    return _grape_infidelity(prob, grape_final_state(prob, controls), prob.shots, rng)
-
-
-def grape_infidelity_exact(prob: GrapeProblem, controls):
-    """Noiseless infidelity of the evolved state."""
-    return _grape_infidelity(prob, grape_final_state(prob, controls), math.inf)
-
-
-def _grape_fidelity(prob: GrapeProblem, psi_a, psi_b, rng=None):
-    """Shot-sampled fidelity between two final states; NaN if either is non-finite."""
-    if not np.all(np.isfinite(psi_a.view(np.float64))) or not np.all(
-        np.isfinite(psi_b.view(np.float64))
-    ):
-        return float("nan")
-    return fidelity_with_shots(psi_a, psi_b, prob.shots, rng)
-
-
-# ---------------------------------------------------------------------------
-# SGQT
-
-
-def _normalized_guess(amplitudes):
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ValueError("guess amplitudes must not be the zero vector")
-    return amps / norm
-
-
-def sgqt_objective(prob: SgqtProblem, amplitudes, rng=None):
-    """Shot-sampled infidelity between the unknown state and the guess."""
-    if prob.unknown is None:
-        raise ValueError("SgqtProblem.unknown is unset; materialize the problem first")
-    if np.asarray(amplitudes).size != 2**prob.n_qubits:
-        raise ValueError(f"expected {2**prob.n_qubits} amplitudes")
-    guess = _normalized_guess(amplitudes)
-    return 1.0 - fidelity_with_shots(prob.unknown, guess, prob.shots, rng)
-
-
-def sgqt_infidelity_exact(prob: SgqtProblem, amplitudes):
-    """Noiseless infidelity of the guess."""
-    guess = _normalized_guess(amplitudes)
-    return 1.0 - fidelity_with_shots(prob.unknown, guess, math.inf)
-
-
-def _sgqt_fidelity(prob: SgqtProblem, amps_a, amps_b, rng=None):
-    return fidelity_with_shots(
-        _normalized_guess(amps_a), _normalized_guess(amps_b), prob.shots, rng
-    )
-
-
 # ---------------------------------------------------------------------------
 # Uniform problem interface used by the benchmark harness
 
@@ -408,118 +426,37 @@ class Oracles(NamedTuple):
     monitor: Callable
 
 
-def param_count(problem) -> int:
-    """Number of complex parameters of the problem."""
-    if isinstance(problem, VqeProblem):
-        return problem.n_qubits * (problem.layers + 1)
-    if isinstance(problem, GrapeProblem):
-        return 3 * problem.slices
-    if isinstance(problem, SgqtProblem):
-        return 2**problem.n_qubits
-    raise TypeError(f"unknown problem type {type(problem).__name__}")
+def exact_minimum(problem: Problem):
+    """Known lower bound of the problem's objective."""
+    return problem.exact_minimum()
 
 
-def materialize(problem, rng):
-    """Resolve any per-run Haar-random states left unset on the problem."""
-    if isinstance(problem, GrapeProblem) and problem.psi0 is None:
-        return replace(problem, psi0=haar_random_state(problem.n_qubits, rng))
-    if isinstance(problem, SgqtProblem) and problem.unknown is None:
-        return replace(problem, unknown=haar_random_state(problem.n_qubits, rng))
-    return problem
-
-
-def initial_point(problem, rng):
-    """Draw the complex initial parameter vector for one run."""
-    if isinstance(problem, VqeProblem):
-        p = param_count(problem)
-        return (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / math.sqrt(2.0)
-    if isinstance(problem, GrapeProblem):
-        return np.zeros(param_count(problem), dtype=np.complex128)
-    if isinstance(problem, SgqtProblem):
-        return haar_random_state(problem.n_qubits, rng)
-    raise TypeError(f"unknown problem type {type(problem).__name__}")
-
-
-def exact_minimum(problem):
-    """Known lower bound of the objective: exact ground energy, or 0 for infidelities."""
-    if isinstance(problem, VqeProblem):
-        from .quantum import exact_ground_energy
-
-        return exact_ground_energy(
-            _vqe_hamiltonian(problem.n_qubits, problem.j, problem.h, problem.periodic)
-        )
-    return 0.0
-
-
-def parameter_projection(problem, field: str = COMPLEX):
-    """Constraint-restoring reparameterization for the problem, or None.
-
-    SGQT parameters are state amplitudes: the objective is invariant under
-    their scale, but the iterate must stay a preparable (unit-norm) state for
-    the perturbation magnitudes to keep their meaning.  The other problems
-    have unconstrained parameters.
-    """
-    if isinstance(problem, SgqtProblem):
-        def unit_norm(z):
-            return z / np.linalg.norm(z)
-
-        return unit_norm
-    return None
-
-
-class _LastState:
-    """One-entry memo of a state-building function.
-
-    The key is the exact bytes of the complex parameter vector, so a hit
-    returns the state the function built for identical parameters.  It draws
-    no random numbers.
-    """
-
-    def __init__(self, build):
-        self._build = build
-        self._key = None
-        self._psi = None
-
-    def __call__(self, z):
-        key = np.asarray(z, dtype=np.complex128).tobytes()
-        if key != self._key:
-            self._psi = self._build(z)
-            self._key = key
-        return self._psi
-
-
-def make_oracles(problem, rng, field: str = COMPLEX) -> Oracles:
+def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     """Build (objective, fidelity, monitor) callables over the chosen field.
 
-    The objective and fidelity share the given rng for shot sampling; the
-    monitor is noiseless and rng-free.  Real-field oracles interpret
-    parameters as interleaved (Re, Im) pairs of the complex parameters.
+    The objective measures the state of its argument and the fidelity
+    estimates |⟨ψ(za)|ψ(zb)⟩|², both from ``problem.shots`` shots drawn from
+    the given rng; the monitor measures exactly and draws nothing.  Real-field
+    oracles read parameters as interleaved (Re, Im) pairs.
 
-    For VQE and GRAPE, the fidelity's first argument and the monitor's
-    argument go through one rng-free memo holding the last state built.  The
-    metric estimate pins the first fidelity argument at the current iterate,
-    which is the point the monitor recorded at the end of the previous
-    iteration, so a quantum-natural iteration builds 7 states instead of 11
-    with the same values and the same random draws.
+    The fidelity's first argument and the monitor's argument go through one
+    rng-free memo of the last state built.  The metric estimate pins the
+    first fidelity argument at the current iterate, which the monitor built
+    at the end of the previous iteration, so a quantum-natural iteration
+    builds 7 states instead of 11 with the same values and random draws.
     """
-    if isinstance(problem, VqeProblem):
-        state = lambda z: vqe_state(problem, z)
-        pinned = _LastState(state)
-        obj = lambda z: vqe_objective(problem, z, rng)
-        fid = lambda za, zb: _vqe_fidelity(problem, pinned(za), state(zb), rng)
-        mon = lambda z: _vqe_energy(problem, pinned(z), math.inf)
-    elif isinstance(problem, GrapeProblem):
-        state = lambda z: grape_final_state(problem, z)
-        pinned = _LastState(state)
-        obj = lambda z: grape_objective(problem, z, rng)
-        fid = lambda za, zb: _grape_fidelity(problem, pinned(za), state(zb), rng)
-        mon = lambda z: _grape_infidelity(problem, pinned(z), math.inf)
-    elif isinstance(problem, SgqtProblem):
-        obj = lambda z: sgqt_objective(problem, z, rng)
-        fid = lambda za, zb: _sgqt_fidelity(problem, za, zb, rng)
-        mon = lambda z: sgqt_infidelity_exact(problem, z)
-    else:
-        raise TypeError(f"unknown problem type {type(problem).__name__}")
+    state, measure, shots = problem.state, problem.measure, problem.shots
+    last = [None, None]  # the exact parameter bytes and the state of the last pinned build
+
+    def pinned(z):
+        key = np.asarray(z, dtype=np.complex128).tobytes()
+        if key != last[0]:
+            last[:] = key, state(z)
+        return last[1]
+
+    obj = lambda z: measure(state(z), shots, rng)
+    fid = lambda za, zb: fidelity_with_shots(pinned(za), state(zb), shots, rng)
+    mon = lambda z: measure(pinned(z), math.inf)
 
     if field == REAL:
         c_obj, c_fid, c_mon = obj, fid, mon

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .applications import initial_point, make_oracles, materialize, parameter_projection
+from .applications import Problem, make_oracles
 from .estimators import REAL, gains_at, gradient_estimate, interleave_complex, sample_perturbation
 from .optimizers import OptimizerConfig, RunTrace, method_label, run
 
@@ -30,7 +30,7 @@ __all__ = [
 class EnsembleSpec:
     """An ensemble of independent runs of one optimizer on one problem."""
 
-    problem: object
+    problem: Problem
     config: OptimizerConfig
     n_runs: int
     base_seed: int = 0
@@ -86,13 +86,13 @@ def calibrate_first_order_gain(objective, z0_samples, gains, field, rng,
     return target_step / mean_norm
 
 
-def run_single(problem, config: OptimizerConfig, seed: int) -> RunTrace:
+def run_single(problem: Problem, config: OptimizerConfig, seed: int) -> RunTrace:
     """Execute one seeded run: materialize the problem, draw the initial point,
     bind shot-noise rng streams, and run the optimizer."""
     init_rng = np.random.default_rng([seed, 1])
     oracle_rng = np.random.default_rng([seed, 2])
-    prob = materialize(problem, init_rng)
-    z0 = initial_point(prob, init_rng)
+    prob = problem.materialize(init_rng)
+    z0 = prob.initial_point(init_rng)
     if config.field == REAL:
         z0 = interleave_complex(z0)
     oracles = make_oracles(prob, oracle_rng, config.field)
@@ -113,11 +113,10 @@ def _calibrated_config(spec: EnsembleSpec):
     rng = np.random.default_rng([spec.base_seed, 3])
     samples = []
     for _ in range(min(spec.calibration_probes, max(spec.n_runs, 1))):
-        prob = materialize(spec.problem, rng)
-        samples.append(initial_point(prob, rng))
+        samples.append(spec.problem.materialize(rng).initial_point(rng))
     if spec.config.field == REAL:
         samples = [interleave_complex(z) for z in samples]
-    probe_problem = materialize(spec.problem, rng)
+    probe_problem = spec.problem.materialize(rng)
     oracles = make_oracles(probe_problem, rng, spec.config.field)
     a = calibrate_first_order_gain(
         oracles.objective, samples, spec.config.gains, spec.config.field, rng,

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from .applications import GrapeProblem, SgqtProblem, VqeProblem, exact_minimum
+from .applications import GrapeProblem, SgqtProblem, VqeProblem
 from .bench import EnsembleSpec, run_ensemble, summarize_final
 from .estimators import GAIN_PRESETS, GainSchedule
 from .optimizers import OptimizerConfig
@@ -260,7 +260,7 @@ def execute(config: ExperimentConfig) -> int:
         "wall_time_s": wall_time,
         "at_iteration": config.iterations,
         "calibrated_a": result.calibrated_a,
-        "exact_minimum": exact_minimum(problem) if config.application == "vqe" else 0.0,
+        "exact_minimum": problem.exact_minimum(),
         "row": summarize_final(result, config.iterations, opt_config),
     }
 

@@ -133,7 +133,8 @@ def hessian_estimate(f, z, b_k, bt_k, delta, delta_tilde, cached_pair):
     product below because the perturbation entries have unit modulus.
     """
     d2 = second_difference(f, z, b_k, bt_k, delta, delta_tilde, cached_pair)
-    return (d2 / (2.0 * b_k * bt_k)) * np.outer(delta, np.conj(delta_tilde))
+    return scalar_preconditioner(d2, b_k, bt_k, "second_order") * np.outer(
+        delta, np.conj(delta_tilde))
 
 
 def metric_second_difference(fidelity, z, b_k, bt_k, delta, delta_tilde):
@@ -157,7 +158,8 @@ def metric_estimate(fidelity, z, b_k, bt_k, delta, delta_tilde):
     the complex field, written as an outer product as in `hessian_estimate`.
     """
     d2 = metric_second_difference(fidelity, z, b_k, bt_k, delta, delta_tilde)
-    return (-d2 / (4.0 * b_k * bt_k)) * np.outer(delta, np.conj(delta_tilde))
+    return scalar_preconditioner(d2, b_k, bt_k, "quantum_natural") * np.outer(
+        delta, np.conj(delta_tilde))
 
 
 def scalar_preconditioner(d2, b_k, bt_k, kind):

@@ -5,7 +5,9 @@ gradient estimate alone, ``second_order`` preconditions with a Hessian
 estimate, and ``quantum_natural`` preconditions with a Fubini-Study metric
 estimate obtained from fidelity evaluations.  Each exists in the real and the
 complex field, optionally in scalar-preconditioned form, with blocking and
-resampling as orthogonal switches.
+resampling as orthogonal switches.  Both switches live only in `run`: it
+averages the N_R estimator draws of an iteration and blocks a candidate
+against the cached objective value of the accepted iterate.
 """
 
 import math
@@ -39,9 +41,7 @@ __all__ = [
     "postprocess_gidi",
     "step_first_order",
     "step_preconditioned",
-    "apply_blocking",
     "estimate_blocking_tolerance",
-    "resample_average",
     "run",
 ]
 
@@ -191,35 +191,12 @@ def step_preconditioned(z, abar_k, g, preconditioner):
     return z - abar_k * solve_pd(preconditioner, g)
 
 
-def apply_blocking(f, z_old, z_candidate, delta):
-    """Accept the candidate only if f(candidate) < f(old) + δ.
-
-    Standalone form of the blocking criterion; `run` uses a cached value for
-    f(old) instead of re-evaluating it.
-    """
-    if delta < 0:
-        raise ValueError("blocking tolerance must be non-negative")
-    if f(z_candidate) < f(z_old) + delta:
-        return z_candidate
-    return z_old
-
-
 def estimate_blocking_tolerance(f, z0, n_samples: int = 25):
     """Twice the sample standard deviation of repeated evaluations at z₀."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples to estimate the noise level")
     values = np.array([f(z0) for _ in range(n_samples)], dtype=np.float64)
     return 2.0 * float(np.std(values, ddof=1))
-
-
-def resample_average(draw_estimate, n_r: int):
-    """Arithmetic mean of N_R independent estimator draws."""
-    if n_r < 1:
-        raise ValueError("N_R must be >= 1")
-    total = draw_estimate()
-    for _ in range(n_r - 1):
-        total = total + draw_estimate()
-    return total / n_r
 
 
 def _counted(fn, budget, kind):
@@ -235,7 +212,7 @@ def _counted(fn, budget, kind):
 
 
 def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
-        project=None, callback=None):
+        callback=None):
     """Execute ``config.max_iterations`` iterations of the configured method.
 
     Parameters
@@ -255,11 +232,6 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
         recording call draws from the objective's rng, so a run without a
         monitor sees a different noise stream, and takes different steps,
         than the same run with one.
-    project : callable, optional
-        Reparameterization applied to the initial point and to every
-        candidate iterate, for problems whose parameter space carries a
-        constraint the objective is invariant under (e.g. unit norm for
-        state-amplitude parameters).  Must not change the objective value.
     callback : callable, optional
         ``callback(k, z, g, step)`` invoked after every parameter update.
 
@@ -278,8 +250,6 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
     z = np.array(z0, dtype=dtype)
     if z.ndim != 1:
         raise ValueError("initial point must be a 1-D parameter vector")
-    if project is not None:
-        z = np.asarray(project(z), dtype=dtype)
     p = z.size
 
     rng = np.random.default_rng(config.seed)
@@ -345,8 +315,6 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
             candidate = step_first_order(z, a_k, g)
             step = a_k * g
 
-        if project is not None:
-            candidate = np.asarray(project(candidate), dtype=dtype)
         if not np.all(np.isfinite(candidate.view(np.float64))):
             trace.diverged = True
             break

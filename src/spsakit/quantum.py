@@ -312,11 +312,17 @@ def expectation_with_shots(psi, hamiltonian: PauliTermSum, shots, rng=None):
 
 
 def fidelity_with_shots(psi, phi, shots, rng=None):
-    """Estimate |⟨ψ|φ⟩|² from a binomial sample of the given ensemble size."""
+    """Estimate |⟨ψ|φ⟩|² from a binomial sample of the given ensemble size.
+
+    A non-finite overlap, as from a state with NaN or infinite amplitudes,
+    gives NaN without drawing from ``rng``.
+    """
     if psi.shape != phi.shape:
         raise ValueError("states must have the same number of qubits")
-    p = abs(np.vdot(psi, phi)) ** 2
-    p = min(1.0, max(0.0, float(p)))
+    p = float(abs(np.vdot(psi, phi)) ** 2)
+    if not math.isfinite(p):
+        return float("nan")
+    p = min(1.0, max(0.0, p))
     if _is_exact(shots):
         return p
     shots = int(shots)

@@ -1,12 +1,13 @@
-"""Reference implementations of the VQE and GRAPE oracle paths.
+"""Reference implementations of the VQE, GRAPE and SGQT oracle paths.
 
 The library builds each VQE layer as one Kronecker-factored product layer,
 measures Pauli terms in qubit-wise-commuting groups, propagates GRAPE states
 in the parity sectors of the bond operators and memoizes the pinned state of
 the fidelity oracle.  These helpers compute the same quantities one gate, one
 term and one state at a time from ``apply_single_qubit_gate``, ``w_gate`` and
-``pauli_expectation``, and evolve GRAPE states with full 2^n × 2^n generators
-through ``scipy.linalg.expm``, so tests can compare the two.
+``pauli_expectation``, evolve GRAPE states with full 2^n × 2^n generators
+through ``scipy.linalg.expm``, and normalize every SGQT guess anew, so tests
+can compare the two.
 """
 
 import math
@@ -17,6 +18,7 @@ import scipy.linalg
 from spsakit.applications import (
     GrapeProblem,
     Oracles,
+    SgqtProblem,
     VqeProblem,
     entangling_layer,
 )
@@ -128,6 +130,10 @@ def reference_oracles(problem, rng, field):
         state = lambda z: reference_grape_final_state(problem, z)
         obj = lambda z: reference_grape_infidelity(problem, z, problem.shots, rng)
         mon = lambda z: reference_grape_infidelity(problem, z, math.inf)
+    elif isinstance(problem, SgqtProblem):
+        state = lambda z: np.asarray(z, dtype=np.complex128) / np.linalg.norm(z)
+        obj = lambda z: 1.0 - fidelity_with_shots(problem.unknown, state(z), problem.shots, rng)
+        mon = lambda z: 1.0 - fidelity_with_shots(problem.unknown, state(z), math.inf)
     else:
         raise TypeError(type(problem).__name__)
 

@@ -20,17 +20,7 @@ from spsakit.applications import (
     VqeProblem,
     entangling_layer,
     grape_final_state,
-    grape_infidelity_exact,
-    grape_objective,
-    initial_point,
     make_oracles,
-    materialize,
-    param_count,
-    sgqt_infidelity_exact,
-    sgqt_objective,
-    vqe_energy_exact,
-    vqe_fidelity,
-    vqe_objective,
     vqe_state,
 )
 from spsakit.bench import run_single
@@ -99,15 +89,16 @@ def _vqe_inputs(draw):
 
 class TestVqe:
     def test_parameter_count(self):
-        assert param_count(VqeProblem(n_qubits=10, layers=1)) == 20
-        assert param_count(VqeProblem(n_qubits=4, layers=3)) == 16
+        rng = np.random.default_rng(0)
+        assert VqeProblem(n_qubits=10, layers=1).initial_point(rng).shape == (20,)
+        assert VqeProblem(n_qubits=4, layers=3).initial_point(rng).shape == (16,)
 
     def test_zero_parameters_energy(self):
         # W(0) = I and diagonal entangler leave |0...0>; ZZ terms give +1 each
         for periodic, bonds in ((True, 4), (False, 3)):
             prob = VqeProblem(n_qubits=4, layers=1, j=1.0, h=0.3, periodic=periodic,
                               shots=math.inf)
-            energy = vqe_objective(prob, np.zeros(8, dtype=complex))
+            energy = make_oracles(prob, None).objective(np.zeros(8, dtype=complex))
             assert energy == pytest.approx(bonds * 1.0 + 4 * 0.3)
 
     def test_exact_oracle_matches_shot_oracle_at_infinity(self):
@@ -115,17 +106,19 @@ class TestVqe:
                           shots=math.inf)
         rng = np.random.default_rng(0)
         z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert vqe_objective(prob, z) == pytest.approx(vqe_energy_exact(prob, z),
-                                                       abs=1e-12)
+        oracles = make_oracles(prob, None)
+        assert oracles.objective(z) == pytest.approx(oracles.monitor(z), abs=1e-12)
 
     def test_energy_bounded_below_by_ground_energy(self):
         prob = VqeProblem(n_qubits=4, layers=2, shots=math.inf)
         ham = heisenberg_hamiltonian(4, 1.0, 0.3, True)
         e0 = exact_ground_energy(ham)
+        assert prob.exact_minimum() == e0
+        monitor = make_oracles(prob, None).monitor
         rng = np.random.default_rng(1)
         for _ in range(20):
             z = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            assert vqe_energy_exact(prob, z) >= e0 - 1e-10
+            assert monitor(z) >= e0 - 1e-10
 
     def test_wrong_parameter_count_rejected(self):
         prob = VqeProblem(n_qubits=4, layers=1)
@@ -136,7 +129,7 @@ class TestVqe:
         prob = VqeProblem(n_qubits=3, layers=1, shots=math.inf)
         rng = np.random.default_rng(2)
         z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert vqe_fidelity(prob, z, z) == pytest.approx(1.0)
+        assert make_oracles(prob, None).fidelity(z, z) == pytest.approx(1.0)
 
     def test_fidelity_matches_exact_overlap(self):
         prob = VqeProblem(n_qubits=3, layers=1, shots=math.inf)
@@ -144,15 +137,16 @@ class TestVqe:
         za = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         zb = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         expected = abs(np.vdot(vqe_state(prob, za), vqe_state(prob, zb))) ** 2
-        assert vqe_fidelity(prob, za, zb) == pytest.approx(expected, abs=1e-10)
+        assert make_oracles(prob, None).fidelity(za, zb) == pytest.approx(expected, abs=1e-10)
 
     def test_shot_noise_scale(self):
         prob = VqeProblem(n_qubits=2, layers=1, j=1.0, h=0.0, periodic=False,
                           shots=2e4)
         rng = np.random.default_rng(4)
         z = 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        exact = vqe_energy_exact(prob, z)
-        samples = [vqe_objective(prob, z, rng) for _ in range(200)]
+        oracles = make_oracles(prob, rng)
+        exact = oracles.monitor(z)
+        samples = [oracles.objective(z) for _ in range(200)]
         # three terms, each bounded by binomial noise on 2e4 shots
         assert np.mean(samples) == pytest.approx(exact, abs=5e-3)
 
@@ -167,7 +161,8 @@ class TestVqe:
 
 class TestGrape:
     def test_parameter_count(self):
-        assert param_count(GrapeProblem(n_qubits=5, slices=25)) == 75
+        z0 = GrapeProblem(n_qubits=5, slices=25).initial_point(np.random.default_rng(0))
+        np.testing.assert_array_equal(z0, np.zeros(75))
 
     def test_zero_controls_identity(self):
         rng = np.random.default_rng(5)
@@ -179,13 +174,13 @@ class TestGrape:
         target = np.zeros(4, dtype=complex)
         target[0] = 1.0
         expected = 1.0 - abs(np.vdot(target, psi0)) ** 2
-        assert grape_objective(prob, controls) == pytest.approx(expected, abs=1e-12)
+        assert make_oracles(prob, None).objective(controls) == pytest.approx(expected, abs=1e-12)
 
     def test_target_start_zero_infidelity(self):
         target = np.zeros(4, dtype=complex)
         target[0] = 1.0
         prob = GrapeProblem(n_qubits=2, slices=3, shots=math.inf, psi0=target)
-        assert grape_objective(prob, np.zeros(9, dtype=complex)) == pytest.approx(0.0)
+        assert make_oracles(prob, None).objective(np.zeros(9, dtype=complex)) == pytest.approx(0.0)
 
     def test_real_controls_match_hermitian_evolution(self):
         # with real couplings the generator is hermitian: compare against
@@ -215,8 +210,9 @@ class TestGrape:
         target = np.zeros(4, dtype=complex)
         target[0] = 1.0
         expected = 1.0 - abs(np.vdot(target, out)) ** 2
-        assert grape_objective(prob, controls) == pytest.approx(expected, abs=1e-12)
-        assert grape_infidelity_exact(prob, controls) == pytest.approx(expected, abs=1e-12)
+        oracles = make_oracles(prob, None)
+        assert oracles.objective(controls) == pytest.approx(expected, abs=1e-12)
+        assert oracles.monitor(controls) == pytest.approx(expected, abs=1e-12)
 
     def test_imaginary_controls_change_the_state(self):
         rng = np.random.default_rng(8)
@@ -230,7 +226,7 @@ class TestGrape:
     def test_wrong_length_rejected(self):
         prob = GrapeProblem(n_qubits=2, slices=5, psi0=np.array([1, 0, 0, 0], complex))
         with pytest.raises(ValueError):
-            grape_objective(prob, np.zeros(14, dtype=complex))
+            make_oracles(prob, None).objective(np.zeros(14, dtype=complex))
 
     def test_single_slice_single_pair_solvable(self):
         # 2-qubit, one slice, ZZ control only: |psi0> = e^{+i t ZZ/2}|target>
@@ -245,7 +241,7 @@ class TestGrape:
         psi0 = u @ (np.exp(1j * t * w) * (u.conj().T @ target))
         prob = GrapeProblem(n_qubits=2, slices=1, shots=math.inf, psi0=psi0)
         controls = np.array([0.0, 0.0, t / prob.dt], dtype=complex)
-        assert grape_objective(prob, controls) == pytest.approx(0.0, abs=1e-12)
+        assert make_oracles(prob, None).objective(controls) == pytest.approx(0.0, abs=1e-12)
 
     def test_propagator_norm_beyond_squaring_cap_gives_nan(self):
         from spsakit.applications import _expm_stack
@@ -365,21 +361,23 @@ class TestGrape:
     ])
     def test_overflowing_control_is_nan_for_odd_n(self, n, slot, value):
         rng = np.random.default_rng(21)
-        prob = materialize(GrapeProblem(n_qubits=n, slices=3, shots=100), rng)
+        prob = GrapeProblem(n_qubits=n, slices=3, shots=100).materialize(rng)
         controls = np.zeros(9, dtype=complex)
         controls[3 + slot] = value
         assert np.isnan(grape_final_state(prob, controls)).all()
-        assert math.isnan(grape_objective(prob, controls, rng))
-        assert math.isnan(grape_infidelity_exact(prob, controls))
+        oracles = make_oracles(prob, rng)
+        assert math.isnan(oracles.objective(controls))
+        assert math.isnan(oracles.monitor(controls))
+        assert math.isnan(oracles.fidelity(np.zeros(9, dtype=complex), controls))
 
     def test_overflowing_control_is_nan_and_diverges(self):
         rng = np.random.default_rng(19)
-        prob = materialize(GrapeProblem(n_qubits=2, slices=2, shots=100), rng)
+        prob = GrapeProblem(n_qubits=2, slices=2, shots=100).materialize(rng)
         controls = np.zeros(6, dtype=complex)
         controls[2] = 2.0**63  # ZZ coupling; generator norm 2^62
-        assert math.isnan(grape_objective(prob, controls, rng))
-        assert math.isnan(grape_infidelity_exact(prob, controls))
         oracles = make_oracles(prob, rng)
+        assert math.isnan(oracles.objective(controls))
+        assert math.isnan(oracles.monitor(controls))
         config = OptimizerConfig(method="first_order", max_iterations=3)
         trace = run(oracles.objective, config, controls, monitor=oracles.monitor)
         assert trace.diverged
@@ -387,13 +385,13 @@ class TestGrape:
 
 class TestSgqt:
     def test_parameter_count(self):
-        assert param_count(SgqtProblem(n_qubits=6)) == 64
+        assert SgqtProblem(n_qubits=6).initial_point(np.random.default_rng(0)).shape == (64,)
 
     def test_true_state_gives_zero(self):
         rng = np.random.default_rng(9)
         unknown = haar_random_state(3, rng)
         prob = SgqtProblem(n_qubits=3, shots=math.inf, unknown=unknown)
-        assert sgqt_objective(prob, 2.5 * unknown) == pytest.approx(0.0, abs=1e-12)
+        assert make_oracles(prob, None).objective(2.5 * unknown) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_guess_gives_one(self):
         unknown = np.zeros(4, dtype=complex)
@@ -401,39 +399,57 @@ class TestSgqt:
         guess = np.zeros(4, dtype=complex)
         guess[1] = 1.0
         prob = SgqtProblem(n_qubits=2, shots=math.inf, unknown=unknown)
-        assert sgqt_objective(prob, guess) == pytest.approx(1.0)
+        assert make_oracles(prob, None).objective(guess) == pytest.approx(1.0)
 
     def test_scale_and_phase_invariance(self):
         rng = np.random.default_rng(10)
         unknown = haar_random_state(2, rng)
         guess = haar_random_state(2, rng)
         prob = SgqtProblem(n_qubits=2, shots=math.inf, unknown=unknown)
-        base = sgqt_objective(prob, guess)
+        objective = make_oracles(prob, None).objective
+        base = objective(guess)
         for c in (2.0, -0.3, 1.7j, 0.2 - 0.9j):
-            assert sgqt_objective(prob, c * guess) == pytest.approx(base, abs=1e-12)
+            assert objective(c * guess) == pytest.approx(base, abs=1e-12)
 
     def test_zero_vector_rejected(self):
         prob = SgqtProblem(n_qubits=2, unknown=np.array([1, 0, 0, 0], complex))
         with pytest.raises(ValueError):
-            sgqt_objective(prob, np.zeros(4, dtype=complex))
+            make_oracles(prob, None).objective(np.zeros(4, dtype=complex))
+
+    @pytest.mark.parametrize("shots", [math.inf, 100])
+    def test_nan_amplitude_gives_nan(self, shots):
+        # the NaN must reach the optimizer, not read as a finite infidelity
+        rng = np.random.default_rng(22)
+        prob = SgqtProblem(n_qubits=2, shots=shots).materialize(rng)
+        guess = haar_random_state(2, rng)
+        guess[1] = np.nan
+        before = rng.bit_generator.state
+        oracles = make_oracles(prob, rng)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(oracles.objective(guess))
+            assert math.isnan(oracles.monitor(guess))
+            assert math.isnan(oracles.fidelity(guess, guess))
+        assert rng.bit_generator.state == before
 
 
 class TestOracleSuite:
     def test_materialize_resolves_haar_states(self):
         rng = np.random.default_rng(11)
-        grape = materialize(GrapeProblem(n_qubits=2, slices=3), rng)
+        grape = GrapeProblem(n_qubits=2, slices=3).materialize(rng)
         assert grape.psi0 is not None
-        sgqt = materialize(SgqtProblem(n_qubits=2), rng)
+        assert grape.materialize(rng) is grape
+        sgqt = SgqtProblem(n_qubits=2).materialize(rng)
         assert sgqt.unknown is not None
+        assert sgqt.materialize(rng) is sgqt
         vqe = VqeProblem(n_qubits=2, periodic=False)
-        assert materialize(vqe, rng) is vqe
+        assert vqe.materialize(rng) is vqe
 
     def test_initial_point_shapes(self):
         rng = np.random.default_rng(12)
-        assert initial_point(VqeProblem(n_qubits=4, layers=1), rng).shape == (8,)
-        grape0 = initial_point(GrapeProblem(n_qubits=2, slices=5), rng)
+        assert VqeProblem(n_qubits=4, layers=1).initial_point(rng).shape == (8,)
+        grape0 = GrapeProblem(n_qubits=2, slices=5).initial_point(rng)
         np.testing.assert_array_equal(grape0, np.zeros(15))
-        sgqt0 = initial_point(SgqtProblem(n_qubits=3), rng)
+        sgqt0 = SgqtProblem(n_qubits=3).initial_point(rng)
         assert abs(np.linalg.norm(sgqt0) - 1.0) < 1e-10
 
     def test_objective_counts_one_eval_per_call(self):
@@ -441,18 +457,18 @@ class TestOracleSuite:
         from spsakit.optimizers import _counted
 
         rng = np.random.default_rng(13)
-        prob = materialize(SgqtProblem(n_qubits=2, shots=100), rng)
+        prob = SgqtProblem(n_qubits=2, shots=100).materialize(rng)
         oracles = make_oracles(prob, rng)
         budget = EvaluationBudget()
         counted = _counted(oracles.objective, budget, "objective")
-        z = initial_point(prob, rng)
+        z = prob.initial_point(rng)
         counted(z)
         counted(z)
         assert budget.objective_evals == 2
 
     def test_real_field_adapter_same_landscape(self):
         rng = np.random.default_rng(14)
-        prob = materialize(SgqtProblem(n_qubits=2, shots=math.inf), rng)
+        prob = SgqtProblem(n_qubits=2, shots=math.inf).materialize(rng)
         oracles_c = make_oracles(prob, rng, "complex")
         oracles_r = make_oracles(prob, rng, "real")
         z = haar_random_state(2, np.random.default_rng(15))
@@ -463,19 +479,21 @@ class TestOracleSuite:
 
     def test_noiseless_objectives_bounded(self):
         rng = np.random.default_rng(16)
-        grape = materialize(GrapeProblem(n_qubits=2, slices=3, shots=math.inf), rng)
-        sgqt = materialize(SgqtProblem(n_qubits=2, shots=math.inf), rng)
+        grape = GrapeProblem(n_qubits=2, slices=3, shots=math.inf).materialize(rng)
+        sgqt = SgqtProblem(n_qubits=2, shots=math.inf).materialize(rng)
+        grape_objective = make_oracles(grape, None).objective
+        sgqt_objective = make_oracles(sgqt, None).objective
         for _ in range(20):
             ctrl = 0.5 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
-            v = grape_objective(grape, ctrl)
+            v = grape_objective(ctrl)
             assert 0.0 <= v <= 1.0
             amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            v = sgqt_objective(sgqt, amps)
+            v = sgqt_objective(amps)
             assert 0.0 <= v <= 1.0
 
     @pytest.mark.parametrize("problem_factory", [
-        lambda rng: materialize(SgqtProblem(n_qubits=2, shots=math.inf), rng),
-        lambda rng: materialize(GrapeProblem(n_qubits=2, slices=2, shots=math.inf), rng),
+        lambda rng: SgqtProblem(n_qubits=2, shots=math.inf).materialize(rng),
+        lambda rng: GrapeProblem(n_qubits=2, slices=2, shots=math.inf).materialize(rng),
         lambda rng: VqeProblem(n_qubits=2, layers=1, periodic=False, shots=math.inf),
     ])
     def test_sp_gradient_matches_finite_differences(self, problem_factory):
@@ -486,10 +504,10 @@ class TestOracleSuite:
         rng = np.random.default_rng(17)
         prob = problem_factory(rng)
         oracles = make_oracles(prob, rng, "real")
-        p = 2 * param_count(prob)
+        p = 2 * prob.initial_point(np.random.default_rng(0)).size
         theta = 0.4 * np.random.default_rng(18).standard_normal(p)
         if isinstance(prob, SgqtProblem):
-            theta += interleave_complex(initial_point(prob, rng))
+            theta += interleave_complex(prob.initial_point(rng))
 
         eps = 1e-5
         fd = np.zeros(p)
@@ -557,11 +575,12 @@ class TestPinnedStateMemo:
         VqeProblem(n_qubits=4, layers=1, shots=1000),
         VqeProblem(n_qubits=3, layers=2, shots=500, periodic=False, entangler="cz_ring"),
         GrapeProblem(n_qubits=3, slices=4, shots=1000),
+        SgqtProblem(n_qubits=3, shots=1000),
     ])
     def test_traces_match_reference_oracles(self, problem, field):
         seed, k = 5, 40
-        problem = materialize(problem, np.random.default_rng(seed))
-        z0 = initial_point(problem, np.random.default_rng(seed + 1))
+        problem = problem.materialize(np.random.default_rng(seed))
+        z0 = problem.initial_point(np.random.default_rng(seed + 1))
         if field == REAL:
             z0 = interleave_complex(z0)
         config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=k,
@@ -576,9 +595,9 @@ class TestPinnedStateMemo:
     @pytest.mark.parametrize("method", ["first_order", "quantum_natural"])
     def test_five_qubit_grape_traces_match_reference_oracles(self, method):
         seed, k = 9, 12
-        problem = materialize(GrapeProblem(n_qubits=5, slices=25, shots=2**13),
-                              np.random.default_rng(seed))
-        z0 = initial_point(problem, np.random.default_rng(seed + 1))
+        problem = GrapeProblem(n_qubits=5, slices=25, shots=2**13).materialize(
+            np.random.default_rng(seed))
+        z0 = problem.initial_point(np.random.default_rng(seed + 1))
         config = OptimizerConfig(method=method, max_iterations=k, seed=seed)
         fast, ref = self._traces(problem, config, z0, seed)
         assert not fast.diverged and not ref.diverged

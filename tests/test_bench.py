@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spsakit.applications import SgqtProblem, VqeProblem
+from spsakit.applications import SgqtProblem, VqeProblem, exact_minimum
 from spsakit.bench import (
     EnsembleSpec,
     calibrate_first_order_gain,
@@ -13,6 +13,7 @@ from spsakit.bench import (
 )
 from spsakit.estimators import GAIN_PRESETS, GainSchedule
 from spsakit.optimizers import OptimizerConfig
+from spsakit.quantum import fidelity_with_shots
 
 STATIC = GAIN_PRESETS["static"]
 
@@ -51,19 +52,19 @@ class TestCalibration:
 
     def test_first_step_near_target(self):
         # resulting first-step sup-norm within 3x of target on a VQE instance
-        from spsakit.applications import initial_point, make_oracles
+        from spsakit.applications import make_oracles
         from spsakit.estimators import gains_at, gradient_estimate, sample_perturbation
 
         prob = VqeProblem(n_qubits=3, layers=1, periodic=True, shots=math.inf)
         rng = np.random.default_rng(1)
-        samples = [initial_point(prob, rng) for _ in range(8)]
+        samples = [prob.initial_point(rng) for _ in range(8)]
         oracles = make_oracles(prob, rng, "complex")
         target = 0.1
         a = calibrate_first_order_gain(oracles.objective, samples, STATIC, "complex",
                                        rng, target_step=target)
         for seed in range(10):
             check_rng = np.random.default_rng(seed)
-            z0 = initial_point(prob, check_rng)
+            z0 = prob.initial_point(check_rng)
             delta = sample_perturbation(6, "complex", check_rng)
             _, _, b1, _ = gains_at(STATIC, 1)
             g, _ = gradient_estimate(oracles.objective, z0, b1, delta)
@@ -180,3 +181,43 @@ class TestSummarizeFinal:
         result = run_ensemble(spec)
         with pytest.raises(ValueError):
             summarize_final(result, 21, spec.config)
+
+
+class _PlusStateProblem:
+    """A workload defined outside spsakit: steer cos r|0⟩ + e^{iφ} sin r|1⟩,
+    with z = r e^{iφ}, toward |+⟩, which it reaches at z = π/4."""
+
+    shots = 2000
+
+    def materialize(self, rng):
+        return self
+
+    def initial_point(self, rng):
+        return np.array([-0.5j + 0.1 * rng.standard_normal()])
+
+    def exact_minimum(self):
+        return 0.0
+
+    def state(self, z):
+        r = abs(z[0])
+        return np.array([math.cos(r), np.sinc(r / math.pi) * z[0]], dtype=np.complex128)
+
+    def measure(self, psi, shots, rng=None):
+        plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
+        return 1.0 - fidelity_with_shots(plus, psi, shots, rng)
+
+
+class TestNewWorkload:
+    @pytest.mark.parametrize("method", ["first_order", "quantum_natural"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_problem_class_runs_through_the_ensemble(self, method, field):
+        # a class with the five Problem methods is a complete workload
+        problem = _PlusStateProblem()
+        config = OptimizerConfig(method=method, field=field,
+                                 gains=GainSchedule(a=0.3, b=0.1), max_iterations=200)
+        result = run_ensemble(EnsembleSpec(problem=problem, config=config, n_runs=4,
+                                           base_seed=3))
+        assert result.n_excluded == 0
+        assert exact_minimum(problem) == 0.0
+        assert result.stats[0].median > 0.2
+        assert result.stats[-1].median < 0.1 * result.stats[0].median

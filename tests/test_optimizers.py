@@ -7,12 +7,10 @@ from spsakit.estimators import GAIN_PRESETS, GainSchedule
 from spsakit.optimizers import (
     OptimizerConfig,
     PreconditionerState,
-    apply_blocking,
     estimate_blocking_tolerance,
     method_label,
     postprocess_gidi,
     postprocess_spall,
-    resample_average,
     run,
     step_first_order,
     step_preconditioned,
@@ -131,25 +129,49 @@ class TestSteps:
 
 
 class TestBlocking:
+    """The blocking criterion inside ``run``: accept the candidate only if
+    f(candidate) < f(accepted) + δ."""
+
+    @staticmethod
+    def _rising(step=0.01):
+        # every call reads `step` higher than the previous one, so each
+        # candidate is worse than the accepted point by 3 steps (two
+        # gradient evaluations and the candidate evaluation in between)
+        calls = []
+
+        def f(z):
+            calls.append(1)
+            return step * len(calls)
+
+        return f
+
     def test_accepts_strict_improvement(self):
         f = lambda z: float(z[0] ** 2)
-        old, cand = np.array([2.0]), np.array([1.0])
-        np.testing.assert_array_equal(apply_blocking(f, old, cand, 0.0), cand)
+        cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
+                              blocking=0.0, max_iterations=10)
+        trace = run(f, cfg, np.array([2.0]), monitor=f)
+        assert trace.accepted.all()
+        assert abs(trace.final_params[0]) < 2.0
 
     def test_rejects_worse_candidate(self):
-        f = lambda z: float(z[0] ** 2)
-        old, cand = np.array([1.0]), np.array([2.0])
-        np.testing.assert_array_equal(apply_blocking(f, old, cand, 0.0), old)
+        cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
+                              blocking=0.0, max_iterations=5)
+        z0 = np.array([0.3, -0.2])
+        trace = run(self._rising(), cfg, z0, monitor=lambda z: 0.0)
+        assert not trace.accepted.any()
+        np.testing.assert_array_equal(trace.final_params, z0)
 
     def test_tolerance_admits_slightly_worse(self):
-        values = {0: 1.0, 1: 1.05}
-        f = lambda z: values[int(z[0])]
-        old, cand = np.array([0]), np.array([1])
-        np.testing.assert_array_equal(apply_blocking(f, old, cand, 0.1), cand)
+        cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
+                              blocking=0.1, max_iterations=5)
+        z0 = np.array([0.3, -0.2])
+        trace = run(self._rising(), cfg, z0, monitor=lambda z: 0.0)
+        assert trace.accepted.all()
+        assert not np.array_equal(trace.final_params, z0)
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            apply_blocking(lambda z: 0.0, np.zeros(1), np.zeros(1), -1.0)
+            OptimizerConfig(blocking=-1.0)
 
 
 class TestBlockingTolerance:
@@ -175,28 +197,42 @@ class TestBlockingTolerance:
 
 
 class TestResampleAverage:
+    """``run`` averages the gradient over N_R independent perturbations."""
+
+    THETA = np.array([1.0, -2.0, 0.5])
+
+    @staticmethod
+    def _f(t):
+        return float(t @ t)
+
+    def _first_gradient(self, resampling, seed=0):
+        cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
+                              resampling=resampling, max_iterations=1, seed=seed)
+        grads = []
+        run(self._f, cfg, self.THETA, monitor=self._f,
+            callback=lambda k, z, g, step: grads.append(g.copy()))
+        return grads[0]
+
+    def _draws(self, n, seed=0):
+        # the perturbations run draws from its seed, one per resample
+        from spsakit.estimators import gains_at, gradient_estimate, sample_perturbation
+
+        rng = np.random.default_rng(seed)
+        _, _, b1, _ = gains_at(STATIC, 1)
+        return [gradient_estimate(self._f, self.THETA, b1, sample_perturbation(3, "real", rng))[0]
+                for _ in range(n)]
+
     def test_single_draw_identity(self):
-        draws = iter([np.array([1.0, 2.0])])
-        np.testing.assert_array_equal(resample_average(lambda: next(draws), 1), [1.0, 2.0])
+        np.testing.assert_array_equal(self._first_gradient(1), self._draws(1)[0])
 
     def test_mean_of_draws(self):
-        draws = iter([np.array([1.0]), np.array([3.0]), np.array([5.0])])
-        np.testing.assert_allclose(resample_average(lambda: next(draws), 3), [3.0])
+        np.testing.assert_allclose(self._first_gradient(3), np.mean(self._draws(3), axis=0),
+                                   rtol=1e-14, atol=0)
 
     def test_variance_reduction(self):
-        # averaged gradient entry variance ~ 1/N_R of the single-draw variance
-        from spsakit.estimators import gradient_estimate, sample_perturbation
-
-        rng = np.random.default_rng(6)
-        theta = np.array([1.0, -2.0, 0.5])
-        f = lambda t: float(t @ t)
-
-        def draw():
-            delta = sample_perturbation(3, "real", rng)
-            return gradient_estimate(f, theta, 0.01, delta)[0]
-
-        singles = np.array([draw()[0] for _ in range(4000)])
-        averaged = np.array([resample_average(draw, 5)[0] for _ in range(4000)])
+        # iteration-1 gradient entry variance ~ 1/N_R of the single-draw variance
+        singles = np.array([self._first_gradient(1, seed)[0] for seed in range(4000)])
+        averaged = np.array([self._first_gradient(5, seed)[0] for seed in range(4000)])
         ratio = averaged.var() / singles.var()
         assert ratio == pytest.approx(0.2, rel=0.2)
 

@@ -262,6 +262,18 @@ class TestFidelityWithShots:
             fidelity_with_shots(np.ones(2) / np.sqrt(2), np.ones(4) / 2.0, 10,
                                 np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shots", [math.inf, 100])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_gives_nan_without_drawing(self, bad, shots):
+        a = np.array([1.0, 0.0], dtype=complex)
+        rng = np.random.default_rng(11)
+        before = rng.bit_generator.state
+        for b in (np.array([bad, 0.5], dtype=complex), np.array([0.5, bad], dtype=complex)):
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(fidelity_with_shots(a, b, shots, rng))
+                assert math.isnan(fidelity_with_shots(b, a, shots, rng))
+        assert rng.bit_generator.state == before
+
 
 class TestEvolvePiecewise:
     def test_zero_generators_identity(self):
