@@ -53,7 +53,10 @@ class Problem(Protocol):
     """What the benchmark harness needs of a workload.
 
     ``shots`` is the per-evaluation shot budget of the objective and of the
-    fidelity; ``math.inf`` makes both exact.
+    fidelity; ``math.inf`` makes both exact.  A problem dataclass reaches the
+    ``spsakit`` command line through one row of ``cli.APPLICATIONS``: each
+    field a problem flag names (``--qubits`` names ``n_qubits``) becomes an
+    option with the field's default, and ``__post_init__`` validates them.
     """
 
     shots: float
@@ -92,6 +95,13 @@ class VqeProblem:
     shots: float = 2e4
     entangler: str = "ccz_ring"
 
+    def __post_init__(self):
+        if self.layers < 0:
+            raise ValueError("layers must be >= 0")
+        self._hamiltonian()  # the qubit count and the ring rule
+        if self.layers:
+            entangling_layer(self.n_qubits, self.entangler)
+
     def materialize(self, rng):
         return self
 
@@ -111,29 +121,31 @@ class VqeProblem:
         return expectation_with_shots(psi, self._hamiltonian(), shots, rng)
 
     def _hamiltonian(self):
-        return _vqe_hamiltonian(self.n_qubits, self.j, self.h, self.periodic)
+        return _heisenberg(self.n_qubits, self.j, self.h, self.periodic)
 
 
 @dataclass(frozen=True, eq=False)
 class GrapeProblem:
-    """Piecewise-constant control of Heisenberg couplings toward a target state.
+    """Piecewise-constant control of Heisenberg couplings toward |0…0⟩.
 
-    ``psi0=None`` means ``materialize`` draws a Haar-random initial state per
-    run; ``target=None`` means the all-zeros state.
+    Each of the ``slices`` slices lasts ``dt`` = 1.  ``psi0=None`` means
+    ``materialize`` draws a Haar-random initial state per run.
     """
 
     n_qubits: int = 5
     slices: int = 25
-    total_time: float | None = None
     periodic: bool = False
     shots: float = 2**13
     psi0: np.ndarray | None = None
-    target: np.ndarray | None = None
 
-    @property
-    def dt(self) -> float:
-        total = self.slices if self.total_time is None else self.total_time
-        return total / self.slices
+    dt = 1.0  # the slice duration: a class constant, not a field
+
+    def __post_init__(self):
+        if self.slices < 1:
+            raise ValueError("slices must be >= 1")
+        _heisenberg(self.n_qubits, 1.0, 0.0, self.periodic)  # the qubit count and the ring rule
+        if self.psi0 is not None and np.size(self.psi0) != 2**self.n_qubits:
+            raise ValueError(f"expected psi0 of {2**self.n_qubits} amplitudes")
 
     def materialize(self, rng):
         if self.psi0 is None:
@@ -150,12 +162,9 @@ class GrapeProblem:
         return grape_final_state(self, z)
 
     def measure(self, psi, shots, rng=None):
-        """Infidelity 1 − |⟨target|ψ⟩|² from ``shots`` samples."""
-        if self.target is None:
-            target = np.zeros(2**self.n_qubits, dtype=np.complex128)
-            target[0] = 1.0
-        else:
-            target = np.asarray(self.target, dtype=np.complex128)
+        """Infidelity 1 − |⟨0…0|ψ⟩|² from ``shots`` samples."""
+        target = np.zeros(2**self.n_qubits, dtype=np.complex128)
+        target[0] = 1.0
         return 1.0 - fidelity_with_shots(target, psi, shots, rng)
 
 
@@ -171,6 +180,10 @@ class SgqtProblem:
     n_qubits: int = 6
     shots: float = 2e4
     unknown: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError("need at least one qubit")
 
     def materialize(self, rng):
         if self.unknown is None:
@@ -237,7 +250,7 @@ def entangling_layer(n: int, kind: str = "ccz_ring"):
 
 
 @lru_cache(maxsize=64)
-def _vqe_hamiltonian(n, j, h, periodic):
+def _heisenberg(n, j, h, periodic):
     return heisenberg_hamiltonian(n, j, h, periodic)
 
 
@@ -396,8 +409,6 @@ def grape_final_state(prob: GrapeProblem, controls):
     if prob.psi0 is None:
         raise ValueError("GrapeProblem.psi0 is unset; materialize the problem first")
     psi0 = np.asarray(prob.psi0, dtype=np.complex128)
-    if psi0.size != 2**prob.n_qubits:
-        raise ValueError(f"expected psi0 of {2**prob.n_qubits} amplitudes, got {psi0.size}")
     index, blocks = _bond_sectors(prob.n_qubits, prob.periodic)
     coeffs = controls.reshape(prob.slices, 3)
     # exp(-i dt H_m) with H_m = -(1/2) sum_k J_k B_k

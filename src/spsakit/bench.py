@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .applications import Problem, make_oracles
-from .estimators import REAL, gains_at, gradient_estimate, interleave_complex, sample_perturbation
+from .estimators import (REAL, gains_at, gains_label, gradient_estimate, interleave_complex,
+                         sample_perturbation)
 from .optimizers import OptimizerConfig, RunTrace, method_label, run
 
 __all__ = [
@@ -25,6 +26,11 @@ __all__ = [
     "summarize_final",
 ]
 
+# Gain calibration scales a so that the mean sup-norm of this many probe
+# first-order steps is the target step.
+CALIBRATION_PROBES = 25
+CALIBRATION_TARGET_STEP = 0.1
+
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
@@ -35,9 +41,13 @@ class EnsembleSpec:
     n_runs: int
     base_seed: int = 0
     calibrate: bool = False
-    calibration_target_step: float = 0.1
-    calibration_probes: int = 25
     workers: int | None = 1
+
+    def __post_init__(self):
+        if self.n_runs < 1:
+            raise ValueError("n_runs must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1, or None for one per CPU")
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,8 @@ class EnsembleResult:
 
 
 def calibrate_first_order_gain(objective, z0_samples, gains, field, rng,
-                               target_step: float = 0.1, n_probe: int = 25):
+                               target_step: float = CALIBRATION_TARGET_STEP,
+                               n_probe: int = CALIBRATION_PROBES):
     """Choose the first-order gain a so the first update has sup-norm ≈ target_step.
 
     Draws ``n_probe`` gradient estimates at representative initial points with
@@ -112,16 +123,14 @@ def _calibrated_config(spec: EnsembleSpec):
         return spec.config, None
     rng = np.random.default_rng([spec.base_seed, 3])
     samples = []
-    for _ in range(min(spec.calibration_probes, max(spec.n_runs, 1))):
+    for _ in range(min(CALIBRATION_PROBES, spec.n_runs)):
         samples.append(spec.problem.materialize(rng).initial_point(rng))
     if spec.config.field == REAL:
         samples = [interleave_complex(z) for z in samples]
     probe_problem = spec.problem.materialize(rng)
     oracles = make_oracles(probe_problem, rng, spec.config.field)
     a = calibrate_first_order_gain(
-        oracles.objective, samples, spec.config.gains, spec.config.field, rng,
-        target_step=spec.calibration_target_step, n_probe=spec.calibration_probes,
-    )
+        oracles.objective, samples, spec.config.gains, spec.config.field, rng)
     gains = replace(spec.config.gains, a=a)
     return replace(spec.config, gains=gains), a
 
@@ -178,16 +187,6 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
                           calibrated_a=calibrated_a)
 
 
-def _gains_label(config: OptimizerConfig) -> str:
-    from .estimators import GAIN_PRESETS
-
-    for name, preset in GAIN_PRESETS.items():
-        if config.gains == preset:
-            return name
-    g = config.gains
-    return f"({g.a}, {g.b}, {g.A}, {g.s}, {g.t})"
-
-
 def summarize_final(result: EnsembleResult, at_iteration: int,
                     config: OptimizerConfig) -> dict:
     """One appendix-style summary row at the given iteration (1-indexed).
@@ -201,7 +200,7 @@ def summarize_final(result: EnsembleResult, at_iteration: int,
     blocking = config.blocking
     return {
         "method": method_label(config),
-        "gains": _gains_label(config),
+        "gains": gains_label(config.gains),
         "postproc": config.postproc if config.method != "first_order" else "-",
         "resampling": config.resampling,
         "blocking": "no" if blocking is None else ("auto" if blocking == "auto" else "yes"),

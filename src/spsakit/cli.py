@@ -1,9 +1,12 @@
 """Command-line front end: configure an experiment, run it, export results.
 
 One process runs one experiment.  Configuration comes from a flat JSON file
-(``--config``) and/or command-line flags; flags override file values.  Two
-artifacts are written: ``<out>.csv`` with per-iteration statistics and
-``<out>.json`` with an appendix-style summary row plus the full config echo.
+(``--config``) and/or command-line flags; flags override file values.
+``--application`` picks a row of ``APPLICATIONS`` (``--help`` lists them): a
+problem class and the paper's iteration count.  The problem flags naming a
+field of that class default to the field's default; the others are rejected.
+Two artifacts are written: ``<out>.csv`` with per-iteration statistics and
+``<out>.json`` with an appendix-style summary row plus the config echo.
 """
 
 import argparse
@@ -16,35 +19,41 @@ import time
 
 from .applications import GrapeProblem, SgqtProblem, VqeProblem
 from .bench import EnsembleSpec, run_ensemble, summarize_final
-from .estimators import GAIN_PRESETS, GainSchedule
+from .estimators import GAIN_PRESETS, GainSchedule, gains_label
 from .optimizers import OptimizerConfig
 
-__all__ = ["ExperimentConfig", "parse_config", "execute", "main"]
+__all__ = ["APPLICATIONS", "ExperimentConfig", "parse_config", "execute", "main"]
 
 SCHEMA_VERSION = 1
 
-APPLICATION_DEFAULTS = {
-    "vqe": dict(qubits=10, layers=1, shots=2e4, iterations=700, runs=100,
-                j=1.0, h=0.3, periodic=True),
-    "grape": dict(qubits=5, slices=25, shots=2**13, iterations=1000, runs=100,
-                  periodic=False),
-    "sgqt": dict(qubits=6, shots=2e4, iterations=5000, runs=100),
+APPLICATIONS = {
+    "vqe": (VqeProblem, 700),
+    "grape": (GrapeProblem, 1000),
+    "sgqt": (SgqtProblem, 5000),
+}
+
+# Each problem flag and the problem dataclass field it sets.
+PROBLEM_FIELDS = {
+    "qubits": "n_qubits", "shots": "shots", "layers": "layers", "slices": "slices",
+    "j": "j", "h": "h", "periodic": "periodic", "entangler": "entangler",
 }
 
 
 @dataclasses.dataclass
 class ExperimentConfig:
+    """One experiment; a problem flag is None if the problem class has no such field."""
+
     application: str
-    qubits: int
-    shots: float
     iterations: int
-    runs: int
-    layers: int = 1
-    slices: int = 25
-    j: float = 1.0
-    h: float = 0.3
-    periodic: bool = False
-    entangler: str = "ccz_ring"
+    runs: int = 100
+    qubits: int | None = None
+    shots: float | None = None
+    layers: int | None = None
+    slices: int | None = None
+    j: float | None = None
+    h: float | None = None
+    periodic: bool | None = None
+    entangler: str | None = None
     method: str = "first_order"
     field: str = "complex"
     scalar: bool = False
@@ -60,34 +69,30 @@ class ExperimentConfig:
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(
-            method=self.method,
-            field=self.field,
-            scalar=self.scalar,
-            gains=_parse_gains(self.gains),
-            postproc=self.postproc,
-            epsilon=self.epsilon,
-            blocking=_parse_blocking(self.blocking),
-            resampling=self.resampling,
-            max_iterations=self.iterations,
-            seed=self.seed,
-        )
+            method=self.method, field=self.field, scalar=self.scalar,
+            gains=_parse_gains(self.gains), postproc=self.postproc, epsilon=self.epsilon,
+            blocking=_parse_blocking(self.blocking), resampling=self.resampling,
+            max_iterations=self.iterations, seed=self.seed)
 
     def problem(self):
-        if self.application == "vqe":
-            return VqeProblem(n_qubits=self.qubits, layers=self.layers, j=self.j,
-                              h=self.h, periodic=self.periodic, shots=self.shots,
-                              entangler=self.entangler)
-        if self.application == "grape":
-            return GrapeProblem(n_qubits=self.qubits, slices=self.slices,
-                                periodic=self.periodic, shots=self.shots)
-        if self.application == "sgqt":
-            return SgqtProblem(n_qubits=self.qubits, shots=self.shots)
-        raise ValueError(f"unknown application {self.application!r}")
+        cls, _ = APPLICATIONS[self.application]
+        return cls(**{name: getattr(self, flag) for flag, name in PROBLEM_FIELDS.items()
+                      if getattr(self, flag) is not None})
+
+    def ensemble_spec(self) -> EnsembleSpec:
+        """The ensemble this experiment runs; raises ValueError on an invalid option."""
+        return EnsembleSpec(problem=self.problem(), config=self.optimizer_config(),
+                            n_runs=self.runs, base_seed=self.seed,
+                            calibrate=self.calibrate, workers=self.threads)
+
+
+def _problem_defaults(cls) -> dict:
+    """Each problem flag that names a field of ``cls``, with the field's default."""
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {flag: fields[name] for flag, name in PROBLEM_FIELDS.items() if name in fields}
 
 
 def _parse_gains(spec):
-    if isinstance(spec, GainSchedule):
-        return spec
     if isinstance(spec, (list, tuple)):
         values = [float(v) for v in spec]
     elif spec in GAIN_PRESETS:
@@ -100,13 +105,6 @@ def _parse_gains(spec):
     return GainSchedule(a=a, b=b, A=big_a, s=s, t=t)
 
 
-def _gains_spec_string(spec) -> str:
-    if isinstance(spec, str) and spec in GAIN_PRESETS:
-        return spec
-    g = _parse_gains(spec)
-    return f"{g.a},{g.b},{g.A},{g.s},{g.t}"
-
-
 def _parse_blocking(spec):
     if spec in (None, "off", False):
         return None
@@ -116,12 +114,9 @@ def _parse_blocking(spec):
 
 
 def _parse_shots(value):
-    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
-        return math.inf
-    value = float(value)
-    if not math.isinf(value):
-        if value < 1 or value != int(value):
-            raise ValueError("shots must be a positive integer or 'inf'")
+    value = float(value)  # also reads "inf"
+    if value != math.inf and not (value >= 1 and value == int(value)):
+        raise ValueError("shots must be a positive integer or 'inf'")
     return value
 
 
@@ -152,6 +147,10 @@ def _build_parser():
         prog="spsakit",
         description="Run one stochastic-optimization experiment and export "
                     "per-iteration statistics (CSV) and a summary (JSON).",
+        epilog="applications and their problem flags: " + "; ".join(
+            f"{name} ({cls.__name__}, {iterations} iterations): "
+            f"--{' --'.join(_problem_defaults(cls))}"
+            for name, (cls, iterations) in APPLICATIONS.items()),
     )
     parser.add_argument("--config", help="JSON config file with flat keys; "
                                          "flags override file values")
@@ -165,49 +164,36 @@ def parse_config(argv=None) -> ExperimentConfig:
     """Merge config file, command-line flags, and per-application defaults."""
     args = _build_parser().parse_args(argv)
 
-    file_values = {}
+    merged = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        unknown = set(file_values) - set(_FLAG_TYPES)
+            merged = json.load(fh)
+        unknown = set(merged) - set(_FLAG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    merged = dict(file_values)
-    for name in _FLAG_TYPES:
-        value = getattr(args, name)
-        if value is not None:
-            merged[name] = value
+    merged.update((name, value) for name, value in vars(args).items()
+                  if value is not None and name in _FLAG_TYPES)
 
     application = merged.get("application")
-    if application not in APPLICATION_DEFAULTS:
-        raise ValueError("application must be one of vqe, grape, sgqt")
-    values = dict(APPLICATION_DEFAULTS[application])
+    if application not in APPLICATIONS:
+        raise ValueError(f"application must be one of {', '.join(APPLICATIONS)}")
+    cls, iterations = APPLICATIONS[application]
+    defaults = _problem_defaults(cls)
+    unused = set(merged).intersection(PROBLEM_FIELDS).difference(defaults)
+    if unused:
+        raise ValueError(f"{application} takes no " + ", ".join("--" + f for f in sorted(unused)))
+    values = dict(defaults, iterations=iterations)
     values.update(merged)
     if "shots" in values:
         values["shots"] = _parse_shots(values["shots"])
+    if "gains" in values:
+        values["gains"] = gains_label(_parse_gains(values["gains"]))
     if "seed" not in merged and "SPSAKIT_SEED" in os.environ:
         values["seed"] = int(os.environ["SPSAKIT_SEED"])
 
     config = ExperimentConfig(**values)
-    _validate(config)
+    config.ensemble_spec()  # raises on any invalid option
     return config
-
-
-def _validate(config: ExperimentConfig):
-    config.optimizer_config()  # raises on inconsistent method/field/scalar combos
-    _parse_blocking(config.blocking)
-    if config.application == "grape" and config.periodic and config.qubits == 2:
-        raise ValueError("a periodic 2-qubit ring duplicates its only bond; "
-                         "use periodic=false or more qubits")
-    if config.runs < 1:
-        raise ValueError("runs must be >= 1")
-    config.problem()  # validates application parameters
-
-
-def _format_number(x) -> str:
-    # repr of a Python float is the shortest string that round-trips.
-    return repr(float(x))
 
 
 def _json_safe(value):
@@ -223,29 +209,17 @@ def _json_safe(value):
 
 def write_statistics_csv(path, result):
     rows = ["iteration,mean,std,median,q1,q3,obj_evals,fid_evals"]
-    for i, s in enumerate(result.stats):
-        rows.append(",".join([
-            str(s.k),
-            _format_number(s.mean), _format_number(s.std),
-            _format_number(s.median), _format_number(s.q1), _format_number(s.q3),
-            str(int(result.objective_evals[i])), str(int(result.fidelity_evals[i])),
-        ]))
+    for s, n_obj, n_fid in zip(result.stats, result.objective_evals, result.fidelity_evals):
+        # repr of a Python float is the shortest string that round-trips.
+        stats = [repr(float(x)) for x in (s.mean, s.std, s.median, s.q1, s.q3)]
+        rows.append(",".join([str(s.k), *stats, str(int(n_obj)), str(int(n_fid))]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(rows) + "\n")
 
 
 def execute(config: ExperimentConfig) -> int:
     """Run the configured ensemble and write the CSV/JSON outputs."""
-    problem = config.problem()
-    opt_config = config.optimizer_config()
-    spec = EnsembleSpec(
-        problem=problem,
-        config=opt_config,
-        n_runs=config.runs,
-        base_seed=config.seed,
-        calibrate=config.calibrate,
-        workers=config.threads,
-    )
+    spec = config.ensemble_spec()
     start = time.perf_counter()
     result = run_ensemble(spec)
     wall_time = time.perf_counter() - start
@@ -260,8 +234,8 @@ def execute(config: ExperimentConfig) -> int:
         "wall_time_s": wall_time,
         "at_iteration": config.iterations,
         "calibrated_a": result.calibrated_a,
-        "exact_minimum": problem.exact_minimum(),
-        "row": summarize_final(result, config.iterations, opt_config),
+        "exact_minimum": spec.problem.exact_minimum(),
+        "row": summarize_final(result, config.iterations, spec.config),
     }
 
     csv_path = config.out + ".csv"
@@ -280,9 +254,10 @@ def execute(config: ExperimentConfig) -> int:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    echo = dataclasses.asdict(config)
-    echo["gains"] = _gains_spec_string(config.gains)
-    echo["shots"] = "inf" if math.isinf(config.shots) else config.shots
+    echo = {key: value for key, value in dataclasses.asdict(config).items()
+            if value is not None or key not in PROBLEM_FIELDS}
+    if "shots" in echo and math.isinf(echo["shots"]):
+        echo["shots"] = "inf"
     return echo
 
 

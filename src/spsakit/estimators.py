@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "GainSchedule",
     "GAIN_PRESETS",
+    "gains_label",
     "EvaluationBudget",
     "gains_at",
     "sample_perturbation",
@@ -60,6 +61,14 @@ GAIN_PRESETS = {
     "asymptotic": GainSchedule(a=3.0, b=0.1, A=0.0, s=1.0, t=1.0 / 6.0),
     "static": GainSchedule(a=0.01, b=0.01, A=0.0, s=0.0, t=0.0),
 }
+
+
+def gains_label(gains: GainSchedule) -> str:
+    """The name of the preset equal to ``gains``, or its ``--gains`` form a,b,A,s,t."""
+    for name, preset in GAIN_PRESETS.items():
+        if gains == preset:
+            return name
+    return f"{gains.a},{gains.b},{gains.A},{gains.s},{gains.t}"
 
 
 @dataclass

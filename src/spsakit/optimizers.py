@@ -237,9 +237,10 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
 
     Returns
     -------
-    RunTrace with one record per iteration.  If an iterate or recorded
-    objective value turns non-finite the run aborts, the remaining records
-    are NaN-padded, and the trace is flagged as diverged.
+    RunTrace with one record per iteration.  If a Hessian or metric
+    estimate, an iterate or a recorded objective value turns non-finite the
+    run aborts, the remaining records are NaN-padded, and the trace is
+    flagged as diverged.
     """
     if config.method == "quantum_natural" and fidelity is None:
         raise ValueError("quantum_natural methods require a fidelity oracle")
@@ -307,6 +308,9 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
 
         if preconditioned:
             h_raw = h_sum / config.resampling
+            if not np.all(np.isfinite(h_raw)):
+                trace.diverged = True
+                break
             post = postprocess_spall if config.postproc == "spall" else postprocess_gidi
             preconditioner = post(h_raw, state, epsilon)
             candidate = step_preconditioned(z, abar_k, g, preconditioner)

@@ -193,7 +193,6 @@ def _pauli_action(label: str):
     n = len(label)
     dim = 2**n
     idx = np.arange(dim)
-    perm = np.zeros(dim, dtype=np.int64)
     phase = np.ones(dim, dtype=np.complex128)
     flip = 0
     for q, c in enumerate(label):

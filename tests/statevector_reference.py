@@ -108,14 +108,12 @@ def _finite(psi):
 
 
 def reference_grape_infidelity(prob: GrapeProblem, controls, shots, rng=None):
-    """1 − |⟨target|ψ_f⟩|² of the reference final state; NaN if it is non-finite."""
+    """1 − |⟨0…0|ψ_f⟩|² of the reference final state; NaN if it is non-finite."""
     psi = reference_grape_final_state(prob, controls)
     if not _finite(psi):
         return float("nan")
     target = np.zeros_like(psi)
     target[0] = 1.0
-    if prob.target is not None:
-        target = np.asarray(prob.target, dtype=np.complex128)
     return 1.0 - fidelity_with_shots(target, psi, shots, rng)
 
 

@@ -84,7 +84,8 @@ def _vqe_inputs(draw):
     entangler = draw(st.sampled_from(ENTANGLERS))
     size = n * (layers + 1)
     z = draw(st.lists(_PARAMETER, min_size=size, max_size=size))
-    return VqeProblem(n_qubits=n, layers=layers, entangler=entangler), np.array(z)
+    prob = VqeProblem(n_qubits=n, layers=layers, periodic=n >= 3, entangler=entangler)
+    return prob, np.array(z)
 
 
 class TestVqe:
@@ -359,6 +360,7 @@ class TestGrape:
         (2, 2.0**63),  # ZZ coupling past the squaring cap
         (1, 1e3j),  # imaginary YY coupling whose propagator overflows
     ])
+    @pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
     def test_overflowing_control_is_nan_for_odd_n(self, n, slot, value):
         rng = np.random.default_rng(21)
         prob = GrapeProblem(n_qubits=n, slices=3, shots=100).materialize(rng)
@@ -381,6 +383,30 @@ class TestGrape:
         config = OptimizerConfig(method="first_order", max_iterations=3)
         trace = run(oracles.objective, config, controls, monitor=oracles.monitor)
         assert trace.diverged
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: VqeProblem(n_qubits=2),  # periodic by default: a duplicated bond
+        lambda: VqeProblem(n_qubits=0, periodic=False),
+        lambda: VqeProblem(n_qubits=1, layers=1, periodic=False),
+        lambda: VqeProblem(n_qubits=4, layers=-1),
+        lambda: VqeProblem(n_qubits=4, entangler="swap_net"),
+        lambda: GrapeProblem(n_qubits=2, periodic=True),
+        lambda: GrapeProblem(n_qubits=0),
+        lambda: GrapeProblem(slices=0),
+        lambda: GrapeProblem(n_qubits=2, psi0=np.ones(8, complex)),
+        lambda: SgqtProblem(n_qubits=0),
+    ])
+    def test_invalid_fields_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_materialize_keeps_valid_problems_valid(self):
+        rng = np.random.default_rng(0)
+        assert GrapeProblem(n_qubits=3, slices=2).materialize(rng).psi0.shape == (8,)
+        assert SgqtProblem(n_qubits=2).materialize(rng).unknown.shape == (4,)
+        assert VqeProblem(n_qubits=1, layers=0, periodic=False).materialize(rng).layers == 0
 
 
 class TestSgqt:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ def small_spec(**overrides):
     )
     defaults.update(overrides)
     return EnsembleSpec(**defaults)
+
+
+class TestEnsembleSpec:
+    @pytest.mark.parametrize("overrides", [
+        dict(n_runs=0), dict(n_runs=-1), dict(workers=0), dict(workers=-3),
+    ])
+    def test_invalid_sizes_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            small_spec(**overrides)
+
+    def test_workers_none_means_one_per_cpu(self):
+        assert small_spec(workers=None).workers is None
 
 
 class TestCalibration:
@@ -183,11 +196,12 @@ class TestSummarizeFinal:
             summarize_final(result, 21, spec.config)
 
 
-class _PlusStateProblem:
+@dataclass(frozen=True)
+class PlusStateProblem:
     """A workload defined outside spsakit: steer cos r|0⟩ + e^{iφ} sin r|1⟩,
     with z = r e^{iφ}, toward |+⟩, which it reaches at z = π/4."""
 
-    shots = 2000
+    shots: float = 2000
 
     def materialize(self, rng):
         return self
@@ -212,7 +226,7 @@ class TestNewWorkload:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_problem_class_runs_through_the_ensemble(self, method, field):
         # a class with the five Problem methods is a complete workload
-        problem = _PlusStateProblem()
+        problem = PlusStateProblem()
         config = OptimizerConfig(method=method, field=field,
                                  gains=GainSchedule(a=0.3, b=0.1), max_iterations=200)
         result = run_ensemble(EnsembleSpec(problem=problem, config=config, n_runs=4,

@@ -304,6 +304,34 @@ class TestRunContracts:
         assert len(trace) == 40
         assert np.isnan(trace.objective).any()
 
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("postproc", ["spall", "gidi"])
+    @pytest.mark.parametrize("method", ["second_order", "quantum_natural"])
+    def test_nan_preconditioner_estimate_diverges(self, method, postproc, scalar):
+        # The oracle behind the Hessian or metric estimate turns NaN in the
+        # third iteration (4 calls per iteration); the NaN estimate must end
+        # the run, not reach eigh.
+        c, f, fid = quadratic_problem("complex")
+        calls = []
+
+        def nan_after_8(oracle):
+            def wrapped(*args):
+                calls.append(None)
+                return oracle(*args) if len(calls) <= 8 else float("nan")
+            return wrapped
+
+        if method == "second_order":
+            f_run, fid_run = nan_after_8(f), fid
+        else:
+            f_run, fid_run = f, nan_after_8(fid)
+        cfg = OptimizerConfig(method=method, field="complex", scalar=scalar,
+                              postproc=postproc, gains=STATIC, max_iterations=5)
+        trace = run(f_run, cfg, np.zeros(2, dtype=complex), fidelity=fid_run, monitor=f)
+        assert trace.diverged
+        assert np.isfinite(trace.objective[:2]).all()
+        assert np.isnan(trace.objective[2:]).all()
+        assert not trace.accepted[2:].any()
+
     def test_monitor_used_for_trace(self):
         c, f, _ = quadratic_problem("real")
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
