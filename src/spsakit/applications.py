@@ -200,7 +200,10 @@ class SgqtProblem:
         amps = np.asarray(z, dtype=np.complex128)
         if amps.size != 2**self.n_qubits:
             raise ValueError(f"expected {2**self.n_qubits} amplitudes")
-        norm = np.linalg.norm(amps)
+        # what np.linalg.norm computes for a complex vector, bit for bit,
+        # without its dispatch cost
+        re, im = amps.real, amps.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
         if norm == 0.0:
             raise ValueError("guess amplitudes must not be the zero vector")
         return amps / norm
@@ -455,6 +458,8 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     first fidelity argument at the current iterate, which the monitor built
     at the end of the previous iteration, so a quantum-natural iteration
     builds 7 states instead of 11 with the same values and random draws.
+    Until the fidelity's first call the monitor builds its states directly:
+    a run that never calls the fidelity never pays for the memo's key.
     """
     state, measure, shots = problem.state, problem.measure, problem.shots
     last = [None, None]  # the exact parameter bytes and the state of the last pinned build
@@ -465,9 +470,14 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
             last[:] = key, state(z)
         return last[1]
 
+    monitored = [state]  # how the monitor builds a state: direct until the fidelity's first call
+
+    def fid(za, zb):
+        monitored[0] = pinned
+        return fidelity_with_shots(pinned(za), state(zb), shots, rng)
+
     obj = lambda z: measure(state(z), shots, rng)
-    fid = lambda za, zb: fidelity_with_shots(pinned(za), state(zb), shots, rng)
-    mon = lambda z: measure(pinned(z), math.inf)
+    mon = lambda z: measure(monitored[0](z), math.inf)
 
     if field == REAL:
         c_obj, c_fid, c_mon = obj, fid, mon

@@ -97,17 +97,26 @@ def gains_at(sched: GainSchedule, k: int):
 _COMPLEX_ALPHABET = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
 
 
-def sample_perturbation(p: int, field: str, rng: np.random.Generator):
+def sample_perturbation(p: int, field: str, rng: np.random.Generator, m: int | None = None):
     """Draw a length-p perturbation with i.i.d. entries uniform on the field's alphabet.
 
     Real field: {+1, −1}.  Complex field: {+1, −1, +i, −i}.
+
+    With ``m``, draw m perturbations at once as the rows of an (m, p) array.
+    The rows are the m vectors that m successive single draws from ``rng``
+    would give, in order, and the block leaves ``rng`` in the same state as
+    those draws: one ``integers`` call of shape (m, p) consumes the
+    generator's stream exactly as m calls of size p do.
     """
     if p < 1:
         raise ValueError("perturbation dimension must be >= 1")
+    if m is not None and m < 1:
+        raise ValueError("perturbation block size must be >= 1")
+    size = p if m is None else (m, p)
     if field == REAL:
-        return rng.integers(0, 2, size=p) * 2.0 - 1.0
+        return rng.integers(0, 2, size=size) * 2.0 - 1.0
     if field == COMPLEX:
-        return _COMPLEX_ALPHABET[rng.integers(0, 4, size=p)]
+        return _COMPLEX_ALPHABET[rng.integers(0, 4, size=size)]
     raise ValueError(f"unknown field {field!r}")
 
 
@@ -118,8 +127,9 @@ def gradient_estimate(f, z, b_k, delta):
     the contract: the Hessian estimator reuses them so that a second-order
     iteration costs exactly four objective evaluations.
     """
-    f_plus = f(z + b_k * delta)
-    f_minus = f(z - b_k * delta)
+    shift = b_k * delta
+    f_plus = f(z + shift)
+    f_minus = f(z - shift)
     scale = (f_plus - f_minus) / (2.0 * b_k)
     return scale * delta, (f_plus, f_minus)
 

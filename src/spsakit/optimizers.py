@@ -8,6 +8,12 @@ complex field, optionally in scalar-preconditioned form, with blocking and
 resampling as orthogonal switches.  Both switches live only in `run`: it
 averages the N_R estimator draws of an iteration and blocks a candidate
 against the cached objective value of the accepted iterate.
+
+Random numbers: a run draws its perturbations from one generator seeded with
+``config.seed``, and from nothing else.  It draws them ``PERTURBATION_BLOCK``
+iterations at a time, one `sample_perturbation` call per block; the rows of a
+block are the vectors one draw per vector would give, so a seeded trace does
+not depend on the block size.
 """
 
 import math
@@ -52,6 +58,11 @@ POSTPROCS = ("spall", "gidi")
 # the shift inside the square root of the gidi pipeline play different roles,
 # hence the different magnitudes.
 DEFAULT_EPSILON = {"spall": 1e-3, "gidi": 1e-4}
+
+# Iterations whose perturbations `run` draws in one `sample_perturbation`
+# call.  It bounds the memory of a block, not the result: the draws are
+# stream-identical to one call per vector.
+PERTURBATION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,10 @@ class RunTrace:
 
     ``objective`` holds the recorded objective value at the accepted iterate
     of each iteration; diverged runs are padded with NaN and flagged.
+    ``diverged_at`` is the 1-based iteration at which a run diverged, and
+    ``diverged_reason`` what turned non-finite there: the Hessian or metric
+    ``"estimate"``, the ``"candidate"`` iterate, or the ``"recorded"``
+    objective value.  Both are None for a run that completed.
     """
 
     objective: np.ndarray
@@ -128,8 +143,13 @@ class RunTrace:
     objective_evals: np.ndarray
     fidelity_evals: np.ndarray
     final_params: np.ndarray
-    diverged: bool = False
     blocking_delta: float | None = None
+    diverged_at: int | None = None
+    diverged_reason: str | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     def __len__(self):
         return len(self.objective)
@@ -211,6 +231,29 @@ def _counted(fn, budget, kind):
     return wrapped
 
 
+def _resample(config, f, fid, z, b_k, bt_k, draws):
+    """One resample of an iteration's estimates, from the next rows of ``draws``.
+
+    Returns ``(g, h)``: the gradient estimate and, for a preconditioned
+    method, the Hessian or metric estimate (a float in scalar mode); h is
+    None for first-order methods.
+    """
+    delta_vec = next(draws)
+    g, pair = gradient_estimate(f, z, b_k, delta_vec)
+    if config.method == "first_order":
+        return g, None
+    delta_tilde = next(draws)
+    if config.method == "second_order":
+        if config.scalar:
+            d2 = second_difference(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
+            return g, scalar_preconditioner(d2, b_k, bt_k, "second_order")
+        return g, hessian_estimate(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
+    if config.scalar:
+        d2 = metric_second_difference(fid, z, b_k, bt_k, delta_vec, delta_tilde)
+        return g, scalar_preconditioner(d2, b_k, bt_k, "quantum_natural")
+    return g, metric_estimate(fid, z, b_k, bt_k, delta_vec, delta_tilde)
+
+
 def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
         callback=None):
     """Execute ``config.max_iterations`` iterations of the configured method.
@@ -240,7 +283,19 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
     RunTrace with one record per iteration.  If a Hessian or metric
     estimate, an iterate or a recorded objective value turns non-finite the
     run aborts, the remaining records are NaN-padded, and the trace is
-    flagged as diverged.
+    flagged as diverged, with the iteration and the reason.
+
+    Random numbers
+    --------------
+    The perturbations come from ``np.random.default_rng(config.seed)``, in
+    the order Δ, Δ̃ of the first resample, then of the second, and so on;
+    first-order methods draw no Δ̃.  They are drawn ``PERTURBATION_BLOCK``
+    iterations at a time, the last block cut to the iterations left, so the
+    run holds at most one block.  Each block is stream-identical to one
+    `sample_perturbation` call per vector, so traces equal those of a loop
+    that draws each vector when it needs it.  A run that diverges leaves
+    the rest of its block unused.  The oracles draw shot noise from their
+    own generators, never from this one.
     """
     if config.method == "quantum_natural" and fidelity is None:
         raise ValueError("quantum_natural methods require a fidelity oracle")
@@ -281,47 +336,45 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
         blocking_delta=float(delta) if blocking_on else None,
     )
 
+    n_r = config.resampling
+    draws_per_iter = n_r * (2 if preconditioned else 1)
     for k in range(1, n_iter + 1):
+        if (k - 1) % PERTURBATION_BLOCK == 0:
+            rows = min(PERTURBATION_BLOCK, n_iter - k + 1) * draws_per_iter
+            draws = iter(sample_perturbation(p, config.field, rng, rows))
         a_k, abar_k, b_k, bt_k = gains_at(config.gains, k)
 
-        g_sum = np.zeros(p, dtype=dtype)
-        h_sum = 0.0 if (not preconditioned or config.scalar) else np.zeros((p, p), dtype=dtype)
-        for _ in range(config.resampling):
-            delta_vec = sample_perturbation(p, config.field, rng)
-            g, pair = gradient_estimate(f, z, b_k, delta_vec)
-            g_sum += g
-            if config.method == "second_order":
-                delta_tilde = sample_perturbation(p, config.field, rng)
-                if config.scalar:
-                    d2 = second_difference(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
-                    h_sum += scalar_preconditioner(d2, b_k, bt_k, "second_order")
-                else:
-                    h_sum += hessian_estimate(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
-            elif config.method == "quantum_natural":
-                delta_tilde = sample_perturbation(p, config.field, rng)
-                if config.scalar:
-                    d2 = metric_second_difference(fid, z, b_k, bt_k, delta_vec, delta_tilde)
-                    h_sum += scalar_preconditioner(d2, b_k, bt_k, "quantum_natural")
-                else:
-                    h_sum += metric_estimate(fid, z, b_k, bt_k, delta_vec, delta_tilde)
-        g = g_sum / config.resampling
+        if n_r == 1 and not preconditioned:
+            g, _ = _resample(config, f, fid, z, b_k, bt_k, draws)
+        else:
+            # Preconditioned methods sum into zeros even at N_R = 1: that
+            # turns the estimate's -0.0 entries into 0.0, and eigh rounds
+            # differently for matrices that differ only in the sign of a zero.
+            g_sum = np.zeros(p, dtype=dtype)
+            h_sum = 0.0 if (not preconditioned or config.scalar) else np.zeros((p, p), dtype=dtype)
+            for _ in range(n_r):
+                g, h = _resample(config, f, fid, z, b_k, bt_k, draws)
+                g_sum += g
+                if preconditioned:
+                    h_sum += h
+            g = g_sum / n_r
+            h_raw = h_sum / n_r
 
         if preconditioned:
-            h_raw = h_sum / config.resampling
             if not np.all(np.isfinite(h_raw)):
-                trace.diverged = True
+                trace.diverged_at, trace.diverged_reason = k, "estimate"
                 break
             post = postprocess_spall if config.postproc == "spall" else postprocess_gidi
             preconditioner = post(h_raw, state, epsilon)
             candidate = step_preconditioned(z, abar_k, g, preconditioner)
-            step = z - candidate
         else:
             candidate = step_first_order(z, a_k, g)
-            step = a_k * g
 
-        if not np.all(np.isfinite(candidate.view(np.float64))):
-            trace.diverged = True
+        if not np.isfinite(candidate).all():
+            trace.diverged_at, trace.diverged_reason = k, "candidate"
             break
+        if callback is not None:
+            step = z - candidate if preconditioned else a_k * g
 
         if blocking_on:
             f_candidate = f(candidate)
@@ -335,7 +388,7 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
 
         value = record(z)
         if not np.isfinite(value):
-            trace.diverged = True
+            trace.diverged_at, trace.diverged_reason = k, "recorded"
             break
 
         i = k - 1

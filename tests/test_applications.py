@@ -586,6 +586,31 @@ class TestPinnedStateMemo:
         np.testing.assert_array_equal(trace.objective_evals, 2 * iters)
         np.testing.assert_array_equal(trace.fidelity_evals, 4 * iters)
 
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    def test_monitor_bypasses_memo_until_first_fidelity_call(self, monkeypatch, field):
+        problem = SgqtProblem(n_qubits=2, shots=100).materialize(np.random.default_rng(4))
+        builds = []
+        original = SgqtProblem.state
+
+        def counting(self, z):
+            builds.append(1)
+            return original(self, z)
+
+        monkeypatch.setattr(SgqtProblem, "state", counting)
+        oracles = make_oracles(problem, np.random.default_rng(5), field)
+        z = problem.initial_point(np.random.default_rng(6))
+        w = problem.initial_point(np.random.default_rng(7))
+        if field == REAL:
+            z, w = interleave_complex(z), interleave_complex(w)
+        oracles.monitor(z)
+        oracles.monitor(z)
+        assert len(builds) == 2  # no memo: each monitor call builds
+        oracles.fidelity(z, w)
+        assert len(builds) == 4  # the monitor's state was not kept for the pin
+        oracles.monitor(z)
+        oracles.fidelity(z, w)
+        assert len(builds) == 5  # both reuse the pinned state of z; w is built
+
     @staticmethod
     def _traces(problem, config, z0, seed):
         """Seeded runs through make_oracles and through reference_oracles."""
@@ -596,27 +621,40 @@ class TestPinnedStateMemo:
                               monitor=oracles.monitor))
         return traces
 
-    @pytest.mark.parametrize("field", [COMPLEX, REAL])
-    @pytest.mark.parametrize("problem", [
+    PROBLEMS = [
         VqeProblem(n_qubits=4, layers=1, shots=1000),
         VqeProblem(n_qubits=3, layers=2, shots=500, periodic=False, entangler="cz_ring"),
         GrapeProblem(n_qubits=3, slices=4, shots=1000),
         SgqtProblem(n_qubits=3, shots=1000),
-    ])
-    def test_traces_match_reference_oracles(self, problem, field):
+    ]
+
+    def _assert_traces_match(self, problem, field, method):
         seed, k = 5, 40
         problem = problem.materialize(np.random.default_rng(seed))
         z0 = problem.initial_point(np.random.default_rng(seed + 1))
         if field == REAL:
             z0 = interleave_complex(z0)
-        config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=k,
-                                 seed=seed)
+        config = OptimizerConfig(method=method, field=field, max_iterations=k, seed=seed)
         fast, ref = self._traces(problem, config, z0, seed)
         assert not fast.diverged and not ref.diverged
         np.testing.assert_allclose(fast.objective, ref.objective, rtol=1e-9, atol=0)
         np.testing.assert_allclose(fast.final_params, ref.final_params, rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(fast.objective_evals, ref.objective_evals)
         np.testing.assert_array_equal(fast.fidelity_evals, ref.fidelity_evals)
+
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_traces_match_reference_oracles(self, problem, field):
+        self._assert_traces_match(problem, field, "quantum_natural")
+
+    # The monitor bypasses the memo until the fidelity's first call, so these
+    # runs, which never call it, build every state directly.
+    @pytest.mark.parametrize("method", ["first_order", "second_order"])
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_first_and_second_order_traces_match_reference_oracles(self, problem, field,
+                                                                   method):
+        self._assert_traces_match(problem, field, method)
 
     @pytest.mark.parametrize("method", ["first_order", "quantum_natural"])
     def test_five_qubit_grape_traces_match_reference_oracles(self, method):

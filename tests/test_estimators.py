@@ -89,6 +89,22 @@ class TestSamplePerturbation:
             sample_perturbation(0, "real", rng)
         with pytest.raises(ValueError):
             sample_perturbation(3, "rational", rng)
+        with pytest.raises(ValueError):
+            sample_perturbation(3, "real", rng, 0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p,m", [(1, 1), (3, 7), (64, 500), (65, 3)])
+    def test_block_equals_stacked_single_draws(self, field, p, m):
+        block_rng, single_rng = np.random.default_rng(8), np.random.default_rng(8)
+        # an odd-sized draw first, so a block need not start on a fresh 64-bit word
+        sample_perturbation(3, field, block_rng)
+        sample_perturbation(3, field, single_rng)
+        block = sample_perturbation(p, field, block_rng, m)
+        singles = np.stack([sample_perturbation(p, field, single_rng) for _ in range(m)])
+        assert block.shape == (m, p)
+        assert block.dtype == singles.dtype
+        np.testing.assert_array_equal(block, singles)
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 class TestGradientEstimate:

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from optimizer_reference import reference_run
 
+import spsakit.optimizers as optimizers
 from spsakit.estimators import GAIN_PRESETS, GainSchedule
 from spsakit.optimizers import (
     OptimizerConfig,
@@ -255,6 +257,8 @@ class TestRunContracts:
                               max_iterations=17)
         trace = run(f, cfg, np.zeros(2))
         assert len(trace) == 17
+        assert not trace.diverged
+        assert trace.diverged_at is None and trace.diverged_reason is None
 
     def test_quantum_natural_requires_fidelity(self):
         cfg = OptimizerConfig(method="quantum_natural", field="real", gains=STATIC,
@@ -303,6 +307,8 @@ class TestRunContracts:
         assert trace.diverged
         assert len(trace) == 40
         assert np.isnan(trace.objective).any()
+        # the first step overflows the recorded objective exp(z²)
+        assert (trace.diverged_at, trace.diverged_reason) == (1, "recorded")
 
     @pytest.mark.parametrize("scalar", [False, True])
     @pytest.mark.parametrize("postproc", ["spall", "gidi"])
@@ -328,6 +334,7 @@ class TestRunContracts:
                               postproc=postproc, gains=STATIC, max_iterations=5)
         trace = run(f_run, cfg, np.zeros(2, dtype=complex), fidelity=fid_run, monitor=f)
         assert trace.diverged
+        assert (trace.diverged_at, trace.diverged_reason) == (3, "estimate")
         assert np.isfinite(trace.objective[:2]).all()
         assert np.isnan(trace.objective[2:]).all()
         assert not trace.accepted[2:].any()
@@ -361,6 +368,128 @@ class TestRunContracts:
 
         monitored = run(noisy(np.random.default_rng(1), []), cfg, c + 1.0, monitor=f)
         assert not np.array_equal(monitored.final_params, trace.final_params)
+
+
+def noisy_oracles(field, seed, nan_after=None):
+    """Shot-noise-like objective and fidelity on ``quadratic_problem(field, 3)``,
+    drawing from their own generator, with the noiseless objective as monitor.
+    After ``nan_after`` calls the objective returns NaN."""
+    c, f, fid = quadratic_problem(field, p=3)
+    rng = np.random.default_rng(seed)
+    calls = []
+
+    def objective(z):
+        calls.append(None)
+        if nan_after is not None and len(calls) > nan_after:
+            return float("nan")
+        return f(z) + 0.05 * rng.standard_normal()
+
+    def fidelity(za, zb):
+        return min(1.0, max(0.0, fid(za, zb) + 0.01 * rng.standard_normal()))
+
+    return c, objective, fidelity, f
+
+
+METHOD_VARIANTS = [("first_order", False), ("second_order", False), ("second_order", True),
+                   ("quantum_natural", False), ("quantum_natural", True)]
+
+
+class TestBlockDraws:
+    """``run`` draws its perturbations PERTURBATION_BLOCK iterations at a time;
+    its traces must equal, bit for bit, those of ``reference_run``, which
+    draws each vector when it needs it."""
+
+    @staticmethod
+    def _compare(config, nan_after=None):
+        traces = []
+        for run_fn in (run, reference_run):
+            c, objective, fidelity, f = noisy_oracles(config.field, config.seed + 1, nan_after)
+            z0 = c + (0.5 - 0.25j if config.field == "complex" else 0.5)
+            traces.append(run_fn(objective, config, z0, fidelity=fidelity, monitor=f))
+        fast, ref = traces
+        for name in ("objective", "accepted", "objective_evals", "fidelity_evals",
+                     "final_params"):
+            assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert fast.diverged_at == ref.diverged_at
+        assert fast.diverged_reason == ref.diverged_reason
+        assert fast.blocking_delta == ref.blocking_delta
+        return fast
+
+    @pytest.mark.parametrize("blocking", [None, 0.05, "auto"])
+    @pytest.mark.parametrize("n_r", [1, 3])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("method,scalar", METHOD_VARIANTS)
+    def test_small_blocks_match_one_draw_per_vector(self, monkeypatch, method, scalar,
+                                                    field, n_r, blocking):
+        block = 4
+        monkeypatch.setattr(optimizers, "PERTURBATION_BLOCK", block)
+        for n_iter in (block - 1, block, block + 1, 2 * block + 1):
+            config = OptimizerConfig(method=method, field=field, scalar=scalar,
+                                     resampling=n_r, blocking=blocking,
+                                     max_iterations=n_iter, seed=n_iter)
+            assert not self._compare(config).diverged
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("method,scalar", METHOD_VARIANTS)
+    def test_library_block_matches_one_draw_per_vector(self, method, scalar, field):
+        block = optimizers.PERTURBATION_BLOCK
+        for n_iter in (block - 1, block, block + 1, 2 * block + 1):
+            config = OptimizerConfig(method=method, field=field, scalar=scalar,
+                                     max_iterations=n_iter, seed=n_iter)
+            assert not self._compare(config).diverged
+
+    @pytest.mark.parametrize("method,per_iter", [("first_order", 3), ("quantum_natural", 6)])
+    def test_one_draw_per_block_bounded_by_the_block(self, monkeypatch, method, per_iter):
+        # N_R = 3: three Δ per first-order iteration, three (Δ, Δ̃) pairs otherwise
+        block = optimizers.PERTURBATION_BLOCK
+        draws = []
+        original = optimizers.sample_perturbation
+
+        def spy(p, field, rng, m=None):
+            draws.append(m)
+            return original(p, field, rng, m)
+
+        monkeypatch.setattr(optimizers, "sample_perturbation", spy)
+        config = OptimizerConfig(method=method, resampling=3, max_iterations=2 * block + 1)
+        c, objective, fidelity, f = noisy_oracles("complex", 3)
+        run(objective, config, c, fidelity=fidelity, monitor=f)
+        assert draws == [block * per_iter, block * per_iter, per_iter]
+
+    @pytest.mark.parametrize("method,reason", [("first_order", "candidate"),
+                                               ("second_order", "estimate")])
+    def test_divergence_in_mid_block(self, method, reason):
+        # NaN from the first objective call of iteration k_nan, which lies
+        # inside the second block
+        block = optimizers.PERTURBATION_BLOCK
+        k_nan = block + block // 2
+        calls_per_iter = 2 if method == "first_order" else 4
+        config = OptimizerConfig(method=method, field="complex",
+                                 max_iterations=2 * block + 1, seed=4)
+        trace = self._compare(config, nan_after=calls_per_iter * (k_nan - 1))
+        assert (trace.diverged_at, trace.diverged_reason) == (k_nan, reason)
+        assert np.isfinite(trace.objective[:k_nan - 1]).all()
+        assert np.isnan(trace.objective[k_nan - 1:]).all()
+
+    def test_callback_sees_the_same_steps(self):
+        for method, scalar in METHOD_VARIANTS:
+            config = OptimizerConfig(method=method, scalar=scalar, max_iterations=5, seed=2)
+            seen = []
+            for run_fn in (run, reference_run):
+                c, objective, fidelity, f = noisy_oracles("complex", 7)
+                records = []
+                run_fn(objective, config, c + 0.5, fidelity=fidelity, monitor=f,
+                       callback=lambda k, z, g, step: records.append(
+                           (k, z.copy(), g.copy(), step.copy())))
+                seen.append(records)
+            assert len(seen[0]) == 5
+            for (k, z, g, step), (k_ref, z_ref, g_ref, step_ref) in zip(*seen):
+                assert k == k_ref
+                assert z.tobytes() == z_ref.tobytes()
+                # run hands a first-order gradient on without adding it to
+                # zeros, so a zero entry may differ from the reference's in
+                # sign: equal as numbers, not as bytes.
+                np.testing.assert_array_equal(g, g_ref)
+                np.testing.assert_array_equal(step, step_ref)
 
 
 class TestEvaluationAccounting:
