@@ -12,7 +12,8 @@ Each problem class implements the ``Problem`` protocol: ``materialize`` and
 known lower bound of the objective, ``state`` builds the state of a parameter
 vector and ``measure`` estimates the objective of a state from shots.
 ``make_oracles`` builds every problem's objective, fidelity and monitor from
-these methods alone, so a new workload is one new class.
+these methods alone, so a new workload is one new class; once the fidelity
+is in use, one memo of recently built states serves all three.
 """
 
 import math
@@ -25,8 +26,8 @@ import numpy as np
 from .estimators import COMPLEX, REAL, complex_from_interleaved
 from .quantum import (
     PauliTermSum,
-    _apply_product_layer,
-    _product_state,
+    _kron_halves,
+    _reversed_halves,
     exact_ground_energy,
     expectation_with_shots,
     fidelity_with_shots,
@@ -257,25 +258,33 @@ def _heisenberg(n, j, h, periodic):
     return heisenberg_hamiltonian(n, j, h, periodic)
 
 
+@lru_cache(maxsize=64)
+def _reversed_entangler(n, kind):
+    """The entangler's diagonal as a state matrix in ``_kron_halves``' qubit order."""
+    rows, cols, order = _reversed_halves(n)
+    return entangling_layer(n, kind)[order].reshape(rows.size, cols.size)
+
+
 def vqe_state(prob: VqeProblem, z):
     """Build the ansatz state: alternating single-qubit W layers and entanglers.
 
-    Layer l of the parameter vector occupies ``z[l*n:(l+1)*n]``.  All W gates
-    come from one vectorized closed-form call.  The first layer acts on
-    |0…0⟩, so it is the product of the gates' first columns; each later layer
-    follows its entangler as one Kronecker-factored product layer.
+    Layer l of the parameter vector occupies ``z[l*n:(l+1)*n]``.  One
+    closed-form call gives all W gates, and one batched pass the Kronecker
+    factors A_l and B_l of every layer's two qubit halves.  The state is the
+    2^⌊n/2⌋ × 2^⌈n/2⌉ matrix Ψ, in the factors' qubit order until a final
+    gather: the first layer acts on |0…0⟩, so Ψ is the outer product of the
+    first columns of A_0 and B_0, and each later layer maps Ψ to
+    A_l (E ∘ Ψ) B_lᵀ, with E the entangler's diagonal.
     """
     n, d = prob.n_qubits, prob.layers
     z = np.asarray(z, dtype=np.complex128)
     if z.size != n * (d + 1):
         raise ValueError(f"expected {n * (d + 1)} complex parameters, got {z.size}")
-    gates = w_gate(z).reshape(d + 1, n, 2, 2)
-    psi = _product_state(gates[0, :, :, 0])
-    if d >= 1:
-        ent = entangling_layer(n, prob.entangler)
-        for layer_gates in gates[1:]:
-            psi = _apply_product_layer(layer_gates, ent * psi)
-    return psi
+    a, b = _kron_halves(w_gate(z).reshape(d + 1, n, 2, 2))
+    psi = a[0, :, :1] * b[0, :, 0]
+    for a_l, b_l in zip(a[1:], b[1:]):
+        psi = a_l @ (_reversed_entangler(n, prob.entangler) * psi) @ b_l.T
+    return psi.ravel()[_reversed_halves(n)[2]]
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +454,10 @@ def exact_minimum(problem: Problem):
     return problem.exact_minimum()
 
 
+# One quantum-natural resample touches z, z ± b_kΔ and z ± b_kΔ + b̃_kΔ̃.
+MEMO_STATES = 5
+
+
 def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     """Build (objective, fidelity, monitor) callables over the chosen field.
 
@@ -453,31 +466,37 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     the given rng; the monitor measures exactly and draws nothing.  Real-field
     oracles read parameters as interleaved (Re, Im) pairs.
 
-    The fidelity's first argument and the monitor's argument go through one
-    rng-free memo of the last state built.  The metric estimate pins the
-    first fidelity argument at the current iterate, which the monitor built
-    at the end of the previous iteration, so a quantum-natural iteration
-    builds 7 states instead of 11 with the same values and random draws.
-    Until the fidelity's first call the monitor builds its states directly:
-    a run that never calls the fidelity never pays for the memo's key.
+    Once the fidelity has been called, every oracle takes its states from one
+    rng-free memo of the ``MEMO_STATES`` last used states, read-only and
+    keyed by the complex parameter bytes.  The metric estimate pins the
+    fidelity's first argument at the iterate, which the monitor built at the
+    end of the previous iteration, and shares z ± b_kΔ with the gradient
+    estimate, so a quantum-natural iteration builds 5 states instead of 11
+    with the same values and random draws.  Until that first call every
+    oracle builds its states directly, so other runs never form a key.
     """
     state, measure, shots = problem.state, problem.measure, problem.shots
-    last = [None, None]  # the exact parameter bytes and the state of the last pinned build
+    kept = {}  # parameter bytes -> state, least recently used first
 
-    def pinned(z):
+    def memo(z):
         key = np.asarray(z, dtype=np.complex128).tobytes()
-        if key != last[0]:
-            last[:] = key, state(z)
-        return last[1]
+        psi = kept.pop(key, None)
+        if psi is None:
+            psi = state(z)
+            psi.flags.writeable = False
+            if len(kept) == MEMO_STATES:
+                del kept[next(iter(kept))]
+        kept[key] = psi
+        return psi
 
-    monitored = [state]  # how the monitor builds a state: direct until the fidelity's first call
+    build = [state]  # how every oracle builds a state: direct until the fidelity's first call
 
     def fid(za, zb):
-        monitored[0] = pinned
-        return fidelity_with_shots(pinned(za), state(zb), shots, rng)
+        build[0] = memo
+        return fidelity_with_shots(memo(za), memo(zb), shots, rng)
 
-    obj = lambda z: measure(state(z), shots, rng)
-    mon = lambda z: measure(monitored[0](z), math.inf)
+    obj = lambda z: measure(build[0](z), shots, rng)
+    mon = lambda z: measure(build[0](z), math.inf)
 
     if field == REAL:
         c_obj, c_fid, c_mon = obj, fid, mon

@@ -34,7 +34,8 @@ CALIBRATION_TARGET_STEP = 0.1
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
-    """An ensemble of independent runs of one optimizer on one problem."""
+    """An ensemble of independent runs of one optimizer on one problem;
+    ``workers=None`` runs one worker per CPU this process may run on."""
 
     problem: Problem
     config: OptimizerConfig
@@ -143,7 +144,9 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     deviation with divisor n−1.
     """
     config, calibrated_a = _calibrated_config(spec)
-    workers = spec.workers if spec.workers is not None else (os.cpu_count() or 1)
+    # None: the CPUs of the affinity mask (taskset, cpusets), where there is one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = spec.workers or cpus or 1
     jobs = [(spec.problem, config, spec.base_seed + r, r) for r in range(spec.n_runs)]
 
     traces: list = [None] * spec.n_runs

@@ -2,15 +2,17 @@
 
 The library builds each VQE layer as one Kronecker-factored product layer,
 measures Pauli terms in qubit-wise-commuting groups, propagates GRAPE states
-in the parity sectors of the bond operators and memoizes the pinned state of
-the fidelity oracle.  These helpers compute the same quantities one gate, one
-term and one state at a time from ``apply_single_qubit_gate``, ``w_gate`` and
+in the parity sectors of the bond operators and memoizes the states of the
+oracles.  These helpers compute the same quantities one gate, one term and
+one state at a time from ``apply_single_qubit_gate``, ``w_gate`` and
 ``pauli_expectation``, evolve GRAPE states with full 2^n × 2^n generators
 through ``scipy.linalg.expm``, and normalize every SGQT guess anew, so tests
-can compare the two.
+can compare the two.  ``apply_product_layer`` applies one product layer
+through the library's Kronecker factors, for tests of those factors.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -25,12 +27,28 @@ from spsakit.applications import (
 from spsakit.estimators import REAL, complex_from_interleaved
 from spsakit.quantum import (
     PauliTermSum,
+    _apply_kron_halves,
+    _natural_kron_halves,
+    _num_qubits,
     apply_single_qubit_gate,
     fidelity_with_shots,
     heisenberg_hamiltonian,
-    pauli_expectation,
     w_gate,
 )
+
+
+def apply_product_layer(gates, psi):
+    """Apply G_0 ⊗ G_1 ⊗ … ⊗ G_{n−1} (gate q on qubit q) to a dense state.
+
+    ``gates`` has shape (n, 2, 2).  The state is viewed as a
+    2^⌊n/2⌋ × 2^⌈n/2⌉ matrix Ψ (row index: the first ⌊n/2⌋ qubits) and
+    mapped to A Ψ Bᵀ, with A and B the Kronecker products of the first
+    ⌊n/2⌋ and of the remaining gates.
+    """
+    n = _num_qubits(psi)
+    if np.shape(gates) != (n, 2, 2):
+        raise ValueError(f"expected {n} single-qubit gates for {n} qubits")
+    return _apply_kron_halves(*_natural_kron_halves(gates), psi)
 
 
 def reference_vqe_state(prob: VqeProblem, z):
@@ -45,6 +63,34 @@ def reference_vqe_state(prob: VqeProblem, z):
         for q in range(n):
             psi = apply_single_qubit_gate(w_gate(z[layer * n + q]), q, psi)
     return psi
+
+
+@lru_cache(maxsize=256)
+def _pauli_action(label: str):
+    """Precompute P|b⟩ = phase[b] · |perm[b]⟩ for a Pauli string on basis states."""
+    n = len(label)
+    dim = 2**n
+    idx = np.arange(dim)
+    phase = np.ones(dim, dtype=np.complex128)
+    flip = 0
+    for q, c in enumerate(label):
+        bit = 1 << (n - q - 1)
+        if c in "XY":
+            flip ^= bit
+        if c == "Y":
+            # Y|0> = i|1>, Y|1> = -i|0>
+            phase = phase * np.where(idx & bit, -1j, 1j)
+        elif c == "Z":
+            phase = phase * np.where(idx & bit, -1.0, 1.0)
+    perm = idx ^ flip
+    return perm, phase
+
+
+def pauli_expectation(psi, label: str):
+    """Exact ⟨ψ|P|ψ⟩ for one Pauli string (always real)."""
+    perm, phase = _pauli_action(label)
+    # <psi|P|psi> = sum_b psi*[perm[b]] phase[b] psi[b]
+    return float(np.real(np.sum(np.conj(psi[perm]) * phase * psi)))
 
 
 def reference_expectation(psi, hamiltonian, shots, rng=None):

@@ -555,7 +555,8 @@ class TestOracleSuite:
 
 
 class TestPinnedStateMemo:
-    """make_oracles reuses the pinned fidelity state and the monitored state."""
+    """make_oracles reuses built states through one bounded memo once the
+    fidelity is in use."""
 
     @staticmethod
     def _count_builds(monkeypatch, name):
@@ -569,22 +570,48 @@ class TestPinnedStateMemo:
         monkeypatch.setattr(applications, name, counting)
         return calls
 
-    @pytest.mark.parametrize("field", [COMPLEX, REAL])
-    @pytest.mark.parametrize("problem, state_fn", [
+    BUILDERS = [
         (VqeProblem(n_qubits=4, layers=1, shots=1000), "vqe_state"),
         (GrapeProblem(n_qubits=3, slices=4, shots=1000), "grape_final_state"),
-    ])
-    def test_quantum_natural_builds_seven_states_per_iteration(
+    ]
+
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    @pytest.mark.parametrize("problem, state_fn", BUILDERS)
+    def test_quantum_natural_builds_five_states_per_iteration(
             self, monkeypatch, problem, state_fn, field):
         k = 6
         calls = self._count_builds(monkeypatch, state_fn)
         config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=k)
         trace = run_single(problem, config, seed=3)
         assert not trace.diverged
-        assert len(calls) == 7 * k + 1
+        # the first iteration also builds the iterate, which no monitor call
+        # has built yet, and rebuilds the gradient's two points, which the
+        # objective built before the fidelity turned the memo on
+        assert len(calls) == 5 * k + 3
         iters = np.arange(1, k + 1)
         np.testing.assert_array_equal(trace.objective_evals, 2 * iters)
         np.testing.assert_array_equal(trace.fidelity_evals, 4 * iters)
+
+    @pytest.mark.parametrize("blocking", [0.05, "auto"])
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    @pytest.mark.parametrize("problem, state_fn", BUILDERS)
+    def test_blocking_quantum_natural_builds_five_states_per_iteration(
+            self, monkeypatch, problem, state_fn, field, blocking):
+        # the candidate's build serves the monitor, whether it is accepted
+        # or the memo still holds the rejected iterate
+        calls = self._count_builds(monkeypatch, state_fn)
+        problem = problem.materialize(np.random.default_rng(2))
+        z0 = problem.initial_point(np.random.default_rng(3))
+        if field == REAL:
+            z0 = interleave_complex(z0)
+        oracles = make_oracles(problem, np.random.default_rng(4), field)
+        config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=8,
+                                 blocking=blocking, seed=5)
+        builds = []
+        trace = run(oracles.objective, config, z0, fidelity=oracles.fidelity,
+                    monitor=oracles.monitor, callback=lambda *_: builds.append(len(calls)))
+        assert not trace.diverged
+        np.testing.assert_array_equal(np.diff(builds), 5)
 
     @pytest.mark.parametrize("field", [COMPLEX, REAL])
     def test_monitor_bypasses_memo_until_first_fidelity_call(self, monkeypatch, field):
@@ -609,7 +636,26 @@ class TestPinnedStateMemo:
         assert len(builds) == 4  # the monitor's state was not kept for the pin
         oracles.monitor(z)
         oracles.fidelity(z, w)
-        assert len(builds) == 5  # both reuse the pinned state of z; w is built
+        assert len(builds) == 4  # the monitor and both fidelity arguments reuse the memo
+
+    def test_memoized_states_are_read_only(self, monkeypatch):
+        problem = SgqtProblem(n_qubits=2, shots=100).materialize(np.random.default_rng(4))
+        original = SgqtProblem.measure
+
+        def scribbling(self, psi, shots, rng=None):
+            psi *= 1.0
+            return original(self, psi, shots, rng)
+
+        monkeypatch.setattr(SgqtProblem, "measure", scribbling)
+        oracles = make_oracles(problem, np.random.default_rng(5))
+        z = problem.initial_point(np.random.default_rng(6))
+        w = problem.initial_point(np.random.default_rng(7))
+        oracles.monitor(z)  # built directly, so the write lands in a private array
+        oracles.fidelity(z, w)
+        with pytest.raises(ValueError):
+            oracles.monitor(z)
+        with pytest.raises(ValueError):
+            oracles.objective(w)
 
     @staticmethod
     def _traces(problem, config, z0, seed):
@@ -628,24 +674,37 @@ class TestPinnedStateMemo:
         SgqtProblem(n_qubits=3, shots=1000),
     ]
 
-    def _assert_traces_match(self, problem, field, method):
+    def _assert_traces_match(self, problem, field, method, **options):
         seed, k = 5, 40
         problem = problem.materialize(np.random.default_rng(seed))
         z0 = problem.initial_point(np.random.default_rng(seed + 1))
         if field == REAL:
             z0 = interleave_complex(z0)
-        config = OptimizerConfig(method=method, field=field, max_iterations=k, seed=seed)
+        config = OptimizerConfig(method=method, field=field, max_iterations=k, seed=seed,
+                                 **options)
         fast, ref = self._traces(problem, config, z0, seed)
         assert not fast.diverged and not ref.diverged
         np.testing.assert_allclose(fast.objective, ref.objective, rtol=1e-9, atol=0)
         np.testing.assert_allclose(fast.final_params, ref.final_params, rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(fast.objective_evals, ref.objective_evals)
         np.testing.assert_array_equal(fast.fidelity_evals, ref.fidelity_evals)
+        np.testing.assert_array_equal(fast.accepted, ref.accepted)
 
     @pytest.mark.parametrize("field", [COMPLEX, REAL])
     @pytest.mark.parametrize("problem", PROBLEMS)
     def test_traces_match_reference_oracles(self, problem, field):
         self._assert_traces_match(problem, field, "quantum_natural")
+
+    # Resampling and blocking reorder and repeat the points each iteration
+    # touches, and the blocking candidate is built through the memo.
+    @pytest.mark.parametrize("options", [
+        {"resampling": 3}, {"blocking": 0.05}, {"blocking": "auto"},
+    ], ids=["resampling3", "blocking0.05", "blocking_auto"])
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_resampled_and_blocked_traces_match_reference_oracles(self, problem, field,
+                                                                  options):
+        self._assert_traces_match(problem, field, "quantum_natural", **options)
 
     # The monitor bypasses the memo until the fidelity's first call, so these
     # runs, which never call it, build every state directly.
@@ -655,6 +714,33 @@ class TestPinnedStateMemo:
     def test_first_and_second_order_traces_match_reference_oracles(self, problem, field,
                                                                    method):
         self._assert_traces_match(problem, field, method)
+
+    # Seven points against a memo of five: the calls repeat and evict states.
+    @settings(max_examples=40, deadline=None)
+    @given(problem=st.sampled_from(PROBLEMS), field=st.sampled_from([COMPLEX, REAL]),
+           calls=st.lists(st.tuples(st.sampled_from(["objective", "fidelity", "monitor"]),
+                                    st.integers(0, 6), st.integers(0, 6)), max_size=40),
+           seed=st.integers(0, 2**16))
+    def test_any_call_sequence_matches_reference_oracles(self, problem, field, calls, seed):
+        problem = problem.materialize(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        size = problem.initial_point(rng).size
+        base = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        pool = []
+        for _ in range(7):  # like perturbed points, each differs from base in one entry
+            z = base.copy()
+            z[rng.integers(size)] += rng.standard_normal() + 1j * rng.standard_normal()
+            pool.append(z)
+        if field == REAL:
+            pool = [interleave_complex(z) for z in pool]
+        fast_rng, ref_rng = np.random.default_rng(seed + 2), np.random.default_rng(seed + 2)
+        fast = make_oracles(problem, fast_rng, field)
+        ref = reference_oracles(problem, ref_rng, field)
+        for kind, i, j in calls:
+            args = (pool[i], pool[j]) if kind == "fidelity" else (pool[i],)
+            np.testing.assert_allclose(getattr(fast, kind)(*args), getattr(ref, kind)(*args),
+                                       rtol=1e-9, atol=1e-12, err_msg=kind)
+        assert fast_rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("method", ["first_order", "quantum_natural"])
     def test_five_qubit_grape_traces_match_reference_oracles(self, method):

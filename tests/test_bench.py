@@ -1,9 +1,11 @@
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import spsakit.bench as bench
 from spsakit.applications import SgqtProblem, VqeProblem, exact_minimum
 from spsakit.bench import (
     EnsembleSpec,
@@ -136,6 +138,27 @@ class TestRunEnsemble:
         serial = run_ensemble(small_spec(workers=1))
         parallel = run_ensemble(small_spec(workers=2))
         assert [s.mean for s in serial.stats] == [s.mean for s in parallel.stats]
+
+    @staticmethod
+    def _forbid_pool(monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the ensemble started a process pool")
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+
+    def test_workers_none_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        self._forbid_pool(monkeypatch)
+        serial = run_ensemble(small_spec(workers=1))
+        pinned = run_ensemble(small_spec(workers=None))
+        assert [s.mean for s in pinned.stats] == [s.mean for s in serial.stats]
+
+    def test_workers_none_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        self._forbid_pool(monkeypatch)
+        assert run_ensemble(small_spec(workers=None)).n_excluded == 0
 
     def test_diverged_runs_excluded_with_count(self):
         # enormous static steps overflow the GRAPE propagator: every run

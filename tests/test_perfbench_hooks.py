@@ -32,3 +32,16 @@ def test_oracle_factory_and_exact_minimum_exist():
     applications = importlib.import_module("spsakit.applications")
     assert callable(applications.make_oracles)
     assert callable(applications.exact_minimum)
+
+
+def test_problem_states_call_the_traced_module_globals(monkeypatch):
+    """The traced ``vqe_state`` and ``grape_final_state`` spans count state
+    builds only while the problem classes reach them as module globals."""
+    applications = importlib.import_module("spsakit.applications")
+    calls = []
+    for name in ("vqe_state", "grape_final_state"):
+        monkeypatch.setattr(applications, name,
+                            lambda prob, z, name=name: calls.append(name) or name)
+    assert applications.VqeProblem().state(None) == "vqe_state"
+    assert applications.GrapeProblem().state(None) == "grape_final_state"
+    assert calls == ["vqe_state", "grape_final_state"]

@@ -1,10 +1,16 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from statevector_reference import evolve_piecewise, reference_expectation
+from statevector_reference import (
+    apply_product_layer,
+    evolve_piecewise,
+    pauli_expectation,
+    reference_expectation,
+)
 
 from spsakit.quantum import (
     PauliTermSum,
@@ -14,10 +20,13 @@ from spsakit.quantum import (
     fidelity_with_shots,
     haar_random_state,
     heisenberg_hamiltonian,
-    pauli_expectation,
     w_gate,
 )
-from spsakit.quantum import _apply_product_layer, _pauli_term_means
+from spsakit.quantum import (
+    _kron_halves,
+    _natural_kron_halves,
+    _pauli_term_means,
+)
 
 
 class TestHaarRandomState:
@@ -216,9 +225,26 @@ class TestGroupedMeasurement:
             expected = psi
             for q in range(n):
                 expected = apply_single_qubit_gate(gates[q], q, expected)
-            np.testing.assert_allclose(_apply_product_layer(gates, psi), expected, atol=1e-12)
+            np.testing.assert_allclose(apply_product_layer(gates, psi), expected, atol=1e-12)
         with pytest.raises(ValueError):
-            _apply_product_layer(gates[:2], psi)
+            apply_product_layer(gates[:2], psi)
+
+    def test_batched_kron_halves_match_per_layer_kron(self):
+        rng = np.random.default_rng(21)
+        one = np.ones((1, 1))
+        for n in (1, 2, 3, 6, 7):
+            gates = w_gate(rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+            h = n // 2
+            reversed_factors = _kron_halves(gates)
+            natural_factors = _natural_kron_halves(gates)
+            for factors in (reversed_factors, natural_factors):
+                assert factors[0].shape == (3, 2**h, 2**h)
+                assert factors[1].shape == (3, 2 ** (n - h), 2 ** (n - h))
+            for layer, a, b, rev_a, rev_b in zip(gates, *natural_factors, *reversed_factors):
+                for got, halve in ((a, layer[:h]), (b, layer[h:]),
+                                   (rev_a, layer[:h][::-1]), (rev_b, layer[h:][::-1])):
+                    np.testing.assert_allclose(got, reduce(np.kron, halve, one),
+                                               rtol=0, atol=1e-15)
 
 
 class TestFidelityWithShots:
