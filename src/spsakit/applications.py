@@ -26,8 +26,9 @@ import numpy as np
 from .estimators import COMPLEX, REAL, complex_from_interleaved
 from .quantum import (
     PauliTermSum,
+    _basis_bits,
     _kron_halves,
-    _reversed_halves,
+    _read_only,
     exact_ground_energy,
     expectation_with_shots,
     fidelity_with_shots,
@@ -226,7 +227,7 @@ ENTANGLERS = ("ccz_ring", "cz_ring")
 @lru_cache(maxsize=64)
 def entangling_layer(n: int, kind: str = "ccz_ring"):
     """Diagonal of the entangling layer (both kinds are computational-basis
-    diagonal), entries ±1 of length 2**n.
+    diagonal), entries ±1 of length 2**n, read-only.
 
     ``cz_ring`` places controlled-Z gates on qubit pairs (q, q+1 mod n);
     ``ccz_ring`` places doubly-controlled-Z gates on consecutive triples
@@ -243,14 +244,9 @@ def entangling_layer(n: int, kind: str = "ccz_ring"):
         groups = {tuple(sorted({q % n, (q + 1) % n, (q + 2) % n})) for q in range(n)}
     else:
         groups = {tuple(sorted({q % n, (q + 1) % n})) for q in range(n)}
-    idx = np.arange(2**n)
-    parity = np.zeros(2**n, dtype=np.int64)
-    for qubits in groups:
-        mask = np.ones(2**n, dtype=np.int64)
-        for q in qubits:
-            mask &= (idx >> (n - q - 1)) & 1
-        parity += mask
-    return np.where(parity % 2, -1.0, 1.0).astype(np.complex128)
+    bits = _basis_bits(n)
+    parity = sum(bits[list(qubits)].all(axis=0) for qubits in groups) % 2
+    return _read_only(np.where(parity, -1.0, 1.0).astype(np.complex128))
 
 
 @lru_cache(maxsize=64)
@@ -258,23 +254,17 @@ def _heisenberg(n, j, h, periodic):
     return heisenberg_hamiltonian(n, j, h, periodic)
 
 
-@lru_cache(maxsize=64)
-def _reversed_entangler(n, kind):
-    """The entangler's diagonal as a state matrix in ``_kron_halves``' qubit order."""
-    rows, cols, order = _reversed_halves(n)
-    return entangling_layer(n, kind)[order].reshape(rows.size, cols.size)
-
-
 def vqe_state(prob: VqeProblem, z):
     """Build the ansatz state: alternating single-qubit W layers and entanglers.
 
     Layer l of the parameter vector occupies ``z[l*n:(l+1)*n]``.  One
     closed-form call gives all W gates, and one batched pass the Kronecker
-    factors A_l and B_l of every layer's two qubit halves.  The state is the
-    2^⌊n/2⌋ × 2^⌈n/2⌉ matrix Ψ, in the factors' qubit order until a final
-    gather: the first layer acts on |0…0⟩, so Ψ is the outer product of the
-    first columns of A_0 and B_0, and each later layer maps Ψ to
-    A_l (E ∘ Ψ) B_lᵀ, with E the entangler's diagonal.
+    factors A_l and B_l of every layer's two qubit halves (``_kron_halves``).
+    The state is the 2^⌈n/2⌉ × 2^⌊n/2⌋ matrix Ψ whose row index is the
+    first ⌈n/2⌉ qubits, so ``Ψ.ravel()`` is the state with no reordering:
+    the first layer acts on |0…0⟩, so Ψ is the outer product of the first
+    columns of A_0 and B_0, and each later layer maps Ψ to A_l (E ∘ Ψ) B_lᵀ,
+    with E the entangler's diagonal reshaped to Ψ's shape.
     """
     n, d = prob.n_qubits, prob.layers
     z = np.asarray(z, dtype=np.complex128)
@@ -283,8 +273,8 @@ def vqe_state(prob: VqeProblem, z):
     a, b = _kron_halves(w_gate(z).reshape(d + 1, n, 2, 2))
     psi = a[0, :, :1] * b[0, :, 0]
     for a_l, b_l in zip(a[1:], b[1:]):
-        psi = a_l @ (_reversed_entangler(n, prob.entangler) * psi) @ b_l.T
-    return psi.ravel()[_reversed_halves(n)[2]]
+        psi = a_l @ (entangling_layer(n, prob.entangler).reshape(psi.shape) * psi) @ b_l.T
+    return psi.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +298,7 @@ def _bond_operators(n, periodic):
             terms=tuple((c, lab) for c, lab in ham.terms if pauli in lab),
         ).to_dense()
         ops.append(dense.real)
-    return np.stack(ops)
+    return _read_only(np.stack(ops))
 
 
 @lru_cache(maxsize=16)
@@ -330,7 +320,7 @@ def _bond_sectors(n, periodic):
     """
     bonds = _bond_operators(n, periodic)
     states = np.arange(2**n)
-    popcount = np.array([bin(i).count("1") for i in states])
+    popcount = _basis_bits(n).sum(axis=0)
     even = states[popcount % 2 == 0]
     if n % 2:
         index = np.stack([even, even ^ (2**n - 1)], axis=-1)[None]
@@ -339,9 +329,7 @@ def _bond_sectors(n, periodic):
         sectors = [even, states[popcount % 2 == 1]]
         index = np.stack(sectors)[:, :, None]
     blocks = np.stack([bonds[:, s[:, None], s[None, :]] for s in sectors])
-    for cached in (index, blocks):
-        cached.flags.writeable = False
-    return index, blocks
+    return _read_only(index), _read_only(blocks)
 
 
 _TAYLOR_INV = tuple(1.0 / math.factorial(j) for j in range(13))

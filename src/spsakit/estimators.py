@@ -36,8 +36,7 @@ FIELDS = (REAL, COMPLEX)
 class GainSchedule:
     """The five gain parameters controlling the coefficient series.
 
-    ``b_tilde`` defaults to ``b``; the second perturbation size shares the
-    decay exponent ``t`` with ``b_k``.
+    The second perturbation size b̃_k equals b_k, as in the paper.
     """
 
     a: float
@@ -45,15 +44,12 @@ class GainSchedule:
     A: float = 0.0
     s: float = 0.602
     t: float = 0.101
-    b_tilde: float | None = None
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
             raise ValueError("gain parameters a and b must be positive")
         if self.A < 0 or self.s < 0 or self.t < 0:
             raise ValueError("gain parameters A, s, t must be non-negative")
-        if self.b_tilde is not None and self.b_tilde <= 0:
-            raise ValueError("b_tilde must be positive when given")
 
 
 GAIN_PRESETS = {
@@ -83,15 +79,14 @@ def gains_at(sched: GainSchedule, k: int):
     """Per-iteration coefficients (a_k, ā_k, b_k, b̃_k) at iteration k ≥ 1.
 
     a_k = a/(k+A)^s drives first-order steps, ā_k = 1/(k+A)^s drives
-    preconditioned steps, and b_k = b/k^t, b̃_k = b̃/k^t set the two
-    perturbation magnitudes.
+    preconditioned steps, and b_k = b̃_k = b/k^t sets both perturbation
+    magnitudes.
     """
     if k < 1:
         raise ValueError("gain schedules are 1-indexed; k must be >= 1")
     denom = (k + sched.A) ** sched.s
-    kt = k**sched.t
-    b_tilde = sched.b if sched.b_tilde is None else sched.b_tilde
-    return sched.a / denom, 1.0 / denom, sched.b / kt, b_tilde / kt
+    b_k = sched.b / k**sched.t
+    return sched.a / denom, 1.0 / denom, b_k, b_k
 
 
 _COMPLEX_ALPHABET = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)

@@ -2,8 +2,11 @@
 Haar sampling, and shot-noise measurement of expectations and fidelities.
 
 States are plain complex ndarrays of length 2**n_qubits, normalized to unit
-norm, with qubit 0 the most significant bit of the basis index.  Shot counts
-accept ``math.inf`` as a sentinel for exact (noiseless) evaluation.
+norm.  ``_basis_bits`` is the one place that fixes the qubit order: qubit 0
+is the most significant bit of the basis index.  Product layers act on the
+state as a matrix through the Kronecker factors of ``_kron_halves``.  Shot
+counts accept ``math.inf``, and only it, as the sentinel for exact
+(noiseless) evaluation.
 """
 
 import math
@@ -38,6 +41,19 @@ def _num_qubits(psi):
     if 2**n != psi.size:
         raise ValueError(f"state length {psi.size} is not a power of two")
     return n
+
+
+def _read_only(a):
+    """``a``, marked read-only: what every cached array is."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _basis_bits(n):
+    """(n, 2**n) array: row q holds qubit q's bit of every basis index, qubit
+    0 being the most significant bit."""
+    return _read_only((np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
 
 
 @dataclass(frozen=True)
@@ -112,44 +128,26 @@ def _kron_left(g, x):
 
 
 def _kron_halves(gates):
-    """Kronecker factors A = G_{h−1} ⊗ … ⊗ G_0 and B = G_{n−1} ⊗ … ⊗ G_h of the
-    two qubit halves, h = ⌊n/2⌋, each in reversed qubit order.
+    """Kronecker factors A = G_0 ⊗ … ⊗ G_{m−1} and B = G_m ⊗ … ⊗ G_{n−1} of
+    the two qubit halves, m = ⌈n/2⌉, so that a product layer maps the state
+    matrix Ψ (2^m × 2^⌊n/2⌋, row index: the first m qubits) to A Ψ Bᵀ.
 
     ``gates`` has shape (..., n, 2, 2), and A and B keep its leading axes.
-    One batched pass over a (..., half) axis puts one more gate outermost per
-    step, so every product runs over whole contiguous rows: 1.5× faster for
-    two 10-qubit layers than the natural order.  The entries are those of
-    G_0 ⊗ G_1 ⊗ … bit for bit, reordered (``_reversed_halves``).  For n = 1
-    the first half is empty: A is the 1 × 1 identity.
+    One batched pass over a (..., half) axis walks both halves from their
+    last qubit to their first and puts each gate outermost, so every product
+    runs over whole contiguous rows.  For odd n, G_0 goes outermost on A last;
+    for n = 1, B is the 1 × 1 identity.
     """
     n = gates.shape[-3]
     half = n // 2
-    pairs = gates[..., : 2 * half, :, :].reshape(gates.shape[:-3] + (2, half, 2, 2))
+    pairs = gates[..., n % 2 :, :, :].reshape(gates.shape[:-3] + (2, half, 2, 2))
     out = np.ones(pairs.shape[:-3] + (1, 1), dtype=np.complex128)
-    for q in range(half):
+    for q in reversed(range(half)):
         out = _kron_left(pairs[..., q, :, :], out)
     a, b = out[..., 0, :, :], out[..., 1, :, :]
     if n % 2:
-        b = _kron_left(gates[..., n - 1, :, :], b)
+        a = _kron_left(gates[..., 0, :, :], a)
     return a, b
-
-
-@lru_cache(maxsize=64)
-def _reversed_halves(n):
-    """``(rows, cols, order)``: the bit reversals of the first ⌊n/2⌋ and the
-    other qubits, and their joint map ``Ψ.ravel()[order]`` between natural and
-    ``_kron_halves`` order of a state matrix Ψ.  Each is its own inverse."""
-    rows, cols = (np.arange(2**k).reshape((2,) * k).T.ravel() for k in (n // 2, n - n // 2))
-    order = (rows[:, None] * cols.size + cols).ravel()
-    rows.flags.writeable = cols.flags.writeable = order.flags.writeable = False
-    return rows, cols, order
-
-
-def _natural_kron_halves(gates):
-    """The factors of ``_kron_halves`` in natural qubit order."""
-    rows, cols, _ = _reversed_halves(gates.shape[-3])
-    a, b = _kron_halves(gates)
-    return a[..., rows[:, None], rows], b[..., cols[:, None], cols]
 
 
 def _apply_kron_halves(a, b, psi):
@@ -194,7 +192,7 @@ def exact_ground_energy(hamiltonian: PauliTermSum):
 
 
 def _is_exact(shots):
-    return shots is None or (isinstance(shots, float) and math.isinf(shots))
+    return isinstance(shots, float) and math.isinf(shots)
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
@@ -214,10 +212,11 @@ def _measurement_groups(hamiltonian: PauliTermSum):
     Terms are placed greedily, in term order, into the first group whose
     basis agrees with them on every qubit where both are not I.  Each group
     is ``(rotation, index, signs)``: the product-layer basis change as the
-    factors of ``_natural_kron_halves`` (None when every letter is Z or I),
-    the positions of the group's terms in ``terms``, and the ±1 eigenvalue of
-    each of them on every computational basis state after the rotation, one
-    row per term.
+    factors ``(A, B)`` of ``_kron_halves`` (None when every letter is Z or
+    I), the positions of the group's terms in ``terms``, and the ±1
+    eigenvalue of each of them on every computational basis state after the
+    rotation, one row per term, from the qubits' ``_basis_bits``.  Every
+    returned array is read-only.
     """
     n = hamiltonian.n_qubits
     bases, members = [], []
@@ -231,22 +230,20 @@ def _measurement_groups(hamiltonian: PauliTermSum):
             bases.append(list(label))
             members.append([i])
 
-    idx = np.arange(2**n)
+    bits = _basis_bits(n)
     groups = []
     for basis, index in zip(bases, members):
-        signs = np.empty((len(index), idx.size))
+        signs = np.empty((len(index), 2**n))
         for row, i in enumerate(index):
-            parity = np.zeros(idx.size, dtype=np.int64)
-            for q, c in enumerate(hamiltonian.terms[i][1]):
-                if c != "I":
-                    parity ^= (idx >> (n - q - 1)) & 1
-            signs[row] = 1.0 - 2.0 * parity
+            support = [q for q, c in enumerate(hamiltonian.terms[i][1]) if c != "I"]
+            signs[row] = 1.0 - 2.0 * (bits[support].sum(axis=0) % 2)
         rotation = None
         if any(c in "XY" for c in basis):
-            rotation = _natural_kron_halves(np.stack([_BASIS_CHANGE[c] for c in basis]))
-        groups.append((rotation, np.array(index), signs))
+            factors = _kron_halves(np.stack([_BASIS_CHANGE[c] for c in basis]))
+            rotation = tuple(map(_read_only, factors))
+        groups.append((rotation, _read_only(np.array(index)), _read_only(signs)))
     coeffs = np.array([float(c) for c, _ in hamiltonian.terms])
-    return coeffs, tuple(groups)
+    return _read_only(coeffs), tuple(groups)
 
 
 def _pauli_term_means(psi, hamiltonian: PauliTermSum):

@@ -28,7 +28,7 @@ from spsakit.estimators import REAL, complex_from_interleaved
 from spsakit.quantum import (
     PauliTermSum,
     _apply_kron_halves,
-    _natural_kron_halves,
+    _kron_halves,
     _num_qubits,
     apply_single_qubit_gate,
     fidelity_with_shots,
@@ -41,14 +41,14 @@ def apply_product_layer(gates, psi):
     """Apply G_0 ⊗ G_1 ⊗ … ⊗ G_{n−1} (gate q on qubit q) to a dense state.
 
     ``gates`` has shape (n, 2, 2).  The state is viewed as a
-    2^⌊n/2⌋ × 2^⌈n/2⌉ matrix Ψ (row index: the first ⌊n/2⌋ qubits) and
+    2^⌈n/2⌉ × 2^⌊n/2⌋ matrix Ψ (row index: the first ⌈n/2⌉ qubits) and
     mapped to A Ψ Bᵀ, with A and B the Kronecker products of the first
-    ⌊n/2⌋ and of the remaining gates.
+    ⌈n/2⌉ and of the remaining gates.
     """
     n = _num_qubits(psi)
     if np.shape(gates) != (n, 2, 2):
         raise ValueError(f"expected {n} single-qubit gates for {n} qubits")
-    return _apply_kron_halves(*_natural_kron_halves(gates), psi)
+    return _apply_kron_halves(*_kron_halves(gates), psi)
 
 
 def reference_vqe_state(prob: VqeProblem, z):

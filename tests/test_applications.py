@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from statevector_reference import (
 )
 
 import spsakit.applications as applications
+import spsakit.quantum as quantum
 from spsakit.applications import (
     ENTANGLERS,
     GrapeProblem,
@@ -33,6 +35,45 @@ from spsakit.estimators import (
 )
 from spsakit.optimizers import OptimizerConfig, run
 from spsakit.quantum import exact_ground_energy, haar_random_state, heisenberg_hamiltonian
+
+
+# Small arguments for every lru_cache'd function of the statevector layer.
+_CACHED_CALLS = {
+    "spsakit.quantum._basis_bits": (3,),
+    "spsakit.quantum._measurement_groups": (heisenberg_hamiltonian(3, 1.0, 0.3, periodic=True),),
+    "spsakit.applications.entangling_layer": (4, "ccz_ring"),
+    "spsakit.applications._heisenberg": (3, 1.0, 0.3, True),
+    "spsakit.applications._bond_operators": (3, False),
+    "spsakit.applications._bond_sectors": (4, True),
+}
+
+
+def _arrays(value):
+    """Every ndarray inside nested tuples, lists and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
+
+
+def test_every_cached_array_is_read_only():
+    # a writable cached array lets one caller silently change every later result
+    cached = {
+        f"{f.__module__}.{f.__qualname__}": f
+        for module in (quantum, applications)
+        for f in vars(module).values()
+        if hasattr(f, "cache_info")
+    }
+    assert set(cached) == set(_CACHED_CALLS), "update _CACHED_CALLS for every cache"
+    for name, f in cached.items():
+        for array in _arrays(f(*_CACHED_CALLS[name])):
+            assert not array.flags.writeable, name
+    with pytest.raises(ValueError):
+        entangling_layer(4)[0] *= -1
 
 
 class TestEntanglingLayer:

@@ -43,11 +43,6 @@ class TestGainSchedule:
         assert b_k == pytest.approx(0.05)
         assert bt_k == pytest.approx(0.05)
 
-    def test_b_tilde_override(self):
-        sched = GainSchedule(a=1.0, b=0.1, b_tilde=0.2, s=0.0, t=0.0)
-        _, _, b_k, bt_k = gains_at(sched, 5)
-        assert (b_k, bt_k) == (0.1, 0.2)
-
     def test_zero_indexed_rejected(self):
         with pytest.raises(ValueError):
             gains_at(GAIN_PRESETS["standard"], 0)

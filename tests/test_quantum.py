@@ -24,7 +24,6 @@ from spsakit.quantum import (
 )
 from spsakit.quantum import (
     _kron_halves,
-    _natural_kron_halves,
     _pauli_term_means,
 )
 
@@ -171,6 +170,12 @@ class TestExpectationWithShots:
         assert math.isnan(expectation_with_shots(psi, ham, 100, np.random.default_rng(0)))
         assert math.isnan(expectation_with_shots(psi, ham, math.inf))
 
+    def test_none_shots_rejected(self):
+        # math.inf is the only spelling of exact measurement
+        psi = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(TypeError):
+            expectation_with_shots(psi, heisenberg_hamiltonian(1, 1.0, 0.3), None)
+
 
 @st.composite
 def _pauli_sums(draw):
@@ -234,15 +239,12 @@ class TestGroupedMeasurement:
         one = np.ones((1, 1))
         for n in (1, 2, 3, 6, 7):
             gates = w_gate(rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
-            h = n // 2
-            reversed_factors = _kron_halves(gates)
-            natural_factors = _natural_kron_halves(gates)
-            for factors in (reversed_factors, natural_factors):
-                assert factors[0].shape == (3, 2**h, 2**h)
-                assert factors[1].shape == (3, 2 ** (n - h), 2 ** (n - h))
-            for layer, a, b, rev_a, rev_b in zip(gates, *natural_factors, *reversed_factors):
-                for got, halve in ((a, layer[:h]), (b, layer[h:]),
-                                   (rev_a, layer[:h][::-1]), (rev_b, layer[h:][::-1])):
+            m = n - n // 2
+            factors = _kron_halves(gates)
+            assert factors[0].shape == (3, 2**m, 2**m)
+            assert factors[1].shape == (3, 2 ** (n - m), 2 ** (n - m))
+            for layer, a, b in zip(gates, *factors):
+                for got, halve in ((a, layer[:m]), (b, layer[m:])):
                     np.testing.assert_allclose(got, reduce(np.kron, halve, one),
                                                rtol=0, atol=1e-15)
 
@@ -282,6 +284,12 @@ class TestFidelityWithShots:
         a = haar_random_state(2, rng)
         b = haar_random_state(2, rng)
         assert fidelity_with_shots(a, b, math.inf) == pytest.approx(abs(np.vdot(a, b)) ** 2)
+
+    def test_none_shots_rejected(self):
+        # math.inf is the only spelling of exact measurement
+        a = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(TypeError):
+            fidelity_with_shots(a, a, None)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
