@@ -1,13 +1,20 @@
 """Dense hermitian-matrix utilities for preconditioned stochastic optimizers.
 
-All matrices here are small (p up to a few hundred), so a single spectral
-decomposition is the workhorse behind every operation.  Real symmetric
-matrices flow through the same code paths as complex hermitian ones; callers
-never need a separate real-field implementation.
+All matrices here are small (p up to a few hundred).  `matrix_abs` works from
+a full spectral decomposition.  `psd_sqrt_shifted` diagonalizes only on a
+subspace that holds the range of its input, when the caller knows one: the
+gidi preconditioner's input has rank ≤ 2·N_R, so its square root costs
+O(p·N_R²) beyond forming the p × p result.  `solve_pd` is a Cholesky solve
+that calls LAPACK directly.  Real symmetric matrices flow through the same
+code paths as complex hermitian ones; callers never need a separate
+real-field implementation.
 """
 
+import math
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 __all__ = ["hermitize", "matrix_abs", "psd_sqrt_shifted", "solve_pd"]
 
@@ -52,28 +59,107 @@ def matrix_abs(matrix):
     return (u * np.abs(w)) @ u.conj().T
 
 
-def psd_sqrt_shifted(matrix, epsilon):
+@lru_cache(maxsize=None)
+def _spectral_routines(dtype):
+    """LAPACK ``geqrf``, ``orgqr``/``ungqr`` and ``syevd``/``heevd`` for one dtype."""
+    complex_field = np.dtype(dtype).kind == "c"
+    names = ("geqrf", "ungqr", "heevd") if complex_field else ("geqrf", "orgqr", "syevd")
+    return get_lapack_funcs(names, dtype=dtype)
+
+
+def psd_sqrt_shifted(matrix, epsilon, span=None):
     """Return √(M² + εI) for hermitian M and ε > 0.
+
+    ``span`` is a p × r array whose columns span a subspace that holds the
+    range of M, such as the perturbation vectors an outer-product estimate
+    was built from; None means the whole space.  Its columns are
+    orthonormalized into Q, and the r × r matrix Q†MQ = WΛW† is
+    diagonalized, so U = QW holds every eigenvector of M with a nonzero
+    eigenvalue.  The result is √ε·I + U g(Λ) U† with
+    g(λ) = λ²/(√(λ² + ε) + √ε) = √(λ² + ε) − √ε, a form without
+    cancellation: directions outside the span, and any column of Q that a
+    rank-deficient span adds, have λ = 0 and get exactly √ε.  Without a
+    span, Q = I and the decomposition is the full one.
 
     Every eigenvalue of the result is at least √ε, which makes the output
     strictly positive-definite even when M vanishes.
+
+    The factorizations are LAPACK ``geqrf`` with ``orgqr``/``ungqr`` and
+    ``syevd``/``heevd``, called directly.  M must be finite; `run` ends a
+    run before a non-finite estimate gets here.
+
+    Raises
+    ------
+    ValueError
+        If ε ≤ 0, if M is not square and hermitian, or if ``span`` is not a
+        2-D array with one row per row of M.
+    numpy.linalg.LinAlgError
+        If the eigensolver does not converge.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     m = np.asarray(matrix)
     _require_hermitian(m, "psd_sqrt_shifted")
-    w, u = np.linalg.eigh(m)
-    return (u * np.sqrt(w * w + epsilon)) @ u.conj().T
+    p = m.shape[0]
+    if span is None:
+        heevd = _spectral_routines(np.result_type(m.dtype, np.float64))[2]
+        w, u, info = heevd(m, lower=1)
+    else:
+        basis = np.asarray(span)
+        if basis.ndim != 2 or basis.shape[0] != p:
+            raise ValueError(f"psd_sqrt_shifted: span of shape {basis.shape} does not "
+                             f"have the {p} rows of the matrix")
+        geqrf, ungqr, heevd = _spectral_routines(
+            np.result_type(m.dtype, basis.dtype, np.float64))
+        qr, tau, _, _ = geqrf(basis)
+        q, _, _ = ungqr(qr[:, :tau.size], tau, overwrite_a=1)
+        w, v, info = heevd(q.conj().T @ m @ q, lower=1, overwrite_a=1)
+        u = q @ v
+    if info:
+        raise np.linalg.LinAlgError("psd_sqrt_shifted: eigenvalues did not converge")
+    root = math.sqrt(epsilon)
+    w2 = w * w
+    out = (u * (w2 / (np.sqrt(w2 + epsilon) + root))) @ u.conj().T
+    out.reshape(-1)[:: p + 1] += root
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cholesky_routines(matrix_dtype, rhs_dtype):
+    """LAPACK ``potrf`` for the matrix and ``potrs`` for its factor and the
+    right-hand side, chosen as ``cho_factor`` and ``cho_solve`` choose them."""
+    potrf, = get_lapack_funcs(("potrf",), dtype=matrix_dtype)
+    potrs, = get_lapack_funcs(("potrs",), dtype=np.result_type(potrf.dtype, rhs_dtype))
+    return potrf, potrs
 
 
 def solve_pd(matrix, rhs):
     """Solve H x = v for positive-definite hermitian H without forming H⁻¹.
 
-    Uses a Cholesky factorization; a non-positive-definite input raises
-    ``numpy.linalg.LinAlgError`` (via scipy), which downstream code treats as
-    a post-processing bug rather than a recoverable condition.
+    A Cholesky factorization from the lower triangle of H (LAPACK ``potrf``)
+    and two triangular solves (``potrs``), called directly: the result is
+    bit-identical to ``scipy.linalg.cho_solve(cho_factor(H, lower=True), v)``.
+
+    Raises
+    ------
+    ValueError
+        If H or v holds a NaN or an infinity.
+    numpy.linalg.LinAlgError
+        If H is not positive definite.  Downstream code treats this as a
+        post-processing bug rather than a recoverable condition.
     """
     h = np.asarray(matrix)
     v = np.asarray(rhs)
-    factor = cho_factor(h, lower=True)
-    return cho_solve(factor, v)
+    if not (np.isfinite(h).all() and np.isfinite(v).all()):
+        raise ValueError("solve_pd: matrix and right-hand side must not contain infs or NaNs")
+    potrf, potrs = _cholesky_routines(h.dtype, v.dtype)
+    factor, info = potrf(h, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the matrix is not positive definite")
+    if info < 0:
+        raise ValueError(f"solve_pd: illegal value in argument {-info} of potrf")
+    x, info = potrs(factor, v, lower=1)
+    if info != 0:
+        raise ValueError(f"solve_pd: illegal value in argument {-info} of potrs")
+    return x

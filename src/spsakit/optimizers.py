@@ -95,8 +95,8 @@ class OptimizerConfig:
         if isinstance(self.blocking, str):
             if self.blocking != "auto":
                 raise ValueError("blocking must be None, 'auto', or a tolerance >= 0")
-        elif self.blocking is not None and self.blocking < 0:
-            raise ValueError("blocking tolerance must be non-negative")
+        elif self.blocking is not None and not 0 <= self.blocking < math.inf:
+            raise ValueError("blocking tolerance must be finite and non-negative")
         if self.resampling < 1:
             raise ValueError("resampling N_R must be >= 1")
         if self.max_iterations < 1:
@@ -134,8 +134,12 @@ class RunTrace:
     of each iteration; diverged runs are padded with NaN and flagged.
     ``diverged_at`` is the 1-based iteration at which a run diverged, and
     ``diverged_reason`` what turned non-finite there: the Hessian or metric
-    ``"estimate"``, the ``"candidate"`` iterate, or the ``"recorded"``
-    objective value.  Both are None for a run that completed.
+    ``"estimate"``, the ``"candidate"`` iterate, the ``"recorded"``
+    objective value, or the ``"blocking"`` reference, which is checked
+    before the first iteration: a blocking tolerance or objective value at
+    z₀ that is not finite ends the run at iteration 1, with every record
+    NaN, instead of letting it reject every candidate.  Both are None for a
+    run that completed.
     """
 
     objective: np.ndarray
@@ -177,12 +181,20 @@ def postprocess_spall(h_raw, state: PreconditionerState, epsilon: float):
     return matrix_abs(h_pp) + epsilon * np.eye(p, dtype=h_pp.dtype)
 
 
-def postprocess_gidi(h_raw, state: PreconditionerState, epsilon: float):
+def postprocess_gidi(h_raw, state: PreconditionerState, epsilon: float, span=None):
     """Hermitize, regularize as √(H′² + εI), then blend with inertia.
 
     The regularization happens before the inertia blend, so every summand has
     eigenvalues ≥ √ε and a vanishing Hessian yields a preconditioner
     proportional to the identity.
+
+    ``span`` is handed to `psd_sqrt_shifted`: a p × r array whose columns
+    span the range of H′, or None for the whole space.  An estimate averaged
+    from N_R outer products δδ̃† has its range in the span of the 2·N_R
+    perturbation vectors, which `run` passes, so the square root costs
+    O(p·N_R²) beyond forming the result.  Scalar mode ignores it.  Raises
+    ``ValueError`` if the estimate's dimension does not match ``state`` or
+    the span's row count does not match the estimate.
     """
     state.k += 1
     k = state.k
@@ -194,7 +206,7 @@ def postprocess_gidi(h_raw, state: PreconditionerState, epsilon: float):
     h_prime = hermitize(h_raw)
     if h_prime.shape != state.memory.shape:
         raise ValueError("Hessian estimate dimension does not match preconditioner state")
-    h_pp = psd_sqrt_shifted(h_prime, epsilon)
+    h_pp = psd_sqrt_shifted(h_prime, epsilon, span)
     state.memory = (k / (k + 1)) * state.memory + h_pp / (k + 1)
     return state.memory.copy()
 
@@ -280,10 +292,11 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
 
     Returns
     -------
-    RunTrace with one record per iteration.  If a Hessian or metric
-    estimate, an iterate or a recorded objective value turns non-finite the
-    run aborts, the remaining records are NaN-padded, and the trace is
-    flagged as diverged, with the iteration and the reason.
+    RunTrace with one record per iteration.  If the blocking tolerance or
+    reference value, a Hessian or metric estimate, an iterate or a recorded
+    objective value turns non-finite the run aborts, the remaining records
+    are NaN-padded, and the trace is flagged as diverged, with the iteration
+    and the reason.
 
     Random numbers
     --------------
@@ -335,13 +348,18 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
         final_params=z,
         blocking_delta=float(delta) if blocking_on else None,
     )
+    if blocking_on and not (math.isfinite(delta) and math.isfinite(f_accepted)):
+        # A NaN tolerance or reference value would reject every candidate.
+        trace.diverged_at, trace.diverged_reason = 1, "blocking"
+        return trace
 
     n_r = config.resampling
     draws_per_iter = n_r * (2 if preconditioned else 1)
     for k in range(1, n_iter + 1):
         if (k - 1) % PERTURBATION_BLOCK == 0:
             rows = min(PERTURBATION_BLOCK, n_iter - k + 1) * draws_per_iter
-            draws = iter(sample_perturbation(p, config.field, rng, rows))
+            block = sample_perturbation(p, config.field, rng, rows)
+            draws = iter(block)
         a_k, abar_k, b_k, bt_k = gains_at(config.gains, k)
 
         if n_r == 1 and not preconditioned:
@@ -364,8 +382,14 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
             if not np.all(np.isfinite(h_raw)):
                 trace.diverged_at, trace.diverged_reason = k, "estimate"
                 break
-            post = postprocess_spall if config.postproc == "spall" else postprocess_gidi
-            preconditioner = post(h_raw, state, epsilon)
+            if config.postproc == "spall":
+                preconditioner = postprocess_spall(h_raw, state, epsilon)
+            else:
+                # The estimate's range lies in the span of this iteration's
+                # Δ, Δ̃ rows of the block.
+                first = (k - 1) % PERTURBATION_BLOCK * draws_per_iter
+                span = None if config.scalar else block[first:first + draws_per_iter].T
+                preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
             candidate = step_preconditioned(z, abar_k, g, preconditioner)
         else:
             candidate = step_first_order(z, a_k, g)

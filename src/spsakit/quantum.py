@@ -100,12 +100,16 @@ def w_gate(z):
     """
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
+    angle = 2.0 * r
     # sin(2r)/r is a real quotient, so subnormal |z| cannot overflow it.
-    sinc = np.divide(np.sin(2.0 * r), r, out=np.zeros_like(r), where=r > 0)
+    sinc = np.divide(np.sin(angle), r, out=np.zeros_like(r), where=r > 0)
+    # −i·sinc once for both off-diagonal entries: the products below group
+    # as (−1j·sinc)·z did, so the entries keep their bits.
+    s = -1j * sinc
     out = np.empty(z.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = out[..., 1, 1] = np.cos(2.0 * r)
-    out[..., 0, 1] = -1j * sinc * z
-    out[..., 1, 0] = -1j * sinc * np.conj(z)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(angle)
+    out[..., 0, 1] = s * z
+    out[..., 1, 0] = s * np.conj(z)
     return out
 
 
@@ -246,14 +250,15 @@ def _measurement_groups(hamiltonian: PauliTermSum):
     return _read_only(coeffs), tuple(groups)
 
 
-def _pauli_term_means(psi, hamiltonian: PauliTermSum):
+def _pauli_term_means(psi, measurement):
     """Exact ⟨ψ|P_i|ψ⟩ of every term, in term order.
 
-    Each qubit-wise-commuting group of terms costs one product-layer basis
-    change of ψ and one ±1 sign-matrix product with the rotated |ψ|².
+    ``measurement`` is ``_measurement_groups(hamiltonian)``, looked up by the
+    caller.  Each qubit-wise-commuting group of terms costs one product-layer
+    basis change of ψ and one ±1 sign-matrix product with the rotated |ψ|².
     """
-    _, groups = _measurement_groups(hamiltonian)
-    means = np.empty(len(hamiltonian.terms))
+    coeffs, groups = measurement
+    means = np.empty(coeffs.size)
     for rotation, index, signs in groups:
         phi = psi if rotation is None else _apply_kron_halves(*rotation, psi)
         means[index] = signs @ (phi.real**2 + phi.imag**2)
@@ -271,8 +276,9 @@ def expectation_with_shots(psi, hamiltonian: PauliTermSum, shots, rng=None):
     ``math.inf`` shots returns the exact expectation from the same means.
     A state with NaN amplitudes gives NaN.
     """
-    coeffs, _ = _measurement_groups(hamiltonian)
-    means = _pauli_term_means(psi, hamiltonian)
+    measurement = _measurement_groups(hamiltonian)
+    coeffs, _ = measurement
+    means = _pauli_term_means(psi, measurement)
     if _is_exact(shots):
         return float(coeffs @ means)
     shots = int(shots)

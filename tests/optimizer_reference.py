@@ -6,7 +6,9 @@ and averages the resamples only when there are several.  This loop does each
 of these the plain way: one ``sample_perturbation(p, field, rng)`` call per
 vector, at the point of use, zero-initialized accumulators divided by N_R
 on every iteration, and the step on every iteration, so tests can require
-the two to give bit-identical traces.
+the two to give bit-identical traces.  It hands the gidi square root the
+same span as the library, the iteration's perturbation vectors in draw
+order as columns, stacked from the vectors it drew.
 """
 
 import numpy as np
@@ -68,18 +70,24 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
         final_params=z,
         blocking_delta=float(delta) if blocking_on else None,
     )
+    if blocking_on and not (np.isfinite(delta) and np.isfinite(f_accepted)):
+        trace.diverged_at, trace.diverged_reason = 1, "blocking"
+        return trace
 
     for k in range(1, n_iter + 1):
         a_k, abar_k, b_k, bt_k = gains_at(config.gains, k)
 
         g_sum = np.zeros(p, dtype=dtype)
         h_sum = 0.0 if (not preconditioned or config.scalar) else np.zeros((p, p), dtype=dtype)
+        drawn = []
         for _ in range(config.resampling):
             delta_vec = sample_perturbation(p, config.field, rng)
+            drawn.append(delta_vec)
             g, pair = gradient_estimate(f, z, b_k, delta_vec)
             g_sum += g
             if config.method == "second_order":
                 delta_tilde = sample_perturbation(p, config.field, rng)
+                drawn.append(delta_tilde)
                 if config.scalar:
                     d2 = second_difference(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
                     h_sum += scalar_preconditioner(d2, b_k, bt_k, "second_order")
@@ -87,6 +95,7 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
                     h_sum += hessian_estimate(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
             elif config.method == "quantum_natural":
                 delta_tilde = sample_perturbation(p, config.field, rng)
+                drawn.append(delta_tilde)
                 if config.scalar:
                     d2 = metric_second_difference(fid, z, b_k, bt_k, delta_vec, delta_tilde)
                     h_sum += scalar_preconditioner(d2, b_k, bt_k, "quantum_natural")
@@ -99,8 +108,11 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
             if not np.all(np.isfinite(h_raw)):
                 trace.diverged_at, trace.diverged_reason = k, "estimate"
                 break
-            post = postprocess_spall if config.postproc == "spall" else postprocess_gidi
-            preconditioner = post(h_raw, state, epsilon)
+            if config.postproc == "spall":
+                preconditioner = postprocess_spall(h_raw, state, epsilon)
+            else:
+                span = None if config.scalar else np.stack(drawn, axis=1)
+                preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
             candidate = step_preconditioned(z, abar_k, g, preconditioner)
             step = z - candidate
         else:

@@ -8,7 +8,9 @@ one state at a time from ``apply_single_qubit_gate``, ``w_gate`` and
 ``pauli_expectation``, evolve GRAPE states with full 2^n × 2^n generators
 through ``scipy.linalg.expm``, and normalize every SGQT guess anew, so tests
 can compare the two.  ``apply_product_layer`` applies one product layer
-through the library's Kronecker factors, for tests of those factors.
+through the library's Kronecker factors, for tests of those factors, and
+``reference_w_gate`` keeps the W gate's closed form with every product
+written out, for a bit-for-bit test of the library's shared factors.
 """
 
 import math
@@ -49,6 +51,18 @@ def apply_product_layer(gates, psi):
     if np.shape(gates) != (n, 2, 2):
         raise ValueError(f"expected {n} single-qubit gates for {n} qubits")
     return _apply_kron_halves(*_kron_halves(gates), psi)
+
+
+def reference_w_gate(z):
+    """``w_gate`` as the closed form reads, each product written out in full."""
+    z = np.asarray(z, dtype=np.complex128)
+    r = np.abs(z)
+    sinc = np.divide(np.sin(2.0 * r), r, out=np.zeros_like(r), where=r > 0)
+    out = np.empty(z.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(2.0 * r)
+    out[..., 0, 1] = -1j * sinc * z
+    out[..., 1, 0] = -1j * sinc * np.conj(z)
+    return out
 
 
 def reference_vqe_state(prob: VqeProblem, z):

@@ -224,6 +224,7 @@ class TestApplicationTable:
         ("--application", "sgqt", "--threads", "0"),
         ("--application", "sgqt", "--threads", "-3"),
         ("--application", "sgqt", "--runs", "0"),
+        ("--application", "sgqt", "--blocking", "nan"),
     ])
     def test_invalid_flags_exit_2_with_error(self, tmp_path, capsys, flags):
         assert main([*flags, "--iterations", "1", "--out", str(tmp_path / "x")]) == 2

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
+from spsakit.estimators import sample_perturbation
 from spsakit.linalg import hermitize, matrix_abs, psd_sqrt_shifted, solve_pd
 
 
@@ -131,3 +135,122 @@ class TestSharedEigenbasis:
             m = random_hermitian(6, rng)
             w = np.linalg.eigvalsh(matrix_abs(m) + eps * np.eye(6))
             assert w.min() >= eps - 1e-12
+
+
+# How each δ̃_r relates to its δ_r: drawn independently, or a unit multiple
+# of it, which makes δ_r δ̃_r† rank 1 and the span rank-deficient.  The
+# imaginary multiples apply to the complex field only.
+_TILDE = {"independent": None, "+δ": 1.0, "-δ": -1.0, "+iδ": 1j, "-iδ": -1j}
+
+
+def outer_product_estimate(field, p, n_r, tilde, seed):
+    """H′ = hermitize(Σ_r c_r δ_r δ̃_r†)/N_R as the gidi pipeline sees it, and
+    its span: the columns Δ_1, Δ̃_1, …, Δ_NR, Δ̃_NR."""
+    rng = np.random.default_rng(seed)
+    rows = sample_perturbation(p, field, rng, 2 * n_r)
+    if _TILDE[tilde] is not None:
+        rows[1::2] = _TILDE[tilde] * rows[0::2]
+    coeffs = rng.standard_normal(n_r)
+    h = sum(c * np.outer(rows[2 * r], np.conj(rows[2 * r + 1]))
+            for r, c in enumerate(coeffs)) / n_r
+    return hermitize(h), rows.T
+
+
+@st.composite
+def _estimates(draw):
+    field = draw(st.sampled_from(["real", "complex"]))
+    tilde = draw(st.sampled_from(list(_TILDE) if field == "complex" else list(_TILDE)[:3]))
+    return (field, draw(st.integers(1, 40)), draw(st.integers(1, 3)), tilde,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+_EPSILONS = st.sampled_from([1e-8, 1e-4, 1e-2, 1.0])
+
+
+class TestPsdSqrtShiftedOnASpan:
+    @settings(max_examples=120, deadline=None)
+    @given(estimate=_estimates(), epsilon=_EPSILONS)
+    @example(estimate=("complex", 1, 3, "independent", 0), epsilon=1e-4)  # p < 2·N_R
+    @example(estimate=("real", 3, 2, "independent", 1), epsilon=1e-4)
+    @example(estimate=("complex", 40, 3, "+iδ", 2), epsilon=1e-4)  # rank 1 per term
+    @example(estimate=("real", 40, 1, "-δ", 3), epsilon=1e-8)
+    def test_matches_the_full_decomposition(self, estimate, epsilon):
+        h, span = outer_product_estimate(*estimate)
+        full = psd_sqrt_shifted(h, epsilon)
+        on_span = psd_sqrt_shifted(h, epsilon, span)
+        assert on_span.dtype == full.dtype
+        assert np.abs(on_span - full).max() <= 1e-12 * np.abs(full).max()
+
+    @settings(max_examples=120, deadline=None)
+    @given(estimate=_estimates(), epsilon=_EPSILONS)
+    @example(estimate=("complex", 1, 3, "independent", 0), epsilon=1e-4)
+    @example(estimate=("complex", 40, 3, "-iδ", 2), epsilon=1e-4)
+    @example(estimate=("complex", 37, 1, "-δ", 2277), epsilon=1e-4)
+    def test_hermitian_with_eigenvalues_at_least_sqrt_eps(self, estimate, epsilon):
+        h, span = outer_product_estimate(*estimate)
+        out = psd_sqrt_shifted(h, epsilon, span)
+        norm = np.linalg.norm(out, 2)
+        assert np.abs(out - out.conj().T).max() <= 1e-12 * norm
+        # eigvalsh resolves an eigenvalue of `out` only to about 1e-16·‖out‖,
+        # which passes 1e-12·√ε once ‖out‖ ≳ 1e4·√ε (3e-12·√ε at p = 37,
+        # ε = 1e-4 for the full decomposition too), so the floor holds to
+        # 1e-12 of the larger of √ε and ‖out‖.
+        root = np.sqrt(epsilon)
+        assert np.linalg.eigvalsh(out).min() >= root - 1e-12 * max(root, norm)
+
+    def test_vanishing_matrix_gives_sqrt_eps_identity(self):
+        span = sample_perturbation(5, "complex", np.random.default_rng(0), 2).T
+        out = psd_sqrt_shifted(np.zeros((5, 5), dtype=complex), 1e-4, span)
+        np.testing.assert_array_equal(out, 1e-2 * np.eye(5))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (6, 2), (5,), (1, 5, 2)])
+    def test_span_with_wrong_shape_rejected(self, shape):
+        h, _ = outer_product_estimate("complex", 5, 1, "independent", 0)
+        with pytest.raises(ValueError, match="span"):
+            psd_sqrt_shifted(h, 1e-4, np.ones(shape))
+
+
+def _pd_matrix(field, p, rng):
+    a = rng.standard_normal((p, p))
+    if field == "complex":
+        a = a + 1j * rng.standard_normal((p, p))
+    return a @ a.conj().T + 0.1 * np.eye(p)
+
+
+def _vector(field, p, rng):
+    v = rng.standard_normal(p)
+    return v + 1j * rng.standard_normal(p) if field == "complex" else v
+
+
+class TestSolvePdAgainstScipy:
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["real", "complex"]), p=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_cho_factor_and_cho_solve(self, field, p, seed):
+        rng = np.random.default_rng(seed)
+        h, v = _pd_matrix(field, p, rng), _vector(field, p, rng)
+        expected = cho_solve(cho_factor(h, lower=True), v)
+        got = solve_pd(h, v)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_indefinite_matrix_raises_linalg_error(self, field):
+        rng = np.random.default_rng(1)
+        h = _pd_matrix(field, 6, rng)
+        h[3, 3] = -100.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_pd(h, _vector(field, 6, rng))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_non_finite_input_raises_value_error(self, field, where, bad):
+        rng = np.random.default_rng(2)
+        h, v = _pd_matrix(field, 4, rng), _vector(field, 4, rng)
+        if where == "matrix":
+            h[1, 2] = bad
+        else:
+            v[3] = bad
+        with pytest.raises(ValueError):
+            solve_pd(h, v)

@@ -175,6 +175,11 @@ class TestBlocking:
         with pytest.raises(ValueError):
             OptimizerConfig(blocking=-1.0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="blocking tolerance"):
+            OptimizerConfig(blocking=tolerance)
+
 
 class TestBlockingTolerance:
     def test_deterministic_objective(self):
@@ -370,17 +375,18 @@ class TestRunContracts:
         assert not np.array_equal(monitored.final_params, trace.final_params)
 
 
-def noisy_oracles(field, seed, nan_after=None):
+def noisy_oracles(field, seed, nan_after=None, nan_at=None):
     """Shot-noise-like objective and fidelity on ``quadratic_problem(field, 3)``,
     drawing from their own generator, with the noiseless objective as monitor.
-    After ``nan_after`` calls the objective returns NaN."""
+    After ``nan_after`` calls the objective returns NaN; its ``nan_at``-th
+    call alone returns NaN."""
     c, f, fid = quadratic_problem(field, p=3)
     rng = np.random.default_rng(seed)
     calls = []
 
     def objective(z):
         calls.append(None)
-        if nan_after is not None and len(calls) > nan_after:
+        if (nan_after is not None and len(calls) > nan_after) or len(calls) == nan_at:
             return float("nan")
         return f(z) + 0.05 * rng.standard_normal()
 
@@ -400,10 +406,11 @@ class TestBlockDraws:
     draws each vector when it needs it."""
 
     @staticmethod
-    def _compare(config, nan_after=None):
+    def _compare(config, nan_after=None, nan_at=None):
         traces = []
         for run_fn in (run, reference_run):
-            c, objective, fidelity, f = noisy_oracles(config.field, config.seed + 1, nan_after)
+            c, objective, fidelity, f = noisy_oracles(config.field, config.seed + 1, nan_after,
+                                                      nan_at)
             z0 = c + (0.5 - 0.25j if config.field == "complex" else 0.5)
             traces.append(run_fn(objective, config, z0, fidelity=fidelity, monitor=f))
         fast, ref = traces
@@ -412,7 +419,7 @@ class TestBlockDraws:
             assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
         assert fast.diverged_at == ref.diverged_at
         assert fast.diverged_reason == ref.diverged_reason
-        assert fast.blocking_delta == ref.blocking_delta
+        assert repr(fast.blocking_delta) == repr(ref.blocking_delta)
         return fast
 
     @pytest.mark.parametrize("blocking", [None, 0.05, "auto"])
@@ -469,6 +476,21 @@ class TestBlockDraws:
         assert (trace.diverged_at, trace.diverged_reason) == (k_nan, reason)
         assert np.isfinite(trace.objective[:k_nan - 1]).all()
         assert np.isnan(trace.objective[k_nan - 1:]).all()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("blocking,nan_at", [(0.05, 1), ("auto", 7)])
+    def test_non_finite_blocking_reference_ends_the_run(self, field, blocking, nan_at):
+        # A NaN f(z₀) (call 1 under a fixed tolerance) or a NaN among the 25
+        # samples of "auto" (which makes δ NaN) fails every acceptance test:
+        # the run must end as diverged, not reject all 20 candidates.
+        config = OptimizerConfig(method="first_order", field=field, blocking=blocking,
+                                 max_iterations=20, seed=5)
+        trace = self._compare(config, nan_at=nan_at)
+        assert (trace.diverged_at, trace.diverged_reason) == (1, "blocking")
+        assert np.isnan(trace.objective).all()
+        assert not trace.accepted.any()
+        assert not trace.objective_evals.any()
+        assert np.isnan(trace.blocking_delta) == (blocking == "auto")
 
     def test_callback_sees_the_same_steps(self):
         for method, scalar in METHOD_VARIANTS:

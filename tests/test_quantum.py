@@ -10,6 +10,7 @@ from statevector_reference import (
     evolve_piecewise,
     pauli_expectation,
     reference_expectation,
+    reference_w_gate,
 )
 
 from spsakit.quantum import (
@@ -24,6 +25,7 @@ from spsakit.quantum import (
 )
 from spsakit.quantum import (
     _kron_halves,
+    _measurement_groups,
     _pauli_term_means,
 )
 
@@ -68,6 +70,15 @@ class TestWGate:
         z = 0.4 - 0.7j
         gen = np.array([[0, 2 * z], [2 * np.conj(z), 0]])
         np.testing.assert_allclose(w_gate(z), expm(-1j * gen), atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3]))
+    def test_gate_stack_bit_identical_to_reference_formula(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        z = scale * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        z = np.concatenate([z, [0.0, 5e-324, -5e-324j, 1e3, 1e3j, 600 - 800j]])
+        assert w_gate(z).tobytes() == reference_w_gate(z).tobytes()
+        assert w_gate(z[3]).tobytes() == reference_w_gate(z[3]).tobytes()
 
 
 class TestHeisenbergHamiltonian:
@@ -199,7 +210,22 @@ class TestGroupedMeasurement:
     def test_term_means_match_per_term_expectations(self, ham, seed):
         psi = haar_random_state(ham.n_qubits, np.random.default_rng(seed))
         expected = [pauli_expectation(psi, label) for _, label in ham.terms]
-        np.testing.assert_allclose(_pauli_term_means(psi, ham), expected, rtol=0, atol=1e-12)
+        means = _pauli_term_means(psi, _measurement_groups(ham))
+        np.testing.assert_allclose(means, expected, rtol=0, atol=1e-12)
+
+    def test_one_group_lookup_per_measurement(self):
+        ham = heisenberg_hamiltonian(6, 1.0, 0.3, periodic=True)
+        psi = haar_random_state(6, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+
+        def lookups():
+            info = _measurement_groups.cache_info()
+            return info.hits + info.misses
+
+        for shots in (100, math.inf, 100):
+            before = lookups()
+            expectation_with_shots(psi, ham, shots, rng)
+            assert lookups() == before + 1
 
     @settings(max_examples=80, deadline=None)
     @given(p=st.lists(st.floats(0.0, 1.0), max_size=40),
