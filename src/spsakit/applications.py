@@ -25,6 +25,7 @@ import numpy as np
 
 from .estimators import COMPLEX, REAL, complex_from_interleaved
 from .quantum import (
+    MAX_DENSE_QUBITS,
     PauliTermSum,
     _basis_bits,
     _kron_halves,
@@ -80,6 +81,15 @@ class Problem(Protocol):
         state with NaN amplitudes."""
 
 
+def _require_dense_size(n_qubits):
+    """Reject a qubit count past ``MAX_DENSE_QUBITS`` before anything is built:
+    VQE's exact minimum diagonalizes the dense Hamiltonian, and GRAPE's bond
+    operators are dense 2^n × 2^n matrices (3.2 GB at 13 qubits)."""
+    if n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(f"at most {MAX_DENSE_QUBITS} qubits: this problem uses dense "
+                         f"2^n x 2^n operators, got n_qubits={n_qubits}")
+
+
 @dataclass(frozen=True)
 class VqeProblem:
     """Ground-energy search for the Heisenberg model with a layered ansatz.
@@ -98,6 +108,7 @@ class VqeProblem:
     entangler: str = "ccz_ring"
 
     def __post_init__(self):
+        _require_dense_size(self.n_qubits)
         if self.layers < 0:
             raise ValueError("layers must be >= 0")
         self._hamiltonian()  # the qubit count and the ring rule
@@ -143,6 +154,7 @@ class GrapeProblem:
     dt = 1.0  # the slice duration: a class constant, not a field
 
     def __post_init__(self):
+        _require_dense_size(self.n_qubits)
         if self.slices < 1:
             raise ValueError("slices must be >= 1")
         _heisenberg(self.n_qubits, 1.0, 0.0, self.periodic)  # the qubit count and the ring rule
@@ -333,13 +345,23 @@ def _bond_sectors(n, periodic):
 
 
 _TAYLOR_INV = tuple(1.0 / math.factorial(j) for j in range(13))
+# Paterson-Stockmeyer blocks of the degree-12 Taylor sum in B = A/2^s:
+# p_i = _PS_DIAG[i]·I + _PS_COEFFS[i] · (B, B², B³), and
+# exp(B) ≈ p0 + B³(p1 + B³(p2 + B³p3)).
+_PS_COEFFS = _read_only(np.array([
+    [_TAYLOR_INV[1], _TAYLOR_INV[2], 0.0],
+    [_TAYLOR_INV[4], _TAYLOR_INV[5], 0.0],
+    [_TAYLOR_INV[7], _TAYLOR_INV[8], 0.0],
+    [_TAYLOR_INV[10], _TAYLOR_INV[11], _TAYLOR_INV[12]],
+]))
+_PS_DIAG = _read_only(np.array([_TAYLOR_INV[i] for i in (0, 3, 6, 9)])[:, None, None])
 # Norms above 2^_MAX_SQUARINGS would leave the scaled matrix outside the
 # unit ball where the degree-12 Taylor sum is accurate.
 _MAX_SQUARINGS = 60
 
 
 def _expm_stack(a):
-    """exp(A_m) for a stack of small square matrices, batched over the leading axis.
+    """exp(A_m) for a stack of small square complex matrices, batched over the leading axis.
 
     Degree-12 Taylor in Paterson-Stockmeyer form with scaling and squaring;
     much faster than per-slice scipy.expm for the sizes used here.  One
@@ -347,11 +369,19 @@ def _expm_stack(a):
     largest row-sum norm to ≤ 1.  The Taylor remainder at a scaled norm ≤ 1
     is at most about 1/13! ≈ 1.6e-10 relative, and each squaring roughly
     doubles the error, so the bound is about 2^s·1.6e-10.  Measured against
-    scipy.linalg.expm on 16 × 16 GRAPE blocks: a relative error of ~1e-12 at
-    norm 1 and ~1e-9 at norm 32; for the 1 × 1 stack [−i·2^20], 1.7e-4.  A
-    stack whose norm is non-finite or needs more than ``_MAX_SQUARINGS``
-    squarings gives NaN, which the GRAPE oracles report as a diverged
-    evaluation.
+    scipy.linalg.expm on the 16 × 16 GRAPE blocks of
+    ``test_expm_stack_matches_scipy``: a relative error of 6.4e-14 at norm 1,
+    1.1e-12 at 8, 4.6e-12 at 32 and 9.1e-12 at 64; for the 1 × 1 stack
+    [−i·2^20], 1.7e-4.  A stack whose norm is non-finite or needs more than
+    ``_MAX_SQUARINGS`` squarings gives NaN, which the GRAPE oracles report as
+    a diverged evaluation.
+
+    Besides its 5 + s batched matrix products (two powers, three Horner
+    steps, s squarings), the kernel makes three passes over the stack: the
+    scaling multiplies by 2^−s, which is exact and bit-identical to dividing
+    by 2^s; the four blocks p_i are one real (4 × 3) GEMM on the float view
+    of (B, B², B³); and their identity terms are one update of the stacked
+    diagonals.
     """
     norm = float(np.abs(a).sum(axis=-1).max(initial=0.0))
     if not math.isfinite(norm):
@@ -364,18 +394,17 @@ def _expm_stack(a):
     # in on every call, depending on the heap layout: 170 page faults and 30%
     # of a build on a 2-core x86-64 machine.  glibc serves an 800 KB block
     # from the heap without trimming it once the first one has been freed.
-    b, b2, b3, p0, p1, p2, p3, t = np.empty((8,) + a.shape, dtype=a.dtype)
-    np.divide(a, 2.0**squarings, out=b)
+    work = np.empty((8,) + a.shape, dtype=np.complex128)
+    b, b2, b3, p0, p1, p2, p3, t = work
+    np.multiply(a, 2.0**-squarings, out=b)
     np.matmul(b, b, out=b2)
     np.matmul(b2, b, out=b3)
-    inv = _TAYLOR_INV
-    for p, i in ((p0, 1), (p1, 4), (p2, 7), (p3, 10)):
-        np.multiply(b, inv[i], out=p)
-        p += np.multiply(b2, inv[i + 1], out=t)
-    p3 += np.multiply(b3, inv[12], out=t)
+    # complex (B, B², B³) times real coefficients: one GEMM on the float view
+    powers = work[:3].reshape(3, -1).view(np.float64)
+    np.matmul(_PS_COEFFS, powers, out=work[3:7].reshape(4, -1).view(np.float64))
     # identity terms go on the diagonals: adding a broadcast eye is far slower
-    for p, c in ((p0, 1.0), (p1, inv[3]), (p2, inv[6]), (p3, inv[9])):
-        np.einsum("...ii->...i", p)[...] += c
+    diagonals = np.einsum("...ii->...i", work[3:7])
+    diagonals += _PS_DIAG
     # p0 + b3 @ (p1 + b3 @ (p2 + b3 @ p3)), summed in place
     p2 += np.matmul(b3, p3, out=t)
     p1 += np.matmul(b3, p2, out=t)
@@ -384,6 +413,15 @@ def _expm_stack(a):
     for _ in range(squarings):
         out, spare = np.matmul(out, out, out=spare), out
     return out
+
+
+@lru_cache(maxsize=16)
+def _sector_generators(n, periodic):
+    """``_bond_sectors(n, periodic)`` blocks as a read-only complex (3, nb·h·h)
+    matrix: the right factor of the slice generators' GEMM."""
+    blocks = _bond_sectors(n, periodic)[1]
+    return _read_only(np.ascontiguousarray(
+        blocks.swapaxes(0, 1).reshape(3, -1), dtype=np.complex128))
 
 
 def grape_final_state(prob: GrapeProblem, controls):
@@ -396,12 +434,15 @@ def grape_final_state(prob: GrapeProblem, controls):
     final direction (and hence any fidelity) unchanged.
 
     Every generator is block diagonal in the parity sectors of
-    ``_bond_sectors``, so the propagation never forms a 2^n × 2^n matrix:
-    all M·nb sector generators are exponentiated in one ``_expm_stack``
+    ``_bond_sectors``, so the propagation never forms a 2^n × 2^n matrix.
+    All M·nb sector generators are one (M × 3) @ (3 × nb·h·h) GEMM of the
+    scaled couplings against the sector blocks of the three bond operators
+    (``_sector_generators``), and are exponentiated in one ``_expm_stack``
     call, whose row-sum norm and hence squaring count equal those of the
-    full generators.  The state is gathered into its sector columns, each
-    slice is one batched product renormalized by the joint norm, and the
-    result is scattered back to the computational basis order.
+    full generators.  The state is gathered into its sector columns; each
+    slice is one batched product into the other of two preallocated buffers,
+    renormalized in place by the joint norm, and the result is scattered
+    back to the computational basis order.
     """
     controls = np.asarray(controls, dtype=np.complex128)
     if controls.size != 3 * prob.slices:
@@ -409,19 +450,24 @@ def grape_final_state(prob: GrapeProblem, controls):
     if prob.psi0 is None:
         raise ValueError("GrapeProblem.psi0 is unset; materialize the problem first")
     psi0 = np.asarray(prob.psi0, dtype=np.complex128)
-    index, blocks = _bond_sectors(prob.n_qubits, prob.periodic)
+    index = _bond_sectors(prob.n_qubits, prob.periodic)[0]
+    nb, h = index.shape[:2]
     coeffs = controls.reshape(prob.slices, 3)
     # exp(-i dt H_m) with H_m = -(1/2) sum_k J_k B_k
-    generators = np.tensordot((0.5j * prob.dt) * coeffs, blocks, axes=(1, 1))
-    h = blocks.shape[-1]
-    propagators = _expm_stack(generators.reshape(-1, h, h)).reshape(generators.shape)
-    psi = psi0[index]
+    generators = ((0.5j * prob.dt) * coeffs) @ _sector_generators(prob.n_qubits, prob.periodic)
+    propagators = _expm_stack(generators.reshape(-1, h, h)).reshape(prob.slices, nb, h, h)
+    psi, spare = np.empty((2,) + index.shape, dtype=np.complex128)
+    np.take(psi0, index, out=psi)
     for u in propagators:
-        psi = u @ psi
+        psi, spare = np.matmul(u, psi, out=spare), psi
         norm = math.sqrt(np.vdot(psi, psi).real)
         if not 0.0 < norm < math.inf:
             return np.full_like(psi0, np.nan)
-        psi /= norm
+        # a real product on the float view: cheaper than a complex division
+        # and bit-identical to psi /= norm, which numpy computes as a
+        # product with the reciprocal
+        floats = psi.view(np.float64)
+        floats *= 1.0 / norm
     out = np.empty_like(psi0)
     out[index] = psi
     return out

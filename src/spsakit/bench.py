@@ -24,12 +24,21 @@ __all__ = [
     "run_single",
     "run_ensemble",
     "summarize_final",
+    "available_cpus",
 ]
 
 # Gain calibration scales a so that the mean sup-norm of this many probe
 # first-order steps is the target step.
 CALIBRATION_PROBES = 25
 CALIBRATION_TARGET_STEP = 0.1
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: those of its affinity mask (taskset,
+    cpusets) where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +58,10 @@ class EnsembleSpec:
             raise ValueError("n_runs must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1, or None for one per CPU")
+
+    def resolved_workers(self) -> int:
+        """The size of the process pool ``run_ensemble`` uses for more than one run."""
+        return self.workers or available_cpus()
 
 
 @dataclass(frozen=True)
@@ -144,9 +157,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     deviation with divisor n−1.
     """
     config, calibrated_a = _calibrated_config(spec)
-    # None: the CPUs of the affinity mask (taskset, cpusets), where there is one
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = spec.workers or cpus or 1
+    workers = spec.resolved_workers()
     jobs = [(spec.problem, config, spec.base_seed + r, r) for r in range(spec.n_runs)]
 
     traces: list = [None] * spec.n_runs

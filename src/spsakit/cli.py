@@ -6,7 +6,8 @@ One process runs one experiment.  Configuration comes from a flat JSON file
 problem class and the paper's iteration count.  The problem flags naming a
 field of that class default to the field's default; the others are rejected.
 Two artifacts are written: ``<out>.csv`` with per-iteration statistics and
-``<out>.json`` with an appendix-style summary row plus the config echo.
+``<out>.json`` with an appendix-style summary row, the config echo and an
+``environment`` record.
 """
 
 import argparse
@@ -17,8 +18,11 @@ import os
 import sys
 import time
 
+import numpy as np
+import scipy
+
 from .applications import GrapeProblem, SgqtProblem, VqeProblem
-from .bench import EnsembleSpec, run_ensemble, summarize_final
+from .bench import EnsembleSpec, available_cpus, run_ensemble, summarize_final
 from .estimators import GAIN_PRESETS, GainSchedule, gains_label
 from .optimizers import OptimizerConfig
 
@@ -236,6 +240,7 @@ def execute(config: ExperimentConfig) -> int:
         "calibrated_a": result.calibrated_a,
         "exact_minimum": spec.problem.exact_minimum(),
         "row": summarize_final(result, config.iterations, spec.config),
+        "environment": _environment(spec, result),
     }
 
     csv_path = config.out + ".csv"
@@ -251,6 +256,23 @@ def execute(config: ExperimentConfig) -> int:
         return 1
     print(f"wrote {csv_path} and {json_path}")
     return 0
+
+
+def _environment(spec: EnsembleSpec, result) -> dict:
+    """What the results and timings depend on besides the config: library
+    versions, the resolved worker count, the CPUs of the affinity mask, the
+    thread variables that set the BLAS defaults, and whether gain calibration
+    ran.  The BLAS libraries' own thread counts are not read."""
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "workers": spec.resolved_workers(),
+        "cpus": available_cpus(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "calibrated": result.calibrated_a is not None,
+    }
 
 
 def _config_echo(config: ExperimentConfig) -> dict:

@@ -20,6 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from spsakit.applications import (
+    _MAX_SQUARINGS,
+    _TAYLOR_INV,
     GrapeProblem,
     Oracles,
     SgqtProblem,
@@ -137,6 +139,40 @@ def evolve_piecewise(psi0, slices):
         w, u = np.linalg.eigh(g)
         psi = u @ (np.exp(-1j * dt * w) * (u.conj().T @ psi))
     return psi
+
+
+def reference_expm_stack(a):
+    """The stacked degree-12 Taylor exponential with one pass per term.
+
+    The same scaling and squaring rule, ``_MAX_SQUARINGS`` cap and
+    Paterson-Stockmeyer evaluation as ``applications._expm_stack``, with the
+    scaling written as a division, each block p_i summed one scaled power at
+    a time and each identity term added to its own diagonal.
+    """
+    norm = float(np.abs(a).sum(axis=-1).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full_like(a, np.nan)
+    squarings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
+    if squarings > _MAX_SQUARINGS:
+        return np.full_like(a, np.nan)
+    b, b2, b3, p0, p1, p2, p3, t = np.empty((8,) + a.shape, dtype=a.dtype)
+    np.divide(a, 2.0**squarings, out=b)
+    np.matmul(b, b, out=b2)
+    np.matmul(b2, b, out=b3)
+    inv = _TAYLOR_INV
+    for p, i in ((p0, 1), (p1, 4), (p2, 7), (p3, 10)):
+        np.multiply(b, inv[i], out=p)
+        p += np.multiply(b2, inv[i + 1], out=t)
+    p3 += np.multiply(b3, inv[12], out=t)
+    for p, c in ((p0, 1.0), (p1, inv[3]), (p2, inv[6]), (p3, inv[9])):
+        np.einsum("...ii->...i", p)[...] += c
+    p2 += np.matmul(b3, p3, out=t)
+    p1 += np.matmul(b3, p2, out=t)
+    p0 += np.matmul(b3, p1, out=t)
+    out, spare = p0, t
+    for _ in range(squarings):
+        out, spare = np.matmul(out, out, out=spare), out
+    return out
 
 
 def reference_grape_final_state(prob: GrapeProblem, controls):

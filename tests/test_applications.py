@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import scipy.linalg
 from statevector_reference import (
     evolve_piecewise,
+    reference_expm_stack,
     reference_grape_final_state,
     reference_oracles,
     reference_vqe_state,
@@ -45,6 +47,7 @@ _CACHED_CALLS = {
     "spsakit.applications._heisenberg": (3, 1.0, 0.3, True),
     "spsakit.applications._bond_operators": (3, False),
     "spsakit.applications._bond_sectors": (4, True),
+    "spsakit.applications._sector_generators": (4, True),
 }
 
 
@@ -396,6 +399,51 @@ class TestGrape:
         err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         assert err.max() < 1e-8
 
+    @pytest.mark.parametrize("length", [1, 25, 50])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6])  # blocks of 1, 2, 8, 16 and 32
+    def test_expm_stack_matches_reference_kernel(self, n, length):
+        # stacks laid out as grape_final_state lays them out: for even n the
+        # blocks alternate between the two parity sectors; n = 1 has no
+        # bonds, so its 1 x 1 blocks are random complex numbers times i
+        from spsakit.applications import _bond_sectors, _expm_stack
+
+        _, blocks = _bond_sectors(n, False)
+        nb = blocks.shape[0]
+        rng = np.random.default_rng(23)
+        for exponent in range(-4, 9):  # largest row-sum norm 2^-4 ... 2^8
+            coeffs = rng.standard_normal((length, 3)) + 1j * rng.standard_normal((length, 3))
+            if n == 1:
+                a = 1j * coeffs[:, :1, None]
+            else:
+                a = np.stack([np.tensordot(0.5j * c, blocks[m % nb], axes=1)
+                              for m, c in enumerate(coeffs)])
+            a *= 2.0**exponent / np.abs(a).sum(axis=-1).max()
+            a.flags.writeable = False
+            before = a.copy()
+            out, ref = _expm_stack(a), reference_expm_stack(a)
+            np.testing.assert_array_equal(a, before)
+            err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+            assert err.max() <= 1e-13, (exponent, err.max())
+
+    @pytest.mark.parametrize("value, nan", [
+        (np.nan, True),
+        (complex(0.0, np.inf), True),
+        (complex(-np.inf, 1.0), True),
+        (2.0**60, False),  # exactly 60 squarings: the cap
+        (2.0**60 * (1 + 2.0**-40), True),  # just past the cap
+        (2.5 * 2.0**60, True),
+    ])
+    def test_expm_stack_is_nan_exactly_where_the_reference_is(self, value, nan):
+        from spsakit.applications import _expm_stack
+
+        a = np.zeros((3, 2, 2), dtype=complex)
+        a[:, 0, 1] = a[:, 1, 0] = 0.5j
+        a[1, 0, 0] = -1j * value
+        out, ref = _expm_stack(a), reference_expm_stack(a)
+        assert np.isnan(out).all() == np.isnan(ref).all() == nan
+        if not nan:
+            assert np.isfinite(out).all()
+
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("slot, value", [
         (2, 2.0**63),  # ZZ coupling past the squaring cap
@@ -442,6 +490,20 @@ class TestProblemValidation:
     def test_invalid_fields_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem])
+    @pytest.mark.parametrize("n", [quantum.MAX_DENSE_QUBITS + 1, 64])
+    def test_dense_sizes_past_the_limit_rejected_before_any_allocation(self, cls, n):
+        # the 13-qubit VQE exact minimum and GRAPE bond operators would need
+        # a dense diagonalization and 3.2 GB of operators
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {quantum.MAX_DENSE_QUBITS} qubits"):
+                cls(n_qubits=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_materialize_keeps_valid_problems_valid(self):
         rng = np.random.default_rng(0)

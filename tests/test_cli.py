@@ -138,6 +138,35 @@ class TestExecute:
                                                "iqr", "mean", "std"]
         assert summary["config"]["qubits"] == 2
 
+    @pytest.mark.parametrize("flags, workers, calibrated", [
+        (("--threads", "2", "--calibrate", "true"), 2, True),
+        (("--threads", "1"), 1, False),
+    ])
+    def test_json_records_the_environment(self, tmp_path, monkeypatch, flags, workers,
+                                          calibrated):
+        import platform
+
+        import scipy
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        code, _, json_path = run_cli(
+            tmp_path, "--application", "sgqt", "--qubits", "2", "--runs", "2",
+            "--iterations", "2", *flags)
+        assert code == 0
+        env = read_strict_json(json_path)["environment"]
+        assert env == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "workers": workers,
+            "cpus": cli.available_cpus(),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+            "calibrated": calibrated,
+        }
+        assert env["cpus"] >= 1
+
     def test_all_diverged_ensemble_writes_strict_json(self, tmp_path):
         # a huge first step drives the controls past the propagator's range
         code, _, json_path = run_cli(
@@ -216,6 +245,8 @@ class TestApplicationTable:
         ("--application", "sgqt", "--entangler", "bogus"),
         ("--application", "grape", "--j", "2"),
         ("--application", "vqe", "--qubits", "2"),
+        ("--application", "vqe", "--qubits", "13"),
+        ("--application", "grape", "--qubits", "13"),
         ("--application", "vqe", "--entangler", "bogus"),
         ("--application", "vqe", "--layers", "-1"),
         ("--application", "grape", "--slices", "0"),
