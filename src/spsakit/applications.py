@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .estimators import COMPLEX, REAL, complex_from_interleaved
+from .estimators import COMPLEX, FIELDS, REAL, complex_from_interleaved
 from .quantum import (
     MAX_DENSE_QUBITS,
     PauliTermSum,
@@ -55,11 +55,11 @@ __all__ = [
 class Problem(Protocol):
     """What the benchmark harness needs of a workload.
 
-    ``shots`` is the per-evaluation shot budget of the objective and of the
-    fidelity; ``math.inf`` makes both exact.  A problem dataclass reaches the
-    ``spsakit`` command line through one row of ``cli.APPLICATIONS``: each
-    field a problem flag names (``--qubits`` names ``n_qubits``) becomes an
-    option with the field's default, and ``__post_init__`` validates them.
+    ``shots``, a positive integer or ``math.inf`` (exact), is the shot budget
+    of each objective and fidelity evaluation.  A problem dataclass reaches
+    the ``spsakit`` command line through one row of ``cli.APPLICATIONS``:
+    each field a problem flag names (``--qubits`` names ``n_qubits``) becomes
+    an option with the field's default, and ``__post_init__`` validates them.
     """
 
     shots: float
@@ -90,6 +90,12 @@ def _require_dense_size(n_qubits):
                          f"2^n x 2^n operators, got n_qubits={n_qubits}")
 
 
+def _require_shots(shots):
+    """Reject a shot budget that is neither a positive integer nor ``math.inf``."""
+    if shots != math.inf and not (shots >= 1 and shots == int(shots)):
+        raise ValueError(f"shots must be a positive integer or math.inf, got {shots!r}")
+
+
 @dataclass(frozen=True)
 class VqeProblem:
     """Ground-energy search for the Heisenberg model with a layered ansatz.
@@ -109,6 +115,7 @@ class VqeProblem:
 
     def __post_init__(self):
         _require_dense_size(self.n_qubits)
+        _require_shots(self.shots)
         if self.layers < 0:
             raise ValueError("layers must be >= 0")
         self._hamiltonian()  # the qubit count and the ring rule
@@ -155,6 +162,7 @@ class GrapeProblem:
 
     def __post_init__(self):
         _require_dense_size(self.n_qubits)
+        _require_shots(self.shots)
         if self.slices < 1:
             raise ValueError("slices must be >= 1")
         _heisenberg(self.n_qubits, 1.0, 0.0, self.periodic)  # the qubit count and the ring rule
@@ -198,6 +206,7 @@ class SgqtProblem:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
+        _require_shots(self.shots)
 
     def materialize(self, rng):
         if self.unknown is None:
@@ -293,7 +302,6 @@ def vqe_state(prob: VqeProblem, z):
 # GRAPE
 
 
-@lru_cache(maxsize=16)
 def _bond_operators(n, periodic):
     """Stack of the three coupling operators Σ_{<a,b>} σᵏ_a σᵏ_b (real symmetric).
 
@@ -301,6 +309,7 @@ def _bond_operators(n, periodic):
     the parity ∏Z: it has no entries between basis states of even and odd
     popcount.  Each also commutes with the global flip ∏X, which for odd n
     maps the even-popcount states one-to-one onto the odd-popcount ones.
+    Uncached: ``_bond_sectors`` keeps only its sector blocks.
     """
     ham = heisenberg_hamiltonian(n, 1.0, 0.0, periodic)
     ops = []
@@ -310,17 +319,18 @@ def _bond_operators(n, periodic):
             terms=tuple((c, lab) for c, lab in ham.terms if pauli in lab),
         ).to_dense()
         ops.append(dense.real)
-    return _read_only(np.stack(ops))
+    return np.stack(ops)
 
 
 @lru_cache(maxsize=16)
 def _bond_sectors(n, periodic):
-    """Parity-sector form of ``_bond_operators(n, periodic)``.
+    """GRAPE's operator table: ``_bond_operators(n, periodic)`` by parity sector.
 
-    Returns ``(index, blocks)``.  ``blocks`` has shape (nb, 3, h, h) with
-    h = 2^(n−1): the three bond operators restricted to each distinct
-    parity sector.  ``index`` has shape (nb, h, 2 // nb) and lists, for
-    block b, the basis states its rows act on, so that ``psi[index]``
+    Returns read-only ``(index, generators)``.  ``generators`` is the complex
+    (3, nb·h·h) right factor of the slice generators' GEMM, h = 2^(n−1):
+    ``generators.reshape(3, nb, h, h)[k, b]`` is bond operator k on the b-th
+    distinct parity sector.  ``index`` has shape (nb, h, 2 // nb) and lists,
+    for block b, the basis states its rows act on, so that ``psi[index]``
     gathers a state into columns each block multiplies at once.
 
     For even n the two sectors differ: nb = 2, block 0 acts on the
@@ -340,8 +350,8 @@ def _bond_sectors(n, periodic):
     else:
         sectors = [even, states[popcount % 2 == 1]]
         index = np.stack(sectors)[:, :, None]
-    blocks = np.stack([bonds[:, s[:, None], s[None, :]] for s in sectors])
-    return _read_only(index), _read_only(blocks)
+    blocks = np.stack([bonds[:, s[:, None], s[None, :]] for s in sectors], axis=1)
+    return _read_only(index), _read_only(blocks.reshape(3, -1).astype(np.complex128))
 
 
 _TAYLOR_INV = tuple(1.0 / math.factorial(j) for j in range(13))
@@ -366,8 +376,9 @@ def _expm_stack(a):
     Degree-12 Taylor in Paterson-Stockmeyer form with scaling and squaring;
     much faster than per-slice scipy.expm for the sizes used here.  One
     squaring count s serves the whole stack: the smallest that brings the
-    largest row-sum norm to ≤ 1.  The Taylor remainder at a scaled norm ≤ 1
-    is at most about 1/13! ≈ 1.6e-10 relative, and each squaring roughly
+    largest row-sum norm m·2^e (½ ≤ m < 1, from ``math.frexp``) to ≤ 1,
+    which is e, or e − 1 for m = ½.  The Taylor remainder at a scaled norm
+    ≤ 1 is at most about 1/13! ≈ 1.6e-10 relative, and each squaring roughly
     doubles the error, so the bound is about 2^s·1.6e-10.  Measured against
     scipy.linalg.expm on the 16 × 16 GRAPE blocks of
     ``test_expm_stack_matches_scipy``: a relative error of 6.4e-14 at norm 1,
@@ -386,7 +397,8 @@ def _expm_stack(a):
     norm = float(np.abs(a).sum(axis=-1).max(initial=0.0))
     if not math.isfinite(norm):
         return np.full_like(a, np.nan)
-    squarings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
+    mantissa, exponent = math.frexp(norm)
+    squarings = max(0, exponent - (mantissa == 0.5))
     if squarings > _MAX_SQUARINGS:
         return np.full_like(a, np.nan)
     # All work arrays come from one block.  At 5 qubits, some 30 separate
@@ -415,15 +427,6 @@ def _expm_stack(a):
     return out
 
 
-@lru_cache(maxsize=16)
-def _sector_generators(n, periodic):
-    """``_bond_sectors(n, periodic)`` blocks as a read-only complex (3, nb·h·h)
-    matrix: the right factor of the slice generators' GEMM."""
-    blocks = _bond_sectors(n, periodic)[1]
-    return _read_only(np.ascontiguousarray(
-        blocks.swapaxes(0, 1).reshape(3, -1), dtype=np.complex128))
-
-
 def grape_final_state(prob: GrapeProblem, controls):
     """Evolve psi0 through the M piecewise-constant slices.
 
@@ -436,13 +439,12 @@ def grape_final_state(prob: GrapeProblem, controls):
     Every generator is block diagonal in the parity sectors of
     ``_bond_sectors``, so the propagation never forms a 2^n × 2^n matrix.
     All M·nb sector generators are one (M × 3) @ (3 × nb·h·h) GEMM of the
-    scaled couplings against the sector blocks of the three bond operators
-    (``_sector_generators``), and are exponentiated in one ``_expm_stack``
-    call, whose row-sum norm and hence squaring count equal those of the
-    full generators.  The state is gathered into its sector columns; each
-    slice is one batched product into the other of two preallocated buffers,
-    renormalized in place by the joint norm, and the result is scattered
-    back to the computational basis order.
+    scaled couplings against that table, and are exponentiated in one
+    ``_expm_stack`` call, whose row-sum norm and hence squaring count equal
+    those of the full generators.  The state is gathered into its sector
+    columns, each slice is one batched product ``u @ psi`` renormalized in
+    place by the joint norm, and the result is scattered back to the
+    computational basis order.
     """
     controls = np.asarray(controls, dtype=np.complex128)
     if controls.size != 3 * prob.slices:
@@ -450,22 +452,19 @@ def grape_final_state(prob: GrapeProblem, controls):
     if prob.psi0 is None:
         raise ValueError("GrapeProblem.psi0 is unset; materialize the problem first")
     psi0 = np.asarray(prob.psi0, dtype=np.complex128)
-    index = _bond_sectors(prob.n_qubits, prob.periodic)[0]
+    index, generators = _bond_sectors(prob.n_qubits, prob.periodic)
     nb, h = index.shape[:2]
-    coeffs = controls.reshape(prob.slices, 3)
     # exp(-i dt H_m) with H_m = -(1/2) sum_k J_k B_k
-    generators = ((0.5j * prob.dt) * coeffs) @ _sector_generators(prob.n_qubits, prob.periodic)
+    generators = ((0.5j * prob.dt) * controls.reshape(prob.slices, 3)) @ generators
     propagators = _expm_stack(generators.reshape(-1, h, h)).reshape(prob.slices, nb, h, h)
-    psi, spare = np.empty((2,) + index.shape, dtype=np.complex128)
-    np.take(psi0, index, out=psi)
+    psi = psi0[index]
     for u in propagators:
-        psi, spare = np.matmul(u, psi, out=spare), psi
+        psi = u @ psi
         norm = math.sqrt(np.vdot(psi, psi).real)
         if not 0.0 < norm < math.inf:
             return np.full_like(psi0, np.nan)
         # a real product on the float view: cheaper than a complex division
-        # and bit-identical to psi /= norm, which numpy computes as a
-        # product with the reciprocal
+        # and bit-identical to psi /= norm, a product with the reciprocal
         floats = psi.view(np.float64)
         floats *= 1.0 / norm
     out = np.empty_like(psi0)
@@ -498,22 +497,29 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     The objective measures the state of its argument and the fidelity
     estimates |⟨ψ(za)|ψ(zb)⟩|², both from ``problem.shots`` shots drawn from
     the given rng; the monitor measures exactly and draws nothing.  Real-field
-    oracles read parameters as interleaved (Re, Im) pairs.
+    oracles read parameters as interleaved (Re, Im) pairs and hand
+    ``problem.state`` their complex view (`complex_from_interleaved`).
 
     Once the fidelity has been called, every oracle takes its states from one
     rng-free memo of the ``MEMO_STATES`` last used states, read-only and
-    keyed by the complex parameter bytes.  The metric estimate pins the
+    keyed by the parameter bytes in the field's dtype, which for interleaved
+    reals are the complex parameter bytes.  The metric estimate pins the
     fidelity's first argument at the iterate, which the monitor built at the
     end of the previous iteration, and shares z ± b_kΔ with the gradient
     estimate, so a quantum-natural iteration builds 5 states instead of 11
     with the same values and random draws.  Until that first call every
     oracle builds its states directly, so other runs never form a key.
     """
+    if field not in FIELDS:
+        raise ValueError(f"unknown field {field!r}")
+    dtype = np.float64 if field == REAL else np.complex128
     state, measure, shots = problem.state, problem.measure, problem.shots
+    if field == REAL:
+        state = lambda theta: problem.state(complex_from_interleaved(theta))
     kept = {}  # parameter bytes -> state, least recently used first
 
     def memo(z):
-        key = np.asarray(z, dtype=np.complex128).tobytes()
+        key = np.asarray(z, dtype=dtype).tobytes()
         psi = kept.pop(key, None)
         if psi is None:
             psi = state(z)
@@ -531,14 +537,4 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
 
     obj = lambda z: measure(build[0](z), shots, rng)
     mon = lambda z: measure(build[0](z), math.inf)
-
-    if field == REAL:
-        c_obj, c_fid, c_mon = obj, fid, mon
-        obj = lambda theta: c_obj(complex_from_interleaved(theta))
-        fid = lambda ta, tb: c_fid(
-            complex_from_interleaved(ta), complex_from_interleaved(tb)
-        )
-        mon = lambda theta: c_mon(complex_from_interleaved(theta))
-    elif field != COMPLEX:
-        raise ValueError(f"unknown field {field!r}")
     return Oracles(objective=obj, fidelity=fid, monitor=mon)

@@ -8,6 +8,7 @@ that seed, so identical specs produce bit-identical statistics.
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -126,21 +127,14 @@ def run_single(problem: Problem, config: OptimizerConfig, seed: int) -> RunTrace
                monitor=oracles.monitor)
 
 
-def _run_indexed(args):
-    problem, config, seed, index = args
-    return index, run_single(problem, config, seed)
-
-
 def _calibrated_config(spec: EnsembleSpec):
     """Resolve the ensemble's optimizer config, calibrating gains.a if requested."""
     if not spec.calibrate:
         return spec.config, None
     rng = np.random.default_rng([spec.base_seed, 3])
-    samples = []
-    for _ in range(min(CALIBRATION_PROBES, spec.n_runs)):
-        samples.append(spec.problem.materialize(rng).initial_point(rng))
-    if spec.config.field == REAL:
-        samples = [interleave_complex(z) for z in samples]
+    convert = interleave_complex if spec.config.field == REAL else np.asarray
+    samples = [convert(spec.problem.materialize(rng).initial_point(rng))
+               for _ in range(min(CALIBRATION_PROBES, spec.n_runs))]
     probe_problem = spec.problem.materialize(rng)
     oracles = make_oracles(probe_problem, rng, spec.config.field)
     a = calibrate_first_order_gain(
@@ -152,26 +146,21 @@ def _calibrated_config(spec: EnsembleSpec):
 def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     """Execute the ensemble and aggregate per-iteration statistics.
 
-    Diverged runs are excluded from the statistics but counted; quantiles use
-    linear interpolation (numpy's default) and STD is the sample standard
-    deviation with divisor n−1.
+    Run r is ``run_single(spec.problem, config, spec.base_seed + r)``, in
+    seed order on one process or a pool.  Diverged runs are excluded from the
+    statistics but counted; quantiles use linear interpolation (numpy's
+    default) and STD is the sample standard deviation with divisor n−1.
     """
     config, calibrated_a = _calibrated_config(spec)
-    workers = spec.resolved_workers()
-    jobs = [(spec.problem, config, spec.base_seed + r, r) for r in range(spec.n_runs)]
-
-    traces: list = [None] * spec.n_runs
-    if workers > 1 and spec.n_runs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, trace in pool.map(_run_indexed, jobs):
-                traces[index] = trace
+    job = partial(run_single, spec.problem, config)
+    seeds = range(spec.base_seed, spec.base_seed + spec.n_runs)
+    if spec.resolved_workers() > 1 and spec.n_runs > 1:
+        with ProcessPoolExecutor(max_workers=spec.resolved_workers()) as pool:
+            traces = list(pool.map(job, seeds))
     else:
-        for job in jobs:
-            index, trace = _run_indexed(job)
-            traces[index] = trace
+        traces = list(map(job, seeds))
 
-    included = [t for t in traces
-                if not t.diverged and np.all(np.isfinite(t.objective))]
+    included = [t for t in traces if not t.diverged]
     n_excluded = spec.n_runs - len(included)
     n_iter = config.max_iterations
 
@@ -181,8 +170,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         stds = (values.std(axis=0, ddof=1) if len(included) > 1
                 else np.zeros(n_iter))
         medians = np.median(values, axis=0)
-        q1s = np.percentile(values, 25, axis=0)
-        q3s = np.percentile(values, 75, axis=0)
+        q1s, q3s = np.percentile(values, [25, 75], axis=0)
         obj_evals = included[0].objective_evals.copy()
         fid_evals = included[0].fidelity_evals.copy()
     else:

@@ -191,17 +191,15 @@ def scalar_preconditioner(d2, b_k, bt_k, kind):
 
 
 def complex_from_interleaved(theta):
-    """View 2p interleaved reals (Re₀, Im₀, Re₁, Im₁, ...) as p complex values."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.size % 2:
-        raise ValueError("interleaved real vector must have even length")
-    return theta[0::2] + 1.0j * theta[1::2]
+    """View 2p interleaved reals (Re₀, Im₀, Re₁, Im₁, ...) as p complex values,
+    sharing ``theta``'s memory unless it has to be copied into a contiguous
+    float64 array first.  Raises ``ValueError`` unless it is 1-D of even length."""
+    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    if theta.ndim != 1 or theta.size % 2:
+        raise ValueError("interleaved real vector must be 1-D of even length")
+    return theta.view(np.complex128)
 
 
 def interleave_complex(z):
-    """Inverse of `complex_from_interleaved`."""
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.empty(2 * z.size, dtype=np.float64)
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
+    """Inverse of `complex_from_interleaved`: the float64 view of a copy of ``z``."""
+    return np.array(z, dtype=np.complex128, ndmin=1).view(np.float64)

@@ -133,8 +133,9 @@ class RunTrace:
     ``objective`` holds the recorded objective value at the accepted iterate
     of each iteration; diverged runs are padded with NaN and flagged.
     ``diverged_at`` is the 1-based iteration at which a run diverged, and
-    ``diverged_reason`` what turned non-finite there: the Hessian or metric
-    ``"estimate"``, the ``"candidate"`` iterate, the ``"recorded"``
+    ``diverged_reason`` what turned non-finite there: a preconditioned
+    iteration's averaged gradient or Hessian or metric ``"estimate"``, the
+    ``"candidate"`` iterate, the ``"recorded"``
     objective value, or the ``"blocking"`` reference, which is checked
     before the first iteration: a blocking tolerance or objective value at
     z₀ that is not finite ends the run at iteration 1, with every record
@@ -293,10 +294,10 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
     Returns
     -------
     RunTrace with one record per iteration.  If the blocking tolerance or
-    reference value, a Hessian or metric estimate, an iterate or a recorded
-    objective value turns non-finite the run aborts, the remaining records
-    are NaN-padded, and the trace is flagged as diverged, with the iteration
-    and the reason.
+    reference value, a preconditioned iteration's averaged gradient or
+    Hessian or metric estimate, an iterate or a recorded objective value
+    turns non-finite the run aborts, the remaining records are NaN-padded,
+    and the trace is flagged as diverged, with the iteration and the reason.
 
     Random numbers
     --------------
@@ -379,7 +380,7 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
             h_raw = h_sum / n_r
 
         if preconditioned:
-            if not np.all(np.isfinite(h_raw)):
+            if not (np.isfinite(g).all() and np.isfinite(h_raw).all()):
                 trace.diverged_at, trace.diverged_reason = k, "estimate"
                 break
             if config.postproc == "spall":

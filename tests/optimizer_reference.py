@@ -105,7 +105,7 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
 
         if preconditioned:
             h_raw = h_sum / config.resampling
-            if not np.all(np.isfinite(h_raw)):
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h_raw))):
                 trace.diverged_at, trace.diverged_reason = k, "estimate"
                 break
             if config.postproc == "spall":

@@ -152,7 +152,8 @@ def reference_expm_stack(a):
     norm = float(np.abs(a).sum(axis=-1).max(initial=0.0))
     if not math.isfinite(norm):
         return np.full_like(a, np.nan)
-    squarings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
+    mantissa, exponent = math.frexp(norm)  # norm = mantissa·2^exponent, ½ ≤ mantissa < 1
+    squarings = max(0, exponent - 1 if mantissa == 0.5 else exponent)
     if squarings > _MAX_SQUARINGS:
         return np.full_like(a, np.nan)
     b, b2, b3, p0, p1, p2, p3, t = np.empty((8,) + a.shape, dtype=a.dtype)

@@ -45,10 +45,16 @@ _CACHED_CALLS = {
     "spsakit.quantum._measurement_groups": (heisenberg_hamiltonian(3, 1.0, 0.3, periodic=True),),
     "spsakit.applications.entangling_layer": (4, "ccz_ring"),
     "spsakit.applications._heisenberg": (3, 1.0, 0.3, True),
-    "spsakit.applications._bond_operators": (3, False),
     "spsakit.applications._bond_sectors": (4, True),
-    "spsakit.applications._sector_generators": (4, True),
 }
+
+
+def _sector_blocks(n, periodic):
+    """The (nb, 3, h, h) real sector blocks of the three bond operators, taken
+    from GRAPE's operator table ``_bond_sectors``."""
+    index, generators = applications._bond_sectors(n, periodic)
+    nb, h = index.shape[:2]
+    return generators.real.reshape(3, nb, h, h).swapaxes(0, 1)
 
 
 def _arrays(value):
@@ -323,11 +329,14 @@ class TestGrape:
     def test_bond_sectors_rebuild_the_full_operators(self, n, periodic):
         from spsakit.applications import _bond_operators, _bond_sectors
 
-        index, blocks = _bond_sectors(n, periodic)
+        index, generators = _bond_sectors(n, periodic)
         h = 2 ** (n - 1)
         nb = 1 if n % 2 else 2
         assert index.shape == (nb, h, 2 // nb)
-        assert blocks.shape == (nb, 3, h, h)
+        assert generators.shape == (3, nb * h * h)
+        assert generators.dtype == np.complex128 and not generators.imag.any()
+        assert not index.flags.writeable and not generators.flags.writeable
+        blocks = _sector_blocks(n, periodic)
         np.testing.assert_array_equal(np.sort(index, axis=None), np.arange(2**n))
         full = np.zeros((3, 2**n, 2**n))
         for b in range(nb):
@@ -387,9 +396,9 @@ class TestGrape:
     def test_expm_stack_matches_scipy(self, norm):
         # 16 x 16 parity blocks of 5-qubit GRAPE generators, scaled to a
         # given largest row-sum norm
-        from spsakit.applications import _bond_sectors, _expm_stack
+        from spsakit.applications import _expm_stack
 
-        _, blocks = _bond_sectors(5, False)
+        blocks = _sector_blocks(5, False)
         rng = np.random.default_rng(20)
         coeffs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         a = np.tensordot(0.5j * coeffs, blocks[0], axes=1)
@@ -405,9 +414,9 @@ class TestGrape:
         # stacks laid out as grape_final_state lays them out: for even n the
         # blocks alternate between the two parity sectors; n = 1 has no
         # bonds, so its 1 x 1 blocks are random complex numbers times i
-        from spsakit.applications import _bond_sectors, _expm_stack
+        from spsakit.applications import _expm_stack
 
-        _, blocks = _bond_sectors(n, False)
+        blocks = _sector_blocks(n, False)
         nb = blocks.shape[0]
         rng = np.random.default_rng(23)
         for exponent in range(-4, 9):  # largest row-sum norm 2^-4 ... 2^8
@@ -431,6 +440,7 @@ class TestGrape:
         (complex(-np.inf, 1.0), True),
         (2.0**60, False),  # exactly 60 squarings: the cap
         (2.0**60 * (1 + 2.0**-40), True),  # just past the cap
+        (2.0**60 * (1 + 2.0**-52), True),  # one ulp past the cap: 61 squarings
         (2.5 * 2.0**60, True),
     ])
     def test_expm_stack_is_nan_exactly_where_the_reference_is(self, value, nan):
@@ -443,6 +453,27 @@ class TestGrape:
         assert np.isnan(out).all() == np.isnan(ref).all() == nan
         if not nan:
             assert np.isfinite(out).all()
+
+    def test_squaring_count_is_the_smallest_that_reaches_the_unit_ball(self, monkeypatch):
+        # A count past the cap gives NaN, so moving the cap reads the count:
+        # finite at cap s and NaN at cap s - 1 means exactly s squarings.
+        # Norms one ulp above a power of two are where ceil(log2) falls short.
+        import statevector_reference
+        from spsakit.applications import _expm_stack
+
+        for k in range(-3, 61):
+            for norm in (2.0**k, 2.0**k * (1 + 2.0**-52)):
+                s = 0
+                while norm * 2.0**-s > 1.0:
+                    s += 1
+                a = np.array([[[-1j * norm]]])
+                for cap, nan in ((s, False), (s - 1, True)):
+                    if cap < 0:
+                        continue
+                    for module in (applications, statevector_reference):
+                        monkeypatch.setattr(module, "_MAX_SQUARINGS", cap)
+                    for kernel in (_expm_stack, reference_expm_stack):
+                        assert np.isnan(kernel(a)).all() == nan, (k, norm, cap, kernel)
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("slot, value", [
@@ -504,6 +535,19 @@ class TestProblemValidation:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("shots", [0, 0.5, 2.5, -1, -math.inf, math.nan])
+    @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem, SgqtProblem])
+    def test_invalid_shots_rejected(self, cls, shots):
+        # at construction: a run, or a pool worker, would otherwise fail at
+        # its first measurement, or silently measure with int(shots) shots
+        with pytest.raises(ValueError, match="shots must be a positive integer or math.inf"):
+            cls(n_qubits=3, shots=shots)
+
+    @pytest.mark.parametrize("shots", [1, 2**13, 2e4, np.int64(7), math.inf])
+    @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem, SgqtProblem])
+    def test_valid_shots_accepted(self, cls, shots):
+        assert cls(n_qubits=3, shots=shots).shots == shots
 
     def test_materialize_keeps_valid_problems_valid(self):
         rng = np.random.default_rng(0)

@@ -92,9 +92,16 @@ class TestParseConfig:
         assert config.shots == float("inf")
 
     @pytest.mark.parametrize("shots", ["0", "2.5", "-inf", "nan", "many"])
-    def test_invalid_shots_rejected(self, shots):
-        with pytest.raises(ValueError):
-            cli._parse_shots(shots)
+    def test_invalid_shots_rejected(self, tmp_path, capsys, shots):
+        # "many" is no number, which argparse rejects; the problem rejects the rest
+        try:
+            code = main(["--application", "sgqt", "--shots", shots, "--runs", "1",
+                         "--iterations", "1", "--out", str(tmp_path / "x")])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestExecute:

@@ -288,3 +288,43 @@ class TestInterleaving:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             complex_from_interleaved(np.ones(3))
+
+    @pytest.mark.parametrize("theta", [np.ones((2, 2)), np.ones((1, 4)), np.float64(1.0)])
+    def test_input_that_is_not_1d_rejected(self, theta):
+        with pytest.raises(ValueError):
+            complex_from_interleaved(theta)
+
+    def test_round_trips_bit_for_bit_with_signed_zeros(self):
+        rng = np.random.default_rng(4)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308]
+        theta = np.concatenate([rng.standard_normal(40), special, special[::-1]])
+        z = complex_from_interleaved(theta)
+        assert z.tobytes() == theta.tobytes()
+        assert interleave_complex(z).tobytes() == theta.tobytes()
+        w = np.array([complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 1 - 2j])
+        assert interleave_complex(w).tobytes() == w.tobytes()
+        assert complex_from_interleaved(interleave_complex(w)).tobytes() == w.tobytes()
+        assert np.signbit(interleave_complex(w)[:6]).tolist() == [True, True, True, False,
+                                                                  False, True]
+
+    def test_contiguous_input_is_aliased_not_copied(self):
+        theta = np.arange(6.0)
+        z = complex_from_interleaved(theta)
+        assert np.shares_memory(z, theta)
+        theta[3] = 7.0
+        assert z[1] == 2 + 7j
+
+    def test_strided_input_gives_the_same_values(self):
+        base = np.arange(16.0)
+        strided = base[::2]
+        z = complex_from_interleaved(strided)
+        assert z.tobytes() == complex_from_interleaved(strided.copy()).tobytes()
+        assert not np.shares_memory(z, base)
+
+    def test_interleave_returns_a_copy(self):
+        z = np.array([1 + 2j, 3 - 4j])
+        theta = interleave_complex(z)
+        assert not np.shares_memory(theta, z)
+        theta[0] = 9.0
+        assert z[0] == 1 + 2j
+        assert interleave_complex(1 - 1j).tolist() == [1.0, -1.0]

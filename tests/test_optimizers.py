@@ -344,6 +344,28 @@ class TestRunContracts:
         assert np.isnan(trace.objective[2:]).all()
         assert not trace.accepted[2:].any()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("postproc", ["spall", "gidi"])
+    @pytest.mark.parametrize("method", ["second_order", "quantum_natural"])
+    def test_non_finite_objective_diverges_without_raising(self, method, postproc, scalar,
+                                                           field, value):
+        # Every objective value is non-finite, so the averaged gradient is too;
+        # under quantum_natural the metric stays finite, and the gradient
+        # alone must end the run before it reaches the Cholesky solve.
+        _, _, fid = quadratic_problem(field, p=3)
+        z0 = np.ones(3, dtype=complex if field == "complex" else float)
+        cfg = OptimizerConfig(method=method, field=field, scalar=scalar, postproc=postproc,
+                              max_iterations=3)
+        traces = [run_fn(lambda z: value, cfg, z0, fidelity=fid, monitor=lambda z: 0.0)
+                  for run_fn in (run, reference_run)]
+        for trace in traces:
+            assert (trace.diverged_at, trace.diverged_reason) == (1, "estimate")
+            assert np.isnan(trace.objective).all()
+            assert not trace.accepted.any()
+            assert trace.final_params.tobytes() == z0.tobytes()
+
     def test_monitor_used_for_trace(self):
         c, f, _ = quadratic_problem("real")
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
