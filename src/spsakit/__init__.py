@@ -21,7 +21,6 @@ from .estimators import (
     hessian_estimate,
     metric_estimate,
     sample_perturbation,
-    scalar_preconditioner,
 )
 from .optimizers import (
     OptimizerConfig,

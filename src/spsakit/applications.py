@@ -30,6 +30,7 @@ from .quantum import (
     _basis_bits,
     _kron_halves,
     _read_only,
+    _shot_count,
     exact_ground_energy,
     expectation_with_shots,
     fidelity_with_shots,
@@ -90,12 +91,6 @@ def _require_dense_size(n_qubits):
                          f"2^n x 2^n operators, got n_qubits={n_qubits}")
 
 
-def _require_shots(shots):
-    """Reject a shot budget that is neither a positive integer nor ``math.inf``."""
-    if shots != math.inf and not (shots >= 1 and shots == int(shots)):
-        raise ValueError(f"shots must be a positive integer or math.inf, got {shots!r}")
-
-
 @dataclass(frozen=True)
 class VqeProblem:
     """Ground-energy search for the Heisenberg model with a layered ansatz.
@@ -115,7 +110,7 @@ class VqeProblem:
 
     def __post_init__(self):
         _require_dense_size(self.n_qubits)
-        _require_shots(self.shots)
+        _shot_count(self.shots)
         if self.layers < 0:
             raise ValueError("layers must be >= 0")
         self._hamiltonian()  # the qubit count and the ring rule
@@ -162,7 +157,7 @@ class GrapeProblem:
 
     def __post_init__(self):
         _require_dense_size(self.n_qubits)
-        _require_shots(self.shots)
+        _shot_count(self.shots)
         if self.slices < 1:
             raise ValueError("slices must be >= 1")
         _heisenberg(self.n_qubits, 1.0, 0.0, self.periodic)  # the qubit count and the ring rule
@@ -206,7 +201,7 @@ class SgqtProblem:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        _require_shots(self.shots)
+        _shot_count(self.shots)
 
     def materialize(self, rng):
         if self.unknown is None:
@@ -487,7 +482,7 @@ def exact_minimum(problem: Problem):
     return problem.exact_minimum()
 
 
-# One quantum-natural resample touches z, z ± b_kΔ and z ± b_kΔ + b̃_kΔ̃.
+# One quantum-natural resample touches z, z ± b_kΔ and z ± b_kΔ + b_kΔ̃.
 MEMO_STATES = 5
 
 

@@ -99,7 +99,7 @@ def calibrate_first_order_gain(objective, z0_samples, gains, field, rng,
         raise ValueError("n_probe must be >= 1")
     if len(z0_samples) == 0:
         raise ValueError("need at least one initial point to calibrate against")
-    _, _, b1, _ = gains_at(gains, 1)
+    _, _, b1 = gains_at(gains, 1)
     norms = []
     for i in range(n_probe):
         z0 = np.asarray(z0_samples[i % len(z0_samples)])

@@ -28,7 +28,7 @@ from .optimizers import OptimizerConfig
 
 __all__ = ["APPLICATIONS", "ExperimentConfig", "parse_config", "execute", "main"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 APPLICATIONS = {
     "vqe": (VqeProblem, 700),
@@ -68,7 +68,7 @@ class ExperimentConfig:
     resampling: int = 1
     calibrate: bool = False
     seed: int = 0
-    threads: int | None = 1
+    workers: int | None = 1
     out: str = "experiment"
 
     def optimizer_config(self) -> OptimizerConfig:
@@ -87,7 +87,7 @@ class ExperimentConfig:
         """The ensemble this experiment runs; raises ValueError on an invalid option."""
         return EnsembleSpec(problem=self.problem(), config=self.optimizer_config(),
                             n_runs=self.runs, base_seed=self.seed,
-                            calibrate=self.calibrate, workers=self.threads)
+                            calibrate=self.calibrate, workers=self.workers)
 
 
 def _problem_defaults(cls) -> dict:
@@ -134,7 +134,7 @@ _FLAG_TYPES = {
     "periodic": _parse_bool, "entangler": str, "method": str, "field": str,
     "scalar": _parse_bool,
     "gains": str, "postproc": str, "epsilon": float, "blocking": str,
-    "resampling": int, "calibrate": _parse_bool, "seed": int, "threads": int,
+    "resampling": int, "calibrate": _parse_bool, "seed": int, "workers": int,
     "out": str,
 }
 

@@ -4,6 +4,9 @@ The same estimator code serves both fields.  Perturbation entries always have
 unit modulus, so the reciprocals appearing in the estimator definitions are
 implemented as plain multiplication: 1/Δ = Δ for real ±1 entries and
 1/Δ* = Δ for complex entries drawn from {±1, ±i}.
+
+Each method's estimate is defined once, here; ``scalar=True`` gives the
+scalar form of a curvature estimate: its coefficient without ΔΔ̃†.
 """
 
 from dataclasses import dataclass
@@ -18,11 +21,8 @@ __all__ = [
     "gains_at",
     "sample_perturbation",
     "gradient_estimate",
-    "second_difference",
     "hessian_estimate",
-    "metric_second_difference",
     "metric_estimate",
-    "scalar_preconditioner",
     "complex_from_interleaved",
     "interleave_complex",
 ]
@@ -36,7 +36,8 @@ FIELDS = (REAL, COMPLEX)
 class GainSchedule:
     """The five gain parameters controlling the coefficient series.
 
-    The second perturbation size b̃_k equals b_k, as in the paper.
+    Both perturbations have size b_k: the second perturbation size b̃_k of
+    the curvature estimates equals b_k, as in the paper.
     """
 
     a: float
@@ -76,17 +77,15 @@ class EvaluationBudget:
 
 
 def gains_at(sched: GainSchedule, k: int):
-    """Per-iteration coefficients (a_k, ā_k, b_k, b̃_k) at iteration k ≥ 1.
+    """Per-iteration coefficients (a_k, ā_k, b_k) at iteration k ≥ 1.
 
     a_k = a/(k+A)^s drives first-order steps, ā_k = 1/(k+A)^s drives
-    preconditioned steps, and b_k = b̃_k = b/k^t sets both perturbation
-    magnitudes.
+    preconditioned steps, and b_k = b/k^t is the size of both perturbations.
     """
     if k < 1:
         raise ValueError("gain schedules are 1-indexed; k must be >= 1")
     denom = (k + sched.A) ** sched.s
-    b_k = sched.b / k**sched.t
-    return sched.a / denom, 1.0 / denom, b_k, b_k
+    return sched.a / denom, 1.0 / denom, sched.b / k**sched.t
 
 
 _COMPLEX_ALPHABET = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
@@ -129,65 +128,36 @@ def gradient_estimate(f, z, b_k, delta):
     return scale * delta, (f_plus, f_minus)
 
 
-def second_difference(f, z, b_k, bt_k, delta, delta_tilde, cached_pair):
-    """Second difference δ²f reusing the gradient estimator's evaluations.
+def hessian_estimate(f, z, b_k, delta, delta_tilde, cached_pair, scalar=False):
+    """Simultaneous-perturbation Hessian estimate δ²f/(2 b_k²) · ΔΔ̃†.
 
-    Costs exactly two additional objective evaluations.
+    The second difference δ²f reuses the gradient estimator's
+    ``cached_pair`` and costs exactly two more objective evaluations.  The
+    entries δ²f/(2 b_k² Δ_i Δ̃_j), with Δ*_i in the complex field, form the
+    outer product because the perturbation entries have unit modulus.  With
+    ``scalar``, the coefficient δ²f/(2 b_k²) alone: a 1×1 hermitian matrix.
     """
     f_plus, f_minus = cached_pair
-    shift = bt_k * delta_tilde
-    return f(z + b_k * delta + shift) - f_plus - f(z - b_k * delta + shift) + f_minus
+    shift = b_k * delta_tilde
+    d2 = f(z + b_k * delta + shift) - f_plus - f(z - b_k * delta + shift) + f_minus
+    coefficient = d2 / (2.0 * b_k * b_k)
+    return coefficient if scalar else coefficient * np.outer(delta, np.conj(delta_tilde))
 
 
-def hessian_estimate(f, z, b_k, bt_k, delta, delta_tilde, cached_pair):
-    """Simultaneous-perturbation Hessian estimate.
+def metric_estimate(fidelity, z, b_k, delta, delta_tilde, scalar=False):
+    """Simultaneous-perturbation Fubini-Study metric estimate −δ²F/(4 b_k²) · ΔΔ̃†.
 
-    Entrywise δ²f/(2 b_k b̃_k Δ_i Δ̃_j) in the real field and
-    δ²f/(2 b_k b̃_k Δ*_i Δ̃_j) in the complex field; both reduce to the outer
-    product below because the perturbation entries have unit modulus.
+    The second difference δ²F of the fidelity, its first argument pinned at
+    z, costs exactly four fidelity evaluations and no objective evaluations.
+    With ``scalar``, the coefficient −δ²F/(4 b_k²) alone, as in
+    `hessian_estimate`.
     """
-    d2 = second_difference(f, z, b_k, bt_k, delta, delta_tilde, cached_pair)
-    return scalar_preconditioner(d2, b_k, bt_k, "second_order") * np.outer(
-        delta, np.conj(delta_tilde))
-
-
-def metric_second_difference(fidelity, z, b_k, bt_k, delta, delta_tilde):
-    """Second difference δ²F of the fidelity with the first argument pinned at z.
-
-    Costs exactly four fidelity evaluations and no objective evaluations.
-    """
-    shift = bt_k * delta_tilde
-    return (
-        fidelity(z, z + b_k * delta + shift)
-        - fidelity(z, z + b_k * delta)
-        - fidelity(z, z - b_k * delta + shift)
-        + fidelity(z, z - b_k * delta)
-    )
-
-
-def metric_estimate(fidelity, z, b_k, bt_k, delta, delta_tilde):
-    """Simultaneous-perturbation estimate of the Fubini-Study metric tensor.
-
-    Entrywise −δ²F/(4 b_k b̃_k Δ_i Δ̃_j), with the conjugated denominator in
-    the complex field, written as an outer product as in `hessian_estimate`.
-    """
-    d2 = metric_second_difference(fidelity, z, b_k, bt_k, delta, delta_tilde)
-    return scalar_preconditioner(d2, b_k, bt_k, "quantum_natural") * np.outer(
-        delta, np.conj(delta_tilde))
-
-
-def scalar_preconditioner(d2, b_k, bt_k, kind):
-    """Perturbation-free scalar curvature proxy from an existing second difference.
-
-    ``second_order`` maps δ²f to δ²f/(2 b_k b̃_k); ``quantum_natural`` maps
-    δ²F to −δ²F/(4 b_k b̃_k).  Downstream post-processing treats the result
-    as a 1×1 hermitian matrix.
-    """
-    if kind == "second_order":
-        return d2 / (2.0 * b_k * bt_k)
-    if kind == "quantum_natural":
-        return -d2 / (4.0 * b_k * bt_k)
-    raise ValueError(f"unknown scalar preconditioner kind {kind!r}")
+    shift = b_k * delta_tilde
+    plus, minus = z + b_k * delta, z - b_k * delta
+    d2 = (fidelity(z, plus + shift) - fidelity(z, plus)
+          - fidelity(z, minus + shift) + fidelity(z, minus))
+    coefficient = -d2 / (4.0 * b_k * b_k)
+    return coefficient if scalar else coefficient * np.outer(delta, np.conj(delta_tilde))
 
 
 def complex_from_interleaved(theta):

@@ -86,7 +86,8 @@ def psd_sqrt_shifted(matrix, epsilon, span=None):
 
     The factorizations are LAPACK ``geqrf`` with ``orgqr``/``ungqr`` and
     ``syevd``/``heevd``, called directly.  M must be finite; `run` ends a
-    run before a non-finite estimate gets here.
+    run before a non-finite estimate gets here.  An eigenvalue whose square
+    overflows gets g(λ) in a form without the square, which stays finite.
 
     Raises
     ------
@@ -118,10 +119,28 @@ def psd_sqrt_shifted(matrix, epsilon, span=None):
     if info:
         raise np.linalg.LinAlgError("psd_sqrt_shifted: eigenvalues did not converge")
     root = math.sqrt(epsilon)
-    w2 = w * w
-    out = (u * (w2 / (np.sqrt(w2 + epsilon) + root))) @ u.conj().T
+    top = float(max(-w[0], w[-1])) if w.size else 0.0  # w is in ascending order
+    if math.isinf(top * top + epsilon):
+        g = _shifted_root_excess_large(w, epsilon, root)
+    else:
+        w2 = w * w
+        g = w2 / (np.sqrt(w2 + epsilon) + root)
+    out = (u * g) @ u.conj().T
     out.reshape(-1)[:: p + 1] += root
     return out
+
+
+def _shifted_root_excess_large(w, epsilon, root):
+    """g(λ) of `psd_sqrt_shifted`, bit for bit where λ² + ε is finite, and
+    as |λ|·(|λ|/(hypot(λ, √ε) + √ε)), at most |λ|, where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = w * w
+        shifted = w2 + epsilon
+        g = w2 / (np.sqrt(shifted) + root)
+    large = np.isinf(shifted)
+    a = np.abs(w[large])
+    g[large] = a * (a / (np.hypot(a, root) + root))
+    return g
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,8 @@ Methods are assembled from the estimators module: ``first_order`` uses the
 gradient estimate alone, ``second_order`` preconditions with a Hessian
 estimate, and ``quantum_natural`` preconditions with a Fubini-Study metric
 estimate obtained from fidelity evaluations.  Each exists in the real and the
-complex field, optionally in scalar-preconditioned form, with blocking and
-resampling as orthogonal switches.  Both switches live only in `run`: it
+complex field, optionally in the scalar form of its estimate, with blocking
+and resampling as orthogonal switches.  Both switches live only in `run`: it
 averages the N_R estimator draws of an iteration and blocks a candidate
 against the cached objective value of the accepted iterate.
 
@@ -32,10 +32,7 @@ from .estimators import (
     gradient_estimate,
     hessian_estimate,
     metric_estimate,
-    metric_second_difference,
     sample_perturbation,
-    scalar_preconditioner,
-    second_difference,
 )
 from .linalg import hermitize, matrix_abs, psd_sqrt_shifted, solve_pd
 
@@ -133,10 +130,12 @@ class RunTrace:
     ``objective`` holds the recorded objective value at the accepted iterate
     of each iteration; diverged runs are padded with NaN and flagged.
     ``diverged_at`` is the 1-based iteration at which a run diverged, and
-    ``diverged_reason`` what turned non-finite there: a preconditioned
-    iteration's averaged gradient or Hessian or metric ``"estimate"``, the
-    ``"candidate"`` iterate, the ``"recorded"``
-    objective value, or the ``"blocking"`` reference, which is checked
+    ``diverged_reason`` what went wrong there: a preconditioned iteration's
+    averaged gradient or Hessian or metric ``"estimate"``, the
+    ``"candidate"`` iterate or the ``"recorded"`` objective value turned
+    non-finite; the ``"preconditioner"`` of a huge but finite estimate, its
+    eigenvalues spread past double precision, failed the step's Cholesky
+    factorization; or the ``"blocking"`` reference, which is checked
     before the first iteration: a blocking tolerance or objective value at
     z₀ that is not finite ends the run at iteration 1, with every record
     NaN, instead of letting it reject every candidate.  Both are None for a
@@ -244,7 +243,7 @@ def _counted(fn, budget, kind):
     return wrapped
 
 
-def _resample(config, f, fid, z, b_k, bt_k, draws):
+def _resample(config, f, fid, z, b_k, draws):
     """One resample of an iteration's estimates, from the next rows of ``draws``.
 
     Returns ``(g, h)``: the gradient estimate and, for a preconditioned
@@ -257,14 +256,8 @@ def _resample(config, f, fid, z, b_k, bt_k, draws):
         return g, None
     delta_tilde = next(draws)
     if config.method == "second_order":
-        if config.scalar:
-            d2 = second_difference(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
-            return g, scalar_preconditioner(d2, b_k, bt_k, "second_order")
-        return g, hessian_estimate(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
-    if config.scalar:
-        d2 = metric_second_difference(fid, z, b_k, bt_k, delta_vec, delta_tilde)
-        return g, scalar_preconditioner(d2, b_k, bt_k, "quantum_natural")
-    return g, metric_estimate(fid, z, b_k, bt_k, delta_vec, delta_tilde)
+        return g, hessian_estimate(f, z, b_k, delta_vec, delta_tilde, pair, config.scalar)
+    return g, metric_estimate(fid, z, b_k, delta_vec, delta_tilde, config.scalar)
 
 
 def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
@@ -293,11 +286,9 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
 
     Returns
     -------
-    RunTrace with one record per iteration.  If the blocking tolerance or
-    reference value, a preconditioned iteration's averaged gradient or
-    Hessian or metric estimate, an iterate or a recorded objective value
-    turns non-finite the run aborts, the remaining records are NaN-padded,
-    and the trace is flagged as diverged, with the iteration and the reason.
+    RunTrace with one record per iteration.  A run that diverges, for any
+    of the reasons `RunTrace` lists, aborts; its remaining records are
+    NaN-padded, and the trace is flagged with the iteration and the reason.
 
     Random numbers
     --------------
@@ -316,8 +307,7 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
 
     if config.field == REAL and np.iscomplexobj(np.asarray(z0)):
         raise ValueError("real-field run received a complex initial point")
-    dtype = np.complex128 if config.field == COMPLEX else np.float64
-    z = np.array(z0, dtype=dtype)
+    z = np.array(z0, dtype=np.complex128 if config.field == COMPLEX else np.float64)
     if z.ndim != 1:
         raise ValueError("initial point must be a 1-D parameter vector")
     p = z.size
@@ -361,18 +351,17 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
             rows = min(PERTURBATION_BLOCK, n_iter - k + 1) * draws_per_iter
             block = sample_perturbation(p, config.field, rng, rows)
             draws = iter(block)
-        a_k, abar_k, b_k, bt_k = gains_at(config.gains, k)
+        a_k, abar_k, b_k = gains_at(config.gains, k)
 
         if n_r == 1 and not preconditioned:
-            g, _ = _resample(config, f, fid, z, b_k, bt_k, draws)
+            g, _ = _resample(config, f, fid, z, b_k, draws)
         else:
-            # Preconditioned methods sum into zeros even at N_R = 1: that
+            # Preconditioned methods sum into 0.0 even at N_R = 1: that
             # turns the estimate's -0.0 entries into 0.0, and eigh rounds
             # differently for matrices that differ only in the sign of a zero.
-            g_sum = np.zeros(p, dtype=dtype)
-            h_sum = 0.0 if (not preconditioned or config.scalar) else np.zeros((p, p), dtype=dtype)
+            g_sum = h_sum = 0.0
             for _ in range(n_r):
-                g, h = _resample(config, f, fid, z, b_k, bt_k, draws)
+                g, h = _resample(config, f, fid, z, b_k, draws)
                 g_sum += g
                 if preconditioned:
                     h_sum += h
@@ -391,7 +380,11 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
                 first = (k - 1) % PERTURBATION_BLOCK * draws_per_iter
                 span = None if config.scalar else block[first:first + draws_per_iter].T
                 preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
-            candidate = step_preconditioned(z, abar_k, g, preconditioner)
+            try:
+                candidate = step_preconditioned(z, abar_k, g, preconditioner)
+            except np.linalg.LinAlgError:
+                trace.diverged_at, trace.diverged_reason = k, "preconditioner"
+                break
         else:
             candidate = step_first_order(z, a_k, g)
 

@@ -4,9 +4,9 @@ Haar sampling, and shot-noise measurement of expectations and fidelities.
 States are plain complex ndarrays of length 2**n_qubits, normalized to unit
 norm.  ``_basis_bits`` is the one place that fixes the qubit order: qubit 0
 is the most significant bit of the basis index.  Product layers act on the
-state as a matrix through the Kronecker factors of ``_kron_halves``.  Shot
-counts accept ``math.inf``, and only it, as the sentinel for exact
-(noiseless) evaluation.
+state as a matrix through the Kronecker factors of ``_kron_halves``.  A
+shot budget is a positive integer or ``math.inf``, the sentinel for exact
+(noiseless) evaluation; ``_shot_count`` is the one place that reads it.
 """
 
 import math
@@ -195,8 +195,14 @@ def exact_ground_energy(hamiltonian: PauliTermSum):
     return float(np.linalg.eigvalsh(dense)[0])
 
 
-def _is_exact(shots):
-    return isinstance(shots, float) and math.isinf(shots)
+def _shot_count(shots):
+    """The int shot count of a budget, None for ``math.inf`` (exact); raises
+    ``ValueError`` for anything else, such as zero, a fraction, −inf or NaN."""
+    if shots == math.inf:
+        return None
+    if not (shots >= 1 and shots == int(shots)):
+        raise ValueError(f"shots must be a positive integer or math.inf, got {shots!r}")
+    return int(shots)
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
@@ -274,16 +280,15 @@ def expectation_with_shots(psi, hamiltonian: PauliTermSum, shots, rng=None):
     term means come from ``_pauli_term_means``; grouping the terms by
     measurement basis only speeds up that computation and changes no draw.
     ``math.inf`` shots returns the exact expectation from the same means.
+    Any other budget must be a positive integer (`_shot_count`).
     A state with NaN amplitudes gives NaN.
     """
+    shots = _shot_count(shots)
     measurement = _measurement_groups(hamiltonian)
     coeffs, _ = measurement
     means = _pauli_term_means(psi, measurement)
-    if _is_exact(shots):
+    if shots is None:
         return float(coeffs @ means)
-    shots = int(shots)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     p_plus = np.clip((1.0 + means) / 2.0, 0.0, 1.0)
     if np.isnan(p_plus).any():
         return float("nan")
@@ -292,20 +297,19 @@ def expectation_with_shots(psi, hamiltonian: PauliTermSum, shots, rng=None):
 
 
 def fidelity_with_shots(psi, phi, shots, rng=None):
-    """Estimate |⟨ψ|φ⟩|² from a binomial sample of the given ensemble size.
+    """Estimate |⟨ψ|φ⟩|² from a binomial sample of ``shots`` draws, a positive
+    integer, or exactly for ``math.inf`` shots (`_shot_count`).
 
     A non-finite overlap, as from a state with NaN or infinite amplitudes,
     gives NaN without drawing from ``rng``.
     """
     if psi.shape != phi.shape:
         raise ValueError("states must have the same number of qubits")
+    shots = _shot_count(shots)
     p = float(abs(np.vdot(psi, phi)) ** 2)
     if not math.isfinite(p):
         return float("nan")
     p = min(1.0, max(0.0, p))
-    if _is_exact(shots):
+    if shots is None:
         return p
-    shots = int(shots)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     return rng.binomial(shots, p) / shots

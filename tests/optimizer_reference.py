@@ -20,10 +20,7 @@ from spsakit.estimators import (
     gradient_estimate,
     hessian_estimate,
     metric_estimate,
-    metric_second_difference,
     sample_perturbation,
-    scalar_preconditioner,
-    second_difference,
 )
 from spsakit.optimizers import (
     PreconditionerState,
@@ -75,7 +72,7 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
         return trace
 
     for k in range(1, n_iter + 1):
-        a_k, abar_k, b_k, bt_k = gains_at(config.gains, k)
+        a_k, abar_k, b_k = gains_at(config.gains, k)
 
         g_sum = np.zeros(p, dtype=dtype)
         h_sum = 0.0 if (not preconditioned or config.scalar) else np.zeros((p, p), dtype=dtype)
@@ -88,19 +85,12 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
             if config.method == "second_order":
                 delta_tilde = sample_perturbation(p, config.field, rng)
                 drawn.append(delta_tilde)
-                if config.scalar:
-                    d2 = second_difference(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
-                    h_sum += scalar_preconditioner(d2, b_k, bt_k, "second_order")
-                else:
-                    h_sum += hessian_estimate(f, z, b_k, bt_k, delta_vec, delta_tilde, pair)
+                h_sum += hessian_estimate(f, z, b_k, delta_vec, delta_tilde, pair,
+                                          config.scalar)
             elif config.method == "quantum_natural":
                 delta_tilde = sample_perturbation(p, config.field, rng)
                 drawn.append(delta_tilde)
-                if config.scalar:
-                    d2 = metric_second_difference(fid, z, b_k, bt_k, delta_vec, delta_tilde)
-                    h_sum += scalar_preconditioner(d2, b_k, bt_k, "quantum_natural")
-                else:
-                    h_sum += metric_estimate(fid, z, b_k, bt_k, delta_vec, delta_tilde)
+                h_sum += metric_estimate(fid, z, b_k, delta_vec, delta_tilde, config.scalar)
         g = g_sum / config.resampling
 
         if preconditioned:
@@ -113,7 +103,11 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
             else:
                 span = None if config.scalar else np.stack(drawn, axis=1)
                 preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
-            candidate = step_preconditioned(z, abar_k, g, preconditioner)
+            try:
+                candidate = step_preconditioned(z, abar_k, g, preconditioner)
+            except np.linalg.LinAlgError:
+                trace.diverged_at, trace.diverged_reason = k, "preconditioner"
+                break
             step = z - candidate
         else:
             candidate = step_first_order(z, a_k, g)

@@ -81,7 +81,7 @@ class TestCalibration:
             check_rng = np.random.default_rng(seed)
             z0 = prob.initial_point(check_rng)
             delta = sample_perturbation(6, "complex", check_rng)
-            _, _, b1, _ = gains_at(STATIC, 1)
+            _, _, b1 = gains_at(STATIC, 1)
             g, _ = gradient_estimate(oracles.objective, z0, b1, delta)
             step = a * np.max(np.abs(g))
             assert step <= 3 * target

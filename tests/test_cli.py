@@ -135,7 +135,7 @@ class TestExecute:
             tmp_path, "--application", "sgqt", "--qubits", "2", "--runs", "2",
             "--iterations", "3", "--method", "second_order", "--postproc", "spall")
         summary = json.loads(json_path.read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert summary["application"] == "sgqt"
         assert summary["excluded_runs"] == 0
         assert summary["row"]["method"] == "2CSPSA"
@@ -146,8 +146,8 @@ class TestExecute:
         assert summary["config"]["qubits"] == 2
 
     @pytest.mark.parametrize("flags, workers, calibrated", [
-        (("--threads", "2", "--calibrate", "true"), 2, True),
-        (("--threads", "1"), 1, False),
+        (("--workers", "2", "--calibrate", "true"), 2, True),
+        (("--workers", "1"), 1, False),
     ])
     def test_json_records_the_environment(self, tmp_path, monkeypatch, flags, workers,
                                           calibrated):
@@ -259,8 +259,8 @@ class TestApplicationTable:
         ("--application", "grape", "--slices", "0"),
         ("--application", "grape", "--qubits", "2", "--periodic", "true"),
         ("--application", "sgqt", "--qubits", "0"),
-        ("--application", "sgqt", "--threads", "0"),
-        ("--application", "sgqt", "--threads", "-3"),
+        ("--application", "sgqt", "--workers", "0"),
+        ("--application", "sgqt", "--workers", "-3"),
         ("--application", "sgqt", "--runs", "0"),
         ("--application", "sgqt", "--blocking", "nan"),
     ])
@@ -283,7 +283,7 @@ class TestApplicationTable:
           "--gains", "0.5,0.1,1,0.7,0.15", "--blocking", "auto"),
          {"qubits", "shots", "slices", "periodic"}),
         (("--application", "sgqt", "--qubits", "2", "--method", "second_order",
-          "--scalar", "true", "--threads", "1", "--calibrate", "true"),
+          "--scalar", "true", "--workers", "1", "--calibrate", "true"),
          {"qubits", "shots"}),
     ])
     def test_config_echo_round_trips(self, tmp_path, flags, problem_flags):

@@ -12,10 +12,7 @@ from spsakit.estimators import (
     hessian_estimate,
     interleave_complex,
     metric_estimate,
-    metric_second_difference,
     sample_perturbation,
-    scalar_preconditioner,
-    second_difference,
 )
 
 
@@ -29,19 +26,18 @@ class TestGainSchedule:
         assert (static.a, static.b, static.A, static.s, static.t) == (0.01, 0.01, 0.0, 0.0, 0.0)
 
     def test_standard_at_k1(self):
-        a_k, abar_k, b_k, bt_k = gains_at(GAIN_PRESETS["standard"], 1)
+        a_k, abar_k, b_k = gains_at(GAIN_PRESETS["standard"], 1)
         assert a_k == 3.0 and b_k == 0.1
-        assert abar_k == 1.0 and bt_k == 0.1
+        assert abar_k == 1.0
 
     def test_static_is_constant(self):
         for k in (1, 7, 1000):
-            a_k, abar_k, b_k, _ = gains_at(GAIN_PRESETS["static"], k)
+            a_k, abar_k, b_k = gains_at(GAIN_PRESETS["static"], k)
             assert a_k == 0.01 and b_k == 0.01 and abar_k == 1.0
 
     def test_asymptotic_at_64(self):
-        _, _, b_k, bt_k = gains_at(GAIN_PRESETS["asymptotic"], 64)
+        _, _, b_k = gains_at(GAIN_PRESETS["asymptotic"], 64)
         assert b_k == pytest.approx(0.05)
-        assert bt_k == pytest.approx(0.05)
 
     def test_zero_indexed_rejected(self):
         with pytest.raises(ValueError):
@@ -170,9 +166,10 @@ class TestHessianEstimate:
         delta = np.array([1.0, 1.0])
         delta_t = np.array([1.0, -1.0])
         _, pair = gradient_estimate(f, theta, 0.1, delta)
-        d2 = second_difference(f, theta, 0.1, 0.1, delta, delta_t, pair)
-        assert d2 == pytest.approx(-0.04)
-        h = hessian_estimate(f, theta, 0.1, 0.1, delta, delta_t, pair)
+        # the second difference δ²f is -0.04
+        h_scalar = hessian_estimate(f, theta, 0.1, delta, delta_t, pair, scalar=True)
+        assert h_scalar == pytest.approx(-0.04 / (2 * 0.1 * 0.1))
+        h = hessian_estimate(f, theta, 0.1, delta, delta_t, pair)
         np.testing.assert_allclose(h, [[-2.0, 2.0], [-2.0, 2.0]], atol=1e-9)
 
     def test_linear_function_gives_zero(self):
@@ -181,7 +178,7 @@ class TestHessianEstimate:
         delta = np.array([1.0, -1.0])
         delta_t = np.array([-1.0, -1.0])
         _, pair = gradient_estimate(f, theta, 0.1, delta)
-        h = hessian_estimate(f, theta, 0.1, 0.1, delta, delta_t, pair)
+        h = hessian_estimate(f, theta, 0.1, delta, delta_t, pair)
         np.testing.assert_allclose(h, np.zeros((2, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -198,7 +195,7 @@ class TestHessianEstimate:
                 d = np.array(delta)
                 dt = np.array(delta_t)
                 _, pair = gradient_estimate(f, theta, 0.1, d)
-                total += hessian_estimate(f, theta, 0.1, 0.1, d, dt, pair)
+                total += hessian_estimate(f, theta, 0.1, d, dt, pair)
                 count += 1
         np.testing.assert_allclose(total / count, 2 * a, atol=1e-10)
 
@@ -217,7 +214,7 @@ class TestHessianEstimate:
                 d = np.array(delta, dtype=complex)
                 dt = np.array(delta_t, dtype=complex)
                 _, pair = gradient_estimate(f, z0, 0.1, d)
-                total += hessian_estimate(f, z0, 0.1, 0.1, d, dt, pair)
+                total += hessian_estimate(f, z0, 0.1, d, dt, pair)
                 count += 1
         np.testing.assert_allclose(total / count, m, atol=1e-10)
 
@@ -237,43 +234,81 @@ class TestMetricEstimate:
         for _ in range(n):
             d = sample_perturbation(1, "real", rng)
             dt = sample_perturbation(1, "real", rng)
-            total += metric_estimate(self.bloch_fidelity, theta, b, b, d, dt)[0, 0]
+            total += metric_estimate(self.bloch_fidelity, theta, b, d, dt)[0, 0]
         assert total / n == pytest.approx(0.25, rel=0.05)
 
     def test_constant_fidelity_gives_zero(self):
         f = lambda a, b: 1.0
         d = np.array([1.0])
-        h = metric_estimate(f, np.zeros(1), 0.1, 0.1, d, d)
+        h = metric_estimate(f, np.zeros(1), 0.1, d, d)
         np.testing.assert_allclose(h, [[0.0]])
 
     def test_sign_swap_invariance(self):
         theta = np.array([0.4])
         d = np.array([1.0])
         dt = np.array([-1.0])
-        h1 = metric_estimate(self.bloch_fidelity, theta, 0.05, 0.05, d, dt)
-        h2 = metric_estimate(self.bloch_fidelity, theta, 0.05, 0.05, -d, -dt)
+        h1 = metric_estimate(self.bloch_fidelity, theta, 0.05, d, dt)
+        h2 = metric_estimate(self.bloch_fidelity, theta, 0.05, -d, -dt)
         np.testing.assert_allclose(h1, h2, atol=1e-12)
 
     def test_uses_four_fidelity_evaluations(self):
         calls = []
         f = lambda a, b: calls.append(1) or 1.0
-        metric_second_difference(f, np.zeros(2), 0.1, 0.1, np.ones(2), np.ones(2))
+        metric_estimate(f, np.zeros(2), 0.1, np.ones(2), np.ones(2), scalar=True)
         assert len(calls) == 4
 
 
+def replay(values):
+    """An oracle that returns ``values`` in order, whatever its arguments."""
+    it = iter(values)
+    return lambda *args: next(it)
+
+
 class TestScalarPreconditioner:
+    """The scalar forms map a second difference d2 to d2/(2 b_k²) for the
+    Hessian and to −d2/(4 b_k²) for the metric."""
+
     def test_second_order_example(self):
-        assert scalar_preconditioner(-0.04, 0.1, 0.1, "second_order") == pytest.approx(-2.0)
+        # δ²f = f(z+bΔ+bΔ̃) − f₊ − f(z−bΔ+bΔ̃) + f₋ = −0.04 − 0 − 0 + 0
+        d = np.ones(2)
+        h = hessian_estimate(replay([-0.04, 0.0]), np.zeros(2), 0.1, d, d, (0.0, 0.0),
+                             scalar=True)
+        assert h == pytest.approx(-2.0)
 
     def test_zero(self):
-        assert scalar_preconditioner(0.0, 0.1, 0.1, "quantum_natural") == 0.0
+        d = np.ones(2)
+        h = metric_estimate(replay([0.0] * 4), np.zeros(2), 0.1, d, d, scalar=True)
+        assert h == 0.0
 
     def test_quantum_natural_example(self):
-        assert scalar_preconditioner(-0.004, 0.1, 0.1, "quantum_natural") == pytest.approx(0.1)
+        d = np.ones(2)
+        h = metric_estimate(replay([-0.004, 0.0, 0.0, 0.0]), np.zeros(2), 0.1, d, d,
+                            scalar=True)
+        assert h == pytest.approx(0.1)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            scalar_preconditioner(1.0, 0.1, 0.1, "third_order")
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matrix_form_is_scalar_form_times_outer_product(self, field):
+        rng = np.random.default_rng(5)
+        p = 4
+        raw = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        m = (raw + raw.conj().T) / 2
+        f = lambda z: float(np.real(np.vdot(z, m @ z)))
+        fid = lambda za, zb: float(abs(np.vdot(za, zb)) ** 2
+                                   / (np.vdot(za, za).real * np.vdot(zb, zb).real))
+        z = rng.standard_normal(p) + (1j * rng.standard_normal(p) if field == "complex" else 0)
+        for _ in range(10):
+            d = sample_perturbation(p, field, rng)
+            dt = sample_perturbation(p, field, rng)
+            _, pair = gradient_estimate(f, z, 0.1, d)
+            outer = np.outer(d, np.conj(dt))
+            for full, scalar in [
+                (hessian_estimate(f, z, 0.1, d, dt, pair),
+                 hessian_estimate(f, z, 0.1, d, dt, pair, scalar=True)),
+                (metric_estimate(fid, z, 0.1, d, dt),
+                 metric_estimate(fid, z, 0.1, d, dt, scalar=True)),
+            ]:
+                assert np.isscalar(scalar)
+                assert full.tobytes() == (scalar * outer).tobytes()
 
 
 class TestInterleaving:

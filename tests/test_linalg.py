@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from spsakit.estimators import sample_perturbation
-from spsakit.linalg import hermitize, matrix_abs, psd_sqrt_shifted, solve_pd
+from spsakit.linalg import (_shifted_root_excess_large, hermitize, matrix_abs,
+                            psd_sqrt_shifted, solve_pd)
 
 
 def random_hermitian(p, rng):
@@ -81,6 +82,38 @@ class TestPsdSqrtShifted:
             m = random_hermitian(5, rng)
             w = np.linalg.eigvalsh(psd_sqrt_shifted(m, eps))
             assert w.min() >= np.sqrt(eps) - 1e-12
+
+    @pytest.mark.parametrize("span", [False, True])
+    @pytest.mark.parametrize("huge", [1e160, -1e200, 1e300])
+    def test_eigenvalue_whose_square_overflows(self, huge, span):
+        # √(λ² + ε) for λ past 1e154, without overflow or a warning
+        eps = 1e-4
+        out = psd_sqrt_shifted(np.diag([huge, 2.0, 0.0]), eps,
+                               np.eye(3)[:, :2] if span else None)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(np.diag(out), [abs(huge), np.sqrt(4.0 + eps), np.sqrt(eps)],
+                                   rtol=1e-14)
+        assert np.abs(out[~np.eye(3, dtype=bool)]).max() <= 1e-15 * abs(huge)
+
+    def test_only_overflowing_eigenvalues_leave_the_squared_form(self):
+        eps = 1e-4
+        root = np.sqrt(eps)
+        w = np.array([-2e300, -1e154, -3.0, 0.0, 1e-200, 0.5, 1e153, 1.5e154, 1e308])
+        g = _shifted_root_excess_large(w, eps, root)
+        small = np.abs(w) < 1e154
+        w2 = w[small] * w[small]
+        assert g[small].tobytes() == (w2 / (np.sqrt(w2 + eps) + root)).tobytes()
+        assert np.isfinite(g).all()
+        np.testing.assert_allclose(g[~small], np.abs(w[~small]), rtol=1e-15)
+
+    def test_overflowing_eigenvalues_of_a_rotated_matrix(self):
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        w = np.array([-3e250, 1e-3, 2.0, 1e200])
+        out = psd_sqrt_shifted((q * w) @ q.conj().T, 1e-4)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(np.linalg.eigvalsh(out), np.sort(np.abs(w)), rtol=1e-12,
+                                   atol=1e-12 * 3e250)
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -198,8 +231,9 @@ class TestPsdSqrtShiftedOnASpan:
         root = np.sqrt(epsilon)
         assert np.linalg.eigvalsh(out).min() >= root - 1e-12 * max(root, norm)
 
-    def test_vanishing_matrix_gives_sqrt_eps_identity(self):
-        span = sample_perturbation(5, "complex", np.random.default_rng(0), 2).T
+    @pytest.mark.parametrize("columns", [2, 0])
+    def test_vanishing_matrix_gives_sqrt_eps_identity(self, columns):
+        span = sample_perturbation(5, "complex", np.random.default_rng(0), 2).T[:, :columns]
         out = psd_sqrt_shifted(np.zeros((5, 5), dtype=complex), 1e-4, span)
         np.testing.assert_array_equal(out, 1e-2 * np.eye(5))
 

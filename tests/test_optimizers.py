@@ -225,7 +225,7 @@ class TestResampleAverage:
         from spsakit.estimators import gains_at, gradient_estimate, sample_perturbation
 
         rng = np.random.default_rng(seed)
-        _, _, b1, _ = gains_at(STATIC, 1)
+        _, _, b1 = gains_at(STATIC, 1)
         return [gradient_estimate(self._f, self.THETA, b1, sample_perturbation(3, "real", rng))[0]
                 for _ in range(n)]
 
@@ -365,6 +365,65 @@ class TestRunContracts:
             assert np.isnan(trace.objective).all()
             assert not trace.accepted.any()
             assert trace.final_params.tobytes() == z0.tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("postproc", ["spall", "gidi"])
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_huge_hessian_estimate_diverges_without_raising(self, scale, postproc, field):
+        # A finite estimate of size ~scale/b_k²: its square overflows in the
+        # gidi square root at 1e200, and its eigenvalues spread past double
+        # precision, so the Cholesky factorization of the step can fail.  A
+        # run either completes or ends as "preconditioner", NaN-padded, and
+        # the reference loop agrees with it bit for bit.
+        z0 = np.ones(3, dtype=complex if field == "complex" else float)
+        cfg = OptimizerConfig(method="second_order", field=field, postproc=postproc,
+                              max_iterations=20)
+        traces = []
+        for run_fn in (run, reference_run):
+            rng = np.random.default_rng(0)
+            f = lambda z: scale * (float(np.vdot(z, z).real) + rng.normal())
+            traces.append(run_fn(f, cfg, z0))
+        trace, ref = traces
+        assert trace.diverged_reason in (None, "preconditioner")
+        if trace.diverged:
+            assert np.isfinite(trace.objective[:trace.diverged_at - 1]).all()
+            assert np.isnan(trace.objective[trace.diverged_at - 1:]).all()
+            assert not trace.accepted[trace.diverged_at - 1:].any()
+        assert (ref.diverged_at, ref.diverged_reason) == (trace.diverged_at,
+                                                          trace.diverged_reason)
+        assert ref.objective.tobytes() == trace.objective.tobytes()
+        assert ref.final_params.tobytes() == trace.final_params.tobytes()
+
+    def test_unfactorable_preconditioner_ends_the_run(self, monkeypatch):
+        # The Cholesky solve rejects the preconditioner at iteration 2: the
+        # run ends there as "preconditioner" instead of raising.
+        calls = []
+        solve = optimizers.solve_pd
+
+        def failing_solve(h, v):
+            calls.append(None)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("not positive definite")
+            return solve(h, v)
+
+        monkeypatch.setattr(optimizers, "solve_pd", failing_solve)
+        c, f, _ = quadratic_problem("complex")
+        cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
+                              max_iterations=4)
+        trace = run(f, cfg, np.zeros(2, dtype=complex))
+        assert (trace.diverged_at, trace.diverged_reason) == (2, "preconditioner")
+        assert np.isfinite(trace.objective[0]) and np.isnan(trace.objective[1:]).all()
+
+    def test_shape_errors_of_the_step_still_raise(self, monkeypatch):
+        def mismatched_solve(h, v):
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setattr(optimizers, "solve_pd", mismatched_solve)
+        c, f, _ = quadratic_problem("complex")
+        cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
+                              max_iterations=2)
+        with pytest.raises(ValueError, match="shape"):
+            run(f, cfg, np.zeros(2, dtype=complex))
 
     def test_monitor_used_for_trace(self):
         c, f, _ = quadratic_problem("real")
@@ -538,16 +597,21 @@ class TestBlockDraws:
 
 class TestEvaluationAccounting:
     @pytest.mark.parametrize("n_r", [1, 2, 5])
-    @pytest.mark.parametrize("method,obj_per_iter,fid_per_iter", [
-        ("first_order", 2, 0),
-        ("second_order", 4, 0),
-        ("quantum_natural", 2, 4),
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("method,scalar,obj_per_iter,fid_per_iter", [
+        ("first_order", False, 2, 0),
+        ("second_order", False, 4, 0),
+        ("second_order", True, 4, 0),
+        ("quantum_natural", False, 2, 4),
+        ("quantum_natural", True, 2, 4),
     ])
-    def test_per_iteration_budgets(self, method, obj_per_iter, fid_per_iter, n_r):
-        c, f, fid = quadratic_problem("complex")
-        cfg = OptimizerConfig(method=method, field="complex", gains=STATIC,
+    def test_per_iteration_budgets(self, method, scalar, obj_per_iter, fid_per_iter, field,
+                                   n_r):
+        c, f, fid = quadratic_problem(field)
+        cfg = OptimizerConfig(method=method, field=field, scalar=scalar, gains=STATIC,
                               resampling=n_r, max_iterations=4)
-        trace = run(f, cfg, np.zeros(2, dtype=complex), fidelity=fid)
+        z0 = np.zeros(2, dtype=complex if field == "complex" else float)
+        trace = run(f, cfg, z0, fidelity=fid)
         expected_obj = obj_per_iter * n_r * np.arange(1, 5)
         expected_fid = fid_per_iter * n_r * np.arange(1, 5)
         np.testing.assert_array_equal(trace.objective_evals, expected_obj)

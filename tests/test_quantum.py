@@ -187,6 +187,13 @@ class TestExpectationWithShots:
         with pytest.raises(TypeError):
             expectation_with_shots(psi, heisenberg_hamiltonian(1, 1.0, 0.3), None)
 
+    @pytest.mark.parametrize("shots", [-math.inf, 0, 2.5, math.nan])
+    def test_invalid_shot_budget_rejected(self, shots):
+        psi = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="shots must be a positive integer or math.inf"):
+            expectation_with_shots(psi, heisenberg_hamiltonian(1, 1.0, 0.3), shots,
+                                   np.random.default_rng(0))
+
 
 @st.composite
 def _pauli_sums(draw):
@@ -316,6 +323,12 @@ class TestFidelityWithShots:
         a = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(TypeError):
             fidelity_with_shots(a, a, None)
+
+    @pytest.mark.parametrize("shots", [-math.inf, 0, 2.5, math.nan])
+    def test_invalid_shot_budget_rejected(self, shots):
+        a = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="shots must be a positive integer or math.inf"):
+            fidelity_with_shots(a, a, shots, np.random.default_rng(0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
