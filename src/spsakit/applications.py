@@ -307,14 +307,10 @@ def _bond_operators(n, periodic):
     Uncached: ``_bond_sectors`` keeps only its sector blocks.
     """
     ham = heisenberg_hamiltonian(n, 1.0, 0.0, periodic)
-    ops = []
-    for pauli in "XYZ":
-        dense = PauliTermSum(
-            n_qubits=n,
-            terms=tuple((c, lab) for c, lab in ham.terms if pauli in lab),
-        ).to_dense()
-        ops.append(dense.real)
-    return np.stack(ops)
+    return np.stack([
+        PauliTermSum(n, tuple(t for t in ham.terms if pauli in t[1])).to_dense()
+        for pauli in "XYZ"
+    ])
 
 
 @lru_cache(maxsize=16)

@@ -8,13 +8,20 @@ O(p·N_R²) beyond forming the p × p result.  `solve_pd` is a Cholesky solve
 that calls LAPACK directly.  Real symmetric matrices flow through the same
 code paths as complex hermitian ones; callers never need a separate
 real-field implementation.
+
+SciPy's LAPACK loads at the first call that needs it: the first
+`psd_sqrt_shifted` or `solve_pd`, which import ``scipy.linalg`` inside their
+cached routine lookups.  Importing ``scipy.linalg`` takes about 0.3 s and
+18 MB, which first-order and scalar runs never pay, since they do no matrix
+algebra.  A pool of forked workers would pay it once per worker, so
+``bench.run_ensemble`` imports it in the parent before it starts a pool for
+a run that needs it, and the workers inherit the loaded module.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 __all__ = ["hermitize", "matrix_abs", "psd_sqrt_shifted", "solve_pd"]
 
@@ -42,6 +49,8 @@ def hermitize(matrix):
 def _require_hermitian(m, op):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{op}: expected a square matrix, got shape {m.shape}")
+    if (m == m.conj().T).all():  # hermitian to the bit, as `hermitize` returns
+        return
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     if np.abs(m - m.conj().T).max(initial=0.0) > HERMITICITY_ATOL * scale:
         raise ValueError(f"{op}: matrix is not hermitian within {HERMITICITY_ATOL}")
@@ -62,6 +71,8 @@ def matrix_abs(matrix):
 @lru_cache(maxsize=None)
 def _spectral_routines(dtype):
     """LAPACK ``geqrf``, ``orgqr``/``ungqr`` and ``syevd``/``heevd`` for one dtype."""
+    from scipy.linalg import get_lapack_funcs
+
     complex_field = np.dtype(dtype).kind == "c"
     names = ("geqrf", "ungqr", "heevd") if complex_field else ("geqrf", "orgqr", "syevd")
     return get_lapack_funcs(names, dtype=dtype)
@@ -147,6 +158,8 @@ def _shifted_root_excess_large(w, epsilon, root):
 def _cholesky_routines(matrix_dtype, rhs_dtype):
     """LAPACK ``potrf`` for the matrix and ``potrs`` for its factor and the
     right-hand side, chosen as ``cho_factor`` and ``cho_solve`` choose them."""
+    from scipy.linalg import get_lapack_funcs
+
     potrf, = get_lapack_funcs(("potrf",), dtype=matrix_dtype)
     potrs, = get_lapack_funcs(("potrs",), dtype=np.result_type(potrf.dtype, rhs_dtype))
     return potrf, potrs

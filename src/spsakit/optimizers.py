@@ -133,8 +133,8 @@ class RunTrace:
     ``diverged_reason`` what went wrong there: a preconditioned iteration's
     averaged gradient or Hessian or metric ``"estimate"``, the
     ``"candidate"`` iterate or the ``"recorded"`` objective value turned
-    non-finite; the ``"preconditioner"`` of a huge but finite estimate, its
-    eigenvalues spread past double precision, failed the step's Cholesky
+    non-finite; the ``"preconditioner"`` of a huge but finite estimate
+    overflowed, or failed its eigensolver or the step's Cholesky
     factorization; or the ``"blocking"`` reference, which is checked
     before the first iteration: a blocking tolerance or objective value at
     z₀ that is not finite ends the run at iteration 1, with every record
@@ -372,17 +372,25 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
             if not (np.isfinite(g).all() and np.isfinite(h_raw).all()):
                 trace.diverged_at, trace.diverged_reason = k, "estimate"
                 break
-            if config.postproc == "spall":
-                preconditioner = postprocess_spall(h_raw, state, epsilon)
-            else:
-                # The estimate's range lies in the span of this iteration's
-                # Δ, Δ̃ rows of the block.
-                first = (k - 1) % PERTURBATION_BLOCK * draws_per_iter
-                span = None if config.scalar else block[first:first + draws_per_iter].T
-                preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
+            # A huge but finite estimate can overflow in the hermitian part,
+            # the inertia blend or the square root, to a preconditioner that
+            # is not finite, or fail the eigensolver or the Cholesky solve.
+            candidate = None
             try:
-                candidate = step_preconditioned(z, abar_k, g, preconditioner)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if config.postproc == "spall":
+                        preconditioner = postprocess_spall(h_raw, state, epsilon)
+                    else:
+                        # The estimate's range lies in the span of this
+                        # iteration's Δ, Δ̃ rows of the block.
+                        first = (k - 1) % PERTURBATION_BLOCK * draws_per_iter
+                        span = None if config.scalar else block[first:first + draws_per_iter].T
+                        preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
+                if np.isfinite(preconditioner).all():
+                    candidate = step_preconditioned(z, abar_k, g, preconditioner)
             except np.linalg.LinAlgError:
+                pass
+            if candidate is None:
                 trace.diverged_at, trace.diverged_reason = k, "preconditioner"
                 break
         else:

@@ -26,13 +26,6 @@ __all__ = [
     "fidelity_with_shots",
 ]
 
-_PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
 MAX_DENSE_QUBITS = 12
 
 
@@ -73,13 +66,31 @@ class PauliTermSum:
                 raise ValueError("coefficients must be real for a hermitian operator")
 
     def to_dense(self):
-        dim = 2**self.n_qubits
-        out = np.zeros((dim, dim), dtype=np.complex128)
+        """The 2^n × 2^n matrix Σ_i h_i σ_i, written term by term into one array.
+
+        A Pauli string is a signed permutation: with x the mask of its X and
+        Y qubits and z the mask of its Z and Y qubits, it maps |i⟩ to
+        i^{#Y}·(−1)^{popcount(i & z)}·|i ⊕ x⟩, so each term adds 2^n entries
+        h·i^{#Y}·(±1) at rows i ⊕ x of columns i.  The method holds one
+        2^n × 2^n array, the result, and a few of length 2^n.  The result is
+        float64 when every term has an even number of Y letters, and
+        complex128 otherwise.  For finite coefficients it equals, entry for
+        entry and bit for bit, the sum in term order of the Kronecker
+        products of the terms' 2 × 2 factors.
+        """
+        n = self.n_qubits
+        dim = 2**n
+        odd_y = any(label.count("Y") % 2 for _, label in self.terms)
+        out = np.zeros((dim, dim), dtype=np.complex128 if odd_y else np.float64)
+        flat = out.reshape(-1)
+        bits = _basis_bits(n)
+        columns = np.arange(dim)
         for coeff, label in self.terms:
-            term = np.array([[coeff]], dtype=np.complex128)
-            for c in label:
-                term = np.kron(term, _PAULI[c])
-            out += term
+            flip = sum(1 << (n - 1 - q) for q, c in enumerate(label) if c in "XY")
+            phased = [q for q, c in enumerate(label) if c in "YZ"]
+            signs = 1.0 - 2.0 * (bits[phased].sum(axis=0) % 2)
+            phase = (1, 1j, -1, -1j)[label.count("Y") % 4]
+            flat[(columns ^ flip) * dim + columns] += (coeff * phase) * signs
         return out
 
 
@@ -189,10 +200,7 @@ def exact_ground_energy(hamiltonian: PauliTermSum):
     """Minimum eigenvalue of the dense matrix; limited to small qubit counts."""
     if hamiltonian.n_qubits > MAX_DENSE_QUBITS:
         raise ValueError(f"dense diagonalization limited to {MAX_DENSE_QUBITS} qubits")
-    dense = hamiltonian.to_dense()
-    if np.abs(dense.imag).max(initial=0.0) < 1e-14:
-        return float(np.linalg.eigvalsh(dense.real)[0])
-    return float(np.linalg.eigvalsh(dense)[0])
+    return float(np.linalg.eigvalsh(hamiltonian.to_dense())[0])
 
 
 def _shot_count(shots):

@@ -98,12 +98,17 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
             if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h_raw))):
                 trace.diverged_at, trace.diverged_reason = k, "estimate"
                 break
-            if config.postproc == "spall":
-                preconditioner = postprocess_spall(h_raw, state, epsilon)
-            else:
-                span = None if config.scalar else np.stack(drawn, axis=1)
-                preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
             try:
+                # Overflow to a non-finite preconditioner, a failed eigensolver
+                # and a failed Cholesky factorization all end the run.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if config.postproc == "spall":
+                        preconditioner = postprocess_spall(h_raw, state, epsilon)
+                    else:
+                        span = None if config.scalar else np.stack(drawn, axis=1)
+                        preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
+                if not np.all(np.isfinite(preconditioner)):
+                    raise np.linalg.LinAlgError("the preconditioner is not finite")
                 candidate = step_preconditioned(z, abar_k, g, preconditioner)
             except np.linalg.LinAlgError:
                 trace.diverged_at, trace.diverged_reason = k, "preconditioner"

@@ -5,12 +5,13 @@ measures Pauli terms in qubit-wise-commuting groups, propagates GRAPE states
 in the parity sectors of the bond operators and memoizes the states of the
 oracles.  These helpers compute the same quantities one gate, one term and
 one state at a time from ``apply_single_qubit_gate``, ``w_gate`` and
-``pauli_expectation``, evolve GRAPE states with full 2^n × 2^n generators
-through ``scipy.linalg.expm``, and normalize every SGQT guess anew, so tests
-can compare the two.  ``apply_product_layer`` applies one product layer
-through the library's Kronecker factors, for tests of those factors, and
-``reference_w_gate`` keeps the W gate's closed form with every product
-written out, for a bit-for-bit test of the library's shared factors.
+``pauli_expectation``, build dense Pauli sums as Kronecker chains
+(``reference_to_dense``), evolve GRAPE states with full 2^n × 2^n
+generators through ``scipy.linalg.expm``, and normalize every SGQT guess
+anew, so tests can compare the two.  ``apply_product_layer`` applies one
+product layer through the library's Kronecker factors, for tests of those
+factors, and ``reference_w_gate`` keeps the W gate's closed form with every
+product written out, for a bit-for-bit test of the library's shared factors.
 """
 
 import math
@@ -79,6 +80,27 @@ def reference_vqe_state(prob: VqeProblem, z):
         for q in range(n):
             psi = apply_single_qubit_gate(w_gate(z[layer * n + q]), q, psi)
     return psi
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def reference_to_dense(hamiltonian):
+    """Σ_i h_i σ_i as a complex 2^n × 2^n matrix: each term a full Kronecker
+    chain of its 2 × 2 factors, added in term order."""
+    dim = 2**hamiltonian.n_qubits
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for coeff, label in hamiltonian.terms:
+        term = np.array([[coeff]], dtype=np.complex128)
+        for c in label:
+            term = np.kron(term, _PAULI[c])
+        out += term
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -186,7 +208,8 @@ def reference_grape_final_state(prob: GrapeProblem, controls):
     n = prob.n_qubits
     terms = heisenberg_hamiltonian(n, 1.0, 0.0, prob.periodic).terms
     bonds = [
-        PauliTermSum(n_qubits=n, terms=tuple(t for t in terms if pauli in t[1])).to_dense()
+        reference_to_dense(
+            PauliTermSum(n_qubits=n, terms=tuple(t for t in terms if pauli in t[1])))
         for pauli in "XYZ"
     ]
     psi = np.asarray(prob.psi0, dtype=np.complex128)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from spsakit.estimators import sample_perturbation
-from spsakit.linalg import (_shifted_root_excess_large, hermitize, matrix_abs,
-                            psd_sqrt_shifted, solve_pd)
+from spsakit.linalg import (HERMITICITY_ATOL, _require_hermitian, _shifted_root_excess_large,
+                            hermitize, matrix_abs, psd_sqrt_shifted, solve_pd)
 
 
 def random_hermitian(p, rng):
@@ -35,6 +35,37 @@ class TestHermitize:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             hermitize(np.ones((2, 3)))
+
+
+class TestRequireHermitian:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_accepts_hermitian_to_the_bit_and_within_tolerance(self, dtype):
+        rng = np.random.default_rng(2)
+        m = hermitize(rng.standard_normal((6, 6)).astype(dtype))
+        _require_hermitian(m, "op")
+        m[0, 1] += 0.5 * HERMITICITY_ATOL
+        _require_hermitian(m, "op")
+        # the tolerance scales with the largest entry
+        _require_hermitian(np.array([[1e6, 1e6 + 1e-7], [1e6, 1e6]]), "op")
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[0.0, 1j], [1j, 0.0]]),
+        np.array([[1e6, 1e6 + 1e-5], [1e6, 1e6]]),
+    ])
+    def test_rejects_beyond_tolerance(self, bad):
+        with pytest.raises(ValueError, match=f"op: matrix is not hermitian within "
+                                             f"{HERMITICITY_ATOL}"):
+            _require_hermitian(bad, "op")
+
+    def test_nan_passes_as_before(self):
+        # NaN compares unequal, so the exact test does not decide; the
+        # tolerance test lets NaN through, and a later check catches it.
+        _require_hermitian(np.array([[np.nan, 1.0], [1.0, 0.0]]), "op")
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="op: expected a square matrix"):
+            _require_hermitian(np.ones((2, 3)), "op")
 
 
 class TestMatrixAbs:

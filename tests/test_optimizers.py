@@ -368,13 +368,16 @@ class TestRunContracts:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("postproc", ["spall", "gidi"])
-    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e306, 1e307])
     def test_huge_hessian_estimate_diverges_without_raising(self, scale, postproc, field):
         # A finite estimate of size ~scale/b_k²: its square overflows in the
         # gidi square root at 1e200, and its eigenvalues spread past double
-        # precision, so the Cholesky factorization of the step can fail.  A
-        # run either completes or ends as "preconditioner", NaN-padded, and
-        # the reference loop agrees with it bit for bit.
+        # precision, so the Cholesky factorization of the step can fail.
+        # Near the float maximum the hermitian part and the inertia blend
+        # overflow too, and at 1e307 the estimate itself can.  A run either
+        # completes or ends as "preconditioner" (or "estimate", where the
+        # estimate overflowed), NaN-padded, and the reference loop agrees
+        # with it bit for bit.
         z0 = np.ones(3, dtype=complex if field == "complex" else float)
         cfg = OptimizerConfig(method="second_order", field=field, postproc=postproc,
                               max_iterations=20)
@@ -384,7 +387,8 @@ class TestRunContracts:
             f = lambda z: scale * (float(np.vdot(z, z).real) + rng.normal())
             traces.append(run_fn(f, cfg, z0))
         trace, ref = traces
-        assert trace.diverged_reason in (None, "preconditioner")
+        reasons = (None, "preconditioner") + (("estimate",) if scale > 1e300 else ())
+        assert trace.diverged_reason in reasons
         if trace.diverged:
             assert np.isfinite(trace.objective[:trace.diverged_at - 1]).all()
             assert np.isnan(trace.objective[trace.diverged_at - 1:]).all()
@@ -393,6 +397,22 @@ class TestRunContracts:
                                                           trace.diverged_reason)
         assert ref.objective.tobytes() == trace.objective.tobytes()
         assert ref.final_params.tobytes() == trace.final_params.tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_overflowing_scalar_preconditioner_ends_the_run(self, field):
+        # The scalar gidi preconditioner √(h² + ε) of an estimate beyond
+        # ~1e154 overflows to inf, which would turn every later step into 0;
+        # the run ends at once as "preconditioner", as the reference's does.
+        z0 = np.ones(3, dtype=complex if field == "complex" else float)
+        cfg = OptimizerConfig(method="second_order", field=field, scalar=True,
+                              postproc="gidi", max_iterations=5)
+        for run_fn in (run, reference_run):
+            rng = np.random.default_rng(0)
+            trace = run_fn(lambda z: 1e200 * (float(np.vdot(z, z).real) + rng.normal()),
+                           cfg, z0)
+            assert (trace.diverged_at, trace.diverged_reason) == (1, "preconditioner")
+            assert np.isnan(trace.objective).all()
+            assert trace.final_params.tobytes() == z0.tobytes()
 
     def test_unfactorable_preconditioner_ends_the_run(self, monkeypatch):
         # The Cholesky solve rejects the preconditioner at iteration 2: the

@@ -10,6 +10,7 @@ from statevector_reference import (
     evolve_piecewise,
     pauli_expectation,
     reference_expectation,
+    reference_to_dense,
     reference_w_gate,
 )
 
@@ -397,3 +398,64 @@ class TestPauliTermSum:
         ham = heisenberg_hamiltonian(3, 0.8, 0.1)
         dense = ham.to_dense()
         np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
+
+
+def _random_pauli_sum(n, kind, rng):
+    """A few terms with random letters and coefficients of mixed sign and
+    size; ``kind`` adds identity-only terms, forces an odd number of Y
+    letters into one term, or repeats labels."""
+    labels = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(4)]
+    if kind == "identity":
+        labels += ["I" * n] * 2
+    elif kind == "odd_y":
+        labels[0] = "Y" + labels[0][1:].replace("Y", "X")
+    elif kind == "repeated":
+        labels += [labels[0], labels[1], labels[0]]
+    coeffs = rng.standard_normal(len(labels)) * 10.0 ** rng.integers(-3, 4, len(labels))
+    return PauliTermSum(n_qubits=n, terms=tuple(zip(coeffs.tolist(), labels)))
+
+
+def _reference_ground_energy(hamiltonian):
+    """The minimum eigenvalue of the Kronecker-chain matrix, from its real
+    part when the imaginary part vanishes below 1e-14."""
+    dense = reference_to_dense(hamiltonian)
+    if np.abs(dense.imag).max(initial=0.0) < 1e-14:
+        return float(np.linalg.eigvalsh(dense.real)[0])
+    return float(np.linalg.eigvalsh(dense)[0])
+
+
+class TestToDense:
+    @pytest.mark.parametrize("kind", ["random", "identity", "odd_y", "repeated"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_bit_identical_to_the_kronecker_chain(self, n, kind):
+        rng = np.random.default_rng([n, len(kind)])
+        for _ in range(5):
+            ham = _random_pauli_sum(n, kind, rng)
+            dense, ref = ham.to_dense(), reference_to_dense(ham)
+            if dense.dtype == np.float64:
+                assert not ref.imag.any()
+                ref = np.ascontiguousarray(ref.real)
+            assert dense.shape == (2**n, 2**n)
+            assert dense.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("terms, dtype", [
+        ((), np.float64),
+        (((1.0, "II"),), np.float64),
+        (((0.5, "XZ"), (-2.0, "YY")), np.float64),
+        (((1.0, "YY"), (0.3, "YI")), np.complex128),
+        (((1.0, "XY"),), np.complex128),
+        (((1.0, "YYY"),), np.complex128),
+    ])
+    def test_float64_exactly_when_every_term_has_an_even_number_of_y(self, terms, dtype):
+        n = len(terms[0][1]) if terms else 3
+        assert PauliTermSum(n_qubits=n, terms=terms).to_dense().dtype == dtype
+
+    @pytest.mark.parametrize("n, periodic", [(n, periodic) for n in range(2, 11)
+                                             for periodic in (False, True)
+                                             if n >= 3 or not periodic])
+    def test_heisenberg_ground_energy_bit_identical(self, n, periodic):
+        ham = heisenberg_hamiltonian(n, 1.0, 0.3, periodic)
+        energy = exact_ground_energy(ham)
+        assert energy == _reference_ground_energy(ham)
+        if n == 10 and periodic:
+            assert energy == -18.06178541796819
