@@ -84,11 +84,13 @@ class Problem(Protocol):
 
 def _require_dense_size(n_qubits):
     """Reject a qubit count past ``MAX_DENSE_QUBITS`` before anything is built:
-    VQE's exact minimum diagonalizes the dense Hamiltonian, and GRAPE's bond
-    operators are dense 2^n × 2^n matrices (3.2 GB at 13 qubits)."""
+    VQE's exact minimum diagonalizes dense popcount blocks of the Hamiltonian
+    (``exact_ground_energy``), and GRAPE's sector generators and propagators
+    are dense 2^(n−1) × 2^(n−1) complex matrices, three in its operator table
+    and one per slice and sector (268 MB each at 13 qubits)."""
     if n_qubits > MAX_DENSE_QUBITS:
         raise ValueError(f"at most {MAX_DENSE_QUBITS} qubits: this problem uses dense "
-                         f"2^n x 2^n operators, got n_qubits={n_qubits}")
+                         f"operators, got n_qubits={n_qubits}")
 
 
 @dataclass(frozen=True)
@@ -297,41 +299,33 @@ def vqe_state(prob: VqeProblem, z):
 # GRAPE
 
 
-def _bond_operators(n, periodic):
-    """Stack of the three coupling operators Σ_{<a,b>} σᵏ_a σᵏ_b (real symmetric).
-
-    Every σᵏ_a σᵏ_b flips zero or two bits, so each operator commutes with
-    the parity ∏Z: it has no entries between basis states of even and odd
-    popcount.  Each also commutes with the global flip ∏X, which for odd n
-    maps the even-popcount states one-to-one onto the odd-popcount ones.
-    Uncached: ``_bond_sectors`` keeps only its sector blocks.
-    """
-    ham = heisenberg_hamiltonian(n, 1.0, 0.0, periodic)
-    return np.stack([
-        PauliTermSum(n, tuple(t for t in ham.terms if pauli in t[1])).to_dense()
-        for pauli in "XYZ"
-    ])
-
-
 @lru_cache(maxsize=16)
 def _bond_sectors(n, periodic):
-    """GRAPE's operator table: ``_bond_operators(n, periodic)`` by parity sector.
+    """GRAPE's operator table: the three coupling operators
+    B_k = Σ_{<a,b>} σᵏ_a σᵏ_b of ``heisenberg_hamiltonian(n, 1, 0, periodic)``,
+    k = x, y, z, by parity sector.
+
+    Every σᵏ_a σᵏ_b flips zero or two bits, so each B_k commutes with the
+    parity ∏Z: it has no entries between basis states of even and odd
+    popcount.  Each also commutes with the global flip ∏X, which for odd n
+    maps the even-popcount states one-to-one onto the odd-popcount ones.
 
     Returns read-only ``(index, generators)``.  ``generators`` is the complex
     (3, nb·h·h) right factor of the slice generators' GEMM, h = 2^(n−1):
-    ``generators.reshape(3, nb, h, h)[k, b]`` is bond operator k on the b-th
-    distinct parity sector.  ``index`` has shape (nb, h, 2 // nb) and lists,
-    for block b, the basis states its rows act on, so that ``psi[index]``
-    gathers a state into columns each block multiplies at once.
+    ``generators.reshape(3, nb, h, h)[k, b]`` is B_k on the b-th distinct
+    parity sector, built by ``PauliTermSum.block`` (real, and bit for bit
+    the same entries of the dense B_k), so no 2^n × 2^n operator is formed.
+    ``index`` has shape (nb, h, 2 // nb) and lists, for block b, the basis
+    states its rows act on, so that ``psi[index]`` gathers a state into
+    columns each block multiplies at once.
 
     For even n the two sectors differ: nb = 2, block 0 acts on the
     even-popcount states and block 1 on the odd ones, both in ascending
     order.  For odd n the odd sector is ordered as the complements
-    i ^ (2^n − 1) of the even states; since ∏X commutes with every bond
-    operator, both sector blocks are then the same matrix, so nb = 1 and the
-    even and odd amplitudes are the two columns of one (h, 2) array.
+    i ^ (2^n − 1) of the even states; since ∏X commutes with every B_k, both
+    sector blocks are then the same matrix, so nb = 1 and the even and odd
+    amplitudes are the two columns of one (h, 2) array.
     """
-    bonds = _bond_operators(n, periodic)
     states = np.arange(2**n)
     popcount = _basis_bits(n).sum(axis=0)
     even = states[popcount % 2 == 0]
@@ -341,8 +335,13 @@ def _bond_sectors(n, periodic):
     else:
         sectors = [even, states[popcount % 2 == 1]]
         index = np.stack(sectors)[:, :, None]
-    blocks = np.stack([bonds[:, s[:, None], s[None, :]] for s in sectors], axis=1)
-    return _read_only(index), _read_only(blocks.reshape(3, -1).astype(np.complex128))
+    terms = heisenberg_hamiltonian(n, 1.0, 0.0, periodic).terms
+    blocks = np.empty((3, len(sectors), even.size, even.size), dtype=np.complex128)
+    for k, pauli in enumerate("XYZ"):
+        bond = PauliTermSum(n, tuple(t for t in terms if pauli in t[1]))
+        for b, sector in enumerate(sectors):
+            blocks[k, b] = bond.block(sector)
+    return _read_only(index), _read_only(blocks.reshape(3, -1))
 
 
 _TAYLOR_INV = tuple(1.0 / math.factorial(j) for j in range(13))

@@ -65,33 +65,51 @@ class PauliTermSum:
             if np.iscomplexobj(coeff):
                 raise ValueError("coefficients must be real for a hermitian operator")
 
-    def to_dense(self):
-        """The 2^n × 2^n matrix Σ_i h_i σ_i, written term by term into one array.
+    def _term_actions(self, states):
+        """Each term, in term order, as ``(x, values)``: it maps |states[k]⟩
+        to values[k]·|states[k] ⊕ x⟩.
 
         A Pauli string is a signed permutation: with x the mask of its X and
-        Y qubits and z the mask of its Z and Y qubits, it maps |i⟩ to
-        i^{#Y}·(−1)^{popcount(i & z)}·|i ⊕ x⟩, so each term adds 2^n entries
-        h·i^{#Y}·(±1) at rows i ⊕ x of columns i.  The method holds one
-        2^n × 2^n array, the result, and a few of length 2^n.  The result is
-        float64 when every term has an even number of Y letters, and
-        complex128 otherwise.  For finite coefficients it equals, entry for
-        entry and bit for bit, the sum in term order of the Kronecker
-        products of the terms' 2 × 2 factors.
+        Y qubits (the qubits it flips) and z the mask of its Z and Y qubits,
+        the term h·σ maps |i⟩ to h·i^{#Y}·(−1)^{popcount(i & z)}·|i ⊕ x⟩.
         """
         n = self.n_qubits
-        dim = 2**n
-        odd_y = any(label.count("Y") % 2 for _, label in self.terms)
-        out = np.zeros((dim, dim), dtype=np.complex128 if odd_y else np.float64)
-        flat = out.reshape(-1)
-        bits = _basis_bits(n)
-        columns = np.arange(dim)
+        bits = _basis_bits(n)[:, states]
         for coeff, label in self.terms:
             flip = sum(1 << (n - 1 - q) for q, c in enumerate(label) if c in "XY")
             phased = [q for q, c in enumerate(label) if c in "YZ"]
             signs = 1.0 - 2.0 * (bits[phased].sum(axis=0) % 2)
             phase = (1, 1j, -1, -1j)[label.count("Y") % 4]
-            flat[(columns ^ flip) * dim + columns] += (coeff * phase) * signs
+            yield flip, (coeff * phase) * signs
+
+    def block(self, states):
+        """The operator restricted to the distinct basis states ``states``:
+        entry (r, c) is ⟨states[r]|Σ_i h_i σ_i|states[c]⟩.
+
+        Each term is written as its signed permutation (``_term_actions``),
+        keeping the entries whose row is also in ``states``, and the terms
+        are added in term order.  The method holds the m × m result and a few
+        arrays of length m or 2^n.  The result is float64 when every term has
+        an even number of Y letters, and complex128 otherwise.  For finite
+        coefficients it equals, entry for entry and bit for bit, the same
+        entries of the sum in term order of the Kronecker products of the
+        terms' 2 × 2 factors.
+        """
+        states = np.asarray(states)
+        odd_y = any(label.count("Y") % 2 for _, label in self.terms)
+        out = np.zeros((states.size, states.size),
+                       dtype=np.complex128 if odd_y else np.float64)
+        position = np.full(2**self.n_qubits, -1)
+        position[states] = np.arange(states.size)
+        for flip, values in self._term_actions(states):
+            rows = position[states ^ flip]
+            kept = np.flatnonzero(rows >= 0)
+            out[rows[kept], kept] += values[kept]
         return out
+
+    def to_dense(self):
+        """The 2^n × 2^n matrix Σ_i h_i σ_i: ``block`` over every basis state."""
+        return self.block(np.arange(2**self.n_qubits))
 
 
 def haar_random_state(n: int, rng: np.random.Generator):
@@ -197,10 +215,30 @@ def heisenberg_hamiltonian(n: int, j: float, h: float, periodic: bool = False):
 
 
 def exact_ground_energy(hamiltonian: PauliTermSum):
-    """Minimum eigenvalue of the dense matrix; limited to small qubit counts."""
-    if hamiltonian.n_qubits > MAX_DENSE_QUBITS:
+    """Minimum eigenvalue of the operator; limited to ``MAX_DENSE_QUBITS``.
+
+    The terms that flip the same qubits x are added, in term order, into the
+    entries (i ⊕ x, i) of the dense matrix.  When every one of these sums is
+    exactly zero wherever i ⊕ x and i differ in popcount, the operator
+    conserves the popcount of the basis index (the total magnetization of a
+    spin model such as ``heisenberg_hamiltonian``), and the result is the
+    smallest of the ``eigvalsh`` ground energies of its n + 1 popcount
+    blocks, each at most C(n, ⌊n/2⌋) states square, built by ``block``
+    with the states in ascending order.  Any other operator is one block of
+    all 2^n states, bit for bit ``eigvalsh(to_dense())[0]``.
+    """
+    n = hamiltonian.n_qubits
+    if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense diagonalization limited to {MAX_DENSE_QUBITS} qubits")
-    return float(np.linalg.eigvalsh(hamiltonian.to_dense())[0])
+    states = np.arange(2**n)
+    popcount = _basis_bits(n).sum(axis=0)
+    sums = {}
+    for flip, values in hamiltonian._term_actions(states):
+        sums[flip] = sums.get(flip, 0) + values
+    conserving = not any(values[popcount[states ^ flip] != popcount].any()
+                         for flip, values in sums.items())
+    blocks = [states[popcount == k] for k in range(n + 1)] if conserving else [states]
+    return min(float(np.linalg.eigvalsh(hamiltonian.block(s))[0]) for s in blocks)
 
 
 def _shot_count(shots):

@@ -7,7 +7,8 @@ oracles.  These helpers compute the same quantities one gate, one term and
 one state at a time from ``apply_single_qubit_gate``, ``w_gate`` and
 ``pauli_expectation``, build dense Pauli sums as Kronecker chains
 (``reference_to_dense``), evolve GRAPE states with full 2^n × 2^n
-generators through ``scipy.linalg.expm``, and normalize every SGQT guess
+generators, summed from the dense coupling operators of ``bond_operators``,
+through ``scipy.linalg.expm``, and normalize every SGQT guess
 anew, so tests can compare the two.  ``apply_product_layer`` applies one
 product layer through the library's Kronecker factors, for tests of those
 factors, and ``reference_w_gate`` keeps the W gate's closed form with every
@@ -198,6 +199,17 @@ def reference_expm_stack(a):
     return out
 
 
+def bond_operators(n, periodic):
+    """Stack of GRAPE's three real symmetric 2^n × 2^n coupling operators
+    B_k = Σ_{<a,b>} σᵏ_a σᵏ_b over the bonds of ``heisenberg_hamiltonian``,
+    k = x, y, z, each the real part of its Kronecker chain."""
+    terms = heisenberg_hamiltonian(n, 1.0, 0.0, periodic).terms
+    return np.stack([
+        reference_to_dense(PauliTermSum(n_qubits=n, terms=tuple(t for t in terms if pauli in t[1])))
+        for pauli in "XYZ"
+    ]).real
+
+
 def reference_grape_final_state(prob: GrapeProblem, controls):
     """GRAPE final state from one full 2^n × 2^n generator per slice.
 
@@ -205,13 +217,7 @@ def reference_grape_final_state(prob: GrapeProblem, controls):
     B_k sums σᵏσᵏ over the bonds of ``heisenberg_hamiltonian``, and then
     renormalizes; a non-finite or zero norm gives an all-NaN state.
     """
-    n = prob.n_qubits
-    terms = heisenberg_hamiltonian(n, 1.0, 0.0, prob.periodic).terms
-    bonds = [
-        reference_to_dense(
-            PauliTermSum(n_qubits=n, terms=tuple(t for t in terms if pauli in t[1])))
-        for pauli in "XYZ"
-    ]
+    bonds = bond_operators(prob.n_qubits, prob.periodic)
     psi = np.asarray(prob.psi0, dtype=np.complex128)
     for couplings in np.asarray(controls, dtype=np.complex128).reshape(prob.slices, 3):
         h_m = -0.5 * sum(j * b for j, b in zip(couplings, bonds))

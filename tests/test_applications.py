@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 from statevector_reference import (
+    bond_operators,
     evolve_piecewise,
     reference_expm_stack,
     reference_grape_final_state,
@@ -236,14 +237,12 @@ class TestGrape:
     def test_real_controls_match_hermitian_evolution(self):
         # with real couplings the generator is hermitian: compare against
         # the generic piecewise evolution
-        from spsakit.applications import _bond_operators
-
         rng = np.random.default_rng(6)
         psi0 = haar_random_state(2, rng)
         prob = GrapeProblem(n_qubits=2, slices=4, shots=math.inf, psi0=psi0)
         controls = rng.standard_normal(12).astype(complex)
         out = grape_final_state(prob, controls)
-        bonds = _bond_operators(2, False)
+        bonds = bond_operators(2, False)
         slices = []
         for m in range(4):
             h_m = -0.5 * sum(controls[3 * m + k].real * bonds[k] for k in range(3))
@@ -282,9 +281,7 @@ class TestGrape:
     def test_single_slice_single_pair_solvable(self):
         # 2-qubit, one slice, ZZ control only: |psi0> = e^{+i t ZZ/2}|target>
         # is driven exactly back onto the target by J_z = t / dt
-        from spsakit.applications import _bond_operators
-
-        bonds = _bond_operators(2, False)
+        bonds = bond_operators(2, False)
         target = np.zeros(4, dtype=complex)
         target[0] = 1.0
         t = 0.7
@@ -311,10 +308,8 @@ class TestGrape:
         # no entries between even- and odd-popcount states; for odd n the
         # odd sector, ordered as complements of the even states, carries
         # the same matrices as the even sector
-        from spsakit.applications import _bond_operators
-
         parity = np.array([bin(i).count("1") % 2 for i in range(2**n)])
-        bonds = _bond_operators(n, periodic)
+        bonds = bond_operators(n, periodic)
         assert np.count_nonzero(bonds[:, parity[:, None] != parity]) == 0
         if n % 2:
             even = np.flatnonzero(parity == 0)
@@ -327,9 +322,7 @@ class TestGrape:
         if n >= 3 or not periodic
     ])
     def test_bond_sectors_rebuild_the_full_operators(self, n, periodic):
-        from spsakit.applications import _bond_operators, _bond_sectors
-
-        index, generators = _bond_sectors(n, periodic)
+        index, generators = applications._bond_sectors(n, periodic)
         h = 2 ** (n - 1)
         nb = 1 if n % 2 else 2
         assert index.shape == (nb, h, 2 // nb)
@@ -342,7 +335,31 @@ class TestGrape:
         for b in range(nb):
             for states in index[b].T:
                 full[:, states[:, None], states] = blocks[b]
-        np.testing.assert_array_equal(full, _bond_operators(n, periodic))
+        np.testing.assert_array_equal(full, bond_operators(n, periodic))
+
+    @pytest.mark.parametrize("n, periodic", [
+        (n, periodic) for n in range(1, 8) for periodic in (False, True)
+        if n >= 3 or not periodic
+    ])
+    def test_bond_sectors_bit_identical_to_slices_of_the_dense_operators(self, n, periodic):
+        # the table as sliced out of the full 2^n x 2^n operators, which the
+        # library no longer forms
+        bonds = bond_operators(n, periodic)
+        parity = np.array([bin(i).count("1") % 2 for i in range(2**n)])
+        even = np.flatnonzero(parity == 0)
+        if n % 2:
+            sectors = [even]
+            expected_index = np.stack([even, even ^ (2**n - 1)], axis=-1)[None]
+        else:
+            sectors = [even, np.flatnonzero(parity == 1)]
+            expected_index = np.stack(sectors)[:, :, None]
+        expected = np.stack([bonds[:, s[:, None], s] for s in sectors], axis=1)
+        expected = expected.reshape(3, -1).astype(np.complex128)
+        index, generators = applications._bond_sectors(n, periodic)
+        assert index.dtype == expected_index.dtype
+        assert index.tobytes() == expected_index.tobytes()
+        assert generators.shape == expected.shape
+        assert generators.tobytes() == expected.tobytes()
 
     @staticmethod
     def _grape_inputs(bound):
@@ -380,12 +397,12 @@ class TestGrape:
     def test_sector_propagation_matches_full_space_propagation(self, inputs):
         # the same exponential on the full 2^n x 2^n generators: equal up to
         # roundoff at any norm, since both stacks get the same squaring count
-        from spsakit.applications import _bond_operators, _expm_stack
+        from spsakit.applications import _expm_stack
 
         prob, controls = inputs
         coeffs = (0.5j * prob.dt) * controls.reshape(prob.slices, 3)
         propagators = _expm_stack(
-            np.einsum("mk,kij->mij", coeffs, _bond_operators(prob.n_qubits, prob.periodic)))
+            np.einsum("mk,kij->mij", coeffs, bond_operators(prob.n_qubits, prob.periodic)))
         psi = prob.psi0
         for u in propagators:
             psi = u @ psi
@@ -525,8 +542,8 @@ class TestProblemValidation:
     @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem])
     @pytest.mark.parametrize("n", [quantum.MAX_DENSE_QUBITS + 1, 64])
     def test_dense_sizes_past_the_limit_rejected_before_any_allocation(self, cls, n):
-        # the 13-qubit VQE exact minimum and GRAPE bond operators would need
-        # a dense diagonalization and 3.2 GB of operators
+        # past the limit, VQE's exact minimum and GRAPE's dense sector
+        # operators are refused before either is built
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"at most {quantum.MAX_DENSE_QUBITS} qubits"):

@@ -415,13 +415,28 @@ def _random_pauli_sum(n, kind, rng):
     return PauliTermSum(n_qubits=n, terms=tuple(zip(coeffs.tolist(), labels)))
 
 
-def _reference_ground_energy(hamiltonian):
-    """The minimum eigenvalue of the Kronecker-chain matrix, from its real
-    part when the imaginary part vanishes below 1e-14."""
+def _reference_dense(hamiltonian):
+    """The Kronecker-chain matrix, as its real part when the imaginary part
+    vanishes below 1e-14."""
     dense = reference_to_dense(hamiltonian)
     if np.abs(dense.imag).max(initial=0.0) < 1e-14:
-        return float(np.linalg.eigvalsh(dense.real)[0])
-    return float(np.linalg.eigvalsh(dense)[0])
+        return np.ascontiguousarray(dense.real)
+    return dense
+
+
+def _reference_sector_ground_energy(hamiltonian):
+    """The smallest ``eigvalsh`` ground energy of the popcount blocks sliced,
+    in ascending state order, from the Kronecker-chain matrix."""
+    dense = _reference_dense(hamiltonian)
+    popcount = np.array([bin(i).count("1") for i in range(dense.shape[0])])
+    return min(float(np.linalg.eigvalsh(dense[np.ix_(s, s)])[0])
+               for s in (np.flatnonzero(popcount == k)
+                         for k in range(hamiltonian.n_qubits + 1)))
+
+
+def _conserves_popcount(dense):
+    popcount = np.array([bin(i).count("1") for i in range(dense.shape[0])])
+    return not dense[popcount[:, None] != popcount].any()
 
 
 class TestToDense:
@@ -454,8 +469,103 @@ class TestToDense:
                                              for periodic in (False, True)
                                              if n >= 3 or not periodic])
     def test_heisenberg_ground_energy_bit_identical(self, n, periodic):
+        # bit for bit against the popcount blocks of the Kronecker chain; the
+        # full spectrum agrees to roundoff, and the ground energy's last bits
+        # depend on the BLAS thread count, so the 10-qubit ring's value is
+        # pinned only to 1e-12
         ham = heisenberg_hamiltonian(n, 1.0, 0.3, periodic)
         energy = exact_ground_energy(ham)
-        assert energy == _reference_ground_energy(ham)
+        assert energy == _reference_sector_ground_energy(ham)
+        full = float(np.linalg.eigvalsh(_reference_dense(ham))[0])
+        assert energy == pytest.approx(full, rel=1e-12)
         if n == 10 and periodic:
-            assert energy == -18.06178541796819
+            assert energy == pytest.approx(-18.0617854179682, rel=0, abs=1e-12)
+
+
+class TestBlock:
+    @pytest.mark.parametrize("kind", ["random", "identity", "odd_y", "repeated"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_bit_identical_to_slices_of_the_dense_matrix(self, n, kind):
+        rng = np.random.default_rng([n, len(kind), 1])
+        for _ in range(5):
+            ham = _random_pauli_sum(n, kind, rng)
+            dense = ham.to_dense()
+            for size in (0, 1, rng.integers(1, 2**n + 1), 2**n):
+                states = rng.permutation(2**n)[:size]
+                block = ham.block(states)
+                assert block.dtype == dense.dtype
+                assert block.shape == (size, size)
+                assert block.tobytes() == dense[np.ix_(states, states)].tobytes()
+
+
+class TestExactGroundEnergyBySector:
+    @pytest.mark.parametrize("terms", [
+        ((1.0, "XX"),),
+        ((1.0, "XX"), (0.5, "YY")),
+        ((1.0, "XI"), (0.3, "ZZ")),
+        ((0.7, "XY"), (0.7, "YX"), (0.2, "ZI")),
+        ((1.0, "XXI"), (1.0, "YYI"), (0.5, "IXX")),
+    ])
+    def test_operator_that_changes_popcount_is_one_block(self, terms):
+        ham = PauliTermSum(n_qubits=len(terms[0][1]), terms=terms)
+        dense = ham.to_dense()
+        assert not _conserves_popcount(dense)
+        assert exact_ground_energy(ham) == float(np.linalg.eigvalsh(dense)[0])
+
+    @pytest.mark.parametrize("kind", ["random", "identity", "odd_y", "repeated"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_pauli_sums(self, n, kind):
+        # bit for bit the full spectrum's minimum unless the sum happens to
+        # conserve popcount (only I and Z letters, say); then the sector
+        # blocks of the Kronecker chain, and the full spectrum to roundoff
+        rng = np.random.default_rng([n, len(kind), 2])
+        one_block = 0
+        for _ in range(5):
+            ham = _random_pauli_sum(n, kind, rng)
+            dense = ham.to_dense()
+            energy = exact_ground_energy(ham)
+            full = float(np.linalg.eigvalsh(dense)[0])
+            if _conserves_popcount(dense):
+                assert energy == _reference_sector_ground_energy(ham)
+                assert energy == pytest.approx(full, rel=1e-12, abs=1e-12 * abs(dense).max())
+            else:
+                one_block += 1
+                assert energy == full
+        assert one_block >= 3
+
+    @pytest.mark.parametrize("ham, sizes", [
+        (heisenberg_hamiltonian(10, 1.0, 0.3, periodic=True), [math.comb(10, k) for k in range(11)]),
+        (heisenberg_hamiltonian(3, 0.0, 0.0), [1, 3, 3, 1]),
+        (PauliTermSum(n_qubits=3, terms=((1.0, "XXI"), (0.3, "ZZZ"))), [8]),
+    ])
+    def test_blocks_built(self, monkeypatch, ham, sizes):
+        # n + 1 popcount blocks in ascending popcount, or one of all states
+        built, block = [], PauliTermSum.block
+        monkeypatch.setattr(PauliTermSum, "block",
+                            lambda self, states: built.append(len(states)) or block(self, states))
+        exact_ground_energy(ham)
+        assert built == sizes
+
+    def test_complex_operator_that_conserves_popcount(self):
+        # XY − YX (a Dzyaloshinskii-Moriya coupling) moves one spin up and
+        # one down, so its sums cancel on the popcount-changing entries
+        ham = PauliTermSum(n_qubits=3, terms=((0.7, "XYI"), (-0.7, "YXI"), (0.4, "IXY"),
+                                              (-0.4, "IYX"), (0.2, "ZII")))
+        dense = _reference_dense(ham)
+        assert dense.dtype == np.complex128 and _conserves_popcount(dense)
+        energy = exact_ground_energy(ham)
+        assert energy == _reference_sector_ground_energy(ham)
+        assert energy == pytest.approx(float(np.linalg.eigvalsh(dense)[0]), rel=1e-12)
+
+    @pytest.mark.parametrize("j, h", [(1.0, 0.3), (-1.0, 0.3), (1.0, -0.3), (-0.5, -2.0),
+                                      (0.0, 0.3), (0.0, -0.3), (1.0, 0.0), (-1.0, 0.0),
+                                      (0.0, 0.0)])
+    @pytest.mark.parametrize("n, periodic", [(1, False), (2, False), (5, False), (5, True),
+                                             (6, True), (8, True)])
+    def test_heisenberg_conserves_popcount(self, n, periodic, j, h):
+        ham = heisenberg_hamiltonian(n, j, h, periodic)
+        dense = _reference_dense(ham)
+        assert _conserves_popcount(dense)
+        energy = exact_ground_energy(ham)
+        assert energy == _reference_sector_ground_energy(ham)
+        assert energy == pytest.approx(float(np.linalg.eigvalsh(dense)[0]), rel=1e-12)
