@@ -24,7 +24,6 @@ from .estimators import (
 )
 from .optimizers import (
     OptimizerConfig,
-    PreconditionerState,
     RunTrace,
     estimate_blocking_tolerance,
     method_label,

@@ -1,7 +1,9 @@
 """Command-line front end: configure an experiment, run it, export results.
 
 One process runs one experiment.  Configuration comes from a flat JSON file
-(``--config``) and/or command-line flags; flags override file values.
+(``--config``) and/or command-line flags; flags override file values.  Both
+go through one parser per option, derived from the field types of
+`ExperimentConfig`, so ``"false"`` reads the same from either.
 ``--application`` picks a row of ``APPLICATIONS`` (``--help`` lists them): a
 problem class and the paper's iteration count.  The problem flags naming a
 field of that class default to the field's default; the others are rejected.
@@ -17,6 +19,7 @@ import math
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 import scipy
@@ -117,26 +120,46 @@ def _parse_blocking(spec):
     return float(spec)
 
 
-def _parse_bool(value):
-    if isinstance(value, bool):
-        return value
-    lowered = str(value).lower()
+def _parse_bool(text):
+    lowered = text.lower()
     if lowered in ("true", "1", "yes"):
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_FLAG_TYPES = {
-    "application": str, "qubits": int, "shots": float, "iterations": int,
-    "runs": int, "layers": int, "slices": int, "j": float, "h": float,
-    "periodic": _parse_bool, "entangler": str, "method": str, "field": str,
-    "scalar": _parse_bool,
-    "gains": str, "postproc": str, "epsilon": float, "blocking": str,
-    "resampling": int, "calibrate": _parse_bool, "seed": int, "workers": int,
-    "out": str,
-}
+def _option_parser(name, annotation):
+    """The parser of one `ExperimentConfig` field, for a flag's string and a
+    config file's JSON value alike.  A string is read as its type reads it
+    (``_parse_bool`` for a bool); any other value must already have the
+    type, an int standing for a float; None passes only where the field
+    admits it."""
+    kinds = typing.get_args(annotation) or (annotation,)
+    optional = type(None) in kinds
+    kind, = (k for k in kinds if k is not type(None))
+    read = _parse_bool if kind is bool else kind
+
+    def parse(value):
+        if value is None and optional:
+            return None
+        if isinstance(value, str):
+            try:
+                return read(value)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        if type(value) in (kind, int if kind is float else kind):
+            return kind(value)
+        raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
+
+    return parse
+
+
+# One parser per option; gains are kept as their label, and a config file
+# may also give them as the list [a, b, A, s, t].
+OPTION_PARSERS = {f.name: _option_parser(f.name, f.type)
+                  for f in dataclasses.fields(ExperimentConfig)}
+OPTION_PARSERS["gains"] = lambda value: gains_label(_parse_gains(value))
 
 
 def _build_parser():
@@ -151,9 +174,8 @@ def _build_parser():
     )
     parser.add_argument("--config", help="JSON config file with flat keys; "
                                          "flags override file values")
-    for name, typ in _FLAG_TYPES.items():
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=typ, default=None, dest=name)
+    for name in OPTION_PARSERS:
+        parser.add_argument("--" + name, default=None, dest=name)
     return parser
 
 
@@ -165,11 +187,14 @@ def parse_config(argv=None) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             merged = json.load(fh)
-        unknown = set(merged) - set(_FLAG_TYPES)
+        if not isinstance(merged, dict):
+            raise ValueError("config file must hold one JSON object")
+        unknown = set(merged) - set(OPTION_PARSERS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     merged.update((name, value) for name, value in vars(args).items()
-                  if value is not None and name in _FLAG_TYPES)
+                  if value is not None and name in OPTION_PARSERS)
+    merged = {name: OPTION_PARSERS[name](value) for name, value in merged.items()}
 
     application = merged.get("application")
     if application not in APPLICATIONS:
@@ -181,12 +206,6 @@ def parse_config(argv=None) -> ExperimentConfig:
         raise ValueError(f"{application} takes no " + ", ".join("--" + f for f in sorted(unused)))
     values = dict(defaults, iterations=iterations)
     values.update(merged)
-    if "shots" in values:
-        values["shots"] = float(values["shots"])  # also reads "inf"; the problem checks it
-    if "gains" in values:
-        values["gains"] = gains_label(_parse_gains(values["gains"]))
-    if "seed" not in merged and "SPSAKIT_SEED" in os.environ:
-        values["seed"] = int(os.environ["SPSAKIT_SEED"])
 
     config = ExperimentConfig(**values)
     config.ensemble_spec()  # raises on any invalid option

@@ -9,6 +9,7 @@ Each method's estimate is defined once, here; ``scalar=True`` gives the
 scalar form of a curvature estimate: its coefficient without ΔΔ̃†.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,10 @@ class GainSchedule:
     t: float = 0.101
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("gain parameters a and b must be positive")
-        if self.A < 0 or self.s < 0 or self.t < 0:
-            raise ValueError("gain parameters A, s, t must be non-negative")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError("gain parameters a and b must be positive and finite")
+        if not all(0 <= v < math.inf for v in (self.A, self.s, self.t)):
+            raise ValueError("gain parameters A, s, t must be non-negative and finite")
 
 
 GAIN_PRESETS = {

@@ -2,7 +2,7 @@
 
 All matrices here are small (p up to a few hundred).  `matrix_abs` works from
 a full spectral decomposition.  `psd_sqrt_shifted` diagonalizes only on a
-subspace that holds the range of its input, when the caller knows one: the
+subspace that the caller names as holding the range of its input: the
 gidi preconditioner's input has rank ≤ 2·N_R, so its square root costs
 O(p·N_R²) beyond forming the p × p result.  `solve_pd` is a Cholesky solve
 that calls LAPACK directly.  Real symmetric matrices flow through the same
@@ -78,19 +78,18 @@ def _spectral_routines(dtype):
     return get_lapack_funcs(names, dtype=dtype)
 
 
-def psd_sqrt_shifted(matrix, epsilon, span=None):
-    """Return √(M² + εI) for hermitian M and ε > 0.
+def psd_sqrt_shifted(matrix, epsilon, span):
+    """Return √(M² + εI) for hermitian M and finite ε > 0.
 
     ``span`` is a p × r array whose columns span a subspace that holds the
     range of M, such as the perturbation vectors an outer-product estimate
-    was built from; None means the whole space.  Its columns are
+    was built from; ``np.eye(p)`` spans the whole space.  Its columns are
     orthonormalized into Q, and the r × r matrix Q†MQ = WΛW† is
     diagonalized, so U = QW holds every eigenvector of M with a nonzero
     eigenvalue.  The result is √ε·I + U g(Λ) U† with
     g(λ) = λ²/(√(λ² + ε) + √ε) = √(λ² + ε) − √ε, a form without
     cancellation: directions outside the span, and any column of Q that a
-    rank-deficient span adds, have λ = 0 and get exactly √ε.  Without a
-    span, Q = I and the decomposition is the full one.
+    rank-deficient span adds, have λ = 0 and get exactly √ε.
 
     Every eigenvalue of the result is at least √ε, which makes the output
     strictly positive-definite even when M vanishes.
@@ -103,32 +102,27 @@ def psd_sqrt_shifted(matrix, epsilon, span=None):
     Raises
     ------
     ValueError
-        If ε ≤ 0, if M is not square and hermitian, or if ``span`` is not a
-        2-D array with one row per row of M.
+        If ε is not in (0, ∞), if M is not square and hermitian, or if
+        ``span`` is not a 2-D array with one row per row of M.
     numpy.linalg.LinAlgError
         If the eigensolver does not converge.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     m = np.asarray(matrix)
     _require_hermitian(m, "psd_sqrt_shifted")
     p = m.shape[0]
-    if span is None:
-        heevd = _spectral_routines(np.result_type(m.dtype, np.float64))[2]
-        w, u, info = heevd(m, lower=1)
-    else:
-        basis = np.asarray(span)
-        if basis.ndim != 2 or basis.shape[0] != p:
-            raise ValueError(f"psd_sqrt_shifted: span of shape {basis.shape} does not "
-                             f"have the {p} rows of the matrix")
-        geqrf, ungqr, heevd = _spectral_routines(
-            np.result_type(m.dtype, basis.dtype, np.float64))
-        qr, tau, _, _ = geqrf(basis)
-        q, _, _ = ungqr(qr[:, :tau.size], tau, overwrite_a=1)
-        w, v, info = heevd(q.conj().T @ m @ q, lower=1, overwrite_a=1)
-        u = q @ v
+    basis = np.asarray(span)
+    if basis.ndim != 2 or basis.shape[0] != p:
+        raise ValueError(f"psd_sqrt_shifted: span of shape {basis.shape} does not "
+                         f"have the {p} rows of the matrix")
+    geqrf, ungqr, heevd = _spectral_routines(np.result_type(m.dtype, basis.dtype, np.float64))
+    qr, tau, _, _ = geqrf(basis)
+    q, _, _ = ungqr(qr[:, :tau.size], tau, overwrite_a=1)
+    w, v, info = heevd(q.conj().T @ m @ q, lower=1, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError("psd_sqrt_shifted: eigenvalues did not converge")
+    u = q @ v
     root = math.sqrt(epsilon)
     top = float(max(-w[0], w[-1])) if w.size else 0.0  # w is in ascending order
     if math.isinf(top * top + epsilon):

@@ -9,6 +9,11 @@ and resampling as orthogonal switches.  Both switches live only in `run`: it
 averages the N_R estimator draws of an iteration and blocks a candidate
 against the cached objective value of the accepted iterate.
 
+The preconditioned methods smooth each curvature estimate with Spall's
+inertia blend H̄_k = k/(k+1)·H̄_{k−1} + Ĥ_k/(k+1), H̄_0 = I.  `run` keeps
+H̄ and k; the post-processings are pure functions of the estimate, H̄_{k−1}
+and k.
+
 Random numbers: a run draws its perturbations from one generator seeded with
 ``config.seed``, and from nothing else.  It draws them ``PERTURBATION_BLOCK``
 iterations at a time, one `sample_perturbation` call per block; the rows of a
@@ -17,7 +22,7 @@ not depend on the block size.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +43,6 @@ from .linalg import hermitize, matrix_abs, psd_sqrt_shifted, solve_pd
 
 __all__ = [
     "OptimizerConfig",
-    "PreconditionerState",
     "RunTrace",
     "postprocess_spall",
     "postprocess_gidi",
@@ -87,8 +91,8 @@ class OptimizerConfig:
         if self.scalar and self.method == "first_order":
             raise ValueError("scalar preconditioning applies only to second_order "
                              "and quantum_natural methods")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if isinstance(self.blocking, str):
             if self.blocking != "auto":
                 raise ValueError("blocking must be None, 'auto', or a tolerance >= 0")
@@ -102,25 +106,6 @@ class OptimizerConfig:
     @property
     def effective_epsilon(self) -> float:
         return DEFAULT_EPSILON[self.postproc] if self.epsilon is None else self.epsilon
-
-
-@dataclass
-class PreconditionerState:
-    """Smoothed Hessian/metric memory carried across iterations.
-
-    ``memory`` is a hermitian matrix, or a plain float in scalar mode.  The
-    zeroth-iteration memory is the identity.
-    """
-
-    memory: np.ndarray | float
-    k: int = 0
-
-    @classmethod
-    def identity(cls, p: int, field: str = COMPLEX, scalar: bool = False):
-        if scalar:
-            return cls(memory=1.0)
-        dtype = np.complex128 if field == COMPLEX else np.float64
-        return cls(memory=np.eye(p, dtype=dtype))
 
 
 @dataclass
@@ -159,56 +144,51 @@ class RunTrace:
         return len(self.objective)
 
 
-def postprocess_spall(h_raw, state: PreconditionerState, epsilon: float):
+def postprocess_spall(h_raw, memory, k: int, epsilon: float):
     """Hermitize, blend with inertia, then regularize as √(H″²) + εI.
 
-    Advances ``state`` by one iteration and stores the blended matrix back
-    into it; the returned matrix is positive-definite with eigenvalues ≥ ε.
+    ``memory`` is the previous blend H̄_{k−1}, a hermitian matrix or a float
+    in scalar mode.  Returns ``(H″, preconditioner)``: the blend of
+    iteration k, and a positive-definite matrix with eigenvalues ≥ ε.
     """
-    state.k += 1
-    k = state.k
-    if np.isscalar(state.memory):
-        h_prime = float(np.real(h_raw))
-        h_pp = (k / (k + 1)) * state.memory + h_prime / (k + 1)
-        state.memory = h_pp
-        return abs(h_pp) + epsilon
+    if np.isscalar(memory):
+        h_pp = (k / (k + 1)) * memory + float(np.real(h_raw)) / (k + 1)
+        return h_pp, abs(h_pp) + epsilon
     h_prime = hermitize(h_raw)
-    if h_prime.shape != state.memory.shape:
-        raise ValueError("Hessian estimate dimension does not match preconditioner state")
-    h_pp = (k / (k + 1)) * state.memory + h_prime / (k + 1)
-    state.memory = h_pp
+    if h_prime.shape != memory.shape:
+        raise ValueError("Hessian estimate dimension does not match the blend")
+    h_pp = (k / (k + 1)) * memory + h_prime / (k + 1)
     p = h_pp.shape[0]
-    return matrix_abs(h_pp) + epsilon * np.eye(p, dtype=h_pp.dtype)
+    return h_pp, matrix_abs(h_pp) + epsilon * np.eye(p, dtype=h_pp.dtype)
 
 
-def postprocess_gidi(h_raw, state: PreconditionerState, epsilon: float, span=None):
+def postprocess_gidi(h_raw, memory, k: int, epsilon: float, span):
     """Hermitize, regularize as √(H′² + εI), then blend with inertia.
 
     The regularization happens before the inertia blend, so every summand has
     eigenvalues ≥ √ε and a vanishing Hessian yields a preconditioner
-    proportional to the identity.
+    proportional to the identity.  ``memory`` is the previous blend, as in
+    `postprocess_spall`; the blend of iteration k is returned twice, as the
+    new blend and as the preconditioner.
 
     ``span`` is handed to `psd_sqrt_shifted`: a p × r array whose columns
-    span the range of H′, or None for the whole space.  An estimate averaged
-    from N_R outer products δδ̃† has its range in the span of the 2·N_R
-    perturbation vectors, which `run` passes, so the square root costs
-    O(p·N_R²) beyond forming the result.  Scalar mode ignores it.  Raises
-    ``ValueError`` if the estimate's dimension does not match ``state`` or
-    the span's row count does not match the estimate.
+    span the range of H′.  An estimate averaged from N_R outer products δδ̃†
+    has its range in the span of the 2·N_R perturbation vectors, which `run`
+    passes, so the square root costs O(p·N_R²) beyond forming the result.
+    Scalar mode ignores it.  Raises ``ValueError`` if the estimate's
+    dimension does not match ``memory`` or the span's row count does not
+    match the estimate.
     """
-    state.k += 1
-    k = state.k
-    if np.isscalar(state.memory):
+    if np.isscalar(memory):
         h_prime = float(np.real(h_raw))
         h_pp = math.sqrt(h_prime * h_prime + epsilon)
-        state.memory = (k / (k + 1)) * state.memory + h_pp / (k + 1)
-        return state.memory
-    h_prime = hermitize(h_raw)
-    if h_prime.shape != state.memory.shape:
-        raise ValueError("Hessian estimate dimension does not match preconditioner state")
-    h_pp = psd_sqrt_shifted(h_prime, epsilon, span)
-    state.memory = (k / (k + 1)) * state.memory + h_pp / (k + 1)
-    return state.memory.copy()
+    else:
+        h_prime = hermitize(h_raw)
+        if h_prime.shape != memory.shape:
+            raise ValueError("Hessian estimate dimension does not match the blend")
+        h_pp = psd_sqrt_shifted(h_prime, epsilon, span)
+    blend = (k / (k + 1)) * memory + h_pp / (k + 1)
+    return blend, blend
 
 
 def step_first_order(z, a_k, g):
@@ -319,9 +299,7 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
     record = monitor if monitor is not None else objective
 
     preconditioned = config.method != "first_order"
-    state = None
-    if preconditioned:
-        state = PreconditionerState.identity(p, config.field, config.scalar)
+    memory = 1.0 if config.scalar else np.eye(p, dtype=z.dtype)  # H̄_0 = I
     epsilon = config.effective_epsilon
 
     delta = config.blocking
@@ -379,13 +357,14 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     if config.postproc == "spall":
-                        preconditioner = postprocess_spall(h_raw, state, epsilon)
+                        memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
                     else:
                         # The estimate's range lies in the span of this
                         # iteration's Δ, Δ̃ rows of the block.
                         first = (k - 1) % PERTURBATION_BLOCK * draws_per_iter
-                        span = None if config.scalar else block[first:first + draws_per_iter].T
-                        preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
+                        span = block[first:first + draws_per_iter].T
+                        memory, preconditioner = postprocess_gidi(
+                            h_raw, memory, k, epsilon, span)
                 if np.isfinite(preconditioner).all():
                     candidate = step_preconditioned(z, abar_k, g, preconditioner)
             except np.linalg.LinAlgError:

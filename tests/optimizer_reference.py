@@ -23,7 +23,6 @@ from spsakit.estimators import (
     sample_perturbation,
 )
 from spsakit.optimizers import (
-    PreconditionerState,
     RunTrace,
     _counted,
     estimate_blocking_tolerance,
@@ -47,9 +46,7 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
     record = monitor if monitor is not None else objective
 
     preconditioned = config.method != "first_order"
-    state = None
-    if preconditioned:
-        state = PreconditionerState.identity(p, config.field, config.scalar)
+    memory = 1.0 if config.scalar else np.eye(p, dtype=dtype)
     epsilon = config.effective_epsilon
 
     delta = config.blocking
@@ -103,10 +100,10 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
                 # and a failed Cholesky factorization all end the run.
                 with np.errstate(over="ignore", invalid="ignore"):
                     if config.postproc == "spall":
-                        preconditioner = postprocess_spall(h_raw, state, epsilon)
+                        memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
                     else:
-                        span = None if config.scalar else np.stack(drawn, axis=1)
-                        preconditioner = postprocess_gidi(h_raw, state, epsilon, span)
+                        memory, preconditioner = postprocess_gidi(
+                            h_raw, memory, k, epsilon, np.stack(drawn, axis=1))
                 if not np.all(np.isfinite(preconditioner)):
                     raise np.linalg.LinAlgError("the preconditioner is not finite")
                 candidate = step_preconditioned(z, abar_k, g, preconditioner)

@@ -80,12 +80,54 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config(["--config", str(cfg_file)])
 
-    def test_env_seed_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPSAKIT_SEED", "123")
-        config = parse_config(["--application", "sgqt"])
-        assert config.seed == 123
-        config = parse_config(["--application", "sgqt", "--seed", "9"])
-        assert config.seed == 9
+    @pytest.mark.parametrize("key, text, value", [
+        ("periodic", "false", False), ("periodic", "true", True), ("qubits", "3", 3),
+        ("shots", "inf", float("inf")), ("epsilon", "0.01", 0.01)])
+    def test_file_strings_read_as_flags_read_them(self, tmp_path, key, text, value):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "vqe", "method": "second_order",
+                                        key: text}))
+        from_file = parse_config(["--config", str(cfg_file)])
+        assert getattr(from_file, key) == value
+        assert from_file == parse_config(["--application", "vqe", "--method", "second_order",
+                                          "--" + key, text])
+
+    def test_file_string_false_builds_an_open_chain(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "grape", "qubits": 4,
+                                        "periodic": "false"}))
+        problem = parse_config(["--config", str(cfg_file)]).problem()
+        assert problem.periodic is False
+
+    def test_file_null_keeps_none(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "sgqt", "epsilon": None,
+                                        "workers": None}))
+        config = parse_config(["--config", str(cfg_file)])
+        assert config.epsilon is None and config.workers is None
+
+    def test_file_gains_list(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "sgqt",
+                                        "gains": [2.5, 0.2, 1, 0.7, 0.15]}))
+        assert parse_config(["--config", str(cfg_file)]).gains == "2.5,0.2,1.0,0.7,0.15"
+
+    @pytest.mark.parametrize("content", ["[]", '["application", "vqe"]', "3"])
+    def test_config_file_that_is_no_object_exits_2(self, tmp_path, capsys, content):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(content)
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("values", [
+        {"qubits": 3.5}, {"qubits": True}, {"runs": "many"}, {"runs": None},
+        {"scalar": 1}, {"periodic": "maybe"}, {"epsilon": True}, {"method": 2}])
+    def test_file_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, values):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "vqe", **values}))
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_shots_inf(self):
         config = parse_config(["--application", "sgqt", "--shots", "inf"])
@@ -263,6 +305,12 @@ class TestApplicationTable:
         ("--application", "sgqt", "--workers", "-3"),
         ("--application", "sgqt", "--runs", "0"),
         ("--application", "sgqt", "--blocking", "nan"),
+        ("--application", "sgqt", "--gains", "nan,0.1,0,0.6,0.1"),
+        ("--application", "sgqt", "--gains", "1,0.1,0,inf,0.1"),
+        ("--application", "sgqt", "--method", "second_order", "--epsilon", "nan"),
+        ("--application", "sgqt", "--method", "second_order", "--epsilon", "inf"),
+        ("--application", "sgqt", "--qubits", "3.5"),
+        ("--application", "sgqt", "--scalar", "maybe"),
     ])
     def test_invalid_flags_exit_2_with_error(self, tmp_path, capsys, flags):
         assert main([*flags, "--iterations", "1", "--out", str(tmp_path / "x")]) == 2

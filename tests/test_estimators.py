@@ -49,6 +49,12 @@ class TestGainSchedule:
         with pytest.raises(ValueError):
             GainSchedule(a=1.0, b=0.1, s=-0.1)
 
+    @pytest.mark.parametrize("name", ["a", "b", "A", "s", "t"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            GainSchedule(**{"a": 1.0, "b": 0.1, name: value})
+
 
 class TestSamplePerturbation:
     def test_real_alphabet_and_determinism(self):

@@ -94,16 +94,16 @@ class TestMatrixAbs:
 
 class TestPsdSqrtShifted:
     def test_zero_matrix(self):
-        out = psd_sqrt_shifted(np.zeros((2, 2)), 1e-4)
+        out = psd_sqrt_shifted(np.zeros((2, 2)), 1e-4, np.eye(2))
         np.testing.assert_allclose(out, np.diag([1e-2, 1e-2]), atol=1e-14)
 
     def test_scalar_diagonal(self):
         eps = 1e-3
-        out = psd_sqrt_shifted(np.diag([3.0]), eps)
+        out = psd_sqrt_shifted(np.diag([3.0]), eps, np.eye(1))
         np.testing.assert_allclose(out, [[np.sqrt(9.0 + eps)]])
 
     def test_identity_small_eps_limit(self):
-        out = psd_sqrt_shifted(np.eye(3), 1e-14)
+        out = psd_sqrt_shifted(np.eye(3), 1e-14, np.eye(3))
         np.testing.assert_allclose(out, np.eye(3), atol=1e-7)
 
     def test_min_eigenvalue_at_least_sqrt_eps(self):
@@ -111,7 +111,7 @@ class TestPsdSqrtShifted:
         eps = 1e-4
         for _ in range(20):
             m = random_hermitian(5, rng)
-            w = np.linalg.eigvalsh(psd_sqrt_shifted(m, eps))
+            w = np.linalg.eigvalsh(psd_sqrt_shifted(m, eps, np.eye(5)))
             assert w.min() >= np.sqrt(eps) - 1e-12
 
     @pytest.mark.parametrize("span", [False, True])
@@ -120,7 +120,7 @@ class TestPsdSqrtShifted:
         # √(λ² + ε) for λ past 1e154, without overflow or a warning
         eps = 1e-4
         out = psd_sqrt_shifted(np.diag([huge, 2.0, 0.0]), eps,
-                               np.eye(3)[:, :2] if span else None)
+                               np.eye(3)[:, :2] if span else np.eye(3))
         assert np.isfinite(out).all()
         np.testing.assert_allclose(np.diag(out), [abs(huge), np.sqrt(4.0 + eps), np.sqrt(eps)],
                                    rtol=1e-14)
@@ -141,16 +141,20 @@ class TestPsdSqrtShifted:
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         w = np.array([-3e250, 1e-3, 2.0, 1e200])
-        out = psd_sqrt_shifted((q * w) @ q.conj().T, 1e-4)
+        out = psd_sqrt_shifted((q * w) @ q.conj().T, 1e-4, np.eye(4))
         assert np.isfinite(out).all()
         np.testing.assert_allclose(np.linalg.eigvalsh(out), np.sort(np.abs(w)), rtol=1e-12,
                                    atol=1e-12 * 3e250)
 
     def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError):
-            psd_sqrt_shifted(np.eye(2), 0.0)
-        with pytest.raises(ValueError):
-            psd_sqrt_shifted(np.eye(2), -1e-3)
+        for eps in (0.0, -1e-3, -np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                psd_sqrt_shifted(np.eye(2), eps, np.eye(2))
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_nonfinite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            psd_sqrt_shifted(np.eye(2), eps, np.eye(2))
 
 
 class TestSolvePd:
@@ -188,7 +192,7 @@ class TestSharedEigenbasis:
         rng = np.random.default_rng(5)
         for p in (2, 8, 16):
             m = random_hermitian(p, rng)
-            for result in (matrix_abs(m), psd_sqrt_shifted(m, 1e-4)):
+            for result in (matrix_abs(m), psd_sqrt_shifted(m, 1e-4, np.eye(p))):
                 comm = result @ m - m @ result
                 assert np.abs(comm).max() <= 1e-10
 
@@ -199,6 +203,12 @@ class TestSharedEigenbasis:
             m = random_hermitian(6, rng)
             w = np.linalg.eigvalsh(matrix_abs(m) + eps * np.eye(6))
             assert w.min() >= eps - 1e-12
+
+
+def reference_psd_sqrt_shifted(m, epsilon):
+    """√(M² + εI) from the full spectral decomposition of M, by `np.linalg.eigh`."""
+    w, u = np.linalg.eigh(m)
+    return (u * np.sqrt(w * w + epsilon)) @ u.conj().T
 
 
 # How each δ̃_r relates to its δ_r: drawn independently, or a unit multiple
@@ -240,7 +250,7 @@ class TestPsdSqrtShiftedOnASpan:
     @example(estimate=("real", 40, 1, "-δ", 3), epsilon=1e-8)
     def test_matches_the_full_decomposition(self, estimate, epsilon):
         h, span = outer_product_estimate(*estimate)
-        full = psd_sqrt_shifted(h, epsilon)
+        full = reference_psd_sqrt_shifted(h, epsilon)
         on_span = psd_sqrt_shifted(h, epsilon, span)
         assert on_span.dtype == full.dtype
         assert np.abs(on_span - full).max() <= 1e-12 * np.abs(full).max()

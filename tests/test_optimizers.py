@@ -6,9 +6,9 @@ from optimizer_reference import reference_run
 
 import spsakit.optimizers as optimizers
 from spsakit.estimators import GAIN_PRESETS, GainSchedule
+from spsakit.linalg import matrix_abs
 from spsakit.optimizers import (
     OptimizerConfig,
-    PreconditionerState,
     estimate_blocking_tolerance,
     method_label,
     postprocess_gidi,
@@ -21,54 +21,52 @@ from spsakit.optimizers import (
 STATIC = GAIN_PRESETS["static"]
 
 
+I2 = np.eye(2)
+
+
 class TestPostprocessSpall:
     def test_worked_example(self):
-        state = PreconditionerState.identity(2, "real")
         h_raw = np.array([[-2.0, 2.0], [-2.0, 2.0]])
-        out = postprocess_spall(h_raw, state, 1e-3)
-        np.testing.assert_allclose(state.memory, np.diag([-0.5, 1.5]))
+        memory, out = postprocess_spall(h_raw, I2, 1, 1e-3)
+        np.testing.assert_allclose(memory, np.diag([-0.5, 1.5]))
         np.testing.assert_allclose(out, np.diag([0.501, 1.501]), atol=1e-12)
-        assert state.k == 1
 
     def test_identity_fixed_point(self):
-        state = PreconditionerState.identity(3, "complex")
+        memory = np.eye(3, dtype=complex)
         eps = 1e-3
-        for _ in range(5):
-            out = postprocess_spall(np.eye(3, dtype=complex), state, eps)
+        for k in range(1, 6):
+            memory, out = postprocess_spall(np.eye(3, dtype=complex), memory, k, eps)
             np.testing.assert_allclose(out, (1 + eps) * np.eye(3), atol=1e-12)
 
     def test_zero_input_first_step(self):
-        state = PreconditionerState.identity(2, "real")
-        out = postprocess_spall(np.zeros((2, 2)), state, 1e-3)
-        np.testing.assert_allclose(state.memory, 0.5 * np.eye(2))
+        memory, out = postprocess_spall(np.zeros((2, 2)), I2, 1, 1e-3)
+        np.testing.assert_allclose(memory, 0.5 * np.eye(2))
         np.testing.assert_allclose(out, (0.5 + 1e-3) * np.eye(2), atol=1e-12)
 
     def test_scalar_mode(self):
-        state = PreconditionerState.identity(1, scalar=True)
-        out = postprocess_spall(-2.0, state, 1e-3)
-        assert state.memory == pytest.approx(-0.5)
+        memory, out = postprocess_spall(-2.0, 1.0, 1, 1e-3)
+        assert memory == pytest.approx(-0.5)
         assert out == pytest.approx(0.501)
 
     def test_dimension_mismatch(self):
-        state = PreconditionerState.identity(2, "real")
         with pytest.raises(ValueError):
-            postprocess_spall(np.zeros((3, 3)), state, 1e-3)
+            postprocess_spall(np.zeros((3, 3)), I2, 1, 1e-3)
 
     def test_memory_stays_hermitian(self):
         rng = np.random.default_rng(0)
-        state = PreconditionerState.identity(4, "complex")
-        for _ in range(10):
+        memory = np.eye(4, dtype=complex)
+        for k in range(1, 11):
             raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            postprocess_spall(raw, state, 1e-3)
-            np.testing.assert_allclose(state.memory, state.memory.conj().T, atol=1e-12)
+            memory, _ = postprocess_spall(raw, memory, k, 1e-3)
+            np.testing.assert_allclose(memory, memory.conj().T, atol=1e-12)
 
 
 class TestPostprocessGidi:
     def test_zero_input_blend(self):
         eps = 1e-4
-        state = PreconditionerState.identity(2, "real")
+        memory = I2
         for k in range(1, 20):
-            out = postprocess_gidi(np.zeros((2, 2)), state, eps)
+            memory, out = postprocess_gidi(np.zeros((2, 2)), memory, k, eps, I2)
             w = np.linalg.eigvalsh(out)
             assert w.min() >= np.sqrt(eps) - 1e-12
             assert w.max() <= 1.0 + 1e-12
@@ -76,27 +74,82 @@ class TestPostprocessGidi:
             np.testing.assert_allclose(out, out[0, 0] * np.eye(2), atol=1e-12)
 
     def test_worked_example_small_eps(self):
-        state = PreconditionerState.identity(2, "real")
-        out = postprocess_gidi(np.diag([3.0, -3.0]), state, 1e-12)
+        _, out = postprocess_gidi(np.diag([3.0, -3.0]), I2, 1, 1e-12, I2)
         np.testing.assert_allclose(out, np.diag([2.0, 2.0]), atol=1e-5)
 
     def test_differs_from_spall_on_vanishing_hessian(self):
         eps = 1e-3
-        spall_state = PreconditionerState.identity(2, "real")
-        gidi_state = PreconditionerState.identity(2, "real")
+        spall_memory = gidi_memory = I2
         h_raw = np.zeros((2, 2))
-        for _ in range(50):
-            spall_out = postprocess_spall(h_raw, spall_state, eps)
-            gidi_out = postprocess_gidi(h_raw, gidi_state, eps)
+        for k in range(1, 51):
+            spall_memory, spall_out = postprocess_spall(h_raw, spall_memory, k, eps)
+            gidi_memory, gidi_out = postprocess_gidi(h_raw, gidi_memory, k, eps, I2)
         # spall decays to eps*I, gidi stays lower-bounded by sqrt(eps)*I
         assert np.linalg.eigvalsh(spall_out).max() < 0.05
         assert np.linalg.eigvalsh(gidi_out).min() >= np.sqrt(eps) - 1e-12
         np.testing.assert_allclose(gidi_out, gidi_out[0, 0] * np.eye(2), atol=1e-12)
 
     def test_scalar_mode(self):
-        state = PreconditionerState.identity(1, scalar=True)
-        out = postprocess_gidi(0.0, state, 1e-4)
+        _, out = postprocess_gidi(0.0, 1.0, 1, 1e-4, None)
         assert out == pytest.approx(0.5 * (1.0 + 1e-2))
+
+
+def _regularized(postproc, h_prime, epsilon):
+    """The summand Ĥ_k each post-processing blends: H′ itself for spall, and
+    √(H′² + εI) from a full `eigh` for gidi."""
+    if postproc == "spall":
+        return h_prime
+    if np.isscalar(h_prime):
+        return np.sqrt(h_prime * h_prime + epsilon)
+    w, u = np.linalg.eigh(h_prime)
+    return (u * np.sqrt(w * w + epsilon)) @ u.conj().T
+
+
+class TestPostprocessingIsPure:
+    """Both post-processings return Spall's blend k/(k+1)·H̄ + Ĥ/(k+1) for the
+    k they are given, and modify neither the estimate nor the blend."""
+
+    @pytest.mark.parametrize("postproc", ["spall", "gidi"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("k", [1, 2, 7, 1000])
+    def test_matrix_blend_for_the_given_k(self, postproc, field, k):
+        rng = np.random.default_rng(k)
+        dtype = complex if field == "complex" else float
+        p, eps = 4, 1e-3
+
+        def draw():
+            a = rng.standard_normal((p, p))
+            return (a + 1j * rng.standard_normal((p, p)) if field == "complex" else a)
+
+        h_raw, previous = draw(), draw()
+        previous = (previous + previous.conj().T) / 2
+        h_copy, previous_copy = h_raw.copy(), previous.copy()
+        fn = postprocess_spall if postproc == "spall" else postprocess_gidi
+        args = () if postproc == "spall" else (np.eye(p),)
+        memory, preconditioner = fn(h_raw, previous, k, eps, *args)
+        assert h_raw.tobytes() == h_copy.tobytes()
+        assert previous.tobytes() == previous_copy.tobytes()
+        expected = k / (k + 1) * previous + _regularized(
+            postproc, (h_raw + h_raw.conj().T) / 2, eps) / (k + 1)
+        assert memory.dtype == np.dtype(dtype)
+        np.testing.assert_allclose(memory, expected, rtol=1e-12, atol=1e-12)
+        if postproc == "gidi":
+            np.testing.assert_array_equal(preconditioner, memory)
+        else:
+            np.testing.assert_allclose(
+                preconditioner, matrix_abs(expected) + eps * np.eye(p), atol=1e-12)
+
+    @pytest.mark.parametrize("postproc", ["spall", "gidi"])
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_scalar_blend_for_the_given_k(self, postproc, k):
+        eps, previous, h_raw = 1e-3, 0.75, -2.5
+        fn = postprocess_spall if postproc == "spall" else postprocess_gidi
+        args = () if postproc == "spall" else (None,)
+        memory, preconditioner = fn(h_raw, previous, k, eps, *args)
+        expected = k / (k + 1) * previous + _regularized(postproc, h_raw, eps) / (k + 1)
+        assert memory == pytest.approx(expected, rel=1e-15)
+        assert preconditioner == pytest.approx(
+            abs(expected) + eps if postproc == "spall" else expected, rel=1e-15)
 
 
 class TestSteps:
@@ -274,6 +327,11 @@ class TestRunContracts:
     def test_scalar_first_order_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig(method="first_order", scalar=True)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_epsilon_outside_open_positive_reals_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            OptimizerConfig(method="second_order", epsilon=epsilon)
 
     def test_invalid_tags_rejected(self):
         with pytest.raises(ValueError):
@@ -732,26 +790,49 @@ class TestRunBehavior:
             assert abs(scale.imag) < 1e-15
             np.testing.assert_allclose(step, scale * g, rtol=1e-12, atol=1e-15)
 
-    def test_scalar_mode_never_builds_matrices(self):
+    @pytest.mark.parametrize("postproc", ["spall", "gidi"])
+    @pytest.mark.parametrize("method", ["second_order", "quantum_natural"])
+    def test_scalar_mode_never_builds_matrices(self, monkeypatch, method, postproc):
         c, f, fid = quadratic_problem("complex", p=6)
-        cfg = OptimizerConfig(method="quantum_natural", field="complex", scalar=True,
-                              gains=STATIC, max_iterations=5, seed=0)
-        import spsakit.optimizers as opt
+        cfg = OptimizerConfig(method=method, field="complex", scalar=True, gains=STATIC,
+                              postproc=postproc, max_iterations=5, seed=0)
+        name = "postprocess_" + postproc
+        original = getattr(optimizers, name)
+        received = []
 
-        state_holder = {}
-        original = opt.PreconditionerState.identity
+        def spy(h_raw, memory, k, *args):
+            received.append((k, h_raw, memory))
+            return original(h_raw, memory, k, *args)
 
-        def spy(p, field="complex", scalar=False):
-            state = original(p, field, scalar)
-            state_holder["state"] = state
-            return state
+        monkeypatch.setattr(optimizers, name, spy)
+        run(f, cfg, c + np.ones(6, dtype=complex), fidelity=fid)
+        assert [k for k, _, _ in received] == [1, 2, 3, 4, 5]
+        assert received[0][2] == 1.0
+        for _, h_raw, memory in received:
+            assert np.isscalar(h_raw) and np.isscalar(memory)
 
-        opt.PreconditionerState.identity = spy
-        try:
-            run(f, cfg, c + np.ones(6, dtype=complex), fidelity=fid)
-        finally:
-            opt.PreconditionerState.identity = original
-        assert np.isscalar(state_holder["state"].memory)
+    @pytest.mark.parametrize("postproc", ["spall", "gidi"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_run_passes_each_blend_back_with_its_own_k(self, monkeypatch, field, postproc):
+        c, f, _ = quadratic_problem(field, p=3)
+        cfg = OptimizerConfig(method="second_order", field=field, gains=STATIC,
+                              postproc=postproc, max_iterations=6, seed=2)
+        name = "postprocess_" + postproc
+        original = getattr(optimizers, name)
+        calls = []
+
+        def spy(h_raw, memory, k, *args):
+            out = original(h_raw, memory, k, *args)
+            calls.append((k, memory, out[0]))
+            return out
+
+        monkeypatch.setattr(optimizers, name, spy)
+        run(f, cfg, c + 1.0)
+        assert [k for k, _, _ in calls] == [1, 2, 3, 4, 5, 6]
+        z_dtype = np.complex128 if field == "complex" else np.float64
+        assert calls[0][1].tobytes() == np.eye(3, dtype=z_dtype).tobytes()
+        for (_, _, blend), (_, memory, _) in zip(calls, calls[1:]):
+            assert memory is blend
 
 
 class TestMethodLabel:
