@@ -100,12 +100,18 @@ def _problem_defaults(cls) -> dict:
 
 
 def _parse_gains(spec):
+    """A preset name, the string ``a,b,A,s,t``, or a list of five numbers;
+    as in every other option, a bool or string entry is not a number."""
     if isinstance(spec, (list, tuple)):
+        if not all(type(v) in (int, float) for v in spec):
+            raise ValueError(f"gains: expected five numbers a,b,A,s,t, got {list(spec)!r}")
         values = [float(v) for v in spec]
+    elif not isinstance(spec, str):
+        raise ValueError(f"gains: expected a preset, a,b,A,s,t or a list, got {spec!r}")
     elif spec in GAIN_PRESETS:
         return GAIN_PRESETS[spec]
     else:
-        values = [float(v) for v in str(spec).split(",")]
+        values = [float(v) for v in spec.split(",")]
     if len(values) != 5:
         raise ValueError("explicit gains must be the five values a,b,A,s,t")
     a, b, big_a, s, t = values

@@ -409,6 +409,78 @@ class TestGrape:
             psi = psi / np.linalg.norm(psi)
         np.testing.assert_allclose(grape_final_state(prob, controls), psi, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def _sector_propagators(prob, controls):
+        """GRAPE's gather index and its (M, nb, h, h) propagator stack."""
+        index, generators = applications._bond_sectors(prob.n_qubits, prob.periodic)
+        nb, h = index.shape[:2]
+        stack = (0.5j * prob.dt) * controls.reshape(prob.slices, 3) @ generators
+        stack = stack.reshape(-1, h, h)
+        return index, stack, applications._expm_stack(stack).reshape(prob.slices, nb, h, h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 6), st.booleans(), st.integers(31, 80), st.data())
+    def test_rescaled_propagation_matches_per_slice_normalization(
+            self, n, periodic, slices, data):
+        # n = 3, 5 propagate one (h, 2) block (nb = 1), n = 4, 6 two (h, 1)
+        # blocks.  The controls are scaled so that the largest row-sum norm
+        # is nu = L / (k + 1/2), L = _MAX_GROWTH, which rescales after every
+        # k < slices slices.  k >= 30 keeps nu below 10: a slice with norm nu
+        # can amplify the roundoff of either propagation by up to e^(2 nu),
+        # so larger norms compare two roundoff-dominated results.
+        seed = data.draw(st.integers(0, 2**16))
+        every = data.draw(st.integers(30, slices - 1))
+        rng = np.random.default_rng(seed)
+        psi0 = haar_random_state(n, rng)
+        prob = GrapeProblem(n_qubits=n, slices=slices, periodic=periodic, psi0=psi0)
+        controls = rng.standard_normal(3 * slices) + 1j * rng.standard_normal(3 * slices)
+        _, stack, _ = self._sector_propagators(prob, controls)
+        nu = applications._MAX_GROWTH / (every + 0.5)
+        controls *= nu / np.abs(stack).sum(axis=-1).max()
+        index, stack, propagators = self._sector_propagators(prob, controls)
+        assert int(applications._MAX_GROWTH / np.abs(stack).sum(axis=-1).max()) == every
+        psi = psi0[index]
+        for u in propagators:
+            psi = u @ psi
+            psi = psi / np.linalg.norm(psi)
+        expected = np.empty_like(psi0)
+        expected[index] = psi
+        out = grape_final_state(prob, controls)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_zero_controls_return_the_initial_state(self, n):
+        # nu = 0: identity propagators and only the final normalization
+        psi0 = haar_random_state(n, np.random.default_rng(n))
+        prob = GrapeProblem(n_qubits=n, slices=7, psi0=psi0)
+        np.testing.assert_allclose(grape_final_state(prob, np.zeros(21, complex)), psi0,
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_growth_beyond_the_float_range_is_rescaled(self, n):
+        # Equal imaginary couplings make every generator the same real
+        # symmetric matrix, so the state turns to its top eigenvector and
+        # grows by about e^nu per slice: ||psi||^2 would pass 1e308 long
+        # before the last of 60 slices without the rescaling in between.
+        slices, nu = 60, 20.0
+        psi0 = haar_random_state(n, np.random.default_rng(n))
+        prob = GrapeProblem(n_qubits=n, slices=slices, psi0=psi0)
+        controls = np.full(3 * slices, 1j)
+        _, stack, _ = self._sector_propagators(prob, controls)
+        controls *= nu / np.abs(stack).sum(axis=-1).max()
+        index, _, propagators = self._sector_propagators(prob, controls)
+        psi, growth = psi0[index], 0.0
+        for u in propagators:
+            psi = u @ psi
+            growth += math.log(np.linalg.norm(psi))
+            psi = psi / np.linalg.norm(psi)
+        assert growth > 400
+        expected = np.empty_like(psi0)
+        expected[index] = psi
+        np.testing.assert_allclose(grape_final_state(prob, controls), expected,
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("norm", [0.5, 1.0, 3.0, 8.0, 32.0, 64.0])
     def test_expm_stack_matches_scipy(self, norm):
         # 16 x 16 parity blocks of 5-qubit GRAPE generators, scaled to a
@@ -778,6 +850,36 @@ class TestPinnedStateMemo:
         np.testing.assert_array_equal(np.diff(builds), 5)
 
     @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    def test_auto_blocking_builds_the_initial_state_once(self, monkeypatch, field):
+        # the 25 measurements of z0 for the tolerance and the reference value
+        # share one build, with the values and draws of 26 separate builds
+        calls = self._count_builds(monkeypatch, "grape_final_state")
+        problem = GrapeProblem(n_qubits=3, slices=4, shots=1000)
+        problem = problem.materialize(np.random.default_rng(2))
+        z0 = problem.initial_point(np.random.default_rng(3))
+        if field == REAL:
+            z0 = interleave_complex(z0)
+        config = OptimizerConfig(field=field, max_iterations=6, blocking="auto", seed=5)
+        traces, builds = [], ([], [])
+        for fresh_copies, seen in zip((False, True), builds):
+            oracles = make_oracles(problem, np.random.default_rng(4), field)
+            copy = (lambda z: z.copy()) if fresh_copies else (lambda z: z)
+            calls.clear()
+
+            def objective(z):
+                value = oracles.objective(copy(z))
+                seen.append(len(calls))
+                return value
+
+            traces.append(run(objective, config, z0, monitor=lambda z: oracles.monitor(copy(z))))
+        assert builds[0][:26] == [1] * 26
+        assert builds[1][:26] == list(range(1, 27))  # a new object every call
+        cached, rebuilt = traces
+        assert cached.blocking_delta == rebuilt.blocking_delta
+        np.testing.assert_array_equal(cached.objective, rebuilt.objective)
+        np.testing.assert_array_equal(cached.final_params, rebuilt.final_params)
+
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
     def test_monitor_bypasses_memo_until_first_fidelity_call(self, monkeypatch, field):
         problem = SgqtProblem(n_qubits=2, shots=100).materialize(np.random.default_rng(4))
         builds = []
@@ -795,12 +897,28 @@ class TestPinnedStateMemo:
             z, w = interleave_complex(z), interleave_complex(w)
         oracles.monitor(z)
         oracles.monitor(z)
-        assert len(builds) == 2  # no memo: each monitor call builds
+        assert len(builds) == 1  # the first argument, repeated, is built once
+        oracles.monitor(z.copy())
+        oracles.monitor(z)
+        assert len(builds) == 3  # after another argument, no memo: each call builds
         oracles.fidelity(z, w)
-        assert len(builds) == 4  # the monitor's state was not kept for the pin
+        assert len(builds) == 5  # the monitor's state was not kept for the pin
         oracles.monitor(z)
         oracles.fidelity(z, w)
-        assert len(builds) == 4  # the monitor and both fidelity arguments reuse the memo
+        assert len(builds) == 5  # the monitor and both fidelity arguments reuse the memo
+
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    def test_first_argument_changed_in_place_is_rebuilt(self, field):
+        problem = SgqtProblem(n_qubits=2, shots=100).materialize(np.random.default_rng(4))
+        oracles = make_oracles(problem, np.random.default_rng(5), field)
+        fresh = make_oracles(problem, np.random.default_rng(5), field)
+        z = problem.initial_point(np.random.default_rng(6))
+        if field == REAL:
+            z = interleave_complex(z)
+        before = oracles.monitor(z)
+        assert oracles.monitor(z) == before
+        z[0] += 0.5
+        assert oracles.monitor(z) == fresh.monitor(z.copy()) != before
 
     def test_memoized_states_are_read_only(self, monkeypatch):
         problem = SgqtProblem(n_qubits=2, shots=100).materialize(np.random.default_rng(4))
@@ -814,7 +932,9 @@ class TestPinnedStateMemo:
         oracles = make_oracles(problem, np.random.default_rng(5))
         z = problem.initial_point(np.random.default_rng(6))
         w = problem.initial_point(np.random.default_rng(7))
-        oracles.monitor(z)  # built directly, so the write lands in a private array
+        with pytest.raises(ValueError):
+            oracles.monitor(z.copy())  # the first build is kept for its repeats
+        oracles.monitor(w)  # a later direct build, so the write lands in a private array
         oracles.fidelity(z, w)
         with pytest.raises(ValueError):
             oracles.monitor(z)

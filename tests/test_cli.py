@@ -106,11 +106,21 @@ class TestParseConfig:
         config = parse_config(["--config", str(cfg_file)])
         assert config.epsilon is None and config.workers is None
 
-    def test_file_gains_list(self, tmp_path):
+    @pytest.mark.parametrize("gains", [[2.5, 0.2, 1, 0.7, 0.15], "2.5,0.2,1,0.7,0.15"])
+    def test_file_gains_list_or_string(self, tmp_path, gains):
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text(json.dumps({"application": "sgqt",
-                                        "gains": [2.5, 0.2, 1, 0.7, 0.15]}))
+        cfg_file.write_text(json.dumps({"application": "sgqt", "gains": gains}))
         assert parse_config(["--config", str(cfg_file)]).gains == "2.5,0.2,1.0,0.7,0.15"
+
+    @pytest.mark.parametrize("gains", [
+        [True, 0.1, 0, 0.6, 0.1], ["3", 0.1, 0, 0.6, 0.1], [None, 0.1, 0, 0.6, 0.1],
+        [[3], 0.1, 0, 0.6, 0.1], True, 3, {"a": 3}])
+    def test_file_gains_that_are_not_numbers_exit_2(self, tmp_path, capsys, gains):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "sgqt", "gains": gains}))
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize("content", ["[]", '["application", "vqe"]', "3"])
     def test_config_file_that_is_no_object_exits_2(self, tmp_path, capsys, content):
