@@ -360,15 +360,15 @@ _PS_DIAG = _read_only(np.array([_TAYLOR_INV[i] for i in (0, 3, 6, 9)])[:, None, 
 _MAX_SQUARINGS = 60
 
 
-def _expm_stack(a, norm=None):
+def _expm_stack(a, norm):
     """exp(A_m) for a stack of small square complex matrices, batched over the leading axis.
 
     Degree-12 Taylor in Paterson-Stockmeyer form with scaling and squaring;
     much faster than per-slice scipy.expm for the sizes used here.  One
     squaring count s serves the whole stack: the smallest that brings the
     largest row-sum norm ν = m·2^e (½ ≤ m < 1, from ``math.frexp``) to ≤ 1,
-    which is e, or e − 1 for m = ½.  ``norm`` is ν when the caller has
-    already computed it as ``_row_sum_norm(a)``; None computes it here.  The
+    which is e, or e − 1 for m = ½.  ``norm`` is ν, ``_row_sum_norm(a)``,
+    which the caller computes once and also uses for GRAPE's rescaling.  The
     Taylor remainder at a scaled norm ≤ 1 is at most about 1/13! ≈ 1.6e-10
     relative, and each squaring roughly doubles the error, so the bound is
     about 2^s·1.6e-10.  Measured against scipy.linalg.expm on the 16 × 16
@@ -385,8 +385,6 @@ def _expm_stack(a, norm=None):
     of (B, B², B³); and their identity terms are one update of the stacked
     diagonals.
     """
-    if norm is None:
-        norm = _row_sum_norm(a)
     if not math.isfinite(norm):
         return np.full_like(a, np.nan)
     mantissa, exponent = math.frexp(norm)
@@ -459,9 +457,8 @@ def grape_final_state(prob: GrapeProblem, controls):
     ``_expm_stack`` call, whose row-sum norm ν (computed once here and
     shared with the rescaling rule) and hence squaring count equal those of
     the full generators.  The state is gathered into its sector columns,
-    each slice is one product ``u @ psi`` (``np.dot`` on the 2-D views when
-    nb = 1), and the result is scattered back to the computational basis
-    order.
+    each slice is one batched product ``u @ psi``, and the result is
+    scattered back to the computational basis order.
     """
     controls = np.asarray(controls, dtype=np.complex128)
     if controls.size != 3 * prob.slices:
@@ -477,15 +474,15 @@ def grape_final_state(prob: GrapeProblem, controls):
     nu = _row_sum_norm(stack)
     propagators = _expm_stack(stack, nu).reshape(prob.slices, nb, h, h)
     # ν = 0 needs only the final normalization, and a non-finite ν has given
-    # NaN propagators, which the final rescaling catches
-    every = max(1, int(_MAX_GROWTH / nu)) if 0.0 < nu < math.inf else prob.slices
-    psi, product = psi0[index], np.matmul
-    if nb == 1:
-        # the (h, h) @ (h, 2) products without matmul's batch dispatch
-        psi, propagators, product = psi[0], propagators[:, 0], np.dot
+    # NaN propagators, which the final rescaling catches; L/ν is capped before
+    # the conversion because it is inf for a subnormal ν
+    every = prob.slices
+    if 0.0 < nu < math.inf:
+        every = max(1, int(min(_MAX_GROWTH / nu, every)))
+    psi = psi0[index]
     for start in range(0, prob.slices, every):
         for u in propagators[start:start + every]:
-            psi = product(u, psi)
+            psi = u @ psi
         norm = math.sqrt(np.vdot(psi, psi).real)
         if not 0.0 < norm < math.inf:
             return np.full_like(psi0, np.nan)
@@ -537,11 +534,10 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     oracle builds its states directly, so other runs never form a key.
 
     A run's first argument is built once for as long as the calls repeat
-    it: the same object with the same parameter bytes.  So a run with
-    ``blocking="auto"``, which measures z₀ 25 times for the tolerance and
-    once more for the reference value, builds ψ(z₀) once.  The first call
-    with another argument, or with the first one changed in place, builds
-    directly and ends this, so later calls pay nothing for it.
+    its parameter bytes, the memo's key.  So a run with ``blocking="auto"``,
+    which measures z₀ 25 times for the tolerance and once more for the
+    reference value, builds ψ(z₀) once.  The first call with other bytes
+    builds directly and ends this, so later calls pay nothing for it.
     """
     if field not in FIELDS:
         raise ValueError(f"unknown field {field!r}")
@@ -562,15 +558,15 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
         kept[key] = psi
         return psi
 
-    first = []  # the first argument, its bytes and its state
+    first = []  # the first argument's bytes and its state
 
     def repeat_first(z):
         if not first:
-            first[:] = z, np.asarray(z, dtype=dtype).tobytes(), state(z)
-            first[2].flags.writeable = False
-            return first[2]
-        if z is first[0] and np.asarray(z, dtype=dtype).tobytes() == first[1]:
-            return first[2]
+            first[:] = np.asarray(z, dtype=dtype).tobytes(), state(z)
+            first[1].flags.writeable = False
+            return first[1]
+        if np.asarray(z, dtype=dtype).tobytes() == first[0]:
+            return first[1]
         build[0] = state  # the first argument is done with: build directly from now on
         first.clear()
         return state(z)

@@ -23,6 +23,8 @@ from spsakit.applications import (
     GrapeProblem,
     SgqtProblem,
     VqeProblem,
+    _expm_stack,
+    _row_sum_norm,
     entangling_layer,
     grape_final_state,
     make_oracles,
@@ -292,12 +294,11 @@ class TestGrape:
         assert make_oracles(prob, None).objective(controls) == pytest.approx(0.0, abs=1e-12)
 
     def test_propagator_norm_beyond_squaring_cap_gives_nan(self):
-        from spsakit.applications import _expm_stack
-
         theta = 2.5 * 2.0**60  # needs 62 squarings; the cap is 60
-        out = _expm_stack(np.array([[[-1j * theta]], [[0.5j]]]))
-        assert np.isnan(out).all()
-        ok = _expm_stack(np.array([[[-12j]], [[0.5j]]]))
+        a = np.array([[[-1j * theta]], [[0.5j]]])
+        assert np.isnan(_expm_stack(a, _row_sum_norm(a))).all()
+        a = np.array([[[-12j]], [[0.5j]]])
+        ok = _expm_stack(a, _row_sum_norm(a))
         np.testing.assert_allclose(ok[:, 0, 0], np.exp([-12j, 0.5j]), atol=1e-8)
 
     @pytest.mark.parametrize("n, periodic", [
@@ -397,12 +398,10 @@ class TestGrape:
     def test_sector_propagation_matches_full_space_propagation(self, inputs):
         # the same exponential on the full 2^n x 2^n generators: equal up to
         # roundoff at any norm, since both stacks get the same squaring count
-        from spsakit.applications import _expm_stack
-
         prob, controls = inputs
         coeffs = (0.5j * prob.dt) * controls.reshape(prob.slices, 3)
-        propagators = _expm_stack(
-            np.einsum("mk,kij->mij", coeffs, bond_operators(prob.n_qubits, prob.periodic)))
+        full = np.einsum("mk,kij->mij", coeffs, bond_operators(prob.n_qubits, prob.periodic))
+        propagators = _expm_stack(full, _row_sum_norm(full))
         psi = prob.psi0
         for u in propagators:
             psi = u @ psi
@@ -416,7 +415,8 @@ class TestGrape:
         nb, h = index.shape[:2]
         stack = (0.5j * prob.dt) * controls.reshape(prob.slices, 3) @ generators
         stack = stack.reshape(-1, h, h)
-        return index, stack, applications._expm_stack(stack).reshape(prob.slices, nb, h, h)
+        propagators = _expm_stack(stack, _row_sum_norm(stack))
+        return index, stack, propagators.reshape(prob.slices, nb, h, h)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 6), st.booleans(), st.integers(31, 80), st.data())
@@ -450,11 +450,13 @@ class TestGrape:
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_zero_controls_return_the_initial_state(self, n):
-        # nu = 0: identity propagators and only the final normalization
+    @pytest.mark.parametrize("value", [0.0, 1e-310])
+    def test_zero_controls_return_the_initial_state(self, n, value):
+        # nu = 0: identity propagators and only the final normalization; a
+        # subnormal nu, where L / nu is inf, rescales only at the end too
         psi0 = haar_random_state(n, np.random.default_rng(n))
         prob = GrapeProblem(n_qubits=n, slices=7, psi0=psi0)
-        np.testing.assert_allclose(grape_final_state(prob, np.zeros(21, complex)), psi0,
+        np.testing.assert_allclose(grape_final_state(prob, np.full(21, value, complex)), psi0,
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -485,14 +487,12 @@ class TestGrape:
     def test_expm_stack_matches_scipy(self, norm):
         # 16 x 16 parity blocks of 5-qubit GRAPE generators, scaled to a
         # given largest row-sum norm
-        from spsakit.applications import _expm_stack
-
         blocks = _sector_blocks(5, False)
         rng = np.random.default_rng(20)
         coeffs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         a = np.tensordot(0.5j * coeffs, blocks[0], axes=1)
         a *= norm / np.abs(a).sum(axis=-1).max()
-        out = _expm_stack(a)
+        out = _expm_stack(a, _row_sum_norm(a))
         ref = np.stack([scipy.linalg.expm(m) for m in a])
         err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         assert err.max() < 1e-8
@@ -503,8 +503,6 @@ class TestGrape:
         # stacks laid out as grape_final_state lays them out: for even n the
         # blocks alternate between the two parity sectors; n = 1 has no
         # bonds, so its 1 x 1 blocks are random complex numbers times i
-        from spsakit.applications import _expm_stack
-
         blocks = _sector_blocks(n, False)
         nb = blocks.shape[0]
         rng = np.random.default_rng(23)
@@ -518,7 +516,7 @@ class TestGrape:
             a *= 2.0**exponent / np.abs(a).sum(axis=-1).max()
             a.flags.writeable = False
             before = a.copy()
-            out, ref = _expm_stack(a), reference_expm_stack(a)
+            out, ref = _expm_stack(a, _row_sum_norm(a)), reference_expm_stack(a)
             np.testing.assert_array_equal(a, before)
             err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
             assert err.max() <= 1e-13, (exponent, err.max())
@@ -533,12 +531,10 @@ class TestGrape:
         (2.5 * 2.0**60, True),
     ])
     def test_expm_stack_is_nan_exactly_where_the_reference_is(self, value, nan):
-        from spsakit.applications import _expm_stack
-
         a = np.zeros((3, 2, 2), dtype=complex)
         a[:, 0, 1] = a[:, 1, 0] = 0.5j
         a[1, 0, 0] = -1j * value
-        out, ref = _expm_stack(a), reference_expm_stack(a)
+        out, ref = _expm_stack(a, _row_sum_norm(a)), reference_expm_stack(a)
         assert np.isnan(out).all() == np.isnan(ref).all() == nan
         if not nan:
             assert np.isfinite(out).all()
@@ -548,7 +544,6 @@ class TestGrape:
         # finite at cap s and NaN at cap s - 1 means exactly s squarings.
         # Norms one ulp above a power of two are where ceil(log2) falls short.
         import statevector_reference
-        from spsakit.applications import _expm_stack
 
         for k in range(-3, 61):
             for norm in (2.0**k, 2.0**k * (1 + 2.0**-52)):
@@ -561,8 +556,8 @@ class TestGrape:
                         continue
                     for module in (applications, statevector_reference):
                         monkeypatch.setattr(module, "_MAX_SQUARINGS", cap)
-                    for kernel in (_expm_stack, reference_expm_stack):
-                        assert np.isnan(kernel(a)).all() == nan, (k, norm, cap, kernel)
+                    for out in (_expm_stack(a, _row_sum_norm(a)), reference_expm_stack(a)):
+                        assert np.isnan(out).all() == nan, (k, norm, cap)
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("slot, value", [
@@ -860,20 +855,22 @@ class TestPinnedStateMemo:
         if field == REAL:
             z0 = interleave_complex(z0)
         config = OptimizerConfig(field=field, max_iterations=6, blocking="auto", seed=5)
+        other = z0 + 1.0
         traces, builds = [], ([], [])
-        for fresh_copies, seen in zip((False, True), builds):
+        for cache_ended, seen in zip((False, True), builds):
             oracles = make_oracles(problem, np.random.default_rng(4), field)
-            copy = (lambda z: z.copy()) if fresh_copies else (lambda z: z)
+            if cache_ended:
+                oracles.monitor(other)  # draws nothing; z0 is then a second argument
             calls.clear()
 
             def objective(z):
-                value = oracles.objective(copy(z))
+                value = oracles.objective(z)
                 seen.append(len(calls))
                 return value
 
-            traces.append(run(objective, config, z0, monitor=lambda z: oracles.monitor(copy(z))))
+            traces.append(run(objective, config, z0, monitor=oracles.monitor))
         assert builds[0][:26] == [1] * 26
-        assert builds[1][:26] == list(range(1, 27))  # a new object every call
+        assert builds[1][:26] == list(range(1, 27))  # every call builds
         cached, rebuilt = traces
         assert cached.blocking_delta == rebuilt.blocking_delta
         np.testing.assert_array_equal(cached.objective, rebuilt.objective)
@@ -897,8 +894,9 @@ class TestPinnedStateMemo:
             z, w = interleave_complex(z), interleave_complex(w)
         oracles.monitor(z)
         oracles.monitor(z)
-        assert len(builds) == 1  # the first argument, repeated, is built once
         oracles.monitor(z.copy())
+        assert len(builds) == 1  # the first argument's bytes, repeated, are built once
+        oracles.monitor(w)
         oracles.monitor(z)
         assert len(builds) == 3  # after another argument, no memo: each call builds
         oracles.fidelity(z, w)
