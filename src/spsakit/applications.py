@@ -10,10 +10,12 @@ Uniform problem interface
 Each problem class implements the ``Problem`` protocol: ``materialize`` and
 ``initial_point`` draw the per-run random inputs, ``exact_minimum`` gives the
 known lower bound of the objective, ``state`` builds the state of a parameter
-vector and ``measure`` estimates the objective of a state from shots.
-``make_oracles`` builds every problem's objective, fidelity and monitor from
-these methods alone, so a new workload is one new class; once the fidelity
-is in use, one memo of recently built states serves all three.
+vector, or one state per row of a stack of them, and ``measure`` estimates
+the objective of a state from shots.  ``make_oracles`` builds every
+problem's objective, fidelity and monitor from these methods alone, so a new
+workload is one new class; once the fidelity is in use, one memo of recently
+built states serves all three, and a quantum-natural resample builds the
+states it lacks as one stack.
 """
 
 import math
@@ -75,7 +77,14 @@ class Problem(Protocol):
         """Known lower bound of the objective."""
 
     def state(self, z) -> np.ndarray:
-        """The normalized state of the complex parameter vector ``z``."""
+        """The normalized state of the complex parameter vector ``z``.
+
+        ``z`` may have leading axes, a stack of parameter vectors in its
+        rows; the result then has the same leading axes and one state per
+        row, each bit for bit the state of its row built alone.
+        ``make_oracles`` builds the points of a quantum-natural resample
+        as one stack.
+        """
 
     def measure(self, psi, shots, rng=None) -> float:
         """The objective of the state ``psi`` from ``shots`` samples; NaN for a
@@ -178,6 +187,8 @@ class GrapeProblem:
         return 0.0
 
     def state(self, z):
+        if np.ndim(z) > 1:
+            return _row_by_row(self.state, z)
         return grape_final_state(self, z)
 
     def measure(self, psi, shots, rng=None):
@@ -218,6 +229,8 @@ class SgqtProblem:
 
     def state(self, z):
         amps = np.asarray(z, dtype=np.complex128)
+        if amps.ndim > 1:
+            return _row_by_row(self.state, amps)
         if amps.size != 2**self.n_qubits:
             raise ValueError(f"expected {2**self.n_qubits} amplitudes")
         # what np.linalg.norm computes for a complex vector, bit for bit,
@@ -233,6 +246,14 @@ class SgqtProblem:
         if self.unknown is None:
             raise ValueError("SgqtProblem.unknown is unset; materialize the problem first")
         return 1.0 - fidelity_with_shots(self.unknown, psi, shots, rng)
+
+
+def _row_by_row(build, z):
+    """The states of a stack ``z`` of parameter vectors, one ``build`` call
+    per row, with ``z``'s leading axes."""
+    z = np.asarray(z)
+    states = [build(row) for row in z.reshape(-1, z.shape[-1])]
+    return np.stack(states).reshape(z.shape[:-1] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +296,7 @@ def _heisenberg(n, j, h, periodic):
 def vqe_state(prob: VqeProblem, z):
     """Build the ansatz state: alternating single-qubit W layers and entanglers.
 
-    Layer l of the parameter vector occupies ``z[l*n:(l+1)*n]``.  One
+    Layer l of the parameter vector occupies ``z[..., l*n:(l+1)*n]``.  One
     closed-form call gives all W gates, and one batched pass the Kronecker
     factors A_l and B_l of every layer's two qubit halves (``_kron_halves``).
     The state is the 2^⌈n/2⌉ × 2^⌊n/2⌋ matrix Ψ whose row index is the
@@ -283,16 +304,26 @@ def vqe_state(prob: VqeProblem, z):
     the first layer acts on |0…0⟩, so Ψ is the outer product of the first
     columns of A_0 and B_0, and each later layer maps Ψ to A_l (E ∘ Ψ) B_lᵀ,
     with E the entangler's diagonal reshaped to Ψ's shape.
+
+    ``z`` may have leading axes, flattened into one batch axis: the result
+    then has the same leading axes and one state per row.  The gates and
+    Kronecker factors are elementwise and the batched matrix products run
+    one GEMM per matrix, so each row is bit for bit the state of that row
+    built alone.
     """
     n, d = prob.n_qubits, prob.layers
     z = np.asarray(z, dtype=np.complex128)
-    if z.size != n * (d + 1):
-        raise ValueError(f"expected {n * (d + 1)} complex parameters, got {z.size}")
-    a, b = _kron_halves(w_gate(z).reshape(d + 1, n, 2, 2))
-    psi = a[0, :, :1] * b[0, :, 0]
-    for a_l, b_l in zip(a[1:], b[1:]):
-        psi = a_l @ (entangling_layer(n, prob.entangler).reshape(psi.shape) * psi) @ b_l.T
-    return psi.ravel()
+    if z.ndim == 0 or z.shape[-1] != n * (d + 1):
+        raise ValueError(f"expected {n * (d + 1)} complex parameters per state, "
+                         f"got shape {z.shape}")
+    a, b = _kron_halves(w_gate(z).reshape(-1, n, 2, 2))
+    a = a.reshape((-1, d + 1) + a.shape[1:])
+    b = b.reshape((-1, d + 1) + b.shape[1:])
+    psi = a[:, 0, :, :1] * b[:, 0, None, :, 0]
+    for layer in range(1, d + 1):
+        psi = (a[:, layer] @ (entangling_layer(n, prob.entangler).reshape(psi.shape[1:]) * psi)
+               @ b[:, layer].swapaxes(-1, -2))
+    return psi.reshape(z.shape[:-1] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +554,23 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     oracles read parameters as interleaved (Re, Im) pairs and hand
     ``problem.state`` their complex view (`complex_from_interleaved`).
 
-    Once the fidelity has been called, every oracle takes its states from one
+    Once the fidelity is in use, every oracle takes its states from one
     rng-free memo of the ``MEMO_STATES`` last used states, read-only and
     keyed by the parameter bytes in the field's dtype, which for interleaved
-    reals are the complex parameter bytes.  The metric estimate pins the
+    reals are the complex parameter bytes.  The fidelity's ``prepare(points)``
+    attribute turns the memo on and builds the states it lacks among the rows
+    of ``points`` in one ``problem.state`` call on the stack of those rows;
+    it draws nothing and is charged to no budget.  `run` calls it once per
+    quantum-natural resample with z, z ± b_kΔ and z ± b_kΔ + b_kΔ̃, the
+    points of `quantum_natural_points`.  The metric estimate pins the
     fidelity's first argument at the iterate, which the monitor built at the
     end of the previous iteration, and shares z ± b_kΔ with the gradient
-    estimate, so a quantum-natural iteration builds 5 states instead of 11
-    with the same values and random draws.  Until that first call every
-    oracle builds its states directly, so other runs never form a key.
+    estimate, so a quantum-natural iteration builds 5 states, 4 of them in
+    one stack, where building each evaluation's states would take 11, with
+    the same values and random draws.  Until the memo is on every oracle
+    builds its states directly, so other runs never form a key.  ``prepare``
+    raises ``ValueError`` when ``problem.state`` does not return one state
+    per row of a stack.
 
     A run's first argument is built once for as long as the calls repeat
     its parameter bytes, the memo's key.  So a run with ``blocking="auto"``,
@@ -547,16 +586,40 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
         state = lambda theta: problem.state(complex_from_interleaved(theta))
     kept = {}  # parameter bytes -> state, least recently used first
 
+    def keep(key, psi):
+        if len(kept) == MEMO_STATES:
+            del kept[next(iter(kept))]
+        kept[key] = psi
+
     def memo(z):
         key = np.asarray(z, dtype=dtype).tobytes()
         psi = kept.pop(key, None)
         if psi is None:
             psi = state(z)
             psi.flags.writeable = False
-            if len(kept) == MEMO_STATES:
-                del kept[next(iter(kept))]
-        kept[key] = psi
+        keep(key, psi)
         return psi
+
+    def prepare(points):
+        build[0] = memo
+        points = np.asarray(points, dtype=dtype)
+        missing = {}  # parameter bytes -> the first row that has them
+        for i, row in enumerate(points):
+            key = row.tobytes()
+            if key in kept:
+                kept[key] = kept.pop(key)
+            else:
+                missing.setdefault(key, i)
+        if not missing:
+            return
+        states = state(points[list(missing.values())])
+        if states.shape[:-1] != (len(missing),):
+            raise ValueError(f"Problem.state returned shape {states.shape} for a stack of "
+                             f"{len(missing)} parameter vectors; it must return one state "
+                             "per row")
+        states.flags.writeable = False
+        for key, psi in zip(missing, states):
+            keep(key, psi)
 
     first = []  # the first argument's bytes and its state
 
@@ -571,13 +634,14 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
         first.clear()
         return state(z)
 
-    # how every oracle builds a state: direct until the fidelity's first call
+    # how every oracle builds a state: direct until the memo is on
     build = [repeat_first]
 
     def fid(za, zb):
         build[0] = memo
         return fidelity_with_shots(memo(za), memo(zb), shots, rng)
 
+    fid.prepare = prepare
     obj = lambda z: measure(build[0](z), shots, rng)
     mon = lambda z: measure(build[0](z), math.inf)
     return Oracles(objective=obj, fidelity=fid, monitor=mon)

@@ -24,6 +24,7 @@ __all__ = [
     "gradient_estimate",
     "hessian_estimate",
     "metric_estimate",
+    "quantum_natural_points",
     "complex_from_interleaved",
     "interleave_complex",
 ]
@@ -161,13 +162,28 @@ def metric_estimate(fidelity, z, b_k, delta, delta_tilde, scalar=False):
     return coefficient if scalar else coefficient * np.outer(delta, np.conj(delta_tilde))
 
 
+def quantum_natural_points(z, b_k, delta, delta_tilde):
+    """The (5, p) stack of the points one quantum-natural resample evaluates:
+    z, z + b_kΔ, z − b_kΔ, z + b_kΔ + b_kΔ̃ and z − b_kΔ + b_kΔ̃.
+
+    Each row is computed as `gradient_estimate` and `metric_estimate`
+    compute it, so its bytes equal those of the argument they pass.
+    """
+    shift = b_k * delta
+    plus, minus = z + shift, z - shift
+    tilde = b_k * delta_tilde
+    return np.array([z, plus, minus, plus + tilde, minus + tilde])
+
+
 def complex_from_interleaved(theta):
     """View 2p interleaved reals (Re₀, Im₀, Re₁, Im₁, ...) as p complex values,
     sharing ``theta``'s memory unless it has to be copied into a contiguous
-    float64 array first.  Raises ``ValueError`` unless it is 1-D of even length."""
+    float64 array first.  Leading axes are kept, so a stack of interleaved
+    vectors in the rows of ``theta`` gives the stack of their complex views.
+    Raises ``ValueError`` unless the last axis has even length."""
     theta = np.ascontiguousarray(theta, dtype=np.float64)
-    if theta.ndim != 1 or theta.size % 2:
-        raise ValueError("interleaved real vector must be 1-D of even length")
+    if theta.ndim == 0 or theta.shape[-1] % 2:
+        raise ValueError("interleaved real parameters need a last axis of even length")
     return theta.view(np.complex128)
 
 

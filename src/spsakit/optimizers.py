@@ -37,6 +37,7 @@ from .estimators import (
     gradient_estimate,
     hessian_estimate,
     metric_estimate,
+    quantum_natural_points,
     sample_perturbation,
 )
 from .linalg import hermitize, matrix_abs, psd_sqrt_shifted, solve_pd
@@ -223,18 +224,21 @@ def _counted(fn, budget, kind):
     return wrapped
 
 
-def _resample(config, f, fid, z, b_k, draws):
+def _resample(config, f, fid, z, b_k, draws, prepare=None):
     """One resample of an iteration's estimates, from the next rows of ``draws``.
 
     Returns ``(g, h)``: the gradient estimate and, for a preconditioned
     method, the Hessian or metric estimate (a float in scalar mode); h is
-    None for first-order methods.
+    None for first-order methods.  ``prepare``, if given, is handed the
+    resample's `quantum_natural_points` before any oracle call.
     """
     delta_vec = next(draws)
-    g, pair = gradient_estimate(f, z, b_k, delta_vec)
     if config.method == "first_order":
-        return g, None
+        return gradient_estimate(f, z, b_k, delta_vec)[0], None
     delta_tilde = next(draws)
+    if prepare is not None:
+        prepare(quantum_natural_points(z, b_k, delta_vec, delta_tilde))
+    g, pair = gradient_estimate(f, z, b_k, delta_vec)
     if config.method == "second_order":
         return g, hessian_estimate(f, z, b_k, delta_vec, delta_tilde, pair, config.scalar)
     return g, metric_estimate(fid, z, b_k, delta_vec, delta_tilde, config.scalar)
@@ -254,6 +258,11 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
         Initial parameter vector in the configured field.
     fidelity : callable, optional
         ``fidelity(za, zb)`` in [0, 1]; required by quantum_natural methods.
+        If it has a ``prepare`` attribute, as the fidelity of
+        `make_oracles` has, a quantum-natural run calls
+        ``fidelity.prepare(points)`` once per resample, uncharged, with the
+        (5, p) stack of `quantum_natural_points` that the resample's
+        estimates evaluate, before their first oracle call.
     monitor : callable, optional
         Uncharged objective used to record the trace (typically the noiseless
         version of a shot-noisy oracle).  Defaults to an uncharged call to
@@ -294,6 +303,7 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
 
     rng = np.random.default_rng(config.seed)
     budget = EvaluationBudget()
+    prepare = getattr(fidelity, "prepare", None) if config.method == "quantum_natural" else None
     f = _counted(objective, budget, "objective")
     fid = _counted(fidelity, budget, "fidelity") if fidelity is not None else None
     record = monitor if monitor is not None else objective
@@ -339,7 +349,7 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
             # differently for matrices that differ only in the sign of a zero.
             g_sum = h_sum = 0.0
             for _ in range(n_r):
-                g, h = _resample(config, f, fid, z, b_k, draws)
+                g, h = _resample(config, f, fid, z, b_k, draws, prepare)
                 g_sum += g
                 if preconditioned:
                     h_sum += h

@@ -5,8 +5,11 @@ States are plain complex ndarrays of length 2**n_qubits, normalized to unit
 norm.  ``_basis_bits`` is the one place that fixes the qubit order: qubit 0
 is the most significant bit of the basis index.  Product layers act on the
 state as a matrix through the Kronecker factors of ``_kron_halves``.  A
-shot budget is a positive integer or ``math.inf``, the sentinel for exact
-(noiseless) evaluation; ``_shot_count`` is the one place that reads it.
+measurement basis change is a diagonal phase for its Y letters and real
+Kronecker factors of H and I, applied in real arithmetic to the float view
+of the state (``_measurement_groups``).  A shot budget is a positive
+integer or ``math.inf``, the sentinel for exact (noiseless) evaluation;
+``_shot_count`` is the one place that reads it.
 """
 
 import math
@@ -165,26 +168,24 @@ def _kron_halves(gates):
     the two qubit halves, m = ⌈n/2⌉, so that a product layer maps the state
     matrix Ψ (2^m × 2^⌊n/2⌋, row index: the first m qubits) to A Ψ Bᵀ.
 
-    ``gates`` has shape (..., n, 2, 2), and A and B keep its leading axes.
-    One batched pass over a (..., half) axis walks both halves from their
-    last qubit to their first and puts each gate outermost, so every product
-    runs over whole contiguous rows.  For odd n, G_0 goes outermost on A last;
+    ``gates`` has shape (..., n, 2, 2), and A and B keep its leading axes
+    and its dtype.  One batched pass over a (..., half) axis walks both
+    halves from their last qubit to their first and puts each gate
+    outermost, so every product runs over whole contiguous rows.  Every
+    product is elementwise, so the factors of each leading index are bit for
+    bit those of its gates alone.  For odd n, G_0 goes outermost on A last;
     for n = 1, B is the 1 × 1 identity.
     """
     n = gates.shape[-3]
     half = n // 2
     pairs = gates[..., n % 2 :, :, :].reshape(gates.shape[:-3] + (2, half, 2, 2))
-    out = np.ones(pairs.shape[:-3] + (1, 1), dtype=np.complex128)
+    out = np.ones(pairs.shape[:-3] + (1, 1), dtype=gates.dtype)
     for q in reversed(range(half)):
         out = _kron_left(pairs[..., q, :, :], out)
     a, b = out[..., 0, :, :], out[..., 1, :, :]
     if n % 2:
         a = _kron_left(gates[..., 0, :, :], a)
     return a, b
-
-
-def _apply_kron_halves(a, b, psi):
-    return (a @ psi.reshape(a.shape[0], b.shape[0]) @ b.T).reshape(psi.shape)
 
 
 def heisenberg_hamiltonian(n: int, j: float, h: float, periodic: bool = False):
@@ -251,14 +252,7 @@ def _shot_count(shots):
     return int(shots)
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
-# V with V P V† = Z for each letter P: measuring Z after V measures P.
-_BASIS_CHANGE = {
-    "I": np.eye(2, dtype=np.complex128),
-    "Z": np.eye(2, dtype=np.complex128),
-    "X": _HADAMARD,
-    "Y": _HADAMARD @ np.diag([1.0, -1.0j]),
-}
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 @lru_cache(maxsize=64)
@@ -267,12 +261,21 @@ def _measurement_groups(hamiltonian: PauliTermSum):
 
     Terms are placed greedily, in term order, into the first group whose
     basis agrees with them on every qubit where both are not I.  Each group
-    is ``(rotation, index, signs)``: the product-layer basis change as the
-    factors ``(A, B)`` of ``_kron_halves`` (None when every letter is Z or
-    I), the positions of the group's terms in ``terms``, and the ±1
-    eigenvalue of each of them on every computational basis state after the
-    rotation, one row per term, from the qubits' ``_basis_bits``.  Every
-    returned array is read-only.
+    is ``(rotation, index, signs)``: the group's basis change, the positions
+    of its terms in ``terms``, and the ±1 eigenvalue of each of them on every
+    computational basis state after the rotation, one row per term, from the
+    qubits' ``_basis_bits``.
+
+    Measuring Z after V = H·diag(1, −i) measures Y, and after H measures X,
+    so a group's basis change V = ⊗_q V_q is the diagonal phase (−i)^k, k
+    the number of its Y qubits whose bit is 1, followed by the product layer
+    of H on its X and Y qubits and I elsewhere.  ``rotation`` is None when every letter is Z or
+    I, and otherwise ``(phase, A, B)``: the complex phase vector, None
+    without Y letters, and the real Kronecker factors of ``_kron_halves``.
+    ``_pauli_term_means`` leaves the probabilities of a rotated state in
+    the transposed order of the state matrix, index c·2^⌈n/2⌉ + r for
+    basis state r·2^⌊n/2⌋ + c, so the sign rows of a rotated group are
+    stored in that order.  Every returned array is read-only.
     """
     n = hamiltonian.n_qubits
     bases, members = [], []
@@ -295,8 +298,14 @@ def _measurement_groups(hamiltonian: PauliTermSum):
             signs[row] = 1.0 - 2.0 * (bits[support].sum(axis=0) % 2)
         rotation = None
         if any(c in "XY" for c in basis):
-            factors = _kron_halves(np.stack([_BASIS_CHANGE[c] for c in basis]))
-            rotation = tuple(map(_read_only, factors))
+            y = [q for q, c in enumerate(basis) if c == "Y"]
+            phase = None
+            if y:
+                phase = _read_only(np.array([1, -1j, -1, 1j])[bits[y].sum(axis=0) % 4])
+            gates = np.stack([_HADAMARD if c in "XY" else np.eye(2) for c in basis])
+            rotation = (phase,) + tuple(map(_read_only, _kron_halves(gates)))
+            transposed = signs.reshape(len(index), 2 ** (n - n // 2), -1).swapaxes(1, 2)
+            signs = transposed.reshape(len(index), -1)
         groups.append((rotation, _read_only(np.array(index)), _read_only(signs)))
     coeffs = np.array([float(c) for c, _ in hamiltonian.terms])
     return _read_only(coeffs), tuple(groups)
@@ -306,14 +315,28 @@ def _pauli_term_means(psi, measurement):
     """Exact ⟨ψ|P_i|ψ⟩ of every term, in term order.
 
     ``measurement`` is ``_measurement_groups(hamiltonian)``, looked up by the
-    caller.  Each qubit-wise-commuting group of terms costs one product-layer
-    basis change of ψ and one ±1 sign-matrix product with the rotated |ψ|².
+    caller.  Each qubit-wise-commuting group of terms costs one ±1
+    sign-matrix product with the probabilities |Vψ|² of its basis change V.
+    V is applied in real arithmetic: after the group's phase, if any, the
+    state matrix Ψ (2^⌈n/2⌉ × 2^⌊n/2⌋) is read as floats, real and imaginary
+    parts side by side.  One real GEMM forms (A Ψ)ᵀ, laid out as (column,
+    part, row), and one batched real GEMM multiplies each part by B, which
+    gives the real and the imaginary part of (A Ψ Bᵀ)ᵀ: the probabilities
+    come out in the transposed order the group's signs are stored in.
     """
     coeffs, groups = measurement
+    psi = np.ascontiguousarray(psi, dtype=np.complex128)
     means = np.empty(coeffs.size)
     for rotation, index, signs in groups:
-        phi = psi if rotation is None else _apply_kron_halves(*rotation, psi)
-        means[index] = signs @ (phi.real**2 + phi.imag**2)
+        if rotation is None:
+            probs = psi.real**2 + psi.imag**2
+        else:
+            phase, a, b = rotation
+            phi = psi if phase is None else psi * phase
+            floats = phi.view(np.float64).reshape(a.shape[0], -1)
+            parts = b @ (floats.T @ a.T).reshape(b.shape[0], 2, -1).swapaxes(0, 1)
+            probs = parts[0] ** 2 + parts[1] ** 2
+        means[index] = signs @ probs.ravel()
     return means
 
 

@@ -10,8 +10,8 @@ one state at a time from ``apply_single_qubit_gate``, ``w_gate`` and
 generators, summed from the dense coupling operators of ``bond_operators``,
 through ``scipy.linalg.expm``, and normalize every SGQT guess
 anew, so tests can compare the two.  ``apply_product_layer`` applies one
-product layer through the library's Kronecker factors, for tests of those
-factors, and ``reference_w_gate`` keeps the W gate's closed form with every
+product layer through the library's Kronecker factors in complex arithmetic
+(``apply_kron_halves``), for tests of those factors, and ``reference_w_gate`` keeps the W gate's closed form with every
 product written out, for a bit-for-bit test of the library's shared factors.
 """
 
@@ -33,7 +33,6 @@ from spsakit.applications import (
 from spsakit.estimators import REAL, complex_from_interleaved
 from spsakit.quantum import (
     PauliTermSum,
-    _apply_kron_halves,
     _kron_halves,
     _num_qubits,
     apply_single_qubit_gate,
@@ -41,6 +40,11 @@ from spsakit.quantum import (
     heisenberg_hamiltonian,
     w_gate,
 )
+
+
+def apply_kron_halves(a, b, psi):
+    """A Ψ Bᵀ in complex arithmetic, Ψ the 2^⌈n/2⌉ × 2^⌊n/2⌋ state matrix."""
+    return (a @ psi.reshape(a.shape[0], b.shape[0]) @ b.T).reshape(psi.shape)
 
 
 def apply_product_layer(gates, psi):
@@ -54,7 +58,7 @@ def apply_product_layer(gates, psi):
     n = _num_qubits(psi)
     if np.shape(gates) != (n, 2, 2):
         raise ValueError(f"expected {n} single-qubit gates for {n} qubits")
-    return _apply_kron_halves(*_kron_halves(gates), psi)
+    return apply_kron_halves(*_kron_halves(gates), psi)
 
 
 def reference_w_gate(z):

@@ -34,6 +34,7 @@ from spsakit.bench import run_single
 from spsakit.estimators import (
     COMPLEX,
     REAL,
+    complex_from_interleaved,
     gradient_estimate,
     interleave_complex,
     sample_perturbation,
@@ -70,6 +71,19 @@ def _arrays(value):
     elif dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
             yield from _arrays(getattr(value, field.name))
+
+
+def _assert_stacks_match_single_builds(problem, z):
+    """``problem.state`` of the (m, p) stack ``z``, of its rows as a (2, m/2, p)
+    stack, and of their interleaved real views, is each row's own state,
+    bit for bit."""
+    singles = np.stack([problem.state(row) for row in z])
+    stack = problem.state(z)
+    assert stack.shape == singles.shape
+    assert stack.tobytes() == singles.tobytes()
+    assert problem.state(z.reshape(2, -1, z.shape[-1])).tobytes() == singles.tobytes()
+    theta = np.stack([interleave_complex(row) for row in z])
+    assert problem.state(complex_from_interleaved(theta)).tobytes() == singles.tobytes()
 
 
 def test_every_cached_array_is_read_only():
@@ -176,8 +190,9 @@ class TestVqe:
 
     def test_wrong_parameter_count_rejected(self):
         prob = VqeProblem(n_qubits=4, layers=1)
-        with pytest.raises(ValueError):
-            vqe_state(prob, np.zeros(7, dtype=complex))
+        for z in (np.zeros(7, dtype=complex), np.zeros((2, 7), dtype=complex), 1j):
+            with pytest.raises(ValueError):
+                vqe_state(prob, z)
 
     def test_fidelity_identical_params(self):
         prob = VqeProblem(n_qubits=3, layers=1, shots=math.inf)
@@ -203,6 +218,19 @@ class TestVqe:
         samples = [oracles.objective(z) for _ in range(200)]
         # three terms, each bounded by binomial noise on 2e4 shots
         assert np.mean(samples) == pytest.approx(exact, abs=5e-3)
+
+    @pytest.mark.parametrize("n, layers", [(n, layers) for n in range(1, 9)
+                                           for layers in range(4) if n > 1 or not layers])
+    def test_stacked_build_matches_single_builds_bit_for_bit(self, n, layers):
+        rng = np.random.default_rng(10 * n + layers)
+        p = n * (layers + 1)
+        z = rng.standard_normal((4, p)) + 1j * rng.standard_normal((4, p))
+        z[1] = 0.0  # W(0) = I: the exact zeros of |0…0⟩ through every layer
+        for entangler in ENTANGLERS:
+            for periodic in {False, n >= 3}:
+                prob = VqeProblem(n_qubits=n, layers=layers, periodic=periodic,
+                                  entangler=entangler)
+                _assert_stacks_match_single_builds(prob, z)
 
     @settings(max_examples=60, deadline=None)
     @given(_vqe_inputs())
@@ -274,6 +302,14 @@ class TestGrape:
         out_real = grape_final_state(prob, real_ctrl)
         out_mixed = grape_final_state(prob, real_ctrl + 0.5j * np.ones(3))
         assert abs(abs(np.vdot(out_real, out_mixed)) - 1.0) > 1e-3
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stacked_build_matches_single_builds_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        prob = GrapeProblem(n_qubits=n, slices=5, shots=math.inf).materialize(rng)
+        z = rng.standard_normal((4, 15)) + 1j * rng.standard_normal((4, 15))
+        z[1] = 0.0
+        _assert_stacks_match_single_builds(prob, z)
 
     def test_wrong_length_rejected(self):
         prob = GrapeProblem(n_qubits=2, slices=5, psi0=np.array([1, 0, 0, 0], complex))
@@ -668,6 +704,12 @@ class TestSgqt:
         for c in (2.0, -0.3, 1.7j, 0.2 - 0.9j):
             assert objective(c * guess) == pytest.approx(base, abs=1e-12)
 
+    def test_stacked_build_matches_single_builds_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        prob = SgqtProblem(n_qubits=3, shots=math.inf).materialize(rng)
+        z = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        _assert_stacks_match_single_builds(prob, z)
+
     def test_zero_vector_rejected(self):
         prob = SgqtProblem(n_qubits=2, unknown=np.array([1, 0, 0, 0], complex))
         with pytest.raises(ValueError):
@@ -791,12 +833,13 @@ class TestPinnedStateMemo:
 
     @staticmethod
     def _count_builds(monkeypatch, name):
+        """One entry per call of ``applications.<name>``: the states it built."""
         original = getattr(applications, name)
         calls = []
 
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
+        def counting(prob, z):
+            calls.append(math.prod(np.shape(z)[:-1]))
+            return original(prob, z)
 
         monkeypatch.setattr(applications, name, counting)
         return calls
@@ -816,9 +859,11 @@ class TestPinnedStateMemo:
         trace = run_single(problem, config, seed=3)
         assert not trace.diverged
         # the first iteration also builds the iterate, which no monitor call
-        # has built yet, and rebuilds the gradient's two points, which the
-        # objective built before the fidelity turned the memo on
-        assert len(calls) == 5 * k + 3
+        # has built yet
+        assert sum(calls) == 5 * k + 1
+        # VQE builds each resample's points as one stack, and the monitor's
+        # state alone; GRAPE builds a stack one state at a time
+        assert len(calls) == (2 * k if state_fn == "vqe_state" else 5 * k + 1)
         iters = np.arange(1, k + 1)
         np.testing.assert_array_equal(trace.objective_evals, 2 * iters)
         np.testing.assert_array_equal(trace.fidelity_evals, 4 * iters)
@@ -840,7 +885,7 @@ class TestPinnedStateMemo:
                                  blocking=blocking, seed=5)
         builds = []
         trace = run(oracles.objective, config, z0, fidelity=oracles.fidelity,
-                    monitor=oracles.monitor, callback=lambda *_: builds.append(len(calls)))
+                    monitor=oracles.monitor, callback=lambda *_: builds.append(sum(calls)))
         assert not trace.diverged
         np.testing.assert_array_equal(np.diff(builds), 5)
 
@@ -938,6 +983,65 @@ class TestPinnedStateMemo:
             oracles.monitor(z)
         with pytest.raises(ValueError):
             oracles.objective(w)
+
+    # The points of each resample are built as one stack by the fidelity's
+    # prepare; without it the memo builds them one call at a time.
+    @pytest.mark.parametrize("postproc, scalar", [
+        ("gidi", False), ("spall", False), ("gidi", True), ("spall", True),
+    ])
+    @pytest.mark.parametrize("blocking", [None, 0.05, "auto"])
+    @pytest.mark.parametrize("resampling", [1, 3])
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    @pytest.mark.parametrize("problem", [
+        VqeProblem(n_qubits=3, layers=2, shots=1000, entangler="cz_ring"),
+        GrapeProblem(n_qubits=3, slices=4, shots=1000),
+        SgqtProblem(n_qubits=3, shots=1000),
+    ], ids=["vqe", "grape", "sgqt"])
+    def test_prepare_leaves_quantum_natural_traces_bit_identical(
+            self, problem, field, resampling, blocking, postproc, scalar):
+        k = 8
+        problem = problem.materialize(np.random.default_rng(1))
+        z0 = problem.initial_point(np.random.default_rng(2))
+        if field == REAL:
+            z0 = interleave_complex(z0)
+        config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=k,
+                                 resampling=resampling, blocking=blocking,
+                                 postproc=postproc, scalar=scalar, seed=3)
+        traces, stacks = [], []
+        for with_prepare in (True, False):
+            oracles = make_oracles(problem, np.random.default_rng(4), field)
+            fidelity = oracles.fidelity
+            if with_prepare:
+                prepare = fidelity.prepare
+                fidelity.prepare = lambda points: (stacks.append(points.shape),
+                                                   prepare(points))
+            else:
+                fidelity = lambda za, zb, fid=fidelity: fid(za, zb)
+            traces.append(run(oracles.objective, config, z0, fidelity=fidelity,
+                              monitor=oracles.monitor))
+        stacked, alone = traces
+        assert not stacked.diverged
+        assert stacks == [(5, z0.size)] * (k * resampling)
+        assert stacked.blocking_delta == alone.blocking_delta
+        for name in ("objective", "accepted", "objective_evals", "fidelity_evals",
+                     "final_params"):
+            assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    def test_prepare_rejects_a_problem_that_builds_single_vectors_only(self):
+        class SingleVectorProblem(SgqtProblem):
+            def state(self, z):
+                return SgqtProblem.state(self, np.reshape(z, (-1, 4))[0])
+
+        problem = SingleVectorProblem(n_qubits=2, shots=100).materialize(
+            np.random.default_rng(4))
+        oracles = make_oracles(problem, np.random.default_rng(5))
+        z = problem.initial_point(np.random.default_rng(6))
+        assert oracles.fidelity(z, z) == 1.0  # single vectors work
+        with pytest.raises(ValueError, match="Problem.state"):
+            oracles.fidelity.prepare(np.stack([z, 2 * z]))
+        config = OptimizerConfig(method="quantum_natural", max_iterations=2)
+        with pytest.raises(ValueError, match="Problem.state"):
+            run(oracles.objective, config, z, fidelity=oracles.fidelity)
 
     @staticmethod
     def _traces(problem, config, z0, seed):

@@ -236,8 +236,9 @@ class PlusStateProblem:
         return 0.0
 
     def state(self, z):
-        r = abs(z[0])
-        return np.array([math.cos(r), np.sinc(r / math.pi) * z[0]], dtype=np.complex128)
+        z = np.asarray(z)[..., 0]  # one state per row of a stack
+        r = np.abs(z)
+        return np.stack([np.cos(r), np.sinc(r / math.pi) * z], axis=-1).astype(np.complex128)
 
     def measure(self, psi, shots, rng=None):
         plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)

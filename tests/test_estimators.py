@@ -12,6 +12,7 @@ from spsakit.estimators import (
     hessian_estimate,
     interleave_complex,
     metric_estimate,
+    quantum_natural_points,
     sample_perturbation,
 )
 
@@ -263,6 +264,23 @@ class TestMetricEstimate:
         metric_estimate(f, np.zeros(2), 0.1, np.ones(2), np.ones(2), scalar=True)
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_quantum_natural_points_are_the_evaluated_points(self, field):
+        # every point the gradient and metric estimates evaluate is a row of
+        # the stack, byte for byte, and every row is evaluated
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal(5)
+        if field == "complex":
+            z = z + 1j * rng.standard_normal(5)
+        d, dt = sample_perturbation(5, field, rng, 2)
+        seen = set()
+        record = lambda *args: seen.update(a.tobytes() for a in args) or 0.5
+        gradient_estimate(record, z, 0.07, d)
+        metric_estimate(record, z, 0.07, d, dt)
+        points = quantum_natural_points(z, 0.07, d, dt)
+        assert points.shape == (5, 5) and points.dtype == z.dtype
+        assert seen == {row.tobytes() for row in points}
+
 
 def replay(values):
     """An oracle that returns ``values`` in order, whatever its arguments."""
@@ -330,10 +348,19 @@ class TestInterleaving:
         with pytest.raises(ValueError):
             complex_from_interleaved(np.ones(3))
 
-    @pytest.mark.parametrize("theta", [np.ones((2, 2)), np.ones((1, 4)), np.float64(1.0)])
-    def test_input_that_is_not_1d_rejected(self, theta):
+    @pytest.mark.parametrize("theta", [np.ones((2, 3)), np.ones((1, 5)), np.float64(1.0)])
+    def test_scalar_or_odd_rows_rejected(self, theta):
         with pytest.raises(ValueError):
             complex_from_interleaved(theta)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (5, 6), (2, 3, 8)])
+    def test_stack_gives_the_complex_view_of_each_row(self, shape):
+        theta = np.random.default_rng(5).standard_normal(shape)
+        z = complex_from_interleaved(theta)
+        assert z.shape == shape[:-1] + (shape[-1] // 2,)
+        assert np.shares_memory(z, theta)
+        for row, got in zip(theta.reshape(-1, shape[-1]), z.reshape(-1, z.shape[-1])):
+            assert got.tobytes() == complex_from_interleaved(row).tobytes()
 
     def test_round_trips_bit_for_bit_with_signed_zeros(self):
         rng = np.random.default_rng(4)

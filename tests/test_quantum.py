@@ -272,15 +272,22 @@ class TestGroupedMeasurement:
         rng = np.random.default_rng(21)
         one = np.ones((1, 1))
         for n in (1, 2, 3, 6, 7):
-            gates = w_gate(rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+            z = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+            gates = w_gate(z)
             m = n - n // 2
             factors = _kron_halves(gates)
-            assert factors[0].shape == (3, 2**m, 2**m)
-            assert factors[1].shape == (3, 2 ** (n - m), 2 ** (n - m))
-            for layer, a, b in zip(gates, *factors):
+            assert factors[0].shape == (2, 3, 2**m, 2**m)
+            assert factors[1].shape == (2, 3, 2 ** (n - m), 2 ** (n - m))
+            for layer, a, b in zip(gates.reshape(6, n, 2, 2),
+                                   *(f.reshape((6,) + f.shape[2:]) for f in factors)):
                 for got, halve in ((a, layer[:m]), (b, layer[m:])):
                     np.testing.assert_allclose(got, reduce(np.kron, halve, one),
                                                rtol=0, atol=1e-15)
+                # each leading index is bit for bit the factors of its gates alone
+                for got, alone in zip((a, b), _kron_halves(layer)):
+                    assert got.tobytes() == alone.tobytes()
+            real = _kron_halves(gates.real)
+            assert real[0].dtype == real[1].dtype == np.float64
 
 
 class TestFidelityWithShots:
