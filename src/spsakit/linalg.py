@@ -9,21 +9,29 @@ that calls LAPACK directly.  Real symmetric matrices flow through the same
 code paths as complex hermitian ones; callers never need a separate
 real-field implementation.
 
-SciPy's LAPACK loads at the first call that needs it: the first
-`psd_sqrt_shifted` or `solve_pd`, which import ``scipy.linalg`` inside their
-cached routine lookups.  Importing ``scipy.linalg`` takes about 0.3 s and
-18 MB, which first-order and scalar runs never pay, since they do no matrix
-algebra.  A pool of forked workers would pay it once per worker, so
-``bench.run_ensemble`` imports it in the parent before it starts a pool for
-a run that needs it, and the workers inherit the loaded module.
+The factorizations call routines of SciPy's compiled LAPACK wrapper module
+``scipy.linalg._flapack``, the very objects ``scipy.linalg.get_lapack_funcs``
+returns, without importing ``scipy.linalg``: that import takes about 0.3 s and
+16 MB, while the extension alone loads in a few milliseconds.  `load_lapack`
+loads it at the first call that needs it, the first `psd_sqrt_shifted` or
+`solve_pd`, so first-order and scalar runs, which do no matrix algebra, never
+load it.  A pool of forked workers would load it once per worker, so
+``bench.run_ensemble`` calls `load_lapack` in the parent before it starts a
+pool for a run that needs it, and the workers inherit the loaded module.
 """
 
 import math
+import os
+import sys
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
-__all__ = ["hermitize", "matrix_abs", "psd_sqrt_shifted", "solve_pd"]
+__all__ = ["hermitize", "load_lapack", "matrix_abs", "psd_sqrt_shifted", "solve_pd"]
+
+FLAPACK = "scipy.linalg._flapack"
 
 # Inputs arrive from exact arithmetic on function values, so deviations from
 # hermiticity beyond this are programming errors, not roundoff.
@@ -68,14 +76,57 @@ def matrix_abs(matrix):
     return (u * np.abs(w)) @ u.conj().T
 
 
+def load_lapack():
+    """Return SciPy's LAPACK wrapper module ``scipy.linalg._flapack``.
+
+    The module SciPy has already loaded, if it has; otherwise the extension
+    is loaded from the ``linalg`` directory of the ``scipy`` package, without
+    running ``scipy.linalg``'s package initialization, and registered under
+    its own name, so that a later ``import scipy.linalg`` reuses it instead
+    of initializing the extension a second time.
+
+    Raises
+    ------
+    ImportError
+        If SciPy is not installed or its ``linalg`` directory holds no
+        ``_flapack`` extension for this interpreter.
+    """
+    module = sys.modules.get(FLAPACK)
+    if module is None:
+        import scipy  # on some platforms, puts the bundled libraries on the search path
+
+        extensions = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"), extensions)
+        spec = finder.find_spec(FLAPACK)
+        if spec is None:
+            raise ImportError(f"no {FLAPACK} extension in {finder.path}", name=FLAPACK)
+        module = module_from_spec(spec)
+        sys.modules[FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def _lapack_type(dtype):
+    """The prefix and dtype of the routines that
+    ``scipy.linalg.get_lapack_funcs(names, dtype=dtype)`` returns."""
+    char = np.dtype(dtype).char
+    if char == "F":
+        return "c", np.dtype(np.complex64)
+    if char in "DG":
+        return "z", np.dtype(np.complex128)
+    if char in "?bBhHef":
+        return "s", np.dtype(np.float32)
+    return "d", np.dtype(np.float64)
+
+
 @lru_cache(maxsize=None)
 def _spectral_routines(dtype):
     """LAPACK ``geqrf``, ``orgqr``/``ungqr`` and ``syevd``/``heevd`` for one dtype."""
-    from scipy.linalg import get_lapack_funcs
-
-    complex_field = np.dtype(dtype).kind == "c"
+    prefix, routine_dtype = _lapack_type(dtype)
+    complex_field = routine_dtype.kind == "c"
     names = ("geqrf", "ungqr", "heevd") if complex_field else ("geqrf", "orgqr", "syevd")
-    return get_lapack_funcs(names, dtype=dtype)
+    flapack = load_lapack()
+    return tuple(getattr(flapack, prefix + name) for name in names)
 
 
 def psd_sqrt_shifted(matrix, epsilon, span):
@@ -152,11 +203,10 @@ def _shifted_root_excess_large(w, epsilon, root):
 def _cholesky_routines(matrix_dtype, rhs_dtype):
     """LAPACK ``potrf`` for the matrix and ``potrs`` for its factor and the
     right-hand side, chosen as ``cho_factor`` and ``cho_solve`` choose them."""
-    from scipy.linalg import get_lapack_funcs
-
-    potrf, = get_lapack_funcs(("potrf",), dtype=matrix_dtype)
-    potrs, = get_lapack_funcs(("potrs",), dtype=np.result_type(potrf.dtype, rhs_dtype))
-    return potrf, potrs
+    factor_prefix, factor_dtype = _lapack_type(matrix_dtype)
+    solve_prefix, _ = _lapack_type(np.result_type(factor_dtype, rhs_dtype))
+    flapack = load_lapack()
+    return getattr(flapack, factor_prefix + "potrf"), getattr(flapack, solve_prefix + "potrs")
 
 
 def solve_pd(matrix, rhs):

@@ -402,7 +402,7 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
             z = candidate
 
         value = record(z)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             trace.diverged_at, trace.diverged_reason = k, "recorded"
             break
 
