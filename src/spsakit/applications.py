@@ -13,9 +13,9 @@ known lower bound of the objective, ``state`` builds the state of a parameter
 vector, or one state per row of a stack of them, and ``measure`` estimates
 the objective of a state from shots.  ``make_oracles`` builds every
 problem's objective, fidelity and monitor from these methods alone, so a new
-workload is one new class; once the fidelity is in use, one memo of recently
-built states serves all three, and a quantum-natural resample builds the
-states it lacks as one stack.
+workload is one new class; once the fidelity's ``prepare`` has run, one memo
+of recently built states serves all three, and a quantum-natural resample
+builds the states it lacks as one stack.
 """
 
 import math
@@ -124,6 +124,8 @@ class VqeProblem:
         _shot_count(self.shots)
         if self.layers < 0:
             raise ValueError("layers must be >= 0")
+        if self.entangler not in ENTANGLERS:
+            raise ValueError(f"unknown entangler {self.entangler!r}")
         self._hamiltonian()  # the qubit count and the ring rule
         if self.layers:
             entangling_layer(self.n_qubits, self.entangler)
@@ -554,29 +556,23 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     oracles read parameters as interleaved (Re, Im) pairs and hand
     ``problem.state`` their complex view (`complex_from_interleaved`).
 
-    Once the fidelity is in use, every oracle takes its states from one
-    rng-free memo of the ``MEMO_STATES`` last used states, read-only and
-    keyed by the parameter bytes in the field's dtype, which for interleaved
-    reals are the complex parameter bytes.  The fidelity's ``prepare(points)``
-    attribute turns the memo on and builds the states it lacks among the rows
-    of ``points`` in one ``problem.state`` call on the stack of those rows;
-    it draws nothing and is charged to no budget.  `run` calls it once per
-    quantum-natural resample with z, z ± b_kΔ and z ± b_kΔ + b_kΔ̃, the
-    points of `quantum_natural_points`.  The metric estimate pins the
-    fidelity's first argument at the iterate, which the monitor built at the
-    end of the previous iteration, and shares z ± b_kΔ with the gradient
-    estimate, so a quantum-natural iteration builds 5 states, 4 of them in
-    one stack, where building each evaluation's states would take 11, with
-    the same values and random draws.  Until the memo is on every oracle
-    builds its states directly, so other runs never form a key.  ``prepare``
-    raises ``ValueError`` when ``problem.state`` does not return one state
-    per row of a stack.
-
-    A run's first argument is built once for as long as the calls repeat
-    its parameter bytes, the memo's key.  So a run with ``blocking="auto"``,
-    which measures z₀ 25 times for the tolerance and once more for the
-    reference value, builds ψ(z₀) once.  The first call with other bytes
-    builds directly and ends this, so later calls pay nothing for it.
+    Every oracle builds its states directly until the fidelity's
+    ``prepare(points)`` attribute first runs, the one switch, and from then
+    on takes them from one rng-free memo of the ``MEMO_STATES`` last used
+    states, read-only and keyed by the parameter bytes in the field's dtype,
+    which for interleaved reals are the complex parameter bytes.  ``prepare``
+    builds the states the memo lacks among the rows of ``points`` in one
+    ``problem.state`` call on the stack of those rows; it draws nothing and
+    is charged to no budget.  `run` calls it once per quantum-natural
+    resample with z, z ± b_kΔ and z ± b_kΔ + b_kΔ̃, the points of
+    `quantum_natural_points`.  The metric estimate pins the fidelity's first
+    argument at the iterate, which the monitor built at the end of the
+    previous iteration, and shares z ± b_kΔ with the gradient estimate, so
+    a quantum-natural iteration builds 5 states, 4 of them in one stack,
+    where building each evaluation's states would take 11, with the same
+    values and random draws.  Runs that never call ``prepare`` never form a
+    key.  ``prepare`` raises ``ValueError`` when ``problem.state`` does not
+    return one state per row of a stack.
     """
     if field not in FIELDS:
         raise ValueError(f"unknown field {field!r}")
@@ -601,7 +597,8 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
         return psi
 
     def prepare(points):
-        build[0] = memo
+        nonlocal build
+        build = memo
         points = np.asarray(points, dtype=dtype)
         missing = {}  # parameter bytes -> the first row that has them
         for i, row in enumerate(points):
@@ -621,27 +618,12 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
         for key, psi in zip(missing, states):
             keep(key, psi)
 
-    first = []  # the first argument's bytes and its state
-
-    def repeat_first(z):
-        if not first:
-            first[:] = np.asarray(z, dtype=dtype).tobytes(), state(z)
-            first[1].flags.writeable = False
-            return first[1]
-        if np.asarray(z, dtype=dtype).tobytes() == first[0]:
-            return first[1]
-        build[0] = state  # the first argument is done with: build directly from now on
-        first.clear()
-        return state(z)
-
-    # how every oracle builds a state: direct until the memo is on
-    build = [repeat_first]
+    build = state  # how every oracle builds a state: directly until prepare runs
 
     def fid(za, zb):
-        build[0] = memo
-        return fidelity_with_shots(memo(za), memo(zb), shots, rng)
+        return fidelity_with_shots(build(za), build(zb), shots, rng)
 
     fid.prepare = prepare
-    obj = lambda z: measure(build[0](z), shots, rng)
-    mon = lambda z: measure(build[0](z), math.inf)
+    obj = lambda z: measure(build(z), shots, rng)
+    mon = lambda z: measure(build(z), math.inf)
     return Oracles(objective=obj, fidelity=fid, monitor=mon)

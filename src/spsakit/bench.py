@@ -46,7 +46,9 @@ def available_cpus() -> int:
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
     """An ensemble of independent runs of one optimizer on one problem;
-    ``workers=None`` runs one worker per CPU this process may run on."""
+    ``workers=None`` runs one worker per CPU this process may run on, and
+    ``calibrate=True`` scales a first-order method's gain a before the runs
+    (`calibrate_first_order_gain`)."""
 
     problem: Problem
     config: OptimizerConfig
@@ -60,6 +62,10 @@ class EnsembleSpec:
             raise ValueError("n_runs must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1, or None for one per CPU")
+        if self.calibrate and self.config.method != "first_order":
+            raise ValueError("calibrate applies only to first_order methods: a "
+                             f"{self.config.method} step uses the gain 1/(k+A)^s, "
+                             "which has no a to calibrate")
 
     def resolved_workers(self) -> int:
         """The size of the process pool ``run_ensemble`` uses for more than one run."""

@@ -244,8 +244,7 @@ def _resample(config, f, fid, z, b_k, draws, prepare=None):
     return g, metric_estimate(fid, z, b_k, delta_vec, delta_tilde, config.scalar)
 
 
-def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
-        callback=None):
+def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callback=None):
     """Execute ``config.max_iterations`` iterations of the configured method.
 
     Parameters
@@ -256,6 +255,9 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
     config : OptimizerConfig
     z0 : array_like
         Initial parameter vector in the configured field.
+    monitor : callable
+        Uncharged objective that records the trace once per iteration,
+        typically the noiseless version of a shot-noisy oracle.
     fidelity : callable, optional
         ``fidelity(za, zb)`` in [0, 1]; required by quantum_natural methods.
         If it has a ``prepare`` attribute, as the fidelity of
@@ -263,13 +265,6 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
         ``fidelity.prepare(points)`` once per resample, uncharged, with the
         (5, p) stack of `quantum_natural_points` that the resample's
         estimates evaluate, before their first oracle call.
-    monitor : callable, optional
-        Uncharged objective used to record the trace (typically the noiseless
-        version of a shot-noisy oracle).  Defaults to an uncharged call to
-        ``objective`` itself: the trace then holds shot-noisy values, and each
-        recording call draws from the objective's rng, so a run without a
-        monitor sees a different noise stream, and takes different steps,
-        than the same run with one.
     callback : callable, optional
         ``callback(k, z, g, step)`` invoked after every parameter update.
 
@@ -306,7 +301,6 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
     prepare = getattr(fidelity, "prepare", None) if config.method == "quantum_natural" else None
     f = _counted(objective, budget, "objective")
     fid = _counted(fidelity, budget, "fidelity") if fidelity is not None else None
-    record = monitor if monitor is not None else objective
 
     preconditioned = config.method != "first_order"
     memory = 1.0 if config.scalar else np.eye(p, dtype=z.dtype)  # H̄_0 = I
@@ -401,7 +395,7 @@ def run(objective, config: OptimizerConfig, z0, *, fidelity=None, monitor=None,
             accepted = True
             z = candidate
 
-        value = record(z)
+        value = monitor(z)
         if not math.isfinite(value):
             trace.diverged_at, trace.diverged_reason = k, "recorded"
             break

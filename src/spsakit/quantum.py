@@ -8,8 +8,8 @@ state as a matrix through the Kronecker factors of ``_kron_halves``.  A
 measurement basis change is a diagonal phase for its Y letters and real
 Kronecker factors of H and I, applied in real arithmetic to the float view
 of the state (``_measurement_groups``).  A shot budget is a positive
-integer or ``math.inf``, the sentinel for exact (noiseless) evaluation;
-``_shot_count`` is the one place that reads it.
+integer up to ``MAX_SHOTS`` or ``math.inf``, the sentinel for exact
+(noiseless) evaluation; ``_shot_count`` is the one place that reads it.
 """
 
 import math
@@ -242,13 +242,19 @@ def exact_ground_energy(hamiltonian: PauliTermSum):
     return min(float(np.linalg.eigvalsh(hamiltonian.block(s))[0]) for s in blocks)
 
 
+# The largest budget ``rng.binomial`` takes: its trial count is a C long.
+MAX_SHOTS = 2**63 - 1
+
+
 def _shot_count(shots):
     """The int shot count of a budget, None for ``math.inf`` (exact); raises
-    ``ValueError`` for anything else, such as zero, a fraction, −inf or NaN."""
+    ``ValueError`` for anything else, such as zero, a fraction, −inf, NaN or
+    a count past ``MAX_SHOTS``."""
     if shots == math.inf:
         return None
-    if not (shots >= 1 and shots == int(shots)):
-        raise ValueError(f"shots must be a positive integer or math.inf, got {shots!r}")
+    if not (1 <= shots <= MAX_SHOTS and shots == int(shots)):
+        raise ValueError(f"shots must be a positive integer or math.inf, at most "
+                         f"2**63 - 1 shots, got {shots!r}")
     return int(shots)
 
 

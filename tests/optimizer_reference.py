@@ -33,7 +33,7 @@ from spsakit.optimizers import (
 )
 
 
-def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callback=None):
+def reference_run(objective, config, z0, *, monitor, fidelity=None, callback=None):
     """``run`` with one perturbation draw per vector, in Δ, Δ̃ order per resample."""
     dtype = np.complex128 if config.field == COMPLEX else np.float64
     z = np.array(z0, dtype=dtype)
@@ -43,7 +43,6 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
     budget = EvaluationBudget()
     f = _counted(objective, budget, "objective")
     fid = _counted(fidelity, budget, "fidelity") if fidelity is not None else None
-    record = monitor if monitor is not None else objective
 
     preconditioned = config.method != "first_order"
     memory = 1.0 if config.scalar else np.eye(p, dtype=dtype)
@@ -129,7 +128,7 @@ def reference_run(objective, config, z0, *, fidelity=None, monitor=None, callbac
             accepted = True
             z = candidate
 
-        value = record(z)
+        value = monitor(z)
         if not np.isfinite(value):
             trace.diverged_at, trace.diverged_reason = k, "recorded"
             break

@@ -632,6 +632,7 @@ class TestProblemValidation:
         lambda: VqeProblem(n_qubits=1, layers=1, periodic=False),
         lambda: VqeProblem(n_qubits=4, layers=-1),
         lambda: VqeProblem(n_qubits=4, entangler="swap_net"),
+        lambda: VqeProblem(n_qubits=4, layers=0, entangler="swap_net"),
         lambda: GrapeProblem(n_qubits=2, periodic=True),
         lambda: GrapeProblem(n_qubits=0),
         lambda: GrapeProblem(slices=0),
@@ -656,15 +657,16 @@ class TestProblemValidation:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("shots", [0, 0.5, 2.5, -1, -math.inf, math.nan])
+    @pytest.mark.parametrize("shots", [0, 0.5, 2.5, -1, -math.inf, math.nan, 2**63])
     @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem, SgqtProblem])
     def test_invalid_shots_rejected(self, cls, shots):
         # at construction: a run, or a pool worker, would otherwise fail at
-        # its first measurement, or silently measure with int(shots) shots
+        # its first measurement, or silently measure with int(shots) shots;
+        # rng.binomial takes at most 2**63 - 1 trials
         with pytest.raises(ValueError, match="shots must be a positive integer or math.inf"):
             cls(n_qubits=3, shots=shots)
 
-    @pytest.mark.parametrize("shots", [1, 2**13, 2e4, np.int64(7), math.inf])
+    @pytest.mark.parametrize("shots", [1, 2**13, 2e4, np.int64(7), 2**63 - 1, math.inf])
     @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem, SgqtProblem])
     def test_valid_shots_accepted(self, cls, shots):
         assert cls(n_qubits=3, shots=shots).shots == shots
@@ -829,7 +831,7 @@ class TestOracleSuite:
 
 class TestPinnedStateMemo:
     """make_oracles reuses built states through one bounded memo once the
-    fidelity is in use."""
+    fidelity's prepare has run."""
 
     @staticmethod
     def _count_builds(monkeypatch, name):
@@ -883,52 +885,29 @@ class TestPinnedStateMemo:
         oracles = make_oracles(problem, np.random.default_rng(4), field)
         config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=8,
                                  blocking=blocking, seed=5)
+        fidelity = oracles.fidelity
+        prepare, at_prepare = fidelity.prepare, []
+        fidelity.prepare = lambda points: (at_prepare.append(sum(calls)), prepare(points))
         builds = []
-        trace = run(oracles.objective, config, z0, fidelity=oracles.fidelity,
+        trace = run(oracles.objective, config, z0, fidelity=fidelity,
                     monitor=oracles.monitor, callback=lambda *_: builds.append(sum(calls)))
         assert not trace.diverged
+        # ψ(z₀) is built directly for the reference value, and for the 25
+        # measurements of the tolerance under "auto"; the first iteration
+        # then builds its 5 points and the candidate through the memo
+        assert at_prepare[0] == (26 if blocking == "auto" else 1)
+        assert builds[0] == at_prepare[0] + 6
         np.testing.assert_array_equal(np.diff(builds), 5)
 
     @pytest.mark.parametrize("field", [COMPLEX, REAL])
-    def test_auto_blocking_builds_the_initial_state_once(self, monkeypatch, field):
-        # the 25 measurements of z0 for the tolerance and the reference value
-        # share one build, with the values and draws of 26 separate builds
-        calls = self._count_builds(monkeypatch, "grape_final_state")
-        problem = GrapeProblem(n_qubits=3, slices=4, shots=1000)
-        problem = problem.materialize(np.random.default_rng(2))
-        z0 = problem.initial_point(np.random.default_rng(3))
-        if field == REAL:
-            z0 = interleave_complex(z0)
-        config = OptimizerConfig(field=field, max_iterations=6, blocking="auto", seed=5)
-        other = z0 + 1.0
-        traces, builds = [], ([], [])
-        for cache_ended, seen in zip((False, True), builds):
-            oracles = make_oracles(problem, np.random.default_rng(4), field)
-            if cache_ended:
-                oracles.monitor(other)  # draws nothing; z0 is then a second argument
-            calls.clear()
-
-            def objective(z):
-                value = oracles.objective(z)
-                seen.append(len(calls))
-                return value
-
-            traces.append(run(objective, config, z0, monitor=oracles.monitor))
-        assert builds[0][:26] == [1] * 26
-        assert builds[1][:26] == list(range(1, 27))  # every call builds
-        cached, rebuilt = traces
-        assert cached.blocking_delta == rebuilt.blocking_delta
-        np.testing.assert_array_equal(cached.objective, rebuilt.objective)
-        np.testing.assert_array_equal(cached.final_params, rebuilt.final_params)
-
-    @pytest.mark.parametrize("field", [COMPLEX, REAL])
-    def test_monitor_bypasses_memo_until_first_fidelity_call(self, monkeypatch, field):
+    def test_monitor_bypasses_memo_until_first_prepare(self, monkeypatch, field):
         problem = SgqtProblem(n_qubits=2, shots=100).materialize(np.random.default_rng(4))
         builds = []
         original = SgqtProblem.state
 
         def counting(self, z):
-            builds.append(1)
+            if np.ndim(z) == 1:  # a stack builds its rows through this method
+                builds.append(1)
             return original(self, z)
 
         monkeypatch.setattr(SgqtProblem, "state", counting)
@@ -939,16 +918,19 @@ class TestPinnedStateMemo:
             z, w = interleave_complex(z), interleave_complex(w)
         oracles.monitor(z)
         oracles.monitor(z)
-        oracles.monitor(z.copy())
-        assert len(builds) == 1  # the first argument's bytes, repeated, are built once
-        oracles.monitor(w)
-        oracles.monitor(z)
-        assert len(builds) == 3  # after another argument, no memo: each call builds
+        oracles.objective(z)
+        assert len(builds) == 3  # before prepare, each call builds its state
         oracles.fidelity(z, w)
-        assert len(builds) == 5  # the monitor's state was not kept for the pin
+        assert len(builds) == 5  # and a fidelity call builds both arguments
         oracles.monitor(z)
+        assert len(builds) == 6  # the fidelity did not turn the memo on
+        oracles.fidelity.prepare(np.stack([z, w]))
+        assert len(builds) == 8
+        oracles.monitor(z)
+        oracles.objective(w)
         oracles.fidelity(z, w)
-        assert len(builds) == 5  # the monitor and both fidelity arguments reuse the memo
+        oracles.fidelity(w, z)
+        assert len(builds) == 8  # the monitor and both fidelity arguments reuse the memo
 
     @pytest.mark.parametrize("field", [COMPLEX, REAL])
     def test_first_argument_changed_in_place_is_rebuilt(self, field):
@@ -975,10 +957,9 @@ class TestPinnedStateMemo:
         oracles = make_oracles(problem, np.random.default_rng(5))
         z = problem.initial_point(np.random.default_rng(6))
         w = problem.initial_point(np.random.default_rng(7))
-        with pytest.raises(ValueError):
-            oracles.monitor(z.copy())  # the first build is kept for its repeats
-        oracles.monitor(w)  # a later direct build, so the write lands in a private array
-        oracles.fidelity(z, w)
+        oracles.monitor(z)  # a direct build, so the write lands in a private array
+        oracles.objective(w)
+        oracles.fidelity.prepare(np.stack([z, w]))
         with pytest.raises(ValueError):
             oracles.monitor(z)
         with pytest.raises(ValueError):
@@ -1041,7 +1022,8 @@ class TestPinnedStateMemo:
             oracles.fidelity.prepare(np.stack([z, 2 * z]))
         config = OptimizerConfig(method="quantum_natural", max_iterations=2)
         with pytest.raises(ValueError, match="Problem.state"):
-            run(oracles.objective, config, z, fidelity=oracles.fidelity)
+            run(oracles.objective, config, z, fidelity=oracles.fidelity,
+                monitor=oracles.monitor)
 
     @staticmethod
     def _traces(problem, config, z0, seed):

@@ -44,6 +44,13 @@ class TestEnsembleSpec:
     def test_workers_none_means_one_per_cpu(self):
         assert small_spec(workers=None).workers is None
 
+    @pytest.mark.parametrize("method", ["second_order", "quantum_natural"])
+    def test_calibration_of_a_preconditioned_method_rejected(self, method):
+        # a preconditioned step uses the gain 1/(k+A)^s, which ignores a
+        config = OptimizerConfig(method=method, max_iterations=20)
+        with pytest.raises(ValueError, match="first_order"):
+            small_spec(config=config, calibrate=True)
+
 
 class TestCalibration:
     def test_ratio_example(self):

@@ -143,7 +143,7 @@ class TestParseConfig:
         config = parse_config(["--application", "sgqt", "--shots", "inf"])
         assert config.shots == float("inf")
 
-    @pytest.mark.parametrize("shots", ["0", "2.5", "-inf", "nan", "many"])
+    @pytest.mark.parametrize("shots", ["0", "2.5", "-inf", "nan", "1e19", "many"])
     def test_invalid_shots_rejected(self, tmp_path, capsys, shots):
         # "many" is no number, which argparse rejects; the problem rejects the rest
         try:
@@ -307,6 +307,7 @@ class TestApplicationTable:
         ("--application", "vqe", "--qubits", "13"),
         ("--application", "grape", "--qubits", "13"),
         ("--application", "vqe", "--entangler", "bogus"),
+        ("--application", "vqe", "--qubits", "3", "--layers", "0", "--entangler", "bogus"),
         ("--application", "vqe", "--layers", "-1"),
         ("--application", "grape", "--slices", "0"),
         ("--application", "grape", "--qubits", "2", "--periodic", "true"),
@@ -321,6 +322,8 @@ class TestApplicationTable:
         ("--application", "sgqt", "--method", "second_order", "--epsilon", "inf"),
         ("--application", "sgqt", "--qubits", "3.5"),
         ("--application", "sgqt", "--scalar", "maybe"),
+        ("--application", "sgqt", "--method", "second_order", "--calibrate", "true"),
+        ("--application", "sgqt", "--method", "quantum_natural", "--calibrate", "true"),
     ])
     def test_invalid_flags_exit_2_with_error(self, tmp_path, capsys, flags):
         assert main([*flags, "--iterations", "1", "--out", str(tmp_path / "x")]) == 2
@@ -338,10 +341,10 @@ class TestApplicationTable:
           "--entangler", "cz_ring", "--method", "quantum_natural"),
          {"qubits", "shots", "layers", "j", "h", "periodic", "entangler"}),
         (("--application", "grape", "--qubits", "2", "--slices", "2",
-          "--gains", "0.5,0.1,1,0.7,0.15", "--blocking", "auto"),
+          "--gains", "0.5,0.1,1,0.7,0.15", "--blocking", "auto", "--calibrate", "true"),
          {"qubits", "shots", "slices", "periodic"}),
         (("--application", "sgqt", "--qubits", "2", "--method", "second_order",
-          "--scalar", "true", "--workers", "1", "--calibrate", "true"),
+          "--scalar", "true", "--workers", "1"),
          {"qubits", "shots"}),
     ])
     def test_config_echo_round_trips(self, tmp_path, flags, problem_flags):

@@ -313,7 +313,7 @@ class TestRunContracts:
         c, f, _ = quadratic_problem("real")
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               max_iterations=17)
-        trace = run(f, cfg, np.zeros(2))
+        trace = run(f, cfg, np.zeros(2), monitor=f)
         assert len(trace) == 17
         assert not trace.diverged
         assert trace.diverged_at is None and trace.diverged_reason is None
@@ -321,8 +321,9 @@ class TestRunContracts:
     def test_quantum_natural_requires_fidelity(self):
         cfg = OptimizerConfig(method="quantum_natural", field="real", gains=STATIC,
                               max_iterations=3)
+        f = lambda z: 0.0
         with pytest.raises(ValueError):
-            run(lambda z: 0.0, cfg, np.zeros(2))
+            run(f, cfg, np.zeros(2), monitor=f)
 
     def test_scalar_first_order_rejected(self):
         with pytest.raises(ValueError):
@@ -347,15 +348,16 @@ class TestRunContracts:
 
     def test_real_field_rejects_complex_start(self):
         cfg = OptimizerConfig(method="first_order", field="real", max_iterations=2)
+        f = lambda z: 0.0
         with pytest.raises(ValueError):
-            run(lambda z: 0.0, cfg, np.zeros(2, dtype=complex))
+            run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
 
     def test_determinism(self):
         c, f, _ = quadratic_problem("complex")
         cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
                               resampling=2, max_iterations=25, seed=11)
-        t1 = run(f, cfg, np.zeros(2, dtype=complex))
-        t2 = run(f, cfg, np.zeros(2, dtype=complex))
+        t1 = run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
+        t2 = run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
         np.testing.assert_array_equal(t1.objective, t2.objective)
         np.testing.assert_array_equal(t1.final_params, t2.final_params)
 
@@ -366,7 +368,7 @@ class TestRunContracts:
         # runaway steps push the objective itself to overflow
         f = lambda z: float(np.exp(z[0] ** 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = run(f, cfg, np.array([1.0]))
+            trace = run(f, cfg, np.array([1.0]), monitor=f)
         assert trace.diverged
         assert len(trace) == 40
         assert np.isnan(trace.objective).any()
@@ -443,7 +445,7 @@ class TestRunContracts:
         for run_fn in (run, reference_run):
             rng = np.random.default_rng(0)
             f = lambda z: scale * (float(np.vdot(z, z).real) + rng.normal())
-            traces.append(run_fn(f, cfg, z0))
+            traces.append(run_fn(f, cfg, z0, monitor=f))
         trace, ref = traces
         reasons = (None, "preconditioner") + (("estimate",) if scale > 1e300 else ())
         assert trace.diverged_reason in reasons
@@ -466,8 +468,8 @@ class TestRunContracts:
                               postproc="gidi", max_iterations=5)
         for run_fn in (run, reference_run):
             rng = np.random.default_rng(0)
-            trace = run_fn(lambda z: 1e200 * (float(np.vdot(z, z).real) + rng.normal()),
-                           cfg, z0)
+            f = lambda z: 1e200 * (float(np.vdot(z, z).real) + rng.normal())
+            trace = run_fn(f, cfg, z0, monitor=f)
             assert (trace.diverged_at, trace.diverged_reason) == (1, "preconditioner")
             assert np.isnan(trace.objective).all()
             assert trace.final_params.tobytes() == z0.tobytes()
@@ -488,7 +490,7 @@ class TestRunContracts:
         c, f, _ = quadratic_problem("complex")
         cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
                               max_iterations=4)
-        trace = run(f, cfg, np.zeros(2, dtype=complex))
+        trace = run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
         assert (trace.diverged_at, trace.diverged_reason) == (2, "preconditioner")
         assert np.isfinite(trace.objective[0]) and np.isnan(trace.objective[1:]).all()
 
@@ -501,7 +503,7 @@ class TestRunContracts:
         cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
                               max_iterations=2)
         with pytest.raises(ValueError, match="shape"):
-            run(f, cfg, np.zeros(2, dtype=complex))
+            run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
 
     def test_monitor_used_for_trace(self):
         c, f, _ = quadratic_problem("real")
@@ -509,29 +511,6 @@ class TestRunContracts:
                               max_iterations=5)
         trace = run(f, cfg, c + 1.0, monitor=lambda z: 42.0)
         np.testing.assert_array_equal(trace.objective, np.full(5, 42.0))
-
-    def test_without_monitor_records_through_the_noisy_objective(self):
-        # Documented behaviour: the recording call is an uncharged third
-        # objective call per iteration, so it draws from the objective's rng.
-        c, f, _ = quadratic_problem("real")
-        cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
-                              max_iterations=6)
-
-        def noisy(rng, log):
-            def objective(z):
-                value = f(z) + 0.1 * rng.standard_normal()
-                log.append(value)
-                return value
-            return objective
-
-        values = []
-        trace = run(noisy(np.random.default_rng(1), values), cfg, c + 1.0)
-        assert len(values) == 3 * 6
-        np.testing.assert_array_equal(trace.objective, values[2::3])
-        np.testing.assert_array_equal(trace.objective_evals, 2 * np.arange(1, 7))
-
-        monitored = run(noisy(np.random.default_rng(1), []), cfg, c + 1.0, monitor=f)
-        assert not np.array_equal(monitored.final_params, trace.final_params)
 
 
 def noisy_oracles(field, seed, nan_after=None, nan_at=None):
@@ -689,7 +668,7 @@ class TestEvaluationAccounting:
         cfg = OptimizerConfig(method=method, field=field, scalar=scalar, gains=STATIC,
                               resampling=n_r, max_iterations=4)
         z0 = np.zeros(2, dtype=complex if field == "complex" else float)
-        trace = run(f, cfg, z0, fidelity=fid)
+        trace = run(f, cfg, z0, fidelity=fid, monitor=f)
         expected_obj = obj_per_iter * n_r * np.arange(1, 5)
         expected_fid = fid_per_iter * n_r * np.arange(1, 5)
         np.testing.assert_array_equal(trace.objective_evals, expected_obj)
@@ -700,7 +679,7 @@ class TestEvaluationAccounting:
         for method in ("second_order", "quantum_natural"):
             cfg = OptimizerConfig(method=method, field="complex", scalar=True,
                                   gains=STATIC, max_iterations=3)
-            trace = run(f, cfg, np.zeros(2, dtype=complex), fidelity=fid)
+            trace = run(f, cfg, np.zeros(2, dtype=complex), fidelity=fid, monitor=f)
             expected = (4 if method == "second_order" else 2) * np.arange(1, 4)
             np.testing.assert_array_equal(trace.objective_evals, expected)
 
@@ -708,7 +687,7 @@ class TestEvaluationAccounting:
         c, f, _ = quadratic_problem("real")
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               blocking=0.0, max_iterations=6)
-        trace = run(f, cfg, c + 1.0)
+        trace = run(f, cfg, c + 1.0, monitor=f)
         # 1 upfront evaluation at z0, then 2 (gradient) + 1 (candidate) per iteration
         np.testing.assert_array_equal(trace.objective_evals, 1 + 3 * np.arange(1, 7))
 
@@ -716,7 +695,7 @@ class TestEvaluationAccounting:
         c, f, _ = quadratic_problem("real")
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               blocking="auto", max_iterations=2)
-        trace = run(f, cfg, c + 1.0)
+        trace = run(f, cfg, c + 1.0, monitor=f)
         assert trace.blocking_delta == 0.0  # noiseless objective
         np.testing.assert_array_equal(trace.objective_evals, 25 + 1 + 3 * np.arange(1, 3))
 
@@ -731,7 +710,7 @@ class TestRunBehavior:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             z0 = c + rng.standard_normal(2)
-            trace = run(f, dataclasses.replace(cfg, seed=seed), z0)
+            trace = run(f, dataclasses.replace(cfg, seed=seed), z0, monitor=f)
             finals.append(np.linalg.norm(trace.final_params - c))
         assert np.median(finals) < 1e-3
 
@@ -743,7 +722,7 @@ class TestRunBehavior:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             z0 = c + rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            trace = run(f, dataclasses.replace(cfg, seed=seed), z0)
+            trace = run(f, dataclasses.replace(cfg, seed=seed), z0, monitor=f)
             finals.append(abs(np.linalg.norm(trace.final_params - c)))
         assert np.median(finals) < 1e-6
 
@@ -766,7 +745,8 @@ class TestRunBehavior:
         cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
                               blocking=0.0, max_iterations=8, seed=1)
         z0 = c  # already optimal: every candidate is rejected
-        trace = run(f, cfg, z0, callback=lambda k, z, g, step: recorded.append(k))
+        trace = run(f, cfg, z0, monitor=f,
+                    callback=lambda k, z, g, step: recorded.append(k))
         assert not trace.accepted.any()
         assert len(recorded) == 8
 
@@ -780,7 +760,7 @@ class TestRunBehavior:
         cfg = OptimizerConfig(method="second_order", field="complex", scalar=True,
                               gains=STATIC, postproc="gidi", max_iterations=50,
                               seed=7)
-        run(f, cfg, c + np.ones(2, dtype=complex), fidelity=fid, callback=check)
+        run(f, cfg, c + np.ones(2, dtype=complex), fidelity=fid, monitor=f, callback=check)
         for g, step in records:
             if np.linalg.norm(g) == 0:
                 continue
@@ -805,7 +785,7 @@ class TestRunBehavior:
             return original(h_raw, memory, k, *args)
 
         monkeypatch.setattr(optimizers, name, spy)
-        run(f, cfg, c + np.ones(6, dtype=complex), fidelity=fid)
+        run(f, cfg, c + np.ones(6, dtype=complex), fidelity=fid, monitor=f)
         assert [k for k, _, _ in received] == [1, 2, 3, 4, 5]
         assert received[0][2] == 1.0
         for _, h_raw, memory in received:
@@ -827,7 +807,7 @@ class TestRunBehavior:
             return out
 
         monkeypatch.setattr(optimizers, name, spy)
-        run(f, cfg, c + 1.0)
+        run(f, cfg, c + 1.0, monitor=f)
         assert [k for k, _, _ in calls] == [1, 2, 3, 4, 5, 6]
         z_dtype = np.complex128 if field == "complex" else np.float64
         assert calls[0][1].tobytes() == np.eye(3, dtype=z_dtype).tobytes()
