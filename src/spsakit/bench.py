@@ -94,21 +94,19 @@ class EnsembleResult:
     calibrated_a: float | None = None
 
 
-def calibrate_first_order_gain(objective, z0_samples, gains, field, rng,
-                               target_step: float = CALIBRATION_TARGET_STEP,
-                               n_probe: int = CALIBRATION_PROBES):
-    """Choose the first-order gain a so the first update has sup-norm ≈ target_step.
+def calibrate_first_order_gain(objective, z0_samples, gains, field, rng):
+    """Choose the first-order gain a so the first update has sup-norm
+    ≈ ``CALIBRATION_TARGET_STEP``.
 
-    Draws ``n_probe`` gradient estimates at representative initial points with
-    k = 1 gain coefficients and returns ``target_step / mean(‖g‖∞)``.
+    Draws ``CALIBRATION_PROBES`` gradient estimates at representative initial
+    points with k = 1 gain coefficients and returns
+    ``CALIBRATION_TARGET_STEP / mean(‖g‖∞)``.
     """
-    if n_probe < 1:
-        raise ValueError("n_probe must be >= 1")
     if len(z0_samples) == 0:
         raise ValueError("need at least one initial point to calibrate against")
     _, _, b1 = gains_at(gains, 1)
     norms = []
-    for i in range(n_probe):
+    for i in range(CALIBRATION_PROBES):
         z0 = np.asarray(z0_samples[i % len(z0_samples)])
         delta = sample_perturbation(z0.size, field, rng)
         g, _ = gradient_estimate(objective, z0, b1, delta)
@@ -116,7 +114,7 @@ def calibrate_first_order_gain(objective, z0_samples, gains, field, rng,
     mean_norm = float(np.mean(norms))
     if mean_norm == 0.0:
         raise ValueError("calibration failed: all probe gradients vanished")
-    return target_step / mean_norm
+    return CALIBRATION_TARGET_STEP / mean_norm
 
 
 def run_single(problem: Problem, config: OptimizerConfig, seed: int) -> RunTrace:

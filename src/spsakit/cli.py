@@ -119,7 +119,7 @@ def _parse_gains(spec):
 
 
 def _parse_blocking(spec):
-    if spec in (None, "off", False):
+    if spec == "off":
         return None
     if spec == "auto":
         return "auto"
@@ -135,16 +135,25 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_number(text):
+    """An integral literal as an int, so that a shot budget past 2^53 stays
+    exact, and any other number as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _option_parser(name, annotation):
     """The parser of one `ExperimentConfig` field, for a flag's string and a
     config file's JSON value alike.  A string is read as its type reads it
-    (``_parse_bool`` for a bool); any other value must already have the
-    type, an int standing for a float; None passes only where the field
-    admits it."""
+    (``_parse_bool`` for a bool, `_parse_number` for a float); any other
+    value must already have the type, an int standing for a float and kept
+    as it is; None passes only where the field admits it."""
     kinds = typing.get_args(annotation) or (annotation,)
     optional = type(None) in kinds
     kind, = (k for k in kinds if k is not type(None))
-    read = _parse_bool if kind is bool else kind
+    read = {bool: _parse_bool, float: _parse_number}.get(kind, kind)
 
     def parse(value):
         if value is None and optional:
@@ -155,7 +164,7 @@ def _option_parser(name, annotation):
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
         if type(value) in (kind, int if kind is float else kind):
-            return kind(value)
+            return value
         raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
 
     return parse
@@ -304,7 +313,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return execute(config)

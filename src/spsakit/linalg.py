@@ -4,14 +4,17 @@ All matrices here are small (p up to a few hundred).  `matrix_abs` works from
 a full spectral decomposition.  `psd_sqrt_shifted` diagonalizes only on a
 subspace that the caller names as holding the range of its input: the
 gidi preconditioner's input has rank ≤ 2·N_R, so its square root costs
-O(p·N_R²) beyond forming the p × p result.  `solve_pd` is a Cholesky solve
-that calls LAPACK directly.  Real symmetric matrices flow through the same
-code paths as complex hermitian ones; callers never need a separate
-real-field implementation.
+O(p·N_R²) beyond forming the p × p result.  It maps each eigenvalue λ to
+√(λ² + ε) by one formula that never squares λ, so it stays finite for every
+finite λ.  `solve_pd` is a Cholesky solve that calls LAPACK directly.  Real
+symmetric matrices flow through the same code paths as complex hermitian
+ones; callers never need a separate real-field implementation.
 
-The factorizations call routines of SciPy's compiled LAPACK wrapper module
-``scipy.linalg._flapack``, the very objects ``scipy.linalg.get_lapack_funcs``
-returns, without importing ``scipy.linalg``: that import takes about 0.3 s and
+The factorizations call the double-precision routines, ``d`` for a real
+field and ``z`` for a complex one, of SciPy's compiled LAPACK wrapper module
+``scipy.linalg._flapack``: the very objects ``scipy.linalg.get_lapack_funcs``
+returns for float64 and complex128, found by one cached lookup.  They are
+loaded without importing ``scipy.linalg``: that import takes about 0.3 s and
 16 MB, while the extension alone loads in a few milliseconds.  `load_lapack`
 loads it at the first call that needs it, the first `psd_sqrt_shifted` or
 `solve_pd`, so first-order and scalar runs, which do no matrix algebra, never
@@ -106,27 +109,14 @@ def load_lapack():
     return module
 
 
-def _lapack_type(dtype):
-    """The prefix and dtype of the routines that
-    ``scipy.linalg.get_lapack_funcs(names, dtype=dtype)`` returns."""
-    char = np.dtype(dtype).char
-    if char == "F":
-        return "c", np.dtype(np.complex64)
-    if char in "DG":
-        return "z", np.dtype(np.complex128)
-    if char in "?bBhHef":
-        return "s", np.dtype(np.float32)
-    return "d", np.dtype(np.float64)
-
-
 @lru_cache(maxsize=None)
-def _spectral_routines(dtype):
-    """LAPACK ``geqrf``, ``orgqr``/``ungqr`` and ``syevd``/``heevd`` for one dtype."""
-    prefix, routine_dtype = _lapack_type(dtype)
-    complex_field = routine_dtype.kind == "c"
-    names = ("geqrf", "ungqr", "heevd") if complex_field else ("geqrf", "orgqr", "syevd")
+def _routines(complex_field, *names):
+    """The double-precision LAPACK routines ``names``: the ``z`` ones for a
+    complex field and the ``d`` ones for a real field, the very routines
+    ``scipy.linalg.get_lapack_funcs(names, dtype=...)`` returns for
+    complex128 and float64."""
     flapack = load_lapack()
-    return tuple(getattr(flapack, prefix + name) for name in names)
+    return tuple(getattr(flapack, ("z" if complex_field else "d") + name) for name in names)
 
 
 def psd_sqrt_shifted(matrix, epsilon, span):
@@ -138,17 +128,17 @@ def psd_sqrt_shifted(matrix, epsilon, span):
     orthonormalized into Q, and the r × r matrix Q†MQ = WΛW† is
     diagonalized, so U = QW holds every eigenvector of M with a nonzero
     eigenvalue.  The result is √ε·I + U g(Λ) U† with
-    g(λ) = λ²/(√(λ² + ε) + √ε) = √(λ² + ε) − √ε, a form without
-    cancellation: directions outside the span, and any column of Q that a
-    rank-deficient span adds, have λ = 0 and get exactly √ε.
+    g(λ) = |λ|·(|λ|/(hypot(λ, √ε) + √ε)) = √(λ² + ε) − √ε, a form that
+    neither cancels nor squares λ, so it stays finite for every finite λ:
+    directions outside the span, and any column of Q that a rank-deficient
+    span adds, have λ = 0 and get exactly √ε.
 
     Every eigenvalue of the result is at least √ε, which makes the output
     strictly positive-definite even when M vanishes.
 
     The factorizations are LAPACK ``geqrf`` with ``orgqr``/``ungqr`` and
-    ``syevd``/``heevd``, called directly.  M must be finite; `run` ends a
-    run before a non-finite estimate gets here.  An eigenvalue whose square
-    overflows gets g(λ) in a form without the square, which stays finite.
+    ``syevd``/``heevd`` in double precision, called directly.  M must be
+    finite; `run` ends a run before a non-finite estimate gets here.
 
     Raises
     ------
@@ -167,7 +157,9 @@ def psd_sqrt_shifted(matrix, epsilon, span):
     if basis.ndim != 2 or basis.shape[0] != p:
         raise ValueError(f"psd_sqrt_shifted: span of shape {basis.shape} does not "
                          f"have the {p} rows of the matrix")
-    geqrf, ungqr, heevd = _spectral_routines(np.result_type(m.dtype, basis.dtype, np.float64))
+    complex_field = m.dtype.kind == "c" or basis.dtype.kind == "c"
+    names = ("geqrf", "ungqr", "heevd") if complex_field else ("geqrf", "orgqr", "syevd")
+    geqrf, ungqr, heevd = _routines(complex_field, *names)
     qr, tau, _, _ = geqrf(basis)
     q, _, _ = ungqr(qr[:, :tau.size], tau, overwrite_a=1)
     w, v, info = heevd(q.conj().T @ m @ q, lower=1, overwrite_a=1)
@@ -175,46 +167,19 @@ def psd_sqrt_shifted(matrix, epsilon, span):
         raise np.linalg.LinAlgError("psd_sqrt_shifted: eigenvalues did not converge")
     u = q @ v
     root = math.sqrt(epsilon)
-    top = float(max(-w[0], w[-1])) if w.size else 0.0  # w is in ascending order
-    if math.isinf(top * top + epsilon):
-        g = _shifted_root_excess_large(w, epsilon, root)
-    else:
-        w2 = w * w
-        g = w2 / (np.sqrt(w2 + epsilon) + root)
-    out = (u * g) @ u.conj().T
+    a = np.abs(w)
+    out = (u * (a * (a / (np.hypot(a, root) + root)))) @ u.conj().T
     out.reshape(-1)[:: p + 1] += root
     return out
-
-
-def _shifted_root_excess_large(w, epsilon, root):
-    """g(λ) of `psd_sqrt_shifted`, bit for bit where λ² + ε is finite, and
-    as |λ|·(|λ|/(hypot(λ, √ε) + √ε)), at most |λ|, where it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w2 = w * w
-        shifted = w2 + epsilon
-        g = w2 / (np.sqrt(shifted) + root)
-    large = np.isinf(shifted)
-    a = np.abs(w[large])
-    g[large] = a * (a / (np.hypot(a, root) + root))
-    return g
-
-
-@lru_cache(maxsize=None)
-def _cholesky_routines(matrix_dtype, rhs_dtype):
-    """LAPACK ``potrf`` for the matrix and ``potrs`` for its factor and the
-    right-hand side, chosen as ``cho_factor`` and ``cho_solve`` choose them."""
-    factor_prefix, factor_dtype = _lapack_type(matrix_dtype)
-    solve_prefix, _ = _lapack_type(np.result_type(factor_dtype, rhs_dtype))
-    flapack = load_lapack()
-    return getattr(flapack, factor_prefix + "potrf"), getattr(flapack, solve_prefix + "potrs")
 
 
 def solve_pd(matrix, rhs):
     """Solve H x = v for positive-definite hermitian H without forming H⁻¹.
 
     A Cholesky factorization from the lower triangle of H (LAPACK ``potrf``)
-    and two triangular solves (``potrs``), called directly: the result is
-    bit-identical to ``scipy.linalg.cho_solve(cho_factor(H, lower=True), v)``.
+    and two triangular solves (``potrs``), called directly in double
+    precision: for float64 and complex128 inputs the result is bit-identical
+    to ``scipy.linalg.cho_solve(cho_factor(H, lower=True), v)``.
 
     Raises
     ------
@@ -228,7 +193,9 @@ def solve_pd(matrix, rhs):
     v = np.asarray(rhs)
     if not (np.isfinite(h).all() and np.isfinite(v).all()):
         raise ValueError("solve_pd: matrix and right-hand side must not contain infs or NaNs")
-    potrf, potrs = _cholesky_routines(h.dtype, v.dtype)
+    complex_matrix = h.dtype.kind == "c"
+    potrf, = _routines(complex_matrix, "potrf")
+    potrs, = _routines(complex_matrix or v.dtype.kind == "c", "potrs")
     factor, info = potrf(h, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(

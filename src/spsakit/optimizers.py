@@ -66,6 +66,9 @@ DEFAULT_EPSILON = {"spall": 1e-3, "gidi": 1e-4}
 # stream-identical to one call per vector.
 PERTURBATION_BLOCK = 64
 
+# Evaluations at z₀ from which ``blocking="auto"`` estimates the noise level.
+BLOCKING_SAMPLES = 25
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -204,11 +207,10 @@ def step_preconditioned(z, abar_k, g, preconditioner):
     return z - abar_k * solve_pd(preconditioner, g)
 
 
-def estimate_blocking_tolerance(f, z0, n_samples: int = 25):
-    """Twice the sample standard deviation of repeated evaluations at z₀."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples to estimate the noise level")
-    values = np.array([f(z0) for _ in range(n_samples)], dtype=np.float64)
+def estimate_blocking_tolerance(f, z0):
+    """Twice the sample standard deviation of ``BLOCKING_SAMPLES``
+    evaluations at z₀."""
+    values = np.array([f(z0) for _ in range(BLOCKING_SAMPLES)], dtype=np.float64)
     return 2.0 * float(np.std(values, ddof=1))
 
 
@@ -308,7 +310,7 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
 
     delta = config.blocking
     if delta == "auto":
-        delta = estimate_blocking_tolerance(f, z, 25)
+        delta = estimate_blocking_tolerance(f, z)
     blocking_on = delta is not None
     f_accepted = f(z) if blocking_on else None
 

@@ -50,7 +50,7 @@ def reference_run(objective, config, z0, *, monitor, fidelity=None, callback=Non
 
     delta = config.blocking
     if delta == "auto":
-        delta = estimate_blocking_tolerance(f, z, 25)
+        delta = estimate_blocking_tolerance(f, z)
     blocking_on = delta is not None
     f_accepted = f(z) if blocking_on else None
 

@@ -8,6 +8,7 @@ import pytest
 import spsakit.bench as bench
 from spsakit.applications import SgqtProblem, VqeProblem, exact_minimum
 from spsakit.bench import (
+    CALIBRATION_TARGET_STEP,
     EnsembleSpec,
     calibrate_first_order_gain,
     run_ensemble,
@@ -54,12 +55,11 @@ class TestEnsembleSpec:
 
 class TestCalibration:
     def test_ratio_example(self):
-        # mean sup-norm 2 with target 0.1 gives a = 0.05
+        # mean sup-norm 2 with the target step 0.1 gives a = 0.05
         f = lambda z: float(2.0 * z[0])  # gradient estimate is exactly (2, ...) signs
         gains = GainSchedule(a=1.0, b=0.1, s=0.0, t=0.0)
         rng = np.random.default_rng(0)
-        a = calibrate_first_order_gain(f, [np.zeros(3)], gains, "real", rng,
-                                       target_step=0.1, n_probe=10)
+        a = calibrate_first_order_gain(f, [np.zeros(3)], gains, "real", rng)
         assert a == pytest.approx(0.05)
 
     def test_deterministic_given_seed(self):
@@ -81,9 +81,8 @@ class TestCalibration:
         rng = np.random.default_rng(1)
         samples = [prob.initial_point(rng) for _ in range(8)]
         oracles = make_oracles(prob, rng, "complex")
-        target = 0.1
-        a = calibrate_first_order_gain(oracles.objective, samples, STATIC, "complex",
-                                       rng, target_step=target)
+        target = CALIBRATION_TARGET_STEP
+        a = calibrate_first_order_gain(oracles.objective, samples, STATIC, "complex", rng)
         for seed in range(10):
             check_rng = np.random.default_rng(seed)
             z0 = prob.initial_point(check_rng)

@@ -143,7 +143,31 @@ class TestParseConfig:
         config = parse_config(["--application", "sgqt", "--shots", "inf"])
         assert config.shots == float("inf")
 
-    @pytest.mark.parametrize("shots", ["0", "2.5", "-inf", "nan", "1e19", "many"])
+    @pytest.mark.parametrize("shots", [9007199254740993, 2**63 - 1])
+    def test_integral_shots_come_through_exactly(self, tmp_path, shots):
+        # read as an int, not rounded through a float: 2^53 + 1 and MAX_SHOTS
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "sgqt", "shots": shots}))
+        for argv in (["--application", "sgqt", "--shots", str(shots)],
+                     ["--config", str(cfg_file)]):
+            config = parse_config(argv)
+            assert type(config.shots) is int and config.shots == shots
+
+    @pytest.mark.parametrize("text, value", [("1", 1), ("-2", -2), ("1.0", 1.0),
+                                             ("2e4", 2e4), ("inf", float("inf"))])
+    def test_float_options_read_integral_literals_as_ints(self, text, value):
+        config = parse_config(["--application", "vqe", "--j", text])
+        assert type(config.j) is type(value) and config.j == value
+
+    @pytest.mark.parametrize("shots", [2**63, 1e19])
+    def test_file_shots_past_the_maximum_exit_2(self, tmp_path, capsys, shots):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "sgqt", "shots": shots}))
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+        assert "at most 2**63 - 1 shots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shots", ["0", "2.5", "-inf", "nan", "1e19",
+                                       "9223372036854775808", "many"])
     def test_invalid_shots_rejected(self, tmp_path, capsys, shots):
         # "many" is no number, which argparse rejects; the problem rejects the rest
         try:
@@ -303,6 +327,7 @@ class TestApplicationTable:
         ("--application", "sgqt", "--slices", "3"),
         ("--application", "sgqt", "--entangler", "bogus"),
         ("--application", "grape", "--j", "2"),
+        ("--application", "vqe", "--qubits", "3", "--j", "1" + "0" * 400),
         ("--application", "vqe", "--qubits", "2"),
         ("--application", "vqe", "--qubits", "13"),
         ("--application", "grape", "--qubits", "13"),
@@ -353,6 +378,20 @@ class TestApplicationTable:
         assert execute(config) == 0
         echo = read_strict_json(tmp_path / "exp.json")["config"]
         assert set(echo) & set(PROBLEM_FIELDS) == problem_flags
+        cfg_file = tmp_path / "echo.json"
+        cfg_file.write_text(json.dumps(echo))
+        assert parse_config(["--config", str(cfg_file)]) == config
+
+    @pytest.mark.parametrize("text, echoed", [
+        ("2e4", 20000.0), ("inf", "inf"), ("20000", 20000),
+        ("9223372036854775807", 9223372036854775807)])
+    def test_shots_echo_round_trips(self, tmp_path, text, echoed):
+        config = parse_config(["--application", "sgqt", "--qubits", "2", "--shots", text,
+                               "--runs", "1", "--iterations", "1",
+                               "--out", str(tmp_path / "exp")])
+        assert execute(config) == 0
+        echo = read_strict_json(tmp_path / "exp.json")["config"]
+        assert type(echo["shots"]) is type(echoed) and echo["shots"] == echoed
         cfg_file = tmp_path / "echo.json"
         cfg_file.write_text(json.dumps(echo))
         assert parse_config(["--config", str(cfg_file)]) == config

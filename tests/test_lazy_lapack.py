@@ -123,14 +123,17 @@ from scipy.linalg import get_lapack_funcs
 
 same = {"registered": scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"]}
 for name, (h, v) in cases.items():
-    names = ("geqrf", "ungqr", "heevd") if h.dtype.kind == "c" else ("geqrf", "orgqr", "syevd")
+    complex_matrix = h.dtype.kind == "c"
+    names = ("geqrf", "ungqr", "heevd") if complex_matrix else ("geqrf", "orgqr", "syevd")
     spectral = get_lapack_funcs(names, dtype=h.dtype)
     potrf, = get_lapack_funcs(("potrf",), (h,))
     factor = scipy.linalg.cho_factor(h, lower=True)
     potrs, = get_lapack_funcs(("potrs",), (factor[0], v))
+    complex_rhs = complex_matrix or v.dtype.kind == "c"
     same[name] = [
-        identical(linalg._spectral_routines(h.dtype), spectral),
-        identical(linalg._cholesky_routines(h.dtype, v.dtype), (potrf, potrs)),
+        identical(linalg._routines(complex_matrix, *names), spectral),
+        identical(linalg._routines(complex_matrix, "potrf")
+                  + linalg._routines(complex_rhs, "potrs"), (potrf, potrs)),
         solutions[name].tobytes() == scipy.linalg.cho_solve(factor, v).tobytes(),
     ]
 print(json.dumps({"before": before, "same": same}))

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from spsakit.estimators import sample_perturbation
-from spsakit.linalg import (HERMITICITY_ATOL, _require_hermitian, _shifted_root_excess_large,
-                            hermitize, matrix_abs, psd_sqrt_shifted, solve_pd)
+from spsakit.linalg import (HERMITICITY_ATOL, _require_hermitian, hermitize, matrix_abs,
+                            psd_sqrt_shifted, solve_pd)
 
 
 def random_hermitian(p, rng):
@@ -126,16 +126,16 @@ class TestPsdSqrtShifted:
                                    rtol=1e-14)
         assert np.abs(out[~np.eye(3, dtype=bool)]).max() <= 1e-15 * abs(huge)
 
-    def test_only_overflowing_eigenvalues_leave_the_squared_form(self):
-        eps = 1e-4
-        root = np.sqrt(eps)
-        w = np.array([-2e300, -1e154, -3.0, 0.0, 1e-200, 0.5, 1e153, 1.5e154, 1e308])
-        g = _shifted_root_excess_large(w, eps, root)
-        small = np.abs(w) < 1e154
-        w2 = w[small] * w[small]
-        assert g[small].tobytes() == (w2 / (np.sqrt(w2 + eps) + root)).tobytes()
-        assert np.isfinite(g).all()
-        np.testing.assert_allclose(g[~small], np.abs(w[~small]), rtol=1e-15)
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_within_4_ulps_of_the_root_from_1e_minus_300_to_1e308(self, eps):
+        # one formula for every eigenvalue, tiny, near √ε, or past 1e154
+        magnitudes = np.concatenate([np.logspace(-300, 308, 77), np.geomspace(1e-4, 1e2, 25)])
+        w = np.concatenate([-magnitudes, magnitudes])
+        got = np.diag(psd_sqrt_shifted(np.diag(w), eps, np.eye(w.size)))
+        wide = np.longdouble(w)
+        expected = np.sqrt(wide * wide + np.longdouble(eps)).astype(np.float64)
+        assert np.isfinite(got).all()
+        assert (np.abs(got - expected) <= 4 * np.spacing(expected)).all()
 
     def test_overflowing_eigenvalues_of_a_rotated_matrix(self):
         rng = np.random.default_rng(6)

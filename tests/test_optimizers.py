@@ -242,7 +242,7 @@ class TestBlockingTolerance:
         rng = np.random.default_rng(5)
         n_shots = 20_000
         f = lambda z: rng.binomial(n_shots, 0.5) / n_shots
-        delta = estimate_blocking_tolerance(f, np.zeros(1), n_samples=50)
+        delta = estimate_blocking_tolerance(f, np.zeros(1))
         assert delta == pytest.approx(2.0 * np.sqrt(0.25 / n_shots), rel=0.3)
 
     def test_default_sample_count_deterministic(self):
@@ -250,10 +250,6 @@ class TestBlockingTolerance:
         f = lambda z: calls.append(1) or 1.0
         estimate_blocking_tolerance(f, np.zeros(1))
         assert len(calls) == 25
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            estimate_blocking_tolerance(lambda z: 0.0, np.zeros(1), n_samples=1)
 
 
 class TestResampleAverage:
