@@ -126,6 +126,8 @@ class VqeProblem:
             raise ValueError("layers must be >= 0")
         if self.entangler not in ENTANGLERS:
             raise ValueError(f"unknown entangler {self.entangler!r}")
+        if not (math.isfinite(self.j) and math.isfinite(self.h)):
+            raise ValueError(f"couplings must be finite, got j={self.j}, h={self.h}")
         self._hamiltonian()  # the qubit count and the ring rule
         if self.layers:
             entangling_layer(self.n_qubits, self.entangler)

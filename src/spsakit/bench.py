@@ -15,7 +15,6 @@ import numpy as np
 from .applications import Problem, make_oracles
 from .estimators import (REAL, gains_at, gains_label, gradient_estimate, interleave_complex,
                          sample_perturbation)
-from .linalg import load_lapack
 from .optimizers import OptimizerConfig, RunTrace, method_label, run
 
 __all__ = [
@@ -152,22 +151,14 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     """Execute the ensemble and aggregate per-iteration statistics.
 
     Run r is ``run_single(spec.problem, config, spec.base_seed + r)``, in
-    seed order on one process or a pool.  Before it starts a pool for a
-    matrix-preconditioned method it loads SciPy's LAPACK extension through
-    `linalg.load_lapack`, which otherwise runs at a run's first
-    preconditioned step, so that forked workers inherit the loaded module
-    instead of each loading it.  Diverged
-    runs are excluded from the statistics but counted; quantiles use linear
-    interpolation (numpy's default) and STD is the sample standard deviation
-    with divisor n−1.
+    seed order on one process or a pool.  Diverged runs are excluded from
+    the statistics but counted; quantiles use linear interpolation (numpy's
+    default) and STD is the sample standard deviation with divisor n−1.
     """
     config, calibrated_a = _calibrated_config(spec)
     job = partial(run_single, spec.problem, config)
     seeds = range(spec.base_seed, spec.base_seed + spec.n_runs)
     if spec.resolved_workers() > 1 and spec.n_runs > 1:
-        if config.method != "first_order" and not config.scalar:
-            # Load LAPACK once, here, for the forked workers to inherit.
-            load_lapack()
         with ProcessPoolExecutor(max_workers=spec.resolved_workers()) as pool:
             traces = list(pool.map(job, seeds))
     else:

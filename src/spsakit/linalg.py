@@ -2,39 +2,35 @@
 
 All matrices here are small (p up to a few hundred).  `matrix_abs` works from
 a full spectral decomposition.  `psd_sqrt_shifted` diagonalizes only on a
-subspace that the caller names as holding the range of its input: the
-gidi preconditioner's input has rank ≤ 2·N_R, so its square root costs
-O(p·N_R²) beyond forming the p × p result.  It maps each eigenvalue λ to
-√(λ² + ε) by one formula that never squares λ, so it stays finite for every
-finite λ.  `solve_pd` is a Cholesky solve that calls LAPACK directly.  Real
-symmetric matrices flow through the same code paths as complex hermitian
-ones; callers never need a separate real-field implementation.
+subspace that the caller names, by an orthonormal basis, as holding the
+range of its input: the gidi preconditioner's input has rank ≤ 2·N_R, so its
+square root costs O(p·N_R²) beyond forming the p × p result.  It maps each
+eigenvalue λ to √(λ² + ε) by one formula that never squares λ, so it stays
+finite for every finite λ.  `orthonormal_bases` computes such bases for a
+whole stack of spans at once, so that a run factors the spans of many
+iterations in one call.  `solve_pd` checks positive-definiteness by a
+Cholesky factorization and solves by LU.  Real symmetric matrices flow
+through the same code paths as complex hermitian ones; callers never need a
+separate real-field implementation.
 
-The factorizations call the double-precision routines, ``d`` for a real
-field and ``z`` for a complex one, of SciPy's compiled LAPACK wrapper module
-``scipy.linalg._flapack``: the very objects ``scipy.linalg.get_lapack_funcs``
-returns for float64 and complex128, found by one cached lookup.  They are
-loaded without importing ``scipy.linalg``: that import takes about 0.3 s and
-16 MB, while the extension alone loads in a few milliseconds.  `load_lapack`
-loads it at the first call that needs it, the first `psd_sqrt_shifted` or
-`solve_pd`, so first-order and scalar runs, which do no matrix algebra, never
-load it.  A pool of forked workers would load it once per worker, so
-``bench.run_ensemble`` calls `load_lapack` in the parent before it starts a
-pool for a run that needs it, and the workers inherit the loaded module.
+Every factorization calls numpy's LAPACK, the one that ``np.linalg`` uses,
+through the gufuncs of ``numpy.linalg._umath_linalg`` that the public
+functions wrap: ``qr_r_raw``, ``qr_reduced``, ``eigh_lo``, ``cholesky_lo``
+and ``solve1``, in double precision, float64 for a real field and
+complex128 for a complex one.  Called directly they skip the wrappers'
+argument handling, which at p = 20 costs more than the factorization, and
+they factor a stack of matrices in one call.  The module is private to
+numpy, so ``tests/test_linalg.py`` checks that each gufunc named in this
+file exists and agrees bit for bit with its public wrapper.  No part of
+SciPy is imported.
 """
 
 import math
-import os
-import sys
-from functools import lru_cache
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-__all__ = ["hermitize", "load_lapack", "matrix_abs", "psd_sqrt_shifted", "solve_pd"]
-
-FLAPACK = "scipy.linalg._flapack"
+__all__ = ["hermitize", "matrix_abs", "orthonormal_bases", "psd_sqrt_shifted", "solve_pd"]
 
 # Inputs arrive from exact arithmetic on function values, so deviations from
 # hermiticity beyond this are programming errors, not roundoff.
@@ -67,6 +63,21 @@ def _require_hermitian(m, op):
         raise ValueError(f"{op}: matrix is not hermitian within {HERMITICITY_ATOL}")
 
 
+@np.errstate(all="ignore", invalid="raise")  # as a decorator, a third of the cost of `with`
+def _lapack(gufunc, signature, *args, failure):
+    """Call one of numpy's LAPACK gufuncs with the loop ``signature``.
+
+    A gufunc reports a failed factorization by NaN output and the invalid
+    floating-point flag; that raises ``numpy.linalg.LinAlgError(failure)``
+    here.  Any other flag that LAPACK leaves is ignored, as ``np.linalg``
+    ignores it.
+    """
+    try:
+        return gufunc(*args, signature=signature)
+    except FloatingPointError:
+        raise np.linalg.LinAlgError(failure) from None
+
+
 def matrix_abs(matrix):
     """Matrix absolute value √(M²) of a hermitian matrix.
 
@@ -75,96 +86,84 @@ def matrix_abs(matrix):
     """
     m = np.asarray(matrix)
     _require_hermitian(m, "matrix_abs")
-    w, u = np.linalg.eigh(m)
+    c = "D" if m.dtype.kind == "c" else "d"
+    w, u = _lapack(_umath_linalg.eigh_lo, f"{c}->d{c}", m,
+                   failure="matrix_abs: eigenvalues did not converge")
     return (u * np.abs(w)) @ u.conj().T
 
 
-def load_lapack():
-    """Return SciPy's LAPACK wrapper module ``scipy.linalg._flapack``.
+def orthonormal_bases(spans):
+    """Orthonormal bases of the subspaces that a stack of spans spans.
 
-    The module SciPy has already loaded, if it has; otherwise the extension
-    is loaded from the ``linalg`` directory of the ``scipy`` package, without
-    running ``scipy.linalg``'s package initialization, and registered under
-    its own name, so that a later ``import scipy.linalg`` reuses it instead
-    of initializing the extension a second time.
+    ``spans`` is a (…, p, r) array of p × r spans, such as the perturbation
+    vectors that outer-product estimates were built from.  The result is the
+    (…, p, min(p, r)) stack of the Q factors of their reduced QR
+    factorizations: numpy's ``qr_r_raw`` and ``qr_reduced`` (LAPACK
+    ``geqrf`` with ``orgqr``/``ungqr``), one call each for the whole stack,
+    complex128 if the spans are complex and float64 otherwise.  Each Q's
+    columns are orthonormal and their span holds the span's columns; for a
+    rank-deficient span, Q has further columns.
 
     Raises
     ------
-    ImportError
-        If SciPy is not installed or its ``linalg`` directory holds no
-        ``_flapack`` extension for this interpreter.
+    ValueError
+        If ``spans`` has fewer than two dimensions.
+    numpy.linalg.LinAlgError
+        If a QR factorization fails.
     """
-    module = sys.modules.get(FLAPACK)
-    if module is None:
-        import scipy  # on some platforms, puts the bundled libraries on the search path
-
-        extensions = (ExtensionFileLoader, EXTENSION_SUFFIXES)
-        finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"), extensions)
-        spec = finder.find_spec(FLAPACK)
-        if spec is None:
-            raise ImportError(f"no {FLAPACK} extension in {finder.path}", name=FLAPACK)
-        module = module_from_spec(spec)
-        sys.modules[FLAPACK] = module
-        spec.loader.exec_module(module)
-    return module
+    spans = np.asarray(spans)
+    if spans.ndim < 2:
+        raise ValueError(f"orthonormal_bases: expected spans of shape (..., p, r), "
+                         f"got {spans.shape}")
+    c = "D" if spans.dtype.kind == "c" else "d"
+    factors = spans.astype(c)  # a copy, which qr_r_raw overwrites
+    failure = "orthonormal_bases: QR factorization failed"
+    tau = _lapack(_umath_linalg.qr_r_raw, f"{c}->{c}", factors, failure=failure)
+    return _lapack(_umath_linalg.qr_reduced, f"{c}{c}->{c}", factors, tau, failure=failure)
 
 
-@lru_cache(maxsize=None)
-def _routines(complex_field, *names):
-    """The double-precision LAPACK routines ``names``: the ``z`` ones for a
-    complex field and the ``d`` ones for a real field, the very routines
-    ``scipy.linalg.get_lapack_funcs(names, dtype=...)`` returns for
-    complex128 and float64."""
-    flapack = load_lapack()
-    return tuple(getattr(flapack, ("z" if complex_field else "d") + name) for name in names)
-
-
-def psd_sqrt_shifted(matrix, epsilon, span):
+def psd_sqrt_shifted(matrix, epsilon, basis):
     """Return √(M² + εI) for hermitian M and finite ε > 0.
 
-    ``span`` is a p × r array whose columns span a subspace that holds the
-    range of M, such as the perturbation vectors an outer-product estimate
-    was built from; ``np.eye(p)`` spans the whole space.  Its columns are
-    orthonormalized into Q, and the r × r matrix Q†MQ = WΛW† is
-    diagonalized, so U = QW holds every eigenvector of M with a nonzero
-    eigenvalue.  The result is √ε·I + U g(Λ) U† with
+    ``basis`` is a p × r array Q with orthonormal columns whose span holds
+    the range of M: one of `orthonormal_bases` of the perturbation vectors
+    an outer-product estimate was built from, or ``np.eye(p)``, which spans
+    the whole space.  The r × r matrix Q†MQ = WΛW† is diagonalized, so
+    U = QW holds every eigenvector of M with a nonzero eigenvalue.  The
+    result is √ε·I + U g(Λ) U† with
     g(λ) = |λ|·(|λ|/(hypot(λ, √ε) + √ε)) = √(λ² + ε) − √ε, a form that
     neither cancels nor squares λ, so it stays finite for every finite λ:
     directions outside the span, and any column of Q that a rank-deficient
-    span adds, have λ = 0 and get exactly √ε.
+    span adds, have λ = 0 and get exactly √ε.  The columns' orthonormality
+    is the caller's to keep; it is not checked.
 
     Every eigenvalue of the result is at least √ε, which makes the output
     strictly positive-definite even when M vanishes.
 
-    The factorizations are LAPACK ``geqrf`` with ``orgqr``/``ungqr`` and
-    ``syevd``/``heevd`` in double precision, called directly.  M must be
-    finite; `run` ends a run before a non-finite estimate gets here.
+    The eigensolver is numpy's ``eigh_lo`` (LAPACK ``syevd``/``heevd``),
+    called directly in double precision.  M must be finite; `run` ends a
+    run before a non-finite estimate gets here.
 
     Raises
     ------
     ValueError
         If ε is not in (0, ∞), if M is not square and hermitian, or if
-        ``span`` is not a 2-D array with one row per row of M.
+        ``basis`` is not a 2-D array with one row per row of M.
     numpy.linalg.LinAlgError
-        If the eigensolver does not converge.
+        If the eigensolver fails.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     m = np.asarray(matrix)
     _require_hermitian(m, "psd_sqrt_shifted")
     p = m.shape[0]
-    basis = np.asarray(span)
-    if basis.ndim != 2 or basis.shape[0] != p:
-        raise ValueError(f"psd_sqrt_shifted: span of shape {basis.shape} does not "
+    q = np.asarray(basis)
+    if q.ndim != 2 or q.shape[0] != p:
+        raise ValueError(f"psd_sqrt_shifted: basis of shape {q.shape} does not "
                          f"have the {p} rows of the matrix")
-    complex_field = m.dtype.kind == "c" or basis.dtype.kind == "c"
-    names = ("geqrf", "ungqr", "heevd") if complex_field else ("geqrf", "orgqr", "syevd")
-    geqrf, ungqr, heevd = _routines(complex_field, *names)
-    qr, tau, _, _ = geqrf(basis)
-    q, _, _ = ungqr(qr[:, :tau.size], tau, overwrite_a=1)
-    w, v, info = heevd(q.conj().T @ m @ q, lower=1, overwrite_a=1)
-    if info:
-        raise np.linalg.LinAlgError("psd_sqrt_shifted: eigenvalues did not converge")
+    c = "D" if m.dtype.kind == "c" or q.dtype.kind == "c" else "d"
+    w, v = _lapack(_umath_linalg.eigh_lo, f"{c}->d{c}", q.conj().T @ m @ q,
+                   failure="psd_sqrt_shifted: eigenvalues did not converge")
     u = q @ v
     root = math.sqrt(epsilon)
     a = np.abs(w)
@@ -176,33 +175,28 @@ def psd_sqrt_shifted(matrix, epsilon, span):
 def solve_pd(matrix, rhs):
     """Solve H x = v for positive-definite hermitian H without forming H⁻¹.
 
-    A Cholesky factorization from the lower triangle of H (LAPACK ``potrf``)
-    and two triangular solves (``potrs``), called directly in double
-    precision: for float64 and complex128 inputs the result is bit-identical
-    to ``scipy.linalg.cho_solve(cho_factor(H, lower=True), v)``.
+    A Cholesky factorization of the lower triangle of H (numpy's
+    ``cholesky_lo``, LAPACK ``potrf``) checks that H is positive definite;
+    an LU solve (``solve1``, LAPACK ``gesv``) then gives x, in double
+    precision: float64 if H and v are real, complex128 otherwise.  numpy
+    has no triangular solve that would reuse the factor.
 
     Raises
     ------
     ValueError
         If H or v holds a NaN or an infinity.
     numpy.linalg.LinAlgError
-        If H is not positive definite.  Downstream code treats this as a
-        post-processing bug rather than a recoverable condition.
+        If H is not positive definite, or the LU solve finds it singular.
+        Downstream code treats this as a post-processing bug rather than a
+        recoverable condition.
     """
     h = np.asarray(matrix)
     v = np.asarray(rhs)
     if not (np.isfinite(h).all() and np.isfinite(v).all()):
         raise ValueError("solve_pd: matrix and right-hand side must not contain infs or NaNs")
-    complex_matrix = h.dtype.kind == "c"
-    potrf, = _routines(complex_matrix, "potrf")
-    potrs, = _routines(complex_matrix or v.dtype.kind == "c", "potrs")
-    factor, info = potrf(h, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the matrix is not positive definite")
-    if info < 0:
-        raise ValueError(f"solve_pd: illegal value in argument {-info} of potrf")
-    x, info = potrs(factor, v, lower=1)
-    if info != 0:
-        raise ValueError(f"solve_pd: illegal value in argument {-info} of potrs")
-    return x
+    ch = "D" if h.dtype.kind == "c" else "d"
+    _lapack(_umath_linalg.cholesky_lo, f"{ch}->{ch}", h,
+            failure="solve_pd: matrix is not positive definite")
+    c = "D" if ch == "D" or v.dtype.kind == "c" else "d"
+    return _lapack(_umath_linalg.solve1, f"{c}{c}->{c}", h, v,
+                   failure="solve_pd: matrix is singular")

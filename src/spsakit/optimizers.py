@@ -40,7 +40,7 @@ from .estimators import (
     quantum_natural_points,
     sample_perturbation,
 )
-from .linalg import hermitize, matrix_abs, psd_sqrt_shifted, solve_pd
+from .linalg import hermitize, matrix_abs, orthonormal_bases, psd_sqrt_shifted, solve_pd
 
 __all__ = [
     "OptimizerConfig",
@@ -123,12 +123,12 @@ class RunTrace:
     averaged gradient or Hessian or metric ``"estimate"``, the
     ``"candidate"`` iterate or the ``"recorded"`` objective value turned
     non-finite; the ``"preconditioner"`` of a huge but finite estimate
-    overflowed, or failed its eigensolver or the step's Cholesky
-    factorization; or the ``"blocking"`` reference, which is checked
-    before the first iteration: a blocking tolerance or objective value at
-    z₀ that is not finite ends the run at iteration 1, with every record
-    NaN, instead of letting it reject every candidate.  Both are None for a
-    run that completed.
+    overflowed, or a factorization failed: the square root's eigensolver,
+    or the step's Cholesky check or LU solve; or the ``"blocking"``
+    reference, which is checked before the first iteration: a blocking
+    tolerance or objective value at z₀ that is not finite ends the run at
+    iteration 1, with every record NaN, instead of letting it reject every
+    candidate.  Both are None for a run that completed.
     """
 
     objective: np.ndarray
@@ -166,7 +166,7 @@ def postprocess_spall(h_raw, memory, k: int, epsilon: float):
     return h_pp, matrix_abs(h_pp) + epsilon * np.eye(p, dtype=h_pp.dtype)
 
 
-def postprocess_gidi(h_raw, memory, k: int, epsilon: float, span):
+def postprocess_gidi(h_raw, memory, k: int, epsilon: float, basis):
     """Hermitize, regularize as √(H′² + εI), then blend with inertia.
 
     The regularization happens before the inertia blend, so every summand has
@@ -175,13 +175,13 @@ def postprocess_gidi(h_raw, memory, k: int, epsilon: float, span):
     `postprocess_spall`; the blend of iteration k is returned twice, as the
     new blend and as the preconditioner.
 
-    ``span`` is handed to `psd_sqrt_shifted`: a p × r array whose columns
-    span the range of H′.  An estimate averaged from N_R outer products δδ̃†
-    has its range in the span of the 2·N_R perturbation vectors, which `run`
-    passes, so the square root costs O(p·N_R²) beyond forming the result.
-    Scalar mode ignores it.  Raises ``ValueError`` if the estimate's
-    dimension does not match ``memory`` or the span's row count does not
-    match the estimate.
+    ``basis`` is handed to `psd_sqrt_shifted`: a p × r array with
+    orthonormal columns whose span holds the range of H′.  An estimate
+    averaged from N_R outer products δδ̃† has its range in the span of the
+    2·N_R perturbation vectors, whose `orthonormal_bases` `run` passes, so
+    the square root costs O(p·N_R²) beyond forming the result.  Scalar mode
+    ignores it.  Raises ``ValueError`` if the estimate's dimension does not
+    match ``memory`` or the basis's row count does not match the estimate.
     """
     if np.isscalar(memory):
         h_prime = float(np.real(h_raw))
@@ -190,7 +190,7 @@ def postprocess_gidi(h_raw, memory, k: int, epsilon: float, span):
         h_prime = hermitize(h_raw)
         if h_prime.shape != memory.shape:
             raise ValueError("Hessian estimate dimension does not match the blend")
-        h_pp = psd_sqrt_shifted(h_prime, epsilon, span)
+        h_pp = psd_sqrt_shifted(h_prime, epsilon, basis)
     blend = (k / (k + 1)) * memory + h_pp / (k + 1)
     return blend, blend
 
@@ -330,11 +330,17 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
 
     n_r = config.resampling
     draws_per_iter = n_r * (2 if preconditioned else 1)
+    gidi_matrix = preconditioned and config.postproc == "gidi" and not config.scalar
     for k in range(1, n_iter + 1):
         if (k - 1) % PERTURBATION_BLOCK == 0:
             rows = min(PERTURBATION_BLOCK, n_iter - k + 1) * draws_per_iter
             block = sample_perturbation(p, config.field, rng, rows)
             draws = iter(block)
+            if gidi_matrix:
+                # Iteration k's estimate has its range in the span of its
+                # Δ, Δ̃ rows of the block: one QR call for the whole block.
+                bases = orthonormal_bases(
+                    block.reshape(-1, draws_per_iter, p).transpose(0, 2, 1))
         a_k, abar_k, b_k = gains_at(config.gains, k)
 
         if n_r == 1 and not preconditioned:
@@ -358,19 +364,16 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
                 break
             # A huge but finite estimate can overflow in the hermitian part,
             # the inertia blend or the square root, to a preconditioner that
-            # is not finite, or fail the eigensolver or the Cholesky solve.
+            # is not finite, or fail a factorization in the square root or
+            # the step's solve.
             candidate = None
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     if config.postproc == "spall":
                         memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
                     else:
-                        # The estimate's range lies in the span of this
-                        # iteration's Δ, Δ̃ rows of the block.
-                        first = (k - 1) % PERTURBATION_BLOCK * draws_per_iter
-                        span = block[first:first + draws_per_iter].T
-                        memory, preconditioner = postprocess_gidi(
-                            h_raw, memory, k, epsilon, span)
+                        basis = bases[(k - 1) % PERTURBATION_BLOCK] if gidi_matrix else None
+                        memory, preconditioner = postprocess_gidi(h_raw, memory, k, epsilon, basis)
                 if np.isfinite(preconditioner).all():
                     candidate = step_preconditioned(z, abar_k, g, preconditioner)
             except np.linalg.LinAlgError:

@@ -7,8 +7,9 @@ of these the plain way: one ``sample_perturbation(p, field, rng)`` call per
 vector, at the point of use, zero-initialized accumulators divided by N_R
 on every iteration, and the step on every iteration, so tests can require
 the two to give bit-identical traces.  It hands the gidi square root the
-same span as the library, the iteration's perturbation vectors in draw
-order as columns, stacked from the vectors it drew.
+same basis as the library: `orthonormal_bases` of the iteration's
+perturbation vectors in draw order as columns, stacked from the vectors it
+drew, one iteration at a time where the library factors a whole block.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from spsakit.estimators import (
     metric_estimate,
     sample_perturbation,
 )
+from spsakit.linalg import orthonormal_bases
 from spsakit.optimizers import (
     RunTrace,
     _counted,
@@ -102,7 +104,8 @@ def reference_run(objective, config, z0, *, monitor, fidelity=None, callback=Non
                         memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
                     else:
                         memory, preconditioner = postprocess_gidi(
-                            h_raw, memory, k, epsilon, np.stack(drawn, axis=1))
+                            h_raw, memory, k, epsilon,
+                            orthonormal_bases(np.stack(drawn, axis=1)))
                 if not np.all(np.isfinite(preconditioner)):
                     raise np.linalg.LinAlgError("the preconditioner is not finite")
                 candidate = step_preconditioned(z, abar_k, g, preconditioner)

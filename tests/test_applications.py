@@ -638,6 +638,9 @@ class TestProblemValidation:
         lambda: GrapeProblem(slices=0),
         lambda: GrapeProblem(n_qubits=2, psi0=np.ones(8, complex)),
         lambda: SgqtProblem(n_qubits=0),
+        lambda: VqeProblem(n_qubits=3, j=math.inf),
+        lambda: VqeProblem(n_qubits=3, j=-math.inf),
+        lambda: VqeProblem(n_qubits=3, h=math.nan),
     ])
     def test_invalid_fields_rejected(self, make):
         with pytest.raises(ValueError):
