@@ -40,6 +40,7 @@ from .bench import (
     calibrate_first_order_gain,
     run_ensemble,
     run_single,
+    summarize_at_budget,
     summarize_final,
 )
 

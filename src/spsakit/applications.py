@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Protocol
 import numpy as np
 
 from .estimators import COMPLEX, FIELDS, REAL, complex_from_interleaved
+from .linalg import one_blas_thread
 from .quantum import (
     MAX_DENSE_QUBITS,
     PauliTermSum,
@@ -140,8 +141,11 @@ class VqeProblem:
         return (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / math.sqrt(2.0)
 
     def exact_minimum(self):
-        """The exact ground energy."""
-        return exact_ground_energy(self._hamiltonian())
+        """The exact ground energy, computed with numpy's OpenBLAS on one
+        thread (`one_blas_thread`), so that its last bits do not depend on
+        the thread count of the environment."""
+        with one_blas_thread():
+            return exact_ground_energy(self._hamiltonian())
 
     def state(self, z):
         return vqe_state(self, z)

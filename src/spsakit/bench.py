@@ -25,6 +25,7 @@ __all__ = [
     "run_single",
     "run_ensemble",
     "summarize_final",
+    "summarize_at_budget",
     "available_cpus",
 ]
 
@@ -71,7 +72,7 @@ class EnsembleSpec:
         return self.workers or available_cpus()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationStatistics:
     """Across-run statistics of the recorded objective at one iteration."""
 
@@ -85,6 +86,18 @@ class IterationStatistics:
 
 @dataclass
 class EnsembleResult:
+    """What `run_ensemble` returns.
+
+    ``stats`` holds one `IterationStatistics` row per iteration, over the
+    runs that did not diverge; ``traces`` every run's `RunTrace`, in seed
+    order; ``n_excluded`` the number of diverged runs.  The cumulative
+    evaluation counts after each iteration, ``objective_evals`` and
+    ``fidelity_evals``, are the same for every run of a configuration, so
+    they are taken once, from the first run that did not diverge, and are
+    zeros if every run diverged.  ``calibrated_a`` is the gain a that
+    calibration chose, or None.
+    """
+
     stats: list
     traces: list
     n_excluded: int
@@ -175,8 +188,8 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
                 else np.zeros(n_iter))
         medians = np.median(values, axis=0)
         q1s, q3s = np.percentile(values, [25, 75], axis=0)
-        obj_evals = included[0].objective_evals.copy()
-        fid_evals = included[0].fidelity_evals.copy()
+        obj_evals = included[0].objective_evals
+        fid_evals = included[0].fidelity_evals
     else:
         means = stds = medians = q1s = q3s = np.full(n_iter, np.nan)
         obj_evals = np.zeros(n_iter, dtype=np.int64)
@@ -215,3 +228,35 @@ def summarize_final(result: EnsembleResult, at_iteration: int,
         "mean": s.mean,
         "std": s.std,
     }
+
+
+def summarize_at_budget(result: EnsembleResult, config: OptimizerConfig,
+                        objective_budget: int, fidelity_budget: int | None = None) -> dict:
+    """`summarize_final`'s row at the last iteration whose cumulative
+    evaluation counts fit the budgets, with that iteration as ``"iteration"``.
+
+    The objective evaluations must be at most ``objective_budget`` and the
+    fidelity evaluations at most ``fidelity_budget``; with None, fidelity
+    evaluations are not limited.  Methods of different costs per iteration
+    are compared at equal cost this way.
+
+    Raises
+    ------
+    ValueError
+        If iteration 1 already exceeds a budget, or if every run diverged,
+        which leaves the ensemble no counts.
+    """
+    if result.n_excluded == len(result.traces):
+        raise ValueError("every run diverged, so the ensemble has no evaluation counts")
+    fits = result.objective_evals <= objective_budget
+    if fidelity_budget is not None:
+        fits &= result.fidelity_evals <= fidelity_budget
+    if not fits[0]:
+        budget = f"{objective_budget} objective" + (
+            "" if fidelity_budget is None else f" and {fidelity_budget} fidelity")
+        raise ValueError(
+            f"iteration 1 spends {result.objective_evals[0]} objective and "
+            f"{result.fidelity_evals[0]} fidelity evaluations, beyond the budget of "
+            f"{budget} evaluations")
+    at_iteration = int(np.flatnonzero(fits)[-1]) + 1
+    return {**summarize_final(result, at_iteration, config), "iteration": at_iteration}

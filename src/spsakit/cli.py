@@ -27,6 +27,7 @@ import scipy
 from .applications import GrapeProblem, SgqtProblem, VqeProblem
 from .bench import EnsembleSpec, available_cpus, run_ensemble, summarize_final
 from .estimators import GAIN_PRESETS, GainSchedule, gains_label
+from .linalg import blas_threads
 from .optimizers import OptimizerConfig
 
 __all__ = ["APPLICATIONS", "ExperimentConfig", "parse_config", "execute", "main"]
@@ -288,14 +289,16 @@ def execute(config: ExperimentConfig) -> int:
 def _environment(spec: EnsembleSpec, result) -> dict:
     """What the results and timings depend on besides the config: library
     versions, the resolved worker count, the CPUs of the affinity mask, the
-    thread variables that set the BLAS defaults, and whether gain calibration
-    ran.  The BLAS libraries' own thread counts are not read."""
+    thread count of numpy's bundled OpenBLAS (None without one), the thread
+    variables that set the BLAS defaults, and whether gain calibration
+    ran."""
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "workers": spec.resolved_workers(),
         "cpus": available_cpus(),
+        "blas_threads": blas_threads(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "calibrated": result.calibrated_a is not None,

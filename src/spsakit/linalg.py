@@ -23,18 +23,72 @@ they factor a stack of matrices in one call.  The module is private to
 numpy, so ``tests/test_linalg.py`` checks that each gufunc named in this
 file exists and agrees bit for bit with its public wrapper.  No part of
 SciPy is imported.
+
+`blas_threads` reads the thread count of the OpenBLAS that numpy's wheel
+bundles, and `one_blas_thread` pins it to one thread for a block of code,
+through the library's ``scipy_openblas_get/set_num_threads64_`` in
+``numpy.libs``.  Where numpy has no such library, both do nothing and give
+None.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-__all__ = ["hermitize", "matrix_abs", "orthonormal_bases", "psd_sqrt_shifted", "solve_pd"]
+__all__ = ["blas_threads", "hermitize", "matrix_abs", "one_blas_thread", "orthonormal_bases",
+           "psd_sqrt_shifted", "solve_pd"]
 
 # Inputs arrive from exact arithmetic on function values, so deviations from
 # hermiticity beyond this are programming errors, not roundoff.
 HERMITICITY_ATOL = 1e-12
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
+    ctypes, or None if ``numpy.libs`` holds no such library."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))  # the copy numpy loaded: same file, same handle
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None without one."""
+    lib = _openblas_threads()
+    return None if lib is None else int(lib[0]())
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then give
+    the caller's thread count back, also if the block raises.
+
+    Yields the caller's count, or None, and pins nothing, without a bundled
+    OpenBLAS.  A result that OpenBLAS computes with one thread does not
+    depend on how many threads the environment grants, whose work split
+    changes the roundoff of a multithreaded call.
+    """
+    lib = _openblas_threads()
+    if lib is None:
+        yield None
+        return
+    get, set_ = lib
+    before = get()
+    set_(1)
+    try:
+        yield before
+    finally:
+        set_(before)
 
 
 def hermitize(matrix):

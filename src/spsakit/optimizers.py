@@ -129,13 +129,24 @@ class RunTrace:
     tolerance or objective value at z₀ that is not finite ends the run at
     iteration 1, with every record NaN, instead of letting it reject every
     candidate.  Both are None for a run that completed.
+
+    Evaluation counts are not stored per iteration: the estimator contract
+    makes every iteration of a configuration cost the same.  For each
+    counter the trace keeps the evaluations spent before iteration 1 (0, 1
+    for a fixed blocking tolerance's f(z₀), 1 + ``BLOCKING_SAMPLES`` for
+    ``blocking="auto"``), the evaluations per iteration, and ``recorded``,
+    the number of iterations recorded.  `objective_evals` and
+    `fidelity_evals` derive the cumulative counts from them.
     """
 
     objective: np.ndarray
     accepted: np.ndarray
-    objective_evals: np.ndarray
-    fidelity_evals: np.ndarray
     final_params: np.ndarray
+    objective_evals_before: int = 0
+    objective_evals_per_iteration: int = 0
+    fidelity_evals_before: int = 0
+    fidelity_evals_per_iteration: int = 0
+    recorded: int = 0
     blocking_delta: float | None = None
     diverged_at: int | None = None
     diverged_reason: str | None = None
@@ -143,6 +154,24 @@ class RunTrace:
     @property
     def diverged(self) -> bool:
         return self.diverged_at is not None
+
+    @property
+    def objective_evals(self) -> np.ndarray:
+        """Cumulative objective evaluations after each iteration, as int64;
+        0 after the last recorded iteration."""
+        return self._cumulative(self.objective_evals_before, self.objective_evals_per_iteration)
+
+    @property
+    def fidelity_evals(self) -> np.ndarray:
+        """Cumulative fidelity evaluations after each iteration, as
+        `objective_evals` counts objective evaluations."""
+        return self._cumulative(self.fidelity_evals_before, self.fidelity_evals_per_iteration)
+
+    def _cumulative(self, before, per_iteration):
+        counts = np.zeros(len(self.objective), dtype=np.int64)
+        counts[:self.recorded] = before + per_iteration * np.arange(
+            1, self.recorded + 1, dtype=np.int64)
+        return counts
 
     def __len__(self):
         return len(self.objective)
@@ -276,6 +305,14 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
     of the reasons `RunTrace` lists, aborts; its remaining records are
     NaN-padded, and the trace is flagged with the iteration and the reason.
 
+    Raises
+    ------
+    RuntimeError
+        If a recorded iteration after the first spends a different number of
+        objective or fidelity evaluations than the first: the trace stores
+        one increment per counter, so a broken estimator contract would
+        otherwise be recorded wrongly.
+
     Random numbers
     --------------
     The perturbations come from ``np.random.default_rng(config.seed)``, in
@@ -315,12 +352,13 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
     f_accepted = f(z) if blocking_on else None
 
     n_iter = config.max_iterations
+    obj_before, fid_before = budget.objective_evals, budget.fidelity_evals
     trace = RunTrace(
         objective=np.full(n_iter, np.nan),
         accepted=np.zeros(n_iter, dtype=bool),
-        objective_evals=np.zeros(n_iter, dtype=np.int64),
-        fidelity_evals=np.zeros(n_iter, dtype=np.int64),
         final_params=z,
+        objective_evals_before=obj_before,
+        fidelity_evals_before=fid_before,
         blocking_delta=float(delta) if blocking_on else None,
     )
     if blocking_on and not (math.isfinite(delta) and math.isfinite(f_accepted)):
@@ -405,11 +443,23 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
             trace.diverged_at, trace.diverged_reason = k, "recorded"
             break
 
+        # Every iteration must spend what the first one spent: the trace
+        # stores that increment, not the counts.
+        obj_spent = budget.objective_evals - obj_before
+        fid_spent = budget.fidelity_evals - fid_before
+        if k == 1:
+            obj_per_iter = trace.objective_evals_per_iteration = obj_spent
+            fid_per_iter = trace.fidelity_evals_per_iteration = fid_spent
+        elif obj_spent != k * obj_per_iter or fid_spent != k * fid_per_iter:
+            raise RuntimeError(
+                f"iteration {k} brought the run to {obj_spent} objective and {fid_spent} "
+                f"fidelity evaluations after the {obj_before} and {fid_before} before "
+                f"iteration 1, not {k} times iteration 1's {obj_per_iter} and "
+                f"{fid_per_iter}: an estimator broke its evaluation contract")
         i = k - 1
         trace.objective[i] = value
         trace.accepted[i] = accepted
-        trace.objective_evals[i] = budget.objective_evals
-        trace.fidelity_evals[i] = budget.fidelity_evals
+        trace.recorded = k
         if callback is not None:
             callback(k, z, g, step)
 

@@ -10,13 +10,19 @@ the two to give bit-identical traces.  It hands the gidi square root the
 same basis as the library: `orthonormal_bases` of the iteration's
 perturbation vectors in draw order as columns, stacked from the vectors it
 drew, one iteration at a time where the library factors a whole block.
+
+It counts the oracle calls itself and stores the cumulative counts of every
+iteration in arrays of its own record, `ReferenceTrace`, where the library
+stores one increment per counter and derives the arrays from it; comparing
+the two checks the derived counts against a count made call by call.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from spsakit.estimators import (
     COMPLEX,
-    EvaluationBudget,
     gains_at,
     gradient_estimate,
     hessian_estimate,
@@ -25,14 +31,31 @@ from spsakit.estimators import (
 )
 from spsakit.linalg import orthonormal_bases
 from spsakit.optimizers import (
-    RunTrace,
-    _counted,
     estimate_blocking_tolerance,
     postprocess_gidi,
     postprocess_spall,
     step_first_order,
     step_preconditioned,
 )
+
+
+@dataclass
+class ReferenceTrace:
+    """`spsakit.optimizers.RunTrace`'s record with the cumulative evaluation
+    counts of every iteration stored, 0 after the last recorded one."""
+
+    objective: np.ndarray
+    accepted: np.ndarray
+    objective_evals: np.ndarray
+    fidelity_evals: np.ndarray
+    final_params: np.ndarray
+    blocking_delta: float | None = None
+    diverged_at: int | None = None
+    diverged_reason: str | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
 
 def reference_run(objective, config, z0, *, monitor, fidelity=None, callback=None):
@@ -42,9 +65,15 @@ def reference_run(objective, config, z0, *, monitor, fidelity=None, callback=Non
     p = z.size
 
     rng = np.random.default_rng(config.seed)
-    budget = EvaluationBudget()
-    f = _counted(objective, budget, "objective")
-    fid = _counted(fidelity, budget, "fidelity") if fidelity is not None else None
+    calls = {"objective": 0, "fidelity": 0}
+
+    def f(x):
+        calls["objective"] += 1
+        return objective(x)
+
+    def fid(xa, xb):
+        calls["fidelity"] += 1
+        return fidelity(xa, xb)
 
     preconditioned = config.method != "first_order"
     memory = 1.0 if config.scalar else np.eye(p, dtype=dtype)
@@ -57,7 +86,7 @@ def reference_run(objective, config, z0, *, monitor, fidelity=None, callback=Non
     f_accepted = f(z) if blocking_on else None
 
     n_iter = config.max_iterations
-    trace = RunTrace(
+    trace = ReferenceTrace(
         objective=np.full(n_iter, np.nan),
         accepted=np.zeros(n_iter, dtype=bool),
         objective_evals=np.zeros(n_iter, dtype=np.int64),
@@ -139,8 +168,8 @@ def reference_run(objective, config, z0, *, monitor, fidelity=None, callback=Non
         i = k - 1
         trace.objective[i] = value
         trace.accepted[i] = accepted
-        trace.objective_evals[i] = budget.objective_evals
-        trace.fidelity_evals[i] = budget.fidelity_evals
+        trace.objective_evals[i] = calls["objective"]
+        trace.fidelity_evals[i] = calls["fidelity"]
         if callback is not None:
             callback(k, z, g, step)
 

@@ -1,6 +1,11 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +181,30 @@ class TestVqe:
         z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         oracles = make_oracles(prob, None)
         assert oracles.objective(z) == pytest.approx(oracles.monitor(z), abs=1e-12)
+
+    def test_exact_minimum_independent_of_blas_threads(self):
+        # The 10-qubit ring's largest magnetization block, 252 states square,
+        # is diagonalized multithreaded at default threads; exact_minimum
+        # pins one thread, so both interpreters give the same bits, and
+        # hands the caller's thread count back.
+        script = ("import json; from spsakit.applications import VqeProblem; "
+                  "from spsakit.linalg import blas_threads; before = blas_threads(); "
+                  "e = VqeProblem(n_qubits=10).exact_minimum(); "
+                  "print(json.dumps([before, repr(e), blas_threads()]))")
+        src = str(Path(applications.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = src
+        seen = []
+        for threads in (None, "1"):
+            extra = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, timeout=120, check=True, env={**env, **extra})
+            seen.append(json.loads(done.stdout.splitlines()[-1]))
+        (default_before, default_e, default_after), (one_before, one_e, one_after) = seen
+        assert default_e == one_e
+        assert (default_after, one_after) == (default_before, one_before)
+        assert one_before in (None, 1)
 
     def test_energy_bounded_below_by_ground_energy(self):
         prob = VqeProblem(n_qubits=4, layers=2, shots=math.inf)

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from spsakit.bench import (
     calibrate_first_order_gain,
     run_ensemble,
     run_single,
+    summarize_at_budget,
     summarize_final,
 )
 from spsakit.estimators import GAIN_PRESETS, GainSchedule
@@ -198,6 +200,42 @@ class TestRunEnsemble:
                                       2 * np.arange(1, 21))
         np.testing.assert_array_equal(result.fidelity_evals, np.zeros(20))
 
+    @pytest.mark.parametrize("method", ["first_order", "quantum_natural"])
+    def test_pooled_counts_match_serial_bit_for_bit(self, method):
+        # blocking="auto" spends 26 evaluations before iteration 1: the
+        # count each trace derives its arrays from must survive the pickling
+        config = OptimizerConfig(method=method, blocking="auto", max_iterations=6)
+        serial = run_ensemble(small_spec(config=config, workers=1))
+        pooled = run_ensemble(small_spec(config=config, workers=2))
+        # 25 samples and f(z0), then 2 estimate evaluations and 1 candidate
+        assert serial.objective_evals[0] == 25 + 1 + 2 + 1
+        for name in ("objective_evals", "fidelity_evals"):
+            assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes()
+            for a, b in zip(pooled.traces, serial.traces):
+                assert getattr(a, name).dtype == np.int64
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_statistics_rows_have_no_instance_dict(self):
+        row = run_ensemble(small_spec(n_runs=1)).stats[0]
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(AttributeError):
+            row.mean = 0.0
+
+
+class TestTraceStorage:
+    def test_pickled_trace_holds_no_count_arrays(self):
+        # a 200-iteration run of the benchmark's 6-qubit SGQT problem, as a
+        # pool worker sends it back
+        trace = run_single(SgqtProblem(n_qubits=6),
+                           OptimizerConfig(method="first_order", max_iterations=200), 1)
+        assert not any(isinstance(value, np.ndarray) and value.dtype.kind in "iu"
+                       for value in vars(trace).values())
+        payload = pickle.dumps(trace)
+        assert len(payload) <= 3600
+        copy = pickle.loads(payload)
+        np.testing.assert_array_equal(copy.objective_evals, 2 * np.arange(1, 201))
+        assert not copy.fidelity_evals.any()
+
 
 class TestSummarizeFinal:
     def test_single_run_row_degenerate(self):
@@ -223,6 +261,70 @@ class TestSummarizeFinal:
         result = run_ensemble(spec)
         with pytest.raises(ValueError):
             summarize_final(result, 21, spec.config)
+
+
+class TestSummarizeAtBudget:
+    """CSPSA spends 2 objective evaluations per iteration; QN-CSPSA spends 2
+    objective and 4 fidelity evaluations."""
+
+    @staticmethod
+    def _ensembles(**config):
+        results = {}
+        for method in ("first_order", "quantum_natural"):
+            spec = small_spec(config=OptimizerConfig(method=method, max_iterations=10,
+                                                     **config))
+            results[method] = (run_ensemble(spec), spec.config)
+        return results
+
+    @pytest.mark.parametrize("objective_budget,fidelity_budget,expected", [
+        (12, None, {"first_order": 6, "quantum_natural": 6}),
+        (13, None, {"first_order": 6, "quantum_natural": 6}),
+        (12, 12, {"first_order": 6, "quantum_natural": 3}),
+        (100, 22, {"first_order": 10, "quantum_natural": 5}),
+        (2, 4, {"first_order": 1, "quantum_natural": 1}),
+    ])
+    def test_last_iteration_within_both_budgets(self, objective_budget, fidelity_budget,
+                                                expected):
+        for method, (result, config) in self._ensembles().items():
+            row = summarize_at_budget(result, config, objective_budget, fidelity_budget)
+            k = expected[method]
+            assert row == {**summarize_final(result, k, config), "iteration": k}
+
+    def test_counts_before_iteration_1_are_spent_from_the_budget(self):
+        # blocking="auto": 26 evaluations at z0, then 3 (CSPSA) per iteration
+        results = self._ensembles(blocking="auto")
+        result, config = results["first_order"]
+        assert summarize_at_budget(result, config, 35)["iteration"] == 3
+        with pytest.raises(ValueError, match="iteration 1"):
+            summarize_at_budget(result, config, 28)
+
+    @pytest.mark.parametrize("objective_budget,fidelity_budget,method", [
+        (1, None, "first_order"),
+        (1, None, "quantum_natural"),
+        (100, 3, "quantum_natural"),
+        (-1, 0, "first_order"),
+    ])
+    def test_iteration_1_over_budget_raises(self, objective_budget, fidelity_budget, method):
+        result, config = self._ensembles()[method]
+        with pytest.raises(ValueError, match="iteration 1"):
+            summarize_at_budget(result, config, objective_budget, fidelity_budget)
+
+    def test_all_diverged_ensemble_raises(self):
+        # enormous steps make every GRAPE run diverge; the ensemble's counts
+        # are then all 0, which would fit any budget
+        from spsakit.applications import GrapeProblem
+
+        spec = EnsembleSpec(
+            problem=GrapeProblem(n_qubits=2, slices=2, shots=1000),
+            config=OptimizerConfig(gains=GainSchedule(a=1e30, b=0.01, s=0.0, t=0.0),
+                                   max_iterations=10),
+            n_runs=2,
+        )
+        with np.errstate(all="ignore"):
+            result = run_ensemble(spec)
+        assert result.n_excluded == 2
+        with pytest.raises(ValueError, match="diverged"):
+            summarize_at_budget(result, spec.config, 100)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from test_bench import PlusStateProblem
 
 from spsakit import cli
 from spsakit.cli import PROBLEM_FIELDS, execute, main, parse_config
+from spsakit.linalg import blas_threads
 
 
 def run_cli(tmp_path, *flags):
@@ -245,11 +246,13 @@ class TestExecute:
             "scipy": scipy.__version__,
             "workers": workers,
             "cpus": cli.available_cpus(),
+            "blas_threads": blas_threads(),
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": None,
             "calibrated": calibrated,
         }
         assert env["cpus"] >= 1
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1
 
     def test_all_diverged_ensemble_writes_strict_json(self, tmp_path):
         # a huge first step drives the controls past the propagator's range

@@ -1,6 +1,7 @@
 import inspect
 import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from scipy.linalg import cho_factor, cho_solve
 
 from spsakit.estimators import sample_perturbation
 from spsakit import linalg
-from spsakit.linalg import (HERMITICITY_ATOL, _lapack, _require_hermitian, hermitize, matrix_abs,
-                            orthonormal_bases, psd_sqrt_shifted, solve_pd)
+from spsakit.linalg import (HERMITICITY_ATOL, _lapack, _require_hermitian, blas_threads,
+                            hermitize, matrix_abs, one_blas_thread, orthonormal_bases,
+                            psd_sqrt_shifted, solve_pd)
 
 
 def random_hermitian(p, rng):
@@ -461,3 +463,30 @@ class TestNumpyLapackContract:
                 public(*args)
             with pytest.raises(np.linalg.LinAlgError, match=f"^{name}$"):
                 _call(name, field, *args)
+
+
+class TestBlasThreads:
+    def test_one_thread_inside_and_the_callers_count_after(self):
+        before = blas_threads()
+        with one_blas_thread() as caller:
+            assert caller == before
+            assert blas_threads() == (None if before is None else 1)
+        assert blas_threads() == before
+
+    def test_count_restored_when_the_block_raises(self):
+        before = blas_threads()
+        with pytest.raises(RuntimeError):
+            with one_blas_thread():
+                raise RuntimeError("boom")
+        assert blas_threads() == before
+
+    def test_reads_numpys_bundled_openblas(self):
+        bundled = list((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas64_*"))
+        assert (blas_threads() is None) == (not bundled)
+
+    def test_no_op_without_the_library(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+        assert blas_threads() is None
+        with one_blas_thread() as caller:
+            assert caller is None

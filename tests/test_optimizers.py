@@ -695,6 +695,44 @@ class TestEvaluationAccounting:
         assert trace.blocking_delta == 0.0  # noiseless objective
         np.testing.assert_array_equal(trace.objective_evals, 25 + 1 + 3 * np.arange(1, 3))
 
+    @pytest.mark.parametrize("blocking", [None, "auto"])
+    def test_trace_stores_one_increment_per_counter(self, blocking):
+        c, f, fid = quadratic_problem("complex")
+        cfg = OptimizerConfig(method="quantum_natural", gains=STATIC, blocking=blocking,
+                              resampling=2, max_iterations=5)
+        trace = run(f, cfg, c + 1.0, fidelity=fid, monitor=f)
+        before = 0 if blocking is None else 26
+        assert (trace.objective_evals_before, trace.objective_evals_per_iteration) == (
+            before, 4 + (blocking is not None))
+        assert (trace.fidelity_evals_before, trace.fidelity_evals_per_iteration) == (0, 8)
+        assert trace.recorded == 5
+        assert trace.objective_evals.dtype == trace.fidelity_evals.dtype == np.int64
+
+    @pytest.mark.parametrize("method,estimator", [
+        ("first_order", "gradient_estimate"),
+        ("second_order", "hessian_estimate"),
+        ("quantum_natural", "gradient_estimate"),
+        ("quantum_natural", "metric_estimate"),
+    ])
+    def test_extra_call_at_iteration_3_raises(self, monkeypatch, method, estimator):
+        # an estimator that breaks its contract once would otherwise leave
+        # counts in the trace that the run never spent
+        original = getattr(optimizers, estimator)
+        calls = []
+
+        def one_extra(oracle, z, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                # the metric estimate's oracle is the fidelity
+                oracle(z, z) if estimator == "metric_estimate" else oracle(z)
+            return original(oracle, z, *args, **kwargs)
+
+        monkeypatch.setattr(optimizers, estimator, one_extra)
+        c, f, fid = quadratic_problem("complex")
+        cfg = OptimizerConfig(method=method, gains=STATIC, max_iterations=5)
+        with pytest.raises(RuntimeError, match="iteration 3"):
+            run(f, cfg, c + 1.0, fidelity=fid, monitor=f)
+
 
 class TestRunBehavior:
     def test_noiseless_first_order_converges(self):
