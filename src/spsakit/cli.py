@@ -22,7 +22,6 @@ import time
 import typing
 
 import numpy as np
-import scipy
 
 from .applications import GrapeProblem, SgqtProblem, VqeProblem
 from .bench import EnsembleSpec, available_cpus, run_ensemble, summarize_final
@@ -32,7 +31,7 @@ from .optimizers import OptimizerConfig
 
 __all__ = ["APPLICATIONS", "ExperimentConfig", "parse_config", "execute", "main"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 APPLICATIONS = {
     "vqe": (VqeProblem, 700),
@@ -295,7 +294,6 @@ def _environment(spec: EnsembleSpec, result) -> dict:
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "workers": spec.resolved_workers(),
         "cpus": available_cpus(),
         "blas_threads": blas_threads(),

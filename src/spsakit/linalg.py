@@ -22,7 +22,8 @@ argument handling, which at p = 20 costs more than the factorization, and
 they factor a stack of matrices in one call.  The module is private to
 numpy, so ``tests/test_linalg.py`` checks that each gufunc named in this
 file exists and agrees bit for bit with its public wrapper.  No part of
-SciPy is imported.
+SciPy is imported: ``tests/test_no_scipy_linalg.py`` refuses every SciPy
+import in runs, workers and CLI calls.
 
 `blas_threads` reads the thread count of the OpenBLAS that numpy's wheel
 bundles, and `one_blas_thread` pins it to one thread for a block of code,

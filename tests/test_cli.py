@@ -213,7 +213,7 @@ class TestExecute:
             tmp_path, "--application", "sgqt", "--qubits", "2", "--runs", "2",
             "--iterations", "3", "--method", "second_order", "--postproc", "spall")
         summary = json.loads(json_path.read_text())
-        assert summary["schema_version"] == 2
+        assert summary["schema_version"] == 3
         assert summary["application"] == "sgqt"
         assert summary["excluded_runs"] == 0
         assert summary["row"]["method"] == "2CSPSA"
@@ -231,8 +231,6 @@ class TestExecute:
                                           calibrated):
         import platform
 
-        import scipy
-
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         code, _, json_path = run_cli(
@@ -243,7 +241,6 @@ class TestExecute:
         assert env == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "workers": workers,
             "cpus": cli.available_cpus(),
             "blas_threads": blas_threads(),

@@ -1,8 +1,12 @@
-"""No run imports any part of ``scipy.linalg``: the library factors through
-numpy's LAPACK alone.
+"""No run imports SciPy: the library needs numpy alone, and factors through
+numpy's LAPACK.
 
-The test modules import ``scipy.linalg`` themselves, so the check runs its
-script in a fresh interpreter and reads the script's last line of output.
+The test modules import SciPy themselves, so the check runs its script in a
+fresh interpreter.  Before it imports spsakit, the script puts a finder at
+the head of ``sys.meta_path`` that records and refuses every ``scipy`` and
+``scipy.*`` import, also in the pool's forked workers, which inherit it.  It
+then runs every method, a pooled ensemble, and the CLI for each application
+serially and on two workers, and prints a record as its last line of output.
 """
 
 import json
@@ -16,33 +20,49 @@ import spsakit
 SRC = str(Path(spsakit.__file__).resolve().parent.parent)
 
 SCRIPT = """
-import json, sys
+import sys
+
+step = "import"
+refused = []
+
+class RefuseScipy:
+    # Records, with the step that asked, and refuses every SciPy import.
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            refused.append([step, name])
+            raise ImportError(f"{name} is refused: spsakit needs numpy alone")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+
+import json
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import spsakit.bench as bench
-import spsakit.cli
 from spsakit.applications import SgqtProblem
 from spsakit.bench import EnsembleSpec, run_ensemble, run_single
+from spsakit.cli import main
 from spsakit.optimizers import OptimizerConfig
 
-def scipy_linalg():
-    return sorted({"scipy.linalg", "scipy.linalg._flapack"} & set(sys.modules))
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 class ReportingPool(bench.ProcessPoolExecutor):
-    # What each pooled run leaves in its worker's modules.
+    # What each pooled run refused and left in its worker's modules.
     def map(self, fn, *iterables, **kwargs):
-        for trace, modules in super().map(partial(reporting, fn), *iterables, **kwargs):
-            in_workers.append(modules)
-            yield trace
+        for result, report in super().map(partial(reporting, fn), *iterables, **kwargs):
+            in_workers.append(report)
+            yield result
 
 def reporting(job, seed):
-    return job(seed), scipy_linalg()
+    return job(seed), refused + scipy_modules()
 
 bench.ProcessPoolExecutor = ReportingPool
 in_workers = []
 problem = SgqtProblem(n_qubits=2, shots=100)
-seen = {"import": scipy_linalg()}
+seen = {"diverged": [], "exit": {}, "same": {}}
 configs = {
     "first_order": OptimizerConfig(max_iterations=3),
     "scalar": OptimizerConfig(method="second_order", scalar=True, max_iterations=3),
@@ -52,31 +72,56 @@ for field in ("real", "complex"):
     for postproc in ("gidi", "spall"):
         configs[f"second_order {postproc} {field}"] = OptimizerConfig(
             method="second_order", postproc=postproc, field=field, max_iterations=3)
-for name, config in configs.items():
-    trace = run_single(problem, config, 0)
-    assert not trace.diverged, name
-    seen[name] = scipy_linalg()
+for step, config in configs.items():
+    if run_single(problem, config, 0).diverged:
+        seen["diverged"].append(step)
 
 def fingerprint(result):
     return [[t.objective.tobytes().hex(), t.final_params.tobytes().hex()]
             for t in result.traces]
 
+step = "ensemble"
 spec = EnsembleSpec(problem=problem, config=replace(configs["second_order spall complex"],
                                                     max_iterations=5),
                     n_runs=4, base_seed=5, workers=2)
 pooled = run_ensemble(spec)
-seen["pooled"] = scipy_linalg()
+seen["same"][step] = fingerprint(pooled) == fingerprint(run_ensemble(replace(spec, workers=1)))
+
+cli_flags = {
+    "vqe": ["--qubits", "3", "--method", "quantum_natural"],
+    "grape": ["--qubits", "2", "--slices", "4", "--method", "second_order",
+              "--postproc", "spall"],
+    "sgqt": ["--qubits", "2", "--calibrate", "true", "--blocking", "auto"],
+}
+for application, flags in cli_flags.items():
+    for workers in (1, 2):
+        step = f"cli {application} {workers}"
+        out = Path(sys.argv[1], f"{application}-{workers}")
+        seen["exit"][step] = main(["--application", application, *flags, "--runs", "3",
+                                   "--iterations", "3", "--workers", str(workers),
+                                   "--out", str(out)])
+    serial, pooled = (Path(sys.argv[1], f"{application}-{w}.csv").read_bytes() for w in (1, 2))
+    seen["same"][f"cli {application}"] = serial == pooled
+
+seen["refused"] = refused
+seen["modules"] = scipy_modules()
 seen["workers"] = in_workers
-seen["same"] = fingerprint(pooled) == fingerprint(run_ensemble(replace(spec, workers=1)))
 print(json.dumps(seen))
 """
 
 
-def test_no_run_imports_scipy_linalg():
-    done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
-                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": SRC})
+def test_no_run_imports_scipy_linalg(tmp_path):
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    runs = ["import", "first_order", "scalar", "quantum_natural",
-            *(f"second_order {postproc} {field}"
-              for field in ("real", "complex") for postproc in ("gidi", "spall")), "pooled"]
-    assert seen == {**{run: [] for run in runs}, "workers": [[]] * 4, "same": True}
+    applications = ("vqe", "grape", "sgqt")
+    assert seen == {
+        "diverged": [],
+        "exit": {f"cli {app} {workers}": 0 for app in applications for workers in (1, 2)},
+        "same": {"ensemble": True, **{f"cli {app}": True for app in applications}},
+        "refused": [],
+        "modules": [],
+        # the pooled ensemble's 4 runs, then 3 runs of each pooled CLI call
+        "workers": [[]] * (4 + 3 * len(applications)),
+    }
