@@ -14,7 +14,6 @@ The package bundles:
 
 from .estimators import (
     GAIN_PRESETS,
-    EvaluationBudget,
     GainSchedule,
     gains_at,
     gradient_estimate,

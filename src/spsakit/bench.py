@@ -15,6 +15,7 @@ import numpy as np
 from .applications import Problem, make_oracles
 from .estimators import (REAL, gains_at, gains_label, gradient_estimate, interleave_complex,
                          sample_perturbation)
+from .linalg import one_blas_thread
 from .optimizers import OptimizerConfig, RunTrace, method_label, run
 
 __all__ = [
@@ -131,17 +132,20 @@ def calibrate_first_order_gain(objective, z0_samples, gains, field, rng):
 
 def run_single(problem: Problem, config: OptimizerConfig, seed: int) -> RunTrace:
     """Execute one seeded run: materialize the problem, draw the initial point,
-    bind shot-noise rng streams, and run the optimizer."""
-    init_rng = np.random.default_rng([seed, 1])
-    oracle_rng = np.random.default_rng([seed, 2])
-    prob = problem.materialize(init_rng)
-    z0 = prob.initial_point(init_rng)
-    if config.field == REAL:
-        z0 = interleave_complex(z0)
-    oracles = make_oracles(prob, oracle_rng, config.field)
-    cfg = replace(config, seed=seed)
-    return run(oracles.objective, cfg, z0, fidelity=oracles.fidelity,
-               monitor=oracles.monitor)
+    bind shot-noise rng streams, and run the optimizer, on one BLAS thread
+    (`linalg.one_blas_thread`) so that pool workers do not oversubscribe
+    the cores."""
+    with one_blas_thread():
+        init_rng = np.random.default_rng([seed, 1])
+        oracle_rng = np.random.default_rng([seed, 2])
+        prob = problem.materialize(init_rng)
+        z0 = prob.initial_point(init_rng)
+        if config.field == REAL:
+            z0 = interleave_complex(z0)
+        oracles = make_oracles(prob, oracle_rng, config.field)
+        cfg = replace(config, seed=seed)
+        return run(oracles.objective, cfg, z0, fidelity=oracles.fidelity,
+                   monitor=oracles.monitor)
 
 
 def _calibrated_config(spec: EnsembleSpec):
@@ -171,11 +175,13 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     config, calibrated_a = _calibrated_config(spec)
     job = partial(run_single, spec.problem, config)
     seeds = range(spec.base_seed, spec.base_seed + spec.n_runs)
-    if spec.resolved_workers() > 1 and spec.n_runs > 1:
-        with ProcessPoolExecutor(max_workers=spec.resolved_workers()) as pool:
-            traces = list(pool.map(job, seeds))
-    else:
-        traces = list(map(job, seeds))
+    # Forked pool workers inherit the pin, so their runs call no setter.
+    with one_blas_thread():
+        if spec.resolved_workers() > 1 and spec.n_runs > 1:
+            with ProcessPoolExecutor(max_workers=spec.resolved_workers()) as pool:
+                traces = list(pool.map(job, seeds))
+        else:
+            traces = list(map(job, seeds))
 
     included = [t for t in traces if not t.diverged]
     n_excluded = spec.n_runs - len(included)

@@ -18,7 +18,6 @@ __all__ = [
     "GainSchedule",
     "GAIN_PRESETS",
     "gains_label",
-    "EvaluationBudget",
     "gains_at",
     "sample_perturbation",
     "gradient_estimate",
@@ -68,14 +67,6 @@ def gains_label(gains: GainSchedule) -> str:
         if gains == preset:
             return name
     return f"{gains.a},{gains.b},{gains.A},{gains.s},{gains.t}"
-
-
-@dataclass
-class EvaluationBudget:
-    """Monotone counters for oracle calls made by one optimization run."""
-
-    objective_evals: int = 0
-    fidelity_evals: int = 0
 
 
 def gains_at(sched: GainSchedule, k: int):

@@ -18,11 +18,13 @@ through the gufuncs of ``numpy.linalg._umath_linalg`` that the public
 functions wrap: ``qr_r_raw``, ``qr_reduced``, ``eigh_lo``, ``cholesky_lo``
 and ``solve1``, in double precision, float64 for a real field and
 complex128 for a complex one.  Called directly they skip the wrappers'
-argument handling, which at p = 20 costs more than the factorization, and
-they factor a stack of matrices in one call.  The module is private to
-numpy, so ``tests/test_linalg.py`` checks that each gufunc named in this
-file exists and agrees bit for bit with its public wrapper.  No part of
-SciPy is imported: ``tests/test_no_scipy_linalg.py`` refuses every SciPy
+argument handling, and they factor a stack of matrices in one call.  At one
+BLAS thread and p = 20 complex, that handling adds 3.6 µs to ``cholesky_lo``'s
+4.0, 4.1 µs to ``solve1``'s 8.2 and 4.3 µs to a 2 × 2 ``eigh_lo``'s 2.5 (best
+of 7 ``timeit`` repeats, 2-core x86-64, numpy 2.4).  The module is private to
+numpy, so ``tests/test_linalg.py`` checks that each gufunc named in this file
+exists and agrees bit for bit with its public wrapper.  No part of SciPy is
+imported: ``tests/test_no_scipy_linalg.py`` refuses every SciPy
 import in runs, workers and CLI calls.
 
 `blas_threads` reads the thread count of the OpenBLAS that numpy's wheel
@@ -78,18 +80,20 @@ def one_blas_thread():
     OpenBLAS.  A result that OpenBLAS computes with one thread does not
     depend on how many threads the environment grants, whose work split
     changes the roundoff of a multithreaded call.
+
+    A caller already on one thread calls no setter: in a forked child the
+    first call restarts OpenBLAS's threads, which spin for about 0.13 s.
     """
     lib = _openblas_threads()
-    if lib is None:
-        yield None
+    before = None if lib is None else lib[0]()
+    if before in (None, 1):
+        yield before
         return
-    get, set_ = lib
-    before = get()
-    set_(1)
+    lib[1](1)
     try:
         yield before
     finally:
-        set_(before)
+        lib[1](before)
 
 
 def hermitize(matrix):

@@ -30,7 +30,6 @@ from .estimators import (
     COMPLEX,
     FIELDS,
     REAL,
-    EvaluationBudget,
     GainSchedule,
     GAIN_PRESETS,
     gains_at,
@@ -131,12 +130,12 @@ class RunTrace:
     candidate.  Both are None for a run that completed.
 
     Evaluation counts are not stored per iteration: the estimator contract
-    makes every iteration of a configuration cost the same.  For each
-    counter the trace keeps the evaluations spent before iteration 1 (0, 1
-    for a fixed blocking tolerance's f(z₀), 1 + ``BLOCKING_SAMPLES`` for
-    ``blocking="auto"``), the evaluations per iteration, and ``recorded``,
-    the number of iterations recorded.  `objective_evals` and
-    `fidelity_evals` derive the cumulative counts from them.
+    makes every iteration of a configuration cost the same.  The trace keeps
+    the objective evaluations spent before iteration 1 (0, 1 for a fixed
+    blocking tolerance's f(z₀), 1 + ``BLOCKING_SAMPLES`` for
+    ``blocking="auto"``; none of them call the fidelity) and each counter's
+    evaluations per iteration.  `objective_evals` and `fidelity_evals`
+    derive the cumulative counts from them and `recorded`.
     """
 
     objective: np.ndarray
@@ -144,9 +143,7 @@ class RunTrace:
     final_params: np.ndarray
     objective_evals_before: int = 0
     objective_evals_per_iteration: int = 0
-    fidelity_evals_before: int = 0
     fidelity_evals_per_iteration: int = 0
-    recorded: int = 0
     blocking_delta: float | None = None
     diverged_at: int | None = None
     diverged_reason: str | None = None
@@ -154,6 +151,11 @@ class RunTrace:
     @property
     def diverged(self) -> bool:
         return self.diverged_at is not None
+
+    @property
+    def recorded(self) -> int:
+        """The number of recorded iterations: all, or those before ``diverged_at``."""
+        return len(self.objective) if self.diverged_at is None else self.diverged_at - 1
 
     @property
     def objective_evals(self) -> np.ndarray:
@@ -165,7 +167,7 @@ class RunTrace:
     def fidelity_evals(self) -> np.ndarray:
         """Cumulative fidelity evaluations after each iteration, as
         `objective_evals` counts objective evaluations."""
-        return self._cumulative(self.fidelity_evals_before, self.fidelity_evals_per_iteration)
+        return self._cumulative(0, self.fidelity_evals_per_iteration)
 
     def _cumulative(self, before, per_iteration):
         counts = np.zeros(len(self.objective), dtype=np.int64)
@@ -243,18 +245,6 @@ def estimate_blocking_tolerance(f, z0):
     return 2.0 * float(np.std(values, ddof=1))
 
 
-def _counted(fn, budget, kind):
-    if kind == "objective":
-        def wrapped(z):
-            budget.objective_evals += 1
-            return fn(z)
-    else:
-        def wrapped(za, zb):
-            budget.fidelity_evals += 1
-            return fn(za, zb)
-    return wrapped
-
-
 def _resample(config, f, fid, z, b_k, draws, prepare=None):
     """One resample of an iteration's estimates, from the next rows of ``draws``.
 
@@ -281,8 +271,7 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
     Parameters
     ----------
     objective : callable
-        Maps a parameter vector to a real value; charged to the evaluation
-        budget on every call.
+        Maps a parameter vector to a real value; every call is counted.
     config : OptimizerConfig
     z0 : array_like
         Initial parameter vector in the configured field.
@@ -290,7 +279,8 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
         Uncharged objective that records the trace once per iteration,
         typically the noiseless version of a shot-noisy oracle.
     fidelity : callable, optional
-        ``fidelity(za, zb)`` in [0, 1]; required by quantum_natural methods.
+        ``fidelity(za, zb)`` in [0, 1], counted as ``objective`` is;
+        required by quantum_natural methods.
         If it has a ``prepare`` attribute, as the fidelity of
         `make_oracles` has, a quantum-natural run calls
         ``fidelity.prepare(points)`` once per resample, uncharged, with the
@@ -336,10 +326,18 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
     p = z.size
 
     rng = np.random.default_rng(config.seed)
-    budget = EvaluationBudget()
     prepare = getattr(fidelity, "prepare", None) if config.method == "quantum_natural" else None
-    f = _counted(objective, budget, "objective")
-    fid = _counted(fidelity, budget, "fidelity") if fidelity is not None else None
+    obj_calls = fid_calls = 0
+
+    def f(z):
+        nonlocal obj_calls
+        obj_calls += 1
+        return objective(z)
+
+    def fid(za, zb):
+        nonlocal fid_calls
+        fid_calls += 1
+        return fidelity(za, zb)
 
     preconditioned = config.method != "first_order"
     memory = 1.0 if config.scalar else np.eye(p, dtype=z.dtype)  # H̄_0 = I
@@ -352,13 +350,12 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
     f_accepted = f(z) if blocking_on else None
 
     n_iter = config.max_iterations
-    obj_before, fid_before = budget.objective_evals, budget.fidelity_evals
+    obj_before = obj_calls
     trace = RunTrace(
         objective=np.full(n_iter, np.nan),
         accepted=np.zeros(n_iter, dtype=bool),
         final_params=z,
         objective_evals_before=obj_before,
-        fidelity_evals_before=fid_before,
         blocking_delta=float(delta) if blocking_on else None,
     )
     if blocking_on and not (math.isfinite(delta) and math.isfinite(f_accepted)):
@@ -445,21 +442,19 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
 
         # Every iteration must spend what the first one spent: the trace
         # stores that increment, not the counts.
-        obj_spent = budget.objective_evals - obj_before
-        fid_spent = budget.fidelity_evals - fid_before
+        obj_spent = obj_calls - obj_before
         if k == 1:
             obj_per_iter = trace.objective_evals_per_iteration = obj_spent
-            fid_per_iter = trace.fidelity_evals_per_iteration = fid_spent
-        elif obj_spent != k * obj_per_iter or fid_spent != k * fid_per_iter:
+            fid_per_iter = trace.fidelity_evals_per_iteration = fid_calls
+        elif obj_spent != k * obj_per_iter or fid_calls != k * fid_per_iter:
             raise RuntimeError(
-                f"iteration {k} brought the run to {obj_spent} objective and {fid_spent} "
-                f"fidelity evaluations after the {obj_before} and {fid_before} before "
-                f"iteration 1, not {k} times iteration 1's {obj_per_iter} and "
+                f"iteration {k} brought the run to {obj_spent} objective evaluations "
+                f"after the {obj_before} before iteration 1 and {fid_calls} fidelity "
+                f"evaluations, not {k} times iteration 1's {obj_per_iter} and "
                 f"{fid_per_iter}: an estimator broke its evaluation contract")
         i = k - 1
         trace.objective[i] = value
         trace.accepted[i] = accepted
-        trace.recorded = k
         if callback is not None:
             callback(k, z, g, step)
 

@@ -786,18 +786,18 @@ class TestOracleSuite:
         assert abs(np.linalg.norm(sgqt0) - 1.0) < 1e-10
 
     def test_objective_counts_one_eval_per_call(self):
-        from spsakit.estimators import EvaluationBudget
-        from spsakit.optimizers import _counted
-
+        # one first-order iteration: the gradient's two calls, and under
+        # blocking f(z0) before it and the candidate's call after it
         rng = np.random.default_rng(13)
         prob = SgqtProblem(n_qubits=2, shots=100).materialize(rng)
         oracles = make_oracles(prob, rng)
-        budget = EvaluationBudget()
-        counted = _counted(oracles.objective, budget, "objective")
-        z = prob.initial_point(rng)
-        counted(z)
-        counted(z)
-        assert budget.objective_evals == 2
+        z0 = prob.initial_point(rng)
+        for blocking, evals in ((None, 2), (0.05, 1 + 3)):
+            config = OptimizerConfig(blocking=blocking, max_iterations=1)
+            trace = run(oracles.objective, config, z0, fidelity=oracles.fidelity,
+                        monitor=oracles.monitor)
+            assert trace.objective_evals.tolist() == [evals]
+            assert trace.fidelity_evals.tolist() == [0]
 
     def test_real_field_adapter_same_landscape(self):
         rng = np.random.default_rng(14)

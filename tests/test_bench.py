@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import pickle
 from dataclasses import dataclass
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import spsakit.bench as bench
+from spsakit import linalg
 from spsakit.applications import SgqtProblem, VqeProblem, exact_minimum
 from spsakit.bench import (
     CALIBRATION_TARGET_STEP,
@@ -220,6 +222,70 @@ class TestRunEnsemble:
         assert not hasattr(row, "__dict__")
         with pytest.raises(AttributeError):
             row.mean = 0.0
+
+
+class TestBlasThreadPin:
+    @staticmethod
+    def _record_threads(monkeypatch, fail):
+        seen = []
+        original = bench.run
+
+        def spy(*args, **kwargs):
+            seen.append(linalg.blas_threads())
+            if fail:
+                raise RuntimeError("run failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run", spy)
+        return seen
+
+    def test_run_holds_one_thread_and_restores_the_callers_count(self, monkeypatch):
+        seen = self._record_threads(monkeypatch, fail=False)
+        before = linalg.blas_threads()
+        spec = small_spec(n_runs=1)
+        trace = run_single(spec.problem, spec.config, spec.base_seed)
+        assert seen == [None if before is None else 1]
+        assert linalg.blas_threads() == before
+        assert not trace.diverged
+
+    def test_count_restored_when_the_run_raises(self, monkeypatch):
+        seen = self._record_threads(monkeypatch, fail=True)
+        before = linalg.blas_threads()
+        spec = small_spec(n_runs=1)
+        with pytest.raises(RuntimeError, match="run failed"):
+            run_single(spec.problem, spec.config, spec.base_seed)
+        assert seen == [None if before is None else 1]
+        assert linalg.blas_threads() == before
+
+    def test_pool_workers_inherit_one_thread_and_call_no_setter(self, monkeypatch):
+        # OpenBLAS's setter restarts a forked worker's threads, which then
+        # spin; a worker forked on one thread needs no setter call.
+        lib = linalg._openblas_threads()
+        if lib is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers are not forked, so they inherit nothing")
+        get, set_ = lib
+        set_calls = []
+        monkeypatch.setattr(linalg, "_openblas_threads",
+                            lambda: (get, lambda n: set_calls.append(n) or set_(n)))
+        original = bench.run
+
+        def spy(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            trace.seen = (os.getpid(), linalg.blas_threads(), len(set_calls))
+            return trace
+
+        monkeypatch.setattr(bench, "run", spy)
+        before = get()
+        result = run_ensemble(small_spec(workers=2))
+        pids = {t.seen[0] for t in result.traces}
+        assert os.getpid() not in pids
+        # the parent's one setter call precedes the fork; workers add none
+        expected_calls = 0 if before == 1 else 1
+        assert {t.seen[1:] for t in result.traces} == {(1, expected_calls)}
+        assert set_calls == ([] if before == 1 else [1, before])
+        assert get() == before
 
 
 class TestTraceStorage:

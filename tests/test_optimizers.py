@@ -610,6 +610,10 @@ class TestBlockDraws:
         assert (trace.diverged_at, trace.diverged_reason) == (k_nan, reason)
         assert np.isfinite(trace.objective[:k_nan - 1]).all()
         assert np.isnan(trace.objective[k_nan - 1:]).all()
+        assert trace.recorded == trace.diverged_at - 1
+        assert trace.objective_evals[trace.recorded - 1] == calls_per_iter * (k_nan - 1)
+        assert not trace.objective_evals[trace.recorded:].any()
+        assert not trace.fidelity_evals[trace.recorded:].any()
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("blocking,nan_at", [(0.05, 1), ("auto", 7)])
@@ -623,7 +627,9 @@ class TestBlockDraws:
         assert (trace.diverged_at, trace.diverged_reason) == (1, "blocking")
         assert np.isnan(trace.objective).all()
         assert not trace.accepted.any()
+        assert trace.recorded == trace.diverged_at - 1 == 0
         assert not trace.objective_evals.any()
+        assert not trace.fidelity_evals.any()
         assert np.isnan(trace.blocking_delta) == (blocking == "auto")
 
     def test_callback_sees_the_same_steps(self):
@@ -704,8 +710,10 @@ class TestEvaluationAccounting:
         before = 0 if blocking is None else 26
         assert (trace.objective_evals_before, trace.objective_evals_per_iteration) == (
             before, 4 + (blocking is not None))
-        assert (trace.fidelity_evals_before, trace.fidelity_evals_per_iteration) == (0, 8)
+        assert trace.fidelity_evals_per_iteration == 8
         assert trace.recorded == 5
+        with pytest.raises(AttributeError):
+            trace.recorded = 4
         assert trace.objective_evals.dtype == trace.fidelity_evals.dtype == np.int64
 
     @pytest.mark.parametrize("method,estimator", [

@@ -1,16 +1,26 @@
-"""The names the benchmark's tracer patches must exist in spsakit.
+"""What the benchmark reads of spsakit must exist and behave.
 
 ``perfbench/spans.py`` wraps each ``(module, attr)`` of its
 ``TRACED_FUNCTIONS`` and the oracles ``make_oracles`` returns, and
 ``perfbench/run.py`` imports ``exact_minimum``; a rename would otherwise only
-surface as a crash of a traced benchmark run.
+surface as a crash of a traced benchmark run.  ``perfbench/run.py``'s
+``fingerprint`` and ``check_eval_counts`` read the `RunTrace` of every
+workload, so a change to the trace would otherwise only surface as a failed
+correctness gate.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+from spsakit import bench
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -45,3 +55,34 @@ def test_problem_states_call_the_traced_module_globals(monkeypatch):
     assert applications.VqeProblem().state(None) == "vqe_state"
     assert applications.GrapeProblem().state(None) == "grape_final_state"
     assert calls == ["vqe_state", "grape_final_state"]
+
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    """``perfbench/run.py`` as a module, with its sibling modules importable
+    while the tests of this module run."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in ("spans", "workloads"):
+            sys.modules.pop(name, None)
+
+
+def test_workload_ensembles_pass_the_benchmark_checks(perfbench_run):
+    """A serial 2-run, 3-iteration ensemble of each workload, built from its
+    flags, fingerprints the same twice and spends what the workload says."""
+    assert perfbench_run.workloads.WORKLOADS
+    for wl in perfbench_run.workloads.WORKLOADS.values():
+        small = dataclasses.replace(wl, flags=wl.flags + ("--iterations", "3"),
+                                    runs_per_chunk=2)
+        assert small.iterations == 3
+        spec = small.spec(small.problem, small.config, seed=1, chunk=0, workers=1)
+        first, second = bench.run_ensemble(spec), bench.run_ensemble(spec)
+        assert not any(trace.diverged for trace in first.traces), wl.name
+        assert perfbench_run.fingerprint(first) == perfbench_run.fingerprint(second), wl.name
+        perfbench_run.check_eval_counts(wl, [first])
