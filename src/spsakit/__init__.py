@@ -29,8 +29,6 @@ from .optimizers import (
     postprocess_gidi,
     postprocess_spall,
     run,
-    step_first_order,
-    step_preconditioned,
 )
 from .applications import GrapeProblem, Problem, SgqtProblem, VqeProblem
 from .bench import (

@@ -212,7 +212,8 @@ class SgqtProblem:
 
     The parameters are the amplitudes of the guess, up to scale: ``state``
     normalizes them.  ``unknown=None`` means ``materialize`` draws a
-    Haar-random unknown state per run.
+    Haar-random unknown state per run; a given one must be a vector of
+    2**n_qubits amplitudes whose norm is 1 within 1e-12, a roundoff bound.
     """
 
     n_qubits: int = 6
@@ -223,6 +224,11 @@ class SgqtProblem:
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
         _shot_count(self.shots)
+        if self.unknown is not None and np.shape(self.unknown) != (2**self.n_qubits,):
+            raise ValueError(f"expected an unknown state of {2**self.n_qubits} amplitudes")
+        # a longer vector's clamped overlap would read infidelity 0 at other guesses
+        if self.unknown is not None and not abs(np.linalg.norm(self.unknown) - 1.0) <= 1e-12:
+            raise ValueError("the unknown state must have unit norm, within 1e-12")
 
     def materialize(self, rng):
         if self.unknown is None:

@@ -61,6 +61,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1, or None for one per CPU")
         if self.calibrate and self.config.method != "first_order":
@@ -143,8 +145,7 @@ def run_single(problem: Problem, config: OptimizerConfig, seed: int) -> RunTrace
         if config.field == REAL:
             z0 = interleave_complex(z0)
         oracles = make_oracles(prob, oracle_rng, config.field)
-        cfg = replace(config, seed=seed)
-        return run(oracles.objective, cfg, z0, fidelity=oracles.fidelity,
+        return run(oracles.objective, config, z0, seed=seed, fidelity=oracles.fidelity,
                    monitor=oracles.monitor)
 
 

@@ -79,7 +79,7 @@ class ExperimentConfig:
             method=self.method, field=self.field, scalar=self.scalar,
             gains=_parse_gains(self.gains), postproc=self.postproc, epsilon=self.epsilon,
             blocking=_parse_blocking(self.blocking), resampling=self.resampling,
-            max_iterations=self.iterations, seed=self.seed)
+            max_iterations=self.iterations)
 
     def problem(self):
         cls, _ = APPLICATIONS[self.application]
@@ -224,6 +224,8 @@ def parse_config(argv=None) -> ExperimentConfig:
 
     config = ExperimentConfig(**values)
     config.ensemble_spec()  # raises on any invalid option
+    if not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise ValueError(f"out: the directory of {config.out!r} does not exist")
     return config
 
 

@@ -15,10 +15,10 @@ H̄ and k; the post-processings are pure functions of the estimate, H̄_{k−1}
 and k.
 
 Random numbers: a run draws its perturbations from one generator seeded with
-``config.seed``, and from nothing else.  It draws them ``PERTURBATION_BLOCK``
-iterations at a time, one `sample_perturbation` call per block; the rows of a
-block are the vectors one draw per vector would give, so a seeded trace does
-not depend on the block size.
+`run`'s argument ``seed``, and from nothing else.  It draws them
+``PERTURBATION_BLOCK`` iterations at a time, one `sample_perturbation` call
+per block; the rows of a block are the vectors one draw per vector would
+give, so a seeded trace does not depend on the block size.
 """
 
 import math
@@ -46,8 +46,6 @@ __all__ = [
     "RunTrace",
     "postprocess_spall",
     "postprocess_gidi",
-    "step_first_order",
-    "step_preconditioned",
     "estimate_blocking_tolerance",
     "run",
 ]
@@ -71,7 +69,7 @@ BLOCKING_SAMPLES = 25
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Full description of one optimization method instance."""
+    """Full description of one optimization method; it holds no randomness."""
 
     method: str = "first_order"
     field: str = COMPLEX
@@ -82,7 +80,6 @@ class OptimizerConfig:
     blocking: float | str | None = None
     resampling: int = 1
     max_iterations: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -179,6 +176,21 @@ class RunTrace:
         return len(self.objective)
 
 
+def _hermitian_part(h_raw, memory):
+    """H′: the estimate's real part in scalar mode, else its hermitian part."""
+    if np.isscalar(memory):
+        return float(np.real(h_raw))
+    h_prime = hermitize(h_raw)
+    if h_prime.shape != memory.shape:
+        raise ValueError("Hessian estimate dimension does not match the blend")
+    return h_prime
+
+
+def _blend(memory, k: int, summand):
+    """Spall's inertia blend k/(k+1)·H̄_{k−1} + Ĥ_k/(k+1)."""
+    return (k / (k + 1)) * memory + summand / (k + 1)
+
+
 def postprocess_spall(h_raw, memory, k: int, epsilon: float):
     """Hermitize, blend with inertia, then regularize as √(H″²) + εI.
 
@@ -186,15 +198,10 @@ def postprocess_spall(h_raw, memory, k: int, epsilon: float):
     in scalar mode.  Returns ``(H″, preconditioner)``: the blend of
     iteration k, and a positive-definite matrix with eigenvalues ≥ ε.
     """
+    h_pp = _blend(memory, k, _hermitian_part(h_raw, memory))
     if np.isscalar(memory):
-        h_pp = (k / (k + 1)) * memory + float(np.real(h_raw)) / (k + 1)
         return h_pp, abs(h_pp) + epsilon
-    h_prime = hermitize(h_raw)
-    if h_prime.shape != memory.shape:
-        raise ValueError("Hessian estimate dimension does not match the blend")
-    h_pp = (k / (k + 1)) * memory + h_prime / (k + 1)
-    p = h_pp.shape[0]
-    return h_pp, matrix_abs(h_pp) + epsilon * np.eye(p, dtype=h_pp.dtype)
+    return h_pp, matrix_abs(h_pp) + epsilon * np.eye(h_pp.shape[0], dtype=h_pp.dtype)
 
 
 def postprocess_gidi(h_raw, memory, k: int, epsilon: float, basis):
@@ -214,28 +221,13 @@ def postprocess_gidi(h_raw, memory, k: int, epsilon: float, basis):
     ignores it.  Raises ``ValueError`` if the estimate's dimension does not
     match ``memory`` or the basis's row count does not match the estimate.
     """
+    h_prime = _hermitian_part(h_raw, memory)
     if np.isscalar(memory):
-        h_prime = float(np.real(h_raw))
-        h_pp = math.sqrt(h_prime * h_prime + epsilon)
+        summand = math.sqrt(h_prime * h_prime + epsilon)
     else:
-        h_prime = hermitize(h_raw)
-        if h_prime.shape != memory.shape:
-            raise ValueError("Hessian estimate dimension does not match the blend")
-        h_pp = psd_sqrt_shifted(h_prime, epsilon, basis)
-    blend = (k / (k + 1)) * memory + h_pp / (k + 1)
+        summand = psd_sqrt_shifted(h_prime, epsilon, basis)
+    blend = _blend(memory, k, summand)
     return blend, blend
-
-
-def step_first_order(z, a_k, g):
-    """First-order update z − a_k g."""
-    return z - a_k * g
-
-
-def step_preconditioned(z, abar_k, g, preconditioner):
-    """Preconditioned update z − ā_k H̄⁻¹ g (or z − ā_k g/h in scalar mode)."""
-    if np.isscalar(preconditioner):
-        return z - (abar_k / preconditioner) * g
-    return z - abar_k * solve_pd(preconditioner, g)
 
 
 def estimate_blocking_tolerance(f, z0):
@@ -265,7 +257,8 @@ def _resample(config, f, fid, z, b_k, draws, prepare=None):
     return g, metric_estimate(fid, z, b_k, delta_vec, delta_tilde, config.scalar)
 
 
-def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callback=None):
+def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
+        callback=None):
     """Execute ``config.max_iterations`` iterations of the configured method.
 
     Parameters
@@ -275,6 +268,8 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
     config : OptimizerConfig
     z0 : array_like
         Initial parameter vector in the configured field.
+    seed : int
+        Non-negative seed of the run's perturbations; see Random numbers.
     monitor : callable
         Uncharged objective that records the trace once per iteration,
         typically the noiseless version of a shot-noisy oracle.
@@ -305,7 +300,7 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
 
     Random numbers
     --------------
-    The perturbations come from ``np.random.default_rng(config.seed)``, in
+    The perturbations come from ``np.random.default_rng(seed)``, in
     the order Δ, Δ̃ of the first resample, then of the second, and so on;
     first-order methods draw no Δ̃.  They are drawn ``PERTURBATION_BLOCK``
     iterations at a time, the last block cut to the iterations left, so the
@@ -325,7 +320,7 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
         raise ValueError("initial point must be a 1-D parameter vector")
     p = z.size
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     prepare = getattr(fidelity, "prepare", None) if config.method == "quantum_natural" else None
     obj_calls = fid_calls = 0
 
@@ -401,7 +396,6 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
             # the inertia blend or the square root, to a preconditioner that
             # is not finite, or fail a factorization in the square root or
             # the step's solve.
-            candidate = None
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     if config.postproc == "spall":
@@ -409,15 +403,15 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
                     else:
                         basis = bases[(k - 1) % PERTURBATION_BLOCK] if gidi_matrix else None
                         memory, preconditioner = postprocess_gidi(h_raw, memory, k, epsilon, basis)
-                if np.isfinite(preconditioner).all():
-                    candidate = step_preconditioned(z, abar_k, g, preconditioner)
+                if not np.isfinite(preconditioner).all():
+                    raise np.linalg.LinAlgError("the preconditioner is not finite")
+                candidate = (z - (abar_k / preconditioner) * g if config.scalar
+                             else z - abar_k * solve_pd(preconditioner, g))
             except np.linalg.LinAlgError:
-                pass
-            if candidate is None:
                 trace.diverged_at, trace.diverged_reason = k, "preconditioner"
                 break
         else:
-            candidate = step_first_order(z, a_k, g)
+            candidate = z - a_k * g
 
         if not np.isfinite(candidate).all():
             trace.diverged_at, trace.diverged_reason = k, "candidate"
@@ -428,12 +422,10 @@ def run(objective, config: OptimizerConfig, z0, *, monitor, fidelity=None, callb
         if blocking_on:
             f_candidate = f(candidate)
             accepted = f_candidate < f_accepted + delta
-            if accepted:
-                z = candidate
-                f_accepted = f_candidate
         else:
-            accepted = True
-            z = candidate
+            f_candidate, accepted = None, True
+        if accepted:
+            z, f_accepted = candidate, f_candidate
 
         value = monitor(z)
         if not math.isfinite(value):

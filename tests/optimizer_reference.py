@@ -15,6 +15,14 @@ It counts the oracle calls itself and stores the cumulative counts of every
 iteration in arrays of its own record, `ReferenceTrace`, where the library
 stores one increment per counter and derives the arrays from it; comparing
 the two checks the derived counts against a count made call by call.
+
+It takes the perturbations' ``seed`` as ``run`` does, and writes the step
+formulas itself rather than take them from the code it checks:
+
+* first order: z − a_k·g;
+* preconditioned, scalar mode: z − (ā_k/h)·g, h the preconditioner;
+* preconditioned, matrix mode: z − ā_k·x with x = `solve_pd`(H̄, g), H̄ the
+  preconditioner, after a check that H̄ is finite.
 """
 
 from dataclasses import dataclass
@@ -29,14 +37,8 @@ from spsakit.estimators import (
     metric_estimate,
     sample_perturbation,
 )
-from spsakit.linalg import orthonormal_bases
-from spsakit.optimizers import (
-    estimate_blocking_tolerance,
-    postprocess_gidi,
-    postprocess_spall,
-    step_first_order,
-    step_preconditioned,
-)
+from spsakit.linalg import orthonormal_bases, solve_pd
+from spsakit.optimizers import estimate_blocking_tolerance, postprocess_gidi, postprocess_spall
 
 
 @dataclass
@@ -58,13 +60,13 @@ class ReferenceTrace:
         return self.diverged_at is not None
 
 
-def reference_run(objective, config, z0, *, monitor, fidelity=None, callback=None):
+def reference_run(objective, config, z0, *, seed, monitor, fidelity=None, callback=None):
     """``run`` with one perturbation draw per vector, in Δ, Δ̃ order per resample."""
     dtype = np.complex128 if config.field == COMPLEX else np.float64
     z = np.array(z0, dtype=dtype)
     p = z.size
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     calls = {"objective": 0, "fidelity": 0}
 
     def f(x):
@@ -137,13 +139,16 @@ def reference_run(objective, config, z0, *, monitor, fidelity=None, callback=Non
                             orthonormal_bases(np.stack(drawn, axis=1)))
                 if not np.all(np.isfinite(preconditioner)):
                     raise np.linalg.LinAlgError("the preconditioner is not finite")
-                candidate = step_preconditioned(z, abar_k, g, preconditioner)
+                if config.scalar:
+                    candidate = z - (abar_k / preconditioner) * g
+                else:
+                    candidate = z - abar_k * solve_pd(preconditioner, g)
             except np.linalg.LinAlgError:
                 trace.diverged_at, trace.diverged_reason = k, "preconditioner"
                 break
             step = z - candidate
         else:
-            candidate = step_first_order(z, a_k, g)
+            candidate = z - a_k * g
             step = a_k * g
 
         if not np.all(np.isfinite(candidate.view(np.float64))):

@@ -650,7 +650,7 @@ class TestGrape:
         assert math.isnan(oracles.objective(controls))
         assert math.isnan(oracles.monitor(controls))
         config = OptimizerConfig(method="first_order", max_iterations=3)
-        trace = run(oracles.objective, config, controls, monitor=oracles.monitor)
+        trace = run(oracles.objective, config, controls, seed=0, monitor=oracles.monitor)
         assert trace.diverged
 
 
@@ -744,6 +744,25 @@ class TestSgqt:
         z = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
         _assert_stacks_match_single_builds(prob, z)
 
+    @pytest.mark.parametrize("unknown, match", [
+        # infidelity would read 0.0 wherever |⟨unknown|ψ⟩|² ≥ 1
+        (np.array([2, 0, 0, 0], complex), "unit norm"),
+        (np.array([1, 0, 0, 1e-3], complex), "unit norm"),
+        (np.array([np.nan, 0, 0, 0], complex), "unit norm"),
+        (np.array([1, 0, 0, 0, 0, 0, 0, 0], complex), "4 amplitudes"),
+        (np.array([[1, 0], [0, 0]], complex), "4 amplitudes"),
+    ])
+    def test_invalid_unknown_rejected(self, unknown, match):
+        with pytest.raises(ValueError, match=match):
+            SgqtProblem(n_qubits=2, unknown=unknown)
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_materialized_haar_states_accepted(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            unknown = SgqtProblem(n_qubits=n).materialize(rng).unknown
+            assert SgqtProblem(n_qubits=n, unknown=unknown).unknown is unknown
+
     def test_zero_vector_rejected(self):
         prob = SgqtProblem(n_qubits=2, unknown=np.array([1, 0, 0, 0], complex))
         with pytest.raises(ValueError):
@@ -794,7 +813,7 @@ class TestOracleSuite:
         z0 = prob.initial_point(rng)
         for blocking, evals in ((None, 2), (0.05, 1 + 3)):
             config = OptimizerConfig(blocking=blocking, max_iterations=1)
-            trace = run(oracles.objective, config, z0, fidelity=oracles.fidelity,
+            trace = run(oracles.objective, config, z0, seed=0, fidelity=oracles.fidelity,
                         monitor=oracles.monitor)
             assert trace.objective_evals.tolist() == [evals]
             assert trace.fidelity_evals.tolist() == [0]
@@ -916,12 +935,12 @@ class TestPinnedStateMemo:
             z0 = interleave_complex(z0)
         oracles = make_oracles(problem, np.random.default_rng(4), field)
         config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=8,
-                                 blocking=blocking, seed=5)
+                                 blocking=blocking)
         fidelity = oracles.fidelity
         prepare, at_prepare = fidelity.prepare, []
         fidelity.prepare = lambda points: (at_prepare.append(sum(calls)), prepare(points))
         builds = []
-        trace = run(oracles.objective, config, z0, fidelity=fidelity,
+        trace = run(oracles.objective, config, z0, seed=5, fidelity=fidelity,
                     monitor=oracles.monitor, callback=lambda *_: builds.append(sum(calls)))
         assert not trace.diverged
         # ψ(z₀) is built directly for the reference value, and for the 25
@@ -1019,7 +1038,7 @@ class TestPinnedStateMemo:
             z0 = interleave_complex(z0)
         config = OptimizerConfig(method="quantum_natural", field=field, max_iterations=k,
                                  resampling=resampling, blocking=blocking,
-                                 postproc=postproc, scalar=scalar, seed=3)
+                                 postproc=postproc, scalar=scalar)
         traces, stacks = [], []
         for with_prepare in (True, False):
             oracles = make_oracles(problem, np.random.default_rng(4), field)
@@ -1030,7 +1049,7 @@ class TestPinnedStateMemo:
                                                    prepare(points))
             else:
                 fidelity = lambda za, zb, fid=fidelity: fid(za, zb)
-            traces.append(run(oracles.objective, config, z0, fidelity=fidelity,
+            traces.append(run(oracles.objective, config, z0, seed=3, fidelity=fidelity,
                               monitor=oracles.monitor))
         stacked, alone = traces
         assert not stacked.diverged
@@ -1054,7 +1073,7 @@ class TestPinnedStateMemo:
             oracles.fidelity.prepare(np.stack([z, 2 * z]))
         config = OptimizerConfig(method="quantum_natural", max_iterations=2)
         with pytest.raises(ValueError, match="Problem.state"):
-            run(oracles.objective, config, z, fidelity=oracles.fidelity,
+            run(oracles.objective, config, z, seed=0, fidelity=oracles.fidelity,
                 monitor=oracles.monitor)
 
     @staticmethod
@@ -1063,8 +1082,8 @@ class TestPinnedStateMemo:
         traces = []
         for build in (make_oracles, reference_oracles):
             oracles = build(problem, np.random.default_rng(seed + 2), config.field)
-            traces.append(run(oracles.objective, config, z0, fidelity=oracles.fidelity,
-                              monitor=oracles.monitor))
+            traces.append(run(oracles.objective, config, z0, seed=seed,
+                              fidelity=oracles.fidelity, monitor=oracles.monitor))
         return traces
 
     PROBLEMS = [
@@ -1080,8 +1099,7 @@ class TestPinnedStateMemo:
         z0 = problem.initial_point(np.random.default_rng(seed + 1))
         if field == REAL:
             z0 = interleave_complex(z0)
-        config = OptimizerConfig(method=method, field=field, max_iterations=k, seed=seed,
-                                 **options)
+        config = OptimizerConfig(method=method, field=field, max_iterations=k, **options)
         fast, ref = self._traces(problem, config, z0, seed)
         assert not fast.diverged and not ref.diverged
         np.testing.assert_allclose(fast.objective, ref.objective, rtol=1e-9, atol=0)
@@ -1148,7 +1166,7 @@ class TestPinnedStateMemo:
         problem = GrapeProblem(n_qubits=5, slices=25, shots=2**13).materialize(
             np.random.default_rng(seed))
         z0 = problem.initial_point(np.random.default_rng(seed + 1))
-        config = OptimizerConfig(method=method, max_iterations=k, seed=seed)
+        config = OptimizerConfig(method=method, max_iterations=k)
         fast, ref = self._traces(problem, config, z0, seed)
         assert not fast.diverged and not ref.diverged
         np.testing.assert_allclose(fast.objective, ref.objective, rtol=0, atol=1e-10)

@@ -41,6 +41,7 @@ def small_spec(**overrides):
 class TestEnsembleSpec:
     @pytest.mark.parametrize("overrides", [
         dict(n_runs=0), dict(n_runs=-1), dict(workers=0), dict(workers=-3),
+        dict(base_seed=-1),
     ])
     def test_invalid_sizes_rejected(self, overrides):
         with pytest.raises(ValueError):

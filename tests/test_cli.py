@@ -284,9 +284,24 @@ class TestExecute:
         assert float(last[3]) == summary["row"]["median"]
 
     def test_unwritable_output_path(self, tmp_path):
+        # the directory exists, but <out>.csv is a directory: the ensemble
+        # runs, then writing its outputs fails
+        (tmp_path / "x.csv").mkdir()
         code = main(["--application", "sgqt", "--qubits", "2", "--runs", "1",
-                     "--iterations", "2", "--out", str(tmp_path / "no" / "dir" / "x")])
+                     "--iterations", "2", "--out", str(tmp_path / "x")])
         assert code == 1
+
+    def test_output_in_a_missing_directory_exits_2_before_any_run(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def no_run(spec):
+            raise AssertionError("run_ensemble called")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        code = main(["--application", "sgqt", "--qubits", "2", "--runs", "1",
+                     "--iterations", "2", "--out", str(tmp_path / "missing" / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())
 
     def test_invalid_flags_exit_code(self):
         assert main(["--application", "sgqt", "--scalar", "true"]) == 2
@@ -343,6 +358,7 @@ class TestApplicationTable:
         ("--application", "sgqt", "--workers", "0"),
         ("--application", "sgqt", "--workers", "-3"),
         ("--application", "sgqt", "--runs", "0"),
+        ("--application", "sgqt", "--seed", "-1"),
         ("--application", "sgqt", "--blocking", "nan"),
         ("--application", "sgqt", "--gains", "nan,0.1,0,0.6,0.1"),
         ("--application", "sgqt", "--gains", "1,0.1,0,inf,0.1"),

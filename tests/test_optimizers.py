@@ -5,8 +5,9 @@ import pytest
 from optimizer_reference import reference_run
 
 import spsakit.optimizers as optimizers
-from spsakit.estimators import GAIN_PRESETS, GainSchedule
-from spsakit.linalg import matrix_abs
+from spsakit.estimators import (GAIN_PRESETS, GainSchedule, gains_at, gradient_estimate,
+                                hessian_estimate, metric_estimate, sample_perturbation)
+from spsakit.linalg import matrix_abs, orthonormal_bases, solve_pd
 from spsakit.optimizers import (
     OptimizerConfig,
     estimate_blocking_tolerance,
@@ -14,8 +15,6 @@ from spsakit.optimizers import (
     postprocess_gidi,
     postprocess_spall,
     run,
-    step_first_order,
-    step_preconditioned,
 )
 
 STATIC = GAIN_PRESETS["static"]
@@ -153,34 +152,88 @@ class TestPostprocessingIsPure:
 
 
 class TestSteps:
+    """One iteration of `run` from z₀ takes its method's step: z₀ − a₁·g
+    first order, z₀ − ā₁·g/h in scalar mode and z₀ − ā₁·H̄⁻¹g otherwise, with
+    g and the estimate drawn from the run's seed as `run` draws them, one Δ
+    (and Δ̃) per resample, and h or H̄ built by ``postprocess_*``."""
+
+    SEED = 4
+
+    @classmethod
+    def _first_estimates(cls, config, f, fid, z0):
+        """g, the raw estimate (None first order) and the perturbations of iteration 1."""
+        rng = np.random.default_rng(cls.SEED)
+        _, _, b1 = gains_at(config.gains, 1)
+        delta = sample_perturbation(z0.size, config.field, rng)
+        g, pair = gradient_estimate(f, z0, b1, delta)
+        if config.method == "first_order":
+            return g, None, None
+        delta_tilde = sample_perturbation(z0.size, config.field, rng)
+        if config.method == "second_order":
+            h_raw = hessian_estimate(f, z0, b1, delta, delta_tilde, pair, config.scalar)
+        else:
+            h_raw = metric_estimate(fid, z0, b1, delta, delta_tilde, config.scalar)
+        return g, h_raw, np.stack([delta, delta_tilde], axis=1)
+
+    @classmethod
+    def _one_iteration(cls, config, f, z0, fid=None):
+        config = dataclasses.replace(config, gains=STATIC, max_iterations=1)
+        trace = run(f, config, z0, seed=cls.SEED, fidelity=fid, monitor=f)
+        return trace.final_params, config
+
     def test_first_order_zero_gradient(self):
-        z = np.array([1.0 + 1.0j])
-        np.testing.assert_array_equal(step_first_order(z, 0.5, np.zeros(1)), z)
+        z0 = np.array([1.0 + 1.0j, -0.5j])
+        final, _ = self._one_iteration(OptimizerConfig(), lambda z: 1.0, z0)
+        np.testing.assert_array_equal(final, z0)
 
-    def test_first_order_complex_example(self):
-        out = step_first_order(np.array([1.0 + 1.0j]), 0.5, np.array([2.0 + 0.0j]))
-        np.testing.assert_allclose(out, [1.0j])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_first_order_example(self, field):
+        c, f, _ = quadratic_problem(field, p=3)
+        z0 = c + (1.0 - 0.5j if field == "complex" else 1.0)
+        final, config = self._one_iteration(OptimizerConfig(field=field), f, z0)
+        g, _, _ = self._first_estimates(config, f, None, z0)
+        a1, _, _ = gains_at(STATIC, 1)
+        assert final.tobytes() == (z0 - a1 * g).tobytes()
 
-    def test_first_order_real_example(self):
-        out = step_first_order(np.array([1.0, 0.0]), 1.0, np.array([2.0, -2.0]))
-        np.testing.assert_allclose(out, [-1.0, 2.0])
+    @pytest.mark.parametrize("diagonal", [[1.0, 1.0, 1.0], [2.0, 4.0, 0.5]])
+    def test_matrix_step_solves_with_the_preconditioner(self, monkeypatch, diagonal):
+        # H̄ = I reduces the step to a first-order one with gain ā₁; a
+        # diagonal H̄ divides each entry of g by its own eigenvalue
+        monkeypatch.setattr(optimizers, "postprocess_spall",
+                            lambda h_raw, memory, k, eps: (memory, np.diag(diagonal)))
+        c, f, _ = quadratic_problem("real", p=3)
+        z0 = c + 1.0
+        final, config = self._one_iteration(
+            OptimizerConfig(method="second_order", field="real", postproc="spall"), f, z0)
+        g, _, _ = self._first_estimates(config, f, None, z0)
+        _, abar1, _ = gains_at(STATIC, 1)
+        np.testing.assert_allclose(final, z0 - abar1 * g / np.array(diagonal),
+                                   rtol=1e-14, atol=0)
 
-    def test_preconditioned_identity_reduces_to_first_order(self):
-        z = np.array([1.0, 2.0])
-        g = np.array([0.5, -0.5])
-        np.testing.assert_allclose(
-            step_preconditioned(z, 0.7, g, np.eye(2)), step_first_order(z, 0.7, g)
-        )
-
-    def test_preconditioned_diagonal(self):
-        out = step_preconditioned(np.zeros(2), 1.0, np.array([2.0, 4.0]),
-                                  np.diag([2.0, 4.0]))
-        np.testing.assert_allclose(out, [-1.0, -1.0])
-
-    def test_scalar_mode_collinear(self):
-        g = np.array([1.0 + 2.0j, -0.5j])
-        out = step_preconditioned(np.zeros(2, dtype=complex), 1.0, g, 2.0)
-        np.testing.assert_allclose(out, -g / 2.0)
+    @pytest.mark.parametrize("postproc", ["spall", "gidi"])
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("method", ["second_order", "quantum_natural"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_preconditioned_example(self, field, method, scalar, postproc):
+        c, f, fid = quadratic_problem(field, p=3)
+        z0 = c + (1.0 - 0.5j if field == "complex" else 1.0)
+        final, config = self._one_iteration(
+            OptimizerConfig(method=method, field=field, scalar=scalar, postproc=postproc),
+            f, z0, fid)
+        g, h_raw, vectors = self._first_estimates(config, f, fid, z0)
+        memory = 1.0 if scalar else np.eye(3, dtype=final.dtype)
+        if postproc == "spall":
+            _, h = postprocess_spall(h_raw, memory, 1, config.effective_epsilon)
+        else:
+            _, h = postprocess_gidi(h_raw, memory, 1, config.effective_epsilon,
+                                    orthonormal_bases(vectors))
+        _, abar1, _ = gains_at(STATIC, 1)
+        expected = z0 - abar1 * g / h if scalar else z0 - abar1 * solve_pd(h, g)
+        np.testing.assert_allclose(final, expected, rtol=1e-12, atol=0)
+        if scalar:
+            # collinear with g, by a positive real factor
+            scale = (z0 - final) / g
+            np.testing.assert_allclose(scale, abar1 / h, rtol=1e-12)
 
 
 class TestBlocking:
@@ -204,7 +257,7 @@ class TestBlocking:
         f = lambda z: float(z[0] ** 2)
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               blocking=0.0, max_iterations=10)
-        trace = run(f, cfg, np.array([2.0]), monitor=f)
+        trace = run(f, cfg, np.array([2.0]), seed=0, monitor=f)
         assert trace.accepted.all()
         assert abs(trace.final_params[0]) < 2.0
 
@@ -212,7 +265,7 @@ class TestBlocking:
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               blocking=0.0, max_iterations=5)
         z0 = np.array([0.3, -0.2])
-        trace = run(self._rising(), cfg, z0, monitor=lambda z: 0.0)
+        trace = run(self._rising(), cfg, z0, seed=0, monitor=lambda z: 0.0)
         assert not trace.accepted.any()
         np.testing.assert_array_equal(trace.final_params, z0)
 
@@ -220,7 +273,7 @@ class TestBlocking:
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               blocking=0.1, max_iterations=5)
         z0 = np.array([0.3, -0.2])
-        trace = run(self._rising(), cfg, z0, monitor=lambda z: 0.0)
+        trace = run(self._rising(), cfg, z0, seed=0, monitor=lambda z: 0.0)
         assert trace.accepted.all()
         assert not np.array_equal(trace.final_params, z0)
 
@@ -263,9 +316,9 @@ class TestResampleAverage:
 
     def _first_gradient(self, resampling, seed=0):
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
-                              resampling=resampling, max_iterations=1, seed=seed)
+                              resampling=resampling, max_iterations=1)
         grads = []
-        run(self._f, cfg, self.THETA, monitor=self._f,
+        run(self._f, cfg, self.THETA, seed=seed, monitor=self._f,
             callback=lambda k, z, g, step: grads.append(g.copy()))
         return grads[0]
 
@@ -309,7 +362,7 @@ class TestRunContracts:
         c, f, _ = quadratic_problem("real")
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               max_iterations=17)
-        trace = run(f, cfg, np.zeros(2), monitor=f)
+        trace = run(f, cfg, np.zeros(2), seed=0, monitor=f)
         assert len(trace) == 17
         assert not trace.diverged
         assert trace.diverged_at is None and trace.diverged_reason is None
@@ -319,7 +372,15 @@ class TestRunContracts:
                               max_iterations=3)
         f = lambda z: 0.0
         with pytest.raises(ValueError):
-            run(f, cfg, np.zeros(2), monitor=f)
+            run(f, cfg, np.zeros(2), seed=0, monitor=f)
+
+    def test_seed_is_an_argument_of_run_alone(self):
+        # the config describes a method; each run names its own seed
+        f = lambda z: 0.0
+        with pytest.raises(TypeError, match="seed"):
+            run(f, OptimizerConfig(max_iterations=1), np.zeros(2, dtype=complex), monitor=f)
+        with pytest.raises(TypeError, match="seed"):
+            OptimizerConfig(seed=1)
 
     def test_scalar_first_order_rejected(self):
         with pytest.raises(ValueError):
@@ -346,14 +407,14 @@ class TestRunContracts:
         cfg = OptimizerConfig(method="first_order", field="real", max_iterations=2)
         f = lambda z: 0.0
         with pytest.raises(ValueError):
-            run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
+            run(f, cfg, np.zeros(2, dtype=complex), seed=0, monitor=f)
 
     def test_determinism(self):
         c, f, _ = quadratic_problem("complex")
         cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
-                              resampling=2, max_iterations=25, seed=11)
-        t1 = run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
-        t2 = run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
+                              resampling=2, max_iterations=25)
+        t1 = run(f, cfg, np.zeros(2, dtype=complex), seed=11, monitor=f)
+        t2 = run(f, cfg, np.zeros(2, dtype=complex), seed=11, monitor=f)
         np.testing.assert_array_equal(t1.objective, t2.objective)
         np.testing.assert_array_equal(t1.final_params, t2.final_params)
 
@@ -364,7 +425,7 @@ class TestRunContracts:
         # runaway steps push the objective itself to overflow
         f = lambda z: float(np.exp(z[0] ** 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = run(f, cfg, np.array([1.0]), monitor=f)
+            trace = run(f, cfg, np.array([1.0]), seed=0, monitor=f)
         assert trace.diverged
         assert len(trace) == 40
         assert np.isnan(trace.objective).any()
@@ -393,7 +454,7 @@ class TestRunContracts:
             f_run, fid_run = f, nan_after_8(fid)
         cfg = OptimizerConfig(method=method, field="complex", scalar=scalar,
                               postproc=postproc, gains=STATIC, max_iterations=5)
-        trace = run(f_run, cfg, np.zeros(2, dtype=complex), fidelity=fid_run, monitor=f)
+        trace = run(f_run, cfg, np.zeros(2, dtype=complex), seed=0, fidelity=fid_run, monitor=f)
         assert trace.diverged
         assert (trace.diverged_at, trace.diverged_reason) == (3, "estimate")
         assert np.isfinite(trace.objective[:2]).all()
@@ -414,7 +475,7 @@ class TestRunContracts:
         z0 = np.ones(3, dtype=complex if field == "complex" else float)
         cfg = OptimizerConfig(method=method, field=field, scalar=scalar, postproc=postproc,
                               max_iterations=3)
-        traces = [run_fn(lambda z: value, cfg, z0, fidelity=fid, monitor=lambda z: 0.0)
+        traces = [run_fn(lambda z: value, cfg, z0, seed=0, fidelity=fid, monitor=lambda z: 0.0)
                   for run_fn in (run, reference_run)]
         for trace in traces:
             assert (trace.diverged_at, trace.diverged_reason) == (1, "estimate")
@@ -441,7 +502,7 @@ class TestRunContracts:
         for run_fn in (run, reference_run):
             rng = np.random.default_rng(0)
             f = lambda z: scale * (float(np.vdot(z, z).real) + rng.normal())
-            traces.append(run_fn(f, cfg, z0, monitor=f))
+            traces.append(run_fn(f, cfg, z0, seed=0, monitor=f))
         trace, ref = traces
         reasons = (None, "preconditioner") + (("estimate",) if scale > 1e300 else ())
         assert trace.diverged_reason in reasons
@@ -465,7 +526,7 @@ class TestRunContracts:
         for run_fn in (run, reference_run):
             rng = np.random.default_rng(0)
             f = lambda z: 1e200 * (float(np.vdot(z, z).real) + rng.normal())
-            trace = run_fn(f, cfg, z0, monitor=f)
+            trace = run_fn(f, cfg, z0, seed=0, monitor=f)
             assert (trace.diverged_at, trace.diverged_reason) == (1, "preconditioner")
             assert np.isnan(trace.objective).all()
             assert trace.final_params.tobytes() == z0.tobytes()
@@ -486,7 +547,7 @@ class TestRunContracts:
         c, f, _ = quadratic_problem("complex")
         cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
                               max_iterations=4)
-        trace = run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
+        trace = run(f, cfg, np.zeros(2, dtype=complex), seed=0, monitor=f)
         assert (trace.diverged_at, trace.diverged_reason) == (2, "preconditioner")
         assert np.isfinite(trace.objective[0]) and np.isnan(trace.objective[1:]).all()
 
@@ -499,13 +560,13 @@ class TestRunContracts:
         cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
                               max_iterations=2)
         with pytest.raises(ValueError, match="shape"):
-            run(f, cfg, np.zeros(2, dtype=complex), monitor=f)
+            run(f, cfg, np.zeros(2, dtype=complex), seed=0, monitor=f)
 
     def test_monitor_used_for_trace(self):
         c, f, _ = quadratic_problem("real")
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               max_iterations=5)
-        trace = run(f, cfg, c + 1.0, monitor=lambda z: 42.0)
+        trace = run(f, cfg, c + 1.0, seed=0, monitor=lambda z: 42.0)
         np.testing.assert_array_equal(trace.objective, np.full(5, 42.0))
 
 
@@ -540,13 +601,13 @@ class TestBlockDraws:
     draws each vector when it needs it."""
 
     @staticmethod
-    def _compare(config, nan_after=None, nan_at=None):
+    def _compare(config, seed, nan_after=None, nan_at=None):
         traces = []
         for run_fn in (run, reference_run):
-            c, objective, fidelity, f = noisy_oracles(config.field, config.seed + 1, nan_after,
-                                                      nan_at)
+            c, objective, fidelity, f = noisy_oracles(config.field, seed + 1, nan_after, nan_at)
             z0 = c + (0.5 - 0.25j if config.field == "complex" else 0.5)
-            traces.append(run_fn(objective, config, z0, fidelity=fidelity, monitor=f))
+            traces.append(run_fn(objective, config, z0, seed=seed, fidelity=fidelity,
+                                 monitor=f))
         fast, ref = traces
         for name in ("objective", "accepted", "objective_evals", "fidelity_evals",
                      "final_params"):
@@ -567,8 +628,8 @@ class TestBlockDraws:
         for n_iter in (block - 1, block, block + 1, 2 * block + 1):
             config = OptimizerConfig(method=method, field=field, scalar=scalar,
                                      resampling=n_r, blocking=blocking,
-                                     max_iterations=n_iter, seed=n_iter)
-            assert not self._compare(config).diverged
+                                     max_iterations=n_iter)
+            assert not self._compare(config, n_iter).diverged
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("method,scalar", METHOD_VARIANTS)
@@ -576,8 +637,8 @@ class TestBlockDraws:
         block = optimizers.PERTURBATION_BLOCK
         for n_iter in (block - 1, block, block + 1, 2 * block + 1):
             config = OptimizerConfig(method=method, field=field, scalar=scalar,
-                                     max_iterations=n_iter, seed=n_iter)
-            assert not self._compare(config).diverged
+                                     max_iterations=n_iter)
+            assert not self._compare(config, n_iter).diverged
 
     @pytest.mark.parametrize("method,per_iter", [("first_order", 3), ("quantum_natural", 6)])
     def test_one_draw_per_block_bounded_by_the_block(self, monkeypatch, method, per_iter):
@@ -593,7 +654,7 @@ class TestBlockDraws:
         monkeypatch.setattr(optimizers, "sample_perturbation", spy)
         config = OptimizerConfig(method=method, resampling=3, max_iterations=2 * block + 1)
         c, objective, fidelity, f = noisy_oracles("complex", 3)
-        run(objective, config, c, fidelity=fidelity, monitor=f)
+        run(objective, config, c, seed=0, fidelity=fidelity, monitor=f)
         assert draws == [block * per_iter, block * per_iter, per_iter]
 
     @pytest.mark.parametrize("method,reason", [("first_order", "candidate"),
@@ -605,8 +666,8 @@ class TestBlockDraws:
         k_nan = block + block // 2
         calls_per_iter = 2 if method == "first_order" else 4
         config = OptimizerConfig(method=method, field="complex",
-                                 max_iterations=2 * block + 1, seed=4)
-        trace = self._compare(config, nan_after=calls_per_iter * (k_nan - 1))
+                                 max_iterations=2 * block + 1)
+        trace = self._compare(config, 4, nan_after=calls_per_iter * (k_nan - 1))
         assert (trace.diverged_at, trace.diverged_reason) == (k_nan, reason)
         assert np.isfinite(trace.objective[:k_nan - 1]).all()
         assert np.isnan(trace.objective[k_nan - 1:]).all()
@@ -622,8 +683,8 @@ class TestBlockDraws:
         # samples of "auto" (which makes δ NaN) fails every acceptance test:
         # the run must end as diverged, not reject all 20 candidates.
         config = OptimizerConfig(method="first_order", field=field, blocking=blocking,
-                                 max_iterations=20, seed=5)
-        trace = self._compare(config, nan_at=nan_at)
+                                 max_iterations=20)
+        trace = self._compare(config, 5, nan_at=nan_at)
         assert (trace.diverged_at, trace.diverged_reason) == (1, "blocking")
         assert np.isnan(trace.objective).all()
         assert not trace.accepted.any()
@@ -634,12 +695,12 @@ class TestBlockDraws:
 
     def test_callback_sees_the_same_steps(self):
         for method, scalar in METHOD_VARIANTS:
-            config = OptimizerConfig(method=method, scalar=scalar, max_iterations=5, seed=2)
+            config = OptimizerConfig(method=method, scalar=scalar, max_iterations=5)
             seen = []
             for run_fn in (run, reference_run):
                 c, objective, fidelity, f = noisy_oracles("complex", 7)
                 records = []
-                run_fn(objective, config, c + 0.5, fidelity=fidelity, monitor=f,
+                run_fn(objective, config, c + 0.5, seed=2, fidelity=fidelity, monitor=f,
                        callback=lambda k, z, g, step: records.append(
                            (k, z.copy(), g.copy(), step.copy())))
                 seen.append(records)
@@ -670,7 +731,7 @@ class TestEvaluationAccounting:
         cfg = OptimizerConfig(method=method, field=field, scalar=scalar, gains=STATIC,
                               resampling=n_r, max_iterations=4)
         z0 = np.zeros(2, dtype=complex if field == "complex" else float)
-        trace = run(f, cfg, z0, fidelity=fid, monitor=f)
+        trace = run(f, cfg, z0, seed=0, fidelity=fid, monitor=f)
         expected_obj = obj_per_iter * n_r * np.arange(1, 5)
         expected_fid = fid_per_iter * n_r * np.arange(1, 5)
         np.testing.assert_array_equal(trace.objective_evals, expected_obj)
@@ -681,7 +742,7 @@ class TestEvaluationAccounting:
         for method in ("second_order", "quantum_natural"):
             cfg = OptimizerConfig(method=method, field="complex", scalar=True,
                                   gains=STATIC, max_iterations=3)
-            trace = run(f, cfg, np.zeros(2, dtype=complex), fidelity=fid, monitor=f)
+            trace = run(f, cfg, np.zeros(2, dtype=complex), seed=0, fidelity=fid, monitor=f)
             expected = (4 if method == "second_order" else 2) * np.arange(1, 4)
             np.testing.assert_array_equal(trace.objective_evals, expected)
 
@@ -689,7 +750,7 @@ class TestEvaluationAccounting:
         c, f, _ = quadratic_problem("real")
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               blocking=0.0, max_iterations=6)
-        trace = run(f, cfg, c + 1.0, monitor=f)
+        trace = run(f, cfg, c + 1.0, seed=0, monitor=f)
         # 1 upfront evaluation at z0, then 2 (gradient) + 1 (candidate) per iteration
         np.testing.assert_array_equal(trace.objective_evals, 1 + 3 * np.arange(1, 7))
 
@@ -697,7 +758,7 @@ class TestEvaluationAccounting:
         c, f, _ = quadratic_problem("real")
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               blocking="auto", max_iterations=2)
-        trace = run(f, cfg, c + 1.0, monitor=f)
+        trace = run(f, cfg, c + 1.0, seed=0, monitor=f)
         assert trace.blocking_delta == 0.0  # noiseless objective
         np.testing.assert_array_equal(trace.objective_evals, 25 + 1 + 3 * np.arange(1, 3))
 
@@ -706,7 +767,7 @@ class TestEvaluationAccounting:
         c, f, fid = quadratic_problem("complex")
         cfg = OptimizerConfig(method="quantum_natural", gains=STATIC, blocking=blocking,
                               resampling=2, max_iterations=5)
-        trace = run(f, cfg, c + 1.0, fidelity=fid, monitor=f)
+        trace = run(f, cfg, c + 1.0, seed=0, fidelity=fid, monitor=f)
         before = 0 if blocking is None else 26
         assert (trace.objective_evals_before, trace.objective_evals_per_iteration) == (
             before, 4 + (blocking is not None))
@@ -739,7 +800,7 @@ class TestEvaluationAccounting:
         c, f, fid = quadratic_problem("complex")
         cfg = OptimizerConfig(method=method, gains=STATIC, max_iterations=5)
         with pytest.raises(RuntimeError, match="iteration 3"):
-            run(f, cfg, c + 1.0, fidelity=fid, monitor=f)
+            run(f, cfg, c + 1.0, seed=0, fidelity=fid, monitor=f)
 
 
 class TestRunBehavior:
@@ -752,7 +813,7 @@ class TestRunBehavior:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             z0 = c + rng.standard_normal(2)
-            trace = run(f, dataclasses.replace(cfg, seed=seed), z0, monitor=f)
+            trace = run(f, cfg, z0, seed=seed, monitor=f)
             finals.append(np.linalg.norm(trace.final_params - c))
         assert np.median(finals) < 1e-3
 
@@ -764,7 +825,7 @@ class TestRunBehavior:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             z0 = c + rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            trace = run(f, dataclasses.replace(cfg, seed=seed), z0, monitor=f)
+            trace = run(f, cfg, z0, seed=seed, monitor=f)
             finals.append(abs(np.linalg.norm(trace.final_params - c)))
         assert np.median(finals) < 1e-6
 
@@ -772,10 +833,9 @@ class TestRunBehavior:
         c, f, fid = quadratic_problem("complex")
         for method in ("first_order", "second_order", "quantum_natural"):
             cfg = OptimizerConfig(method=method, field="complex", gains=STATIC,
-                                  blocking=0.0, resampling=2, max_iterations=200,
-                                  seed=3)
+                                  blocking=0.0, resampling=2, max_iterations=200)
             z0 = c + np.array([1.0 + 0.5j, -0.7j])
-            trace = run(f, cfg, z0, fidelity=fid, monitor=f)
+            trace = run(f, cfg, z0, seed=3, fidelity=fid, monitor=f)
             diffs = np.diff(trace.objective)
             assert (diffs <= 1e-12).all()
 
@@ -785,9 +845,9 @@ class TestRunBehavior:
         recorded = []
         c, f, fid = quadratic_problem("complex")
         cfg = OptimizerConfig(method="second_order", field="complex", gains=STATIC,
-                              blocking=0.0, max_iterations=8, seed=1)
+                              blocking=0.0, max_iterations=8)
         z0 = c  # already optimal: every candidate is rejected
-        trace = run(f, cfg, z0, monitor=f,
+        trace = run(f, cfg, z0, seed=1, monitor=f,
                     callback=lambda k, z, g, step: recorded.append(k))
         assert not trace.accepted.any()
         assert len(recorded) == 8
@@ -800,9 +860,9 @@ class TestRunBehavior:
             records.append((g.copy(), step.copy()))
 
         cfg = OptimizerConfig(method="second_order", field="complex", scalar=True,
-                              gains=STATIC, postproc="gidi", max_iterations=50,
-                              seed=7)
-        run(f, cfg, c + np.ones(2, dtype=complex), fidelity=fid, monitor=f, callback=check)
+                              gains=STATIC, postproc="gidi", max_iterations=50)
+        run(f, cfg, c + np.ones(2, dtype=complex), seed=7, fidelity=fid, monitor=f,
+            callback=check)
         for g, step in records:
             if np.linalg.norm(g) == 0:
                 continue
@@ -817,7 +877,7 @@ class TestRunBehavior:
     def test_scalar_mode_never_builds_matrices(self, monkeypatch, method, postproc):
         c, f, fid = quadratic_problem("complex", p=6)
         cfg = OptimizerConfig(method=method, field="complex", scalar=True, gains=STATIC,
-                              postproc=postproc, max_iterations=5, seed=0)
+                              postproc=postproc, max_iterations=5)
         name = "postprocess_" + postproc
         original = getattr(optimizers, name)
         received = []
@@ -827,7 +887,7 @@ class TestRunBehavior:
             return original(h_raw, memory, k, *args)
 
         monkeypatch.setattr(optimizers, name, spy)
-        run(f, cfg, c + np.ones(6, dtype=complex), fidelity=fid, monitor=f)
+        run(f, cfg, c + np.ones(6, dtype=complex), seed=0, fidelity=fid, monitor=f)
         assert [k for k, _, _ in received] == [1, 2, 3, 4, 5]
         assert received[0][2] == 1.0
         for _, h_raw, memory in received:
@@ -838,7 +898,7 @@ class TestRunBehavior:
     def test_run_passes_each_blend_back_with_its_own_k(self, monkeypatch, field, postproc):
         c, f, _ = quadratic_problem(field, p=3)
         cfg = OptimizerConfig(method="second_order", field=field, gains=STATIC,
-                              postproc=postproc, max_iterations=6, seed=2)
+                              postproc=postproc, max_iterations=6)
         name = "postprocess_" + postproc
         original = getattr(optimizers, name)
         calls = []
@@ -849,7 +909,7 @@ class TestRunBehavior:
             return out
 
         monkeypatch.setattr(optimizers, name, spy)
-        run(f, cfg, c + 1.0, monitor=f)
+        run(f, cfg, c + 1.0, seed=2, monitor=f)
         assert [k for k, _, _ in calls] == [1, 2, 3, 4, 5, 6]
         z_dtype = np.complex128 if field == "complex" else np.float64
         assert calls[0][1].tobytes() == np.eye(3, dtype=z_dtype).tobytes()
