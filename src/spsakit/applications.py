@@ -16,6 +16,23 @@ problem's objective, fidelity and monitor from these methods alone, so a new
 workload is one new class; once the fidelity's ``prepare`` has run, one memo
 of recently built states serves all three, and a quantum-natural resample
 builds the states it lacks as one stack.
+
+Construction contract
+---------------------
+A problem constructor either raises ``ValueError`` or builds a problem on
+which one iteration of every method runs to a well-formed trace, given the
+memory its size needs.  Every field is checked in ``__post_init__``: a
+count is an int or numpy integer, not a bool, within its bounds
+(`estimators._count`); a shot budget is read by ``quantum._shot_count``;
+and the size rule (``_require_common``) caps every problem at
+``MAX_DENSE_QUBITS`` = 12 qubits and 2^12 parameters, SGQT's parameter
+count at that cap, because the problems use dense operators and the
+preconditioned methods hold p × p matrices, 268 MB each at 13 qubits or
+2^12 parameters.  A given state, GRAPE's ``psi0`` or SGQT's
+``unknown``, is stored as a read-only complex128 copy of shape (2^n,),
+finite and nonzero, and SGQT's of unit norm within 1e-12 (``_given_state``).
+VQE's couplings must keep the sum of the Hamiltonian's |coefficients|
+finite, which bounds every matrix entry and every eigenvalue.
 """
 
 import math
@@ -25,7 +42,7 @@ from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .estimators import COMPLEX, FIELDS, REAL, complex_from_interleaved
+from .estimators import COMPLEX, FIELDS, REAL, _count, complex_from_interleaved
 from .linalg import one_blas_thread
 from .quantum import (
     MAX_DENSE_QUBITS,
@@ -63,7 +80,15 @@ class Problem(Protocol):
     of each objective and fidelity evaluation.  A problem dataclass reaches
     the ``spsakit`` command line through one row of ``cli.APPLICATIONS``:
     each field a problem flag names (``--qubits`` names ``n_qubits``) becomes
-    an option with the field's default, and ``__post_init__`` validates them.
+    an option with the field's default.
+
+    Fields are checked at construction, in ``__post_init__``, under the
+    module's construction contract: a problem that constructs runs one
+    iteration of every method to a well-formed trace, so a bad value fails
+    before any run, not inside one.  Given states are stored as read-only
+    copies.  The size caps, ``MAX_DENSE_QUBITS`` qubits and
+    2^``MAX_DENSE_QUBITS`` parameters, hold because the problems build dense
+    operators and the preconditioned methods hold p × p matrices.
     """
 
     shots: float
@@ -92,15 +117,36 @@ class Problem(Protocol):
         state with NaN amplitudes."""
 
 
-def _require_dense_size(n_qubits):
-    """Reject a qubit count past ``MAX_DENSE_QUBITS`` before anything is built:
-    VQE's exact minimum diagonalizes dense popcount blocks of the Hamiltonian
-    (``exact_ground_energy``), and GRAPE's sector generators and propagators
-    are dense 2^(n−1) × 2^(n−1) complex matrices, three in its operator table
-    and one per slice and sector (268 MB each at 13 qubits)."""
-    if n_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(f"at most {MAX_DENSE_QUBITS} qubits: this problem uses dense "
-                         f"operators, got n_qubits={n_qubits}")
+def _require_common(problem, parameters):
+    """The rules every problem shares: a shot budget that `_shot_count` reads,
+    and the size rule, at most ``MAX_DENSE_QUBITS`` qubits and at most
+    2^``MAX_DENSE_QUBITS`` parameters, SGQT's parameter count at that cap.
+    VQE's exact minimum diagonalizes dense popcount blocks of the
+    Hamiltonian (``exact_ground_energy``), GRAPE's sector generators and
+    propagators are dense 2^(n−1) × 2^(n−1) complex matrices, and the
+    preconditioned methods hold p × p matrices: 268 MB each at 13 qubits or
+    at 2^12 parameters.  ``parameters(n)`` is the parameter count at n
+    qubits; it is called only once n is known to be within the cap."""
+    if _count("n_qubits", problem.n_qubits, 1) > MAX_DENSE_QUBITS:
+        raise ValueError(f"at most {MAX_DENSE_QUBITS} qubits (dense), got {problem.n_qubits}")
+    _count("the parameter count", parameters(problem.n_qubits), 1, 2**MAX_DENSE_QUBITS)
+    _shot_count(problem.shots)
+
+
+def _given_state(state, n_qubits, name, unit_norm=False):
+    """The state rule: a given ``state`` as a read-only complex128 copy of
+    shape (2^n,), finite and nonzero and, if ``unit_norm``, of unit norm
+    within 1e-12, a roundoff bound; None stays None."""
+    if state is None:
+        return None
+    given = np.asarray(state)
+    if given.dtype.kind not in "biufc" or given.shape != (2**n_qubits,):
+        raise ValueError(f"{name}: need {2**n_qubits} amplitudes, got {given.dtype} {given.shape}")
+    copy = _read_only(given.astype(np.complex128))
+    norm = np.linalg.norm(copy)
+    if not (abs(norm - 1.0) <= 1e-12 if unit_norm else 0.0 < norm < math.inf):
+        raise ValueError(f"{name} must be finite, nonzero{', of unit norm' if unit_norm else ''}")
+    return copy
 
 
 @dataclass(frozen=True)
@@ -121,15 +167,13 @@ class VqeProblem:
     entangler: str = "ccz_ring"
 
     def __post_init__(self):
-        _require_dense_size(self.n_qubits)
-        _shot_count(self.shots)
-        if self.layers < 0:
-            raise ValueError("layers must be >= 0")
+        _require_common(self, lambda n: n * (_count("layers", self.layers, 0) + 1))
         if self.entangler not in ENTANGLERS:
             raise ValueError(f"unknown entangler {self.entangler!r}")
-        if not (math.isfinite(self.j) and math.isfinite(self.h)):
-            raise ValueError(f"couplings must be finite, got j={self.j}, h={self.h}")
-        self._hamiltonian()  # the qubit count and the ring rule
+        # Σ|h_i| bounds every matrix entry and eigenvalue; building the
+        # Hamiltonian also applies the ring rule
+        if not math.isfinite(sum(abs(c) for c, _ in self._hamiltonian().terms)):
+            raise ValueError(f"couplings must give a finite Σ|h_i|, got j={self.j}, h={self.h}")
         if self.layers:
             entangling_layer(self.n_qubits, self.entangler)
 
@@ -163,7 +207,9 @@ class GrapeProblem:
     """Piecewise-constant control of Heisenberg couplings toward |0…0⟩.
 
     Each of the ``slices`` slices lasts ``dt`` = 1.  ``psi0=None`` means
-    ``materialize`` draws a Haar-random initial state per run.
+    ``materialize`` draws a Haar-random initial state per run; a given one
+    must be a finite nonzero vector of 2**n_qubits amplitudes, and is stored
+    as a read-only complex128 copy.
     """
 
     n_qubits: int = 5
@@ -175,13 +221,9 @@ class GrapeProblem:
     dt = 1.0  # the slice duration: a class constant, not a field
 
     def __post_init__(self):
-        _require_dense_size(self.n_qubits)
-        _shot_count(self.shots)
-        if self.slices < 1:
-            raise ValueError("slices must be >= 1")
-        _heisenberg(self.n_qubits, 1.0, 0.0, self.periodic)  # the qubit count and the ring rule
-        if self.psi0 is not None and np.size(self.psi0) != 2**self.n_qubits:
-            raise ValueError(f"expected psi0 of {2**self.n_qubits} amplitudes")
+        _require_common(self, lambda n: 3 * _count("slices", self.slices, 1))
+        _heisenberg(self.n_qubits, 1.0, 0.0, self.periodic)  # the ring rule
+        object.__setattr__(self, "psi0", _given_state(self.psi0, self.n_qubits, "psi0"))
 
     def materialize(self, rng):
         if self.psi0 is None:
@@ -213,7 +255,8 @@ class SgqtProblem:
     The parameters are the amplitudes of the guess, up to scale: ``state``
     normalizes them.  ``unknown=None`` means ``materialize`` draws a
     Haar-random unknown state per run; a given one must be a vector of
-    2**n_qubits amplitudes whose norm is 1 within 1e-12, a roundoff bound.
+    2**n_qubits amplitudes whose norm is 1 within 1e-12, a roundoff bound,
+    and is stored as a read-only complex128 copy.
     """
 
     n_qubits: int = 6
@@ -221,14 +264,10 @@ class SgqtProblem:
     unknown: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        _shot_count(self.shots)
-        if self.unknown is not None and np.shape(self.unknown) != (2**self.n_qubits,):
-            raise ValueError(f"expected an unknown state of {2**self.n_qubits} amplitudes")
+        _require_common(self, lambda n: 2**n)
         # a longer vector's clamped overlap would read infidelity 0 at other guesses
-        if self.unknown is not None and not abs(np.linalg.norm(self.unknown) - 1.0) <= 1e-12:
-            raise ValueError("the unknown state must have unit norm, within 1e-12")
+        unknown = _given_state(self.unknown, self.n_qubits, "unknown", unit_norm=True)
+        object.__setattr__(self, "unknown", unknown)
 
     def materialize(self, rng):
         if self.unknown is None:
@@ -510,7 +549,6 @@ def grape_final_state(prob: GrapeProblem, controls):
         raise ValueError(f"expected {3 * prob.slices} complex controls, got {controls.size}")
     if prob.psi0 is None:
         raise ValueError("GrapeProblem.psi0 is unset; materialize the problem first")
-    psi0 = np.asarray(prob.psi0, dtype=np.complex128)
     index, generators = _bond_sectors(prob.n_qubits, prob.periodic)
     nb, h = index.shape[:2]
     # exp(-i dt H_m) with H_m = -(1/2) sum_k J_k B_k
@@ -524,18 +562,18 @@ def grape_final_state(prob: GrapeProblem, controls):
     every = prob.slices
     if 0.0 < nu < math.inf:
         every = max(1, int(min(_MAX_GROWTH / nu, every)))
-    psi = psi0[index]
+    psi = prob.psi0[index]
     for start in range(0, prob.slices, every):
         for u in propagators[start:start + every]:
             psi = u @ psi
         norm = math.sqrt(np.vdot(psi, psi).real)
         if not 0.0 < norm < math.inf:
-            return np.full_like(psi0, np.nan)
+            return np.full_like(prob.psi0, np.nan)
         # a real product on the float view: cheaper than a complex division
         # and bit-identical to psi /= norm, a product with the reciprocal
         floats = psi.view(np.float64)
         floats *= 1.0 / norm
-    out = np.empty_like(psi0)
+    out = np.empty_like(prob.psi0)
     out[index] = psi
     return out
 

@@ -13,8 +13,8 @@ from functools import partial
 import numpy as np
 
 from .applications import Problem, make_oracles
-from .estimators import (REAL, gains_at, gains_label, gradient_estimate, interleave_complex,
-                         sample_perturbation)
+from .estimators import (MAX_COUNT, REAL, _count, gains_at, gains_label, gradient_estimate,
+                         interleave_complex, sample_perturbation)
 from .linalg import one_blas_thread
 from .optimizers import OptimizerConfig, RunTrace, method_label, run
 
@@ -49,7 +49,9 @@ class EnsembleSpec:
     """An ensemble of independent runs of one optimizer on one problem;
     ``workers=None`` runs one worker per CPU this process may run on, and
     ``calibrate=True`` scales a first-order method's gain a before the runs
-    (`calibrate_first_order_gain`)."""
+    (`calibrate_first_order_gain`).  ``n_runs`` and ``workers`` are counts
+    from 1 to ``MAX_COUNT``, and ``base_seed`` one from 0 up, under the count
+    rule of `estimators._count`."""
 
     problem: Problem
     config: OptimizerConfig
@@ -59,12 +61,10 @@ class EnsembleSpec:
     workers: int | None = 1
 
     def __post_init__(self):
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1, or None for one per CPU")
+        _count("n_runs", self.n_runs, 1, MAX_COUNT)
+        _count("base_seed", self.base_seed, 0)
+        if self.workers is not None:
+            _count("workers, or None for one per CPU,", self.workers, 1, MAX_COUNT)
         if self.calibrate and self.config.method != "first_order":
             raise ValueError("calibrate applies only to first_order methods: a "
                              f"{self.config.method} step uses the gain 1/(k+A)^s, "
@@ -117,8 +117,7 @@ def calibrate_first_order_gain(objective, z0_samples, gains, field, rng):
     points with k = 1 gain coefficients and returns
     ``CALIBRATION_TARGET_STEP / mean(‖g‖∞)``.
     """
-    if len(z0_samples) == 0:
-        raise ValueError("need at least one initial point to calibrate against")
+    _count("the number of initial points to calibrate against", len(z0_samples), 1)
     _, _, b1 = gains_at(gains, 1)
     norms = []
     for i in range(CALIBRATION_PROBES):
@@ -220,8 +219,7 @@ def summarize_final(result: EnsembleResult, at_iteration: int,
     Field order follows the reporting tables: method, gains, post-processing,
     resampling, blocking, median, IQR, mean, STD.
     """
-    if not 1 <= at_iteration <= len(result.stats):
-        raise ValueError(f"iteration {at_iteration} outside the recorded trace")
+    _count("at_iteration", at_iteration, 1, len(result.stats))
     s = result.stats[at_iteration - 1]
     blocking = config.blocking
     return {

@@ -137,11 +137,16 @@ def _parse_bool(text):
 
 def _parse_number(text):
     """An integral literal as an int, so that a shot budget past 2^53 stays
-    exact, and any other number as a float."""
+    exact, and any other number as a float.  A non-finite number must be
+    spelled ``inf``: an overflowing literal such as ``1e400`` is an error,
+    not a request for exact evaluation."""
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        value = float(text)
+    if not (math.isfinite(value) or text == "inf"):
+        raise ValueError(f"expected a finite number or inf, got {text!r}")
+    return value
 
 
 def _option_parser(name, annotation):
@@ -149,7 +154,9 @@ def _option_parser(name, annotation):
     config file's JSON value alike.  A string is read as its type reads it
     (``_parse_bool`` for a bool, `_parse_number` for a float); any other
     value must already have the type, an int standing for a float and kept
-    as it is; None passes only where the field admits it."""
+    as it is, and be finite: a config file gives exact evaluation as the
+    string ``"inf"``, and JSON reads ``1e400`` and ``Infinity`` as a float
+    inf that is rejected; None passes only where the field admits it."""
     kinds = typing.get_args(annotation) or (annotation,)
     optional = type(None) in kinds
     kind, = (k for k in kinds if k is not type(None))
@@ -163,7 +170,7 @@ def _option_parser(name, annotation):
                 return read(value)
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
-        if type(value) in (kind, int if kind is float else kind):
+        if type(value) in (kind, int if kind is float else kind) and abs(value) < math.inf:
             return value
         raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
 
@@ -224,8 +231,8 @@ def parse_config(argv=None) -> ExperimentConfig:
 
     config = ExperimentConfig(**values)
     config.ensemble_spec()  # raises on any invalid option
-    if not os.path.isdir(os.path.dirname(config.out) or "."):
-        raise ValueError(f"out: the directory of {config.out!r} does not exist")
+    if "\0" in config.out or not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise ValueError(f"out: {config.out!r} names no file in a directory that exists")
     return config
 
 
@@ -253,6 +260,7 @@ def write_statistics_csv(path, result):
 def execute(config: ExperimentConfig) -> int:
     """Run the configured ensemble and write the CSV/JSON outputs."""
     spec = config.ensemble_spec()
+    exact_minimum = spec.problem.exact_minimum()  # before any run: nothing fails after one
     start = time.perf_counter()
     result = run_ensemble(spec)
     wall_time = time.perf_counter() - start
@@ -267,7 +275,7 @@ def execute(config: ExperimentConfig) -> int:
         "wall_time_s": wall_time,
         "at_iteration": config.iterations,
         "calibrated_a": result.calibrated_a,
-        "exact_minimum": spec.problem.exact_minimum(),
+        "exact_minimum": exact_minimum,
         "row": summarize_final(result, config.iterations, spec.config),
         "environment": _environment(spec, result),
     }

@@ -32,6 +32,21 @@ REAL = "real"
 COMPLEX = "complex"
 FIELDS = (REAL, COMPLEX)
 
+# The cap on runs, iterations, resamples and workers: 200 times the paper's
+# longest run (5000 iterations) and 10^4 times its ensembles (100 runs).  It
+# keeps every array sized from a product of counts, such as an ensemble's
+# runs × iterations or a perturbation block's rows × parameters, far inside
+# numpy's index range.
+MAX_COUNT = 2**20
+
+
+def _count(name, value, low, high=math.inf):
+    """The one count rule: ``value`` as an int if it is an int or numpy
+    integer, not a bool, from ``low`` to ``high``; ``ValueError`` otherwise."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer from {low} to {high}, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class GainSchedule:
@@ -95,10 +110,9 @@ def sample_perturbation(p: int, field: str, rng: np.random.Generator, m: int | N
     those draws: one ``integers`` call of shape (m, p) consumes the
     generator's stream exactly as m calls of size p do.
     """
-    if p < 1:
-        raise ValueError("perturbation dimension must be >= 1")
-    if m is not None and m < 1:
-        raise ValueError("perturbation block size must be >= 1")
+    _count("perturbation dimension", p, 1)
+    if m is not None:
+        _count("perturbation block size", m, 1)
     size = p if m is None else (m, p)
     if field == REAL:
         return rng.integers(0, 2, size=size) * 2.0 - 1.0

@@ -29,9 +29,11 @@ import numpy as np
 from .estimators import (
     COMPLEX,
     FIELDS,
+    MAX_COUNT,
     REAL,
     GainSchedule,
     GAIN_PRESETS,
+    _count,
     gains_at,
     gradient_estimate,
     hessian_estimate,
@@ -69,7 +71,11 @@ BLOCKING_SAMPLES = 25
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Full description of one optimization method; it holds no randomness."""
+    """Full description of one optimization method; it holds no randomness.
+
+    ``resampling`` (N_R) and ``max_iterations`` are counts from 1 to
+    ``MAX_COUNT`` under the count rule of `estimators._count`.
+    """
 
     method: str = "first_order"
     field: str = COMPLEX
@@ -98,10 +104,8 @@ class OptimizerConfig:
                 raise ValueError("blocking must be None, 'auto', or a tolerance >= 0")
         elif self.blocking is not None and not 0 <= self.blocking < math.inf:
             raise ValueError("blocking tolerance must be finite and non-negative")
-        if self.resampling < 1:
-            raise ValueError("resampling N_R must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _count("resampling N_R", self.resampling, 1, MAX_COUNT)
+        _count("max_iterations", self.max_iterations, 1, MAX_COUNT)
 
     @property
     def effective_epsilon(self) -> float:

@@ -670,16 +670,35 @@ class TestProblemValidation:
         lambda: VqeProblem(n_qubits=3, j=math.inf),
         lambda: VqeProblem(n_qubits=3, j=-math.inf),
         lambda: VqeProblem(n_qubits=3, h=math.nan),
+        # each of these used to construct and then fail in the first run
+        lambda: GrapeProblem(n_qubits=2, slices=2, psi0=np.ones((2, 2), complex) / 2),
+        lambda: GrapeProblem(n_qubits=2, slices=2, psi0=np.zeros(4, complex)),
+        lambda: GrapeProblem(n_qubits=2, slices=2, psi0=np.full(4, math.nan, complex)),
+        lambda: GrapeProblem(n_qubits=2, slices=2, psi0=np.array(["1", "0", "0", "0"])),
+        lambda: GrapeProblem(n_qubits=2, slices=2, psi0=np.array([1, 0, 0, None], object)),
+        lambda: VqeProblem(n_qubits=3, j=1e308),
+        lambda: VqeProblem(n_qubits=3, h=1e308),
+        # counts are integers, not floats, bools or strings
+        lambda: VqeProblem(layers=1.5),
+        lambda: VqeProblem(n_qubits=3, layers=True),
+        lambda: GrapeProblem(slices=2.5),
+        lambda: SgqtProblem(n_qubits=2.0),
+        lambda: SgqtProblem(n_qubits="2"),
+        # at most 2^12 parameters
+        lambda: VqeProblem(n_qubits=3, layers=2**63),
+        lambda: VqeProblem(n_qubits=12, layers=341),
+        lambda: GrapeProblem(n_qubits=2, slices=1366),
     ])
     def test_invalid_fields_rejected(self, make):
         with pytest.raises(ValueError):
             make()
 
-    @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem])
+    @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem, SgqtProblem])
     @pytest.mark.parametrize("n", [quantum.MAX_DENSE_QUBITS + 1, 64])
     def test_dense_sizes_past_the_limit_rejected_before_any_allocation(self, cls, n):
-        # past the limit, VQE's exact minimum and GRAPE's dense sector
-        # operators are refused before either is built
+        # past the limit, VQE's exact minimum, GRAPE's dense sector
+        # operators and SGQT's 2^n-parameter matrices are refused before
+        # any is built
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"at most {quantum.MAX_DENSE_QUBITS} qubits"):
@@ -702,6 +721,26 @@ class TestProblemValidation:
     @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem, SgqtProblem])
     def test_valid_shots_accepted(self, cls, shots):
         assert cls(n_qubits=3, shots=shots).shots == shots
+
+    @pytest.mark.parametrize("make", [
+        lambda: VqeProblem(n_qubits=12, layers=340),
+        lambda: VqeProblem(n_qubits=3, layers=np.int64(2)),
+        lambda: GrapeProblem(n_qubits=2, slices=1365),
+        lambda: SgqtProblem(n_qubits=np.int64(12)),
+    ])
+    def test_largest_and_numpy_counts_accepted(self, make):
+        make()
+
+    @pytest.mark.parametrize("cls, name", [(GrapeProblem, "psi0"), (SgqtProblem, "unknown")])
+    def test_given_states_are_read_only_complex128_copies(self, cls, name):
+        given = [0.6, 0.8j]
+        problem = cls(n_qubits=1, **{name: given})
+        state = getattr(problem, name)
+        assert state.dtype == np.complex128 and state.shape == (2,)
+        assert not state.flags.writeable
+        np.testing.assert_array_equal(state, given)
+        array = np.array(given)
+        assert getattr(cls(n_qubits=1, **{name: array}), name) is not array
 
     def test_materialize_keeps_valid_problems_valid(self):
         rng = np.random.default_rng(0)
@@ -761,7 +800,9 @@ class TestSgqt:
         rng = np.random.default_rng(n)
         for _ in range(20):
             unknown = SgqtProblem(n_qubits=n).materialize(rng).unknown
-            assert SgqtProblem(n_qubits=n, unknown=unknown).unknown is unknown
+            given = SgqtProblem(n_qubits=n, unknown=unknown).unknown
+            assert not given.flags.writeable
+            np.testing.assert_array_equal(given, unknown)
 
     def test_zero_vector_rejected(self):
         prob = SgqtProblem(n_qubits=2, unknown=np.array([1, 0, 0, 0], complex))

@@ -41,7 +41,8 @@ def small_spec(**overrides):
 class TestEnsembleSpec:
     @pytest.mark.parametrize("overrides", [
         dict(n_runs=0), dict(n_runs=-1), dict(workers=0), dict(workers=-3),
-        dict(base_seed=-1),
+        dict(base_seed=-1), dict(n_runs=1.5), dict(base_seed=0.5), dict(workers=2.0),
+        dict(n_runs=True), dict(n_runs=2**20 + 1), dict(workers=2**63),
     ])
     def test_invalid_sizes_rejected(self, overrides):
         with pytest.raises(ValueError):

@@ -368,11 +368,40 @@ class TestApplicationTable:
         ("--application", "sgqt", "--scalar", "maybe"),
         ("--application", "sgqt", "--method", "second_order", "--calibrate", "true"),
         ("--application", "sgqt", "--method", "quantum_natural", "--calibrate", "true"),
+        # each of these used to fail after the runs had started, or to run
+        ("--application", "sgqt", "--qubits", "64"),
+        ("--application", "vqe", "--j", "1e308"),
+        ("--application", "vqe", "--qubits", "3", "--shots", "1e400"),
+        ("--application", "vqe", "--qubits", "3", "--shots", "Infinity"),
+        ("--application", "vqe", "--qubits", "3", "--layers", "9223372036854775807"),
+        ("--application", "vqe", "--qubits", "3", "--resampling", "9223372036854775807"),
+        ("--application", "sgqt", "--runs", "9223372036854775808"),
     ])
     def test_invalid_flags_exit_2_with_error(self, tmp_path, capsys, flags):
         assert main([*flags, "--iterations", "1", "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text", ["1e400", "Infinity", "-inf", "nan", '"1e400"', '"nan"'])
+    def test_config_file_non_finite_numbers_rejected(self, tmp_path, capsys, text):
+        # JSON reads 1e400 and Infinity as a float inf: only the string
+        # "inf" asks for exact evaluation
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(f'{{"application": "sgqt", "qubits": 2, "shots": {text}}}')
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_config_file_inf_string_is_exact(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text('{"application": "sgqt", "shots": "inf"}')
+        assert parse_config(["--config", str(cfg_file)]).shots == float("inf")
+
+    def test_out_with_a_null_byte_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text('{"application": "sgqt", "qubits": 2, "out": "x\\u0000y"}')
+        assert main(["--config", str(cfg_file), "--runs", "1", "--iterations", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unused_problem_key_in_config_file_rejected(self, tmp_path):
         cfg_file = tmp_path / "c.json"

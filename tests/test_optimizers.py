@@ -403,6 +403,16 @@ class TestRunContracts:
         with pytest.raises(ValueError):
             OptimizerConfig(blocking=-0.5)
 
+    @pytest.mark.parametrize("counts", [
+        dict(max_iterations=2.5), dict(resampling=1.5), dict(resampling=2**63),
+        dict(max_iterations=True), dict(max_iterations="3"), dict(max_iterations=2**20 + 1),
+    ])
+    def test_counts_follow_the_count_rule(self, counts):
+        # an integer from 1 to MAX_COUNT; a fraction used to fail in the run
+        with pytest.raises(ValueError, match="must be an integer"):
+            OptimizerConfig(**counts)
+        assert OptimizerConfig(resampling=np.int64(2), max_iterations=2**20).resampling == 2
+
     def test_real_field_rejects_complex_start(self):
         cfg = OptimizerConfig(method="first_order", field="real", max_iterations=2)
         f = lambda z: 0.0
