@@ -14,8 +14,8 @@ vector, or one state per row of a stack of them, and ``measure`` estimates
 the objective of a state from shots.  ``make_oracles`` builds every
 problem's objective, fidelity and monitor from these methods alone, so a new
 workload is one new class; once the fidelity's ``prepare`` has run, one memo
-of recently built states serves all three, and a quantum-natural resample
-builds the states it lacks as one stack.
+of the last resample's states serves all three, and a quantum-natural
+resample builds the states it lacks as one stack.
 
 Construction contract
 ---------------------
@@ -117,7 +117,7 @@ class Problem(Protocol):
         state with NaN amplitudes."""
 
 
-def _require_common(problem, parameters):
+def _require_common(problem, size_field, parameters):
     """The rules every problem shares: a shot budget that `_shot_count` reads,
     and the size rule, at most ``MAX_DENSE_QUBITS`` qubits and at most
     2^``MAX_DENSE_QUBITS`` parameters, SGQT's parameter count at that cap.
@@ -126,10 +126,12 @@ def _require_common(problem, parameters):
     propagators are dense 2^(n−1) × 2^(n−1) complex matrices, and the
     preconditioned methods hold p × p matrices: 268 MB each at 13 qubits or
     at 2^12 parameters.  ``parameters(n)`` is the parameter count at n
-    qubits; it is called only once n is known to be within the cap."""
+    qubits; it is called only once n is known to be within the cap.  An
+    error on it names ``size_field``, the field the count grows with."""
     if _count("n_qubits", problem.n_qubits, 1) > MAX_DENSE_QUBITS:
         raise ValueError(f"at most {MAX_DENSE_QUBITS} qubits (dense), got {problem.n_qubits}")
-    _count("the parameter count", parameters(problem.n_qubits), 1, 2**MAX_DENSE_QUBITS)
+    _count(f"{size_field}: the parameter count", parameters(problem.n_qubits), 1,
+           2**MAX_DENSE_QUBITS)
     _shot_count(problem.shots)
 
 
@@ -167,7 +169,7 @@ class VqeProblem:
     entangler: str = "ccz_ring"
 
     def __post_init__(self):
-        _require_common(self, lambda n: n * (_count("layers", self.layers, 0) + 1))
+        _require_common(self, "layers", lambda n: n * (_count("layers", self.layers, 0) + 1))
         if self.entangler not in ENTANGLERS:
             raise ValueError(f"unknown entangler {self.entangler!r}")
         # Σ|h_i| bounds every matrix entry and eigenvalue; building the
@@ -221,7 +223,7 @@ class GrapeProblem:
     dt = 1.0  # the slice duration: a class constant, not a field
 
     def __post_init__(self):
-        _require_common(self, lambda n: 3 * _count("slices", self.slices, 1))
+        _require_common(self, "slices", lambda n: 3 * _count("slices", self.slices, 1))
         _heisenberg(self.n_qubits, 1.0, 0.0, self.periodic)  # the ring rule
         object.__setattr__(self, "psi0", _given_state(self.psi0, self.n_qubits, "psi0"))
 
@@ -264,7 +266,7 @@ class SgqtProblem:
     unknown: np.ndarray | None = None
 
     def __post_init__(self):
-        _require_common(self, lambda n: 2**n)
+        _require_common(self, "n_qubits", lambda n: 2**n)
         # a longer vector's clamped overlap would read infidelity 0 at other guesses
         unknown = _given_state(self.unknown, self.n_qubits, "unknown", unit_norm=True)
         object.__setattr__(self, "unknown", unknown)
@@ -593,10 +595,6 @@ def exact_minimum(problem: Problem):
     return problem.exact_minimum()
 
 
-# One quantum-natural resample touches z, z ± b_kΔ and z ± b_kΔ + b_kΔ̃.
-MEMO_STATES = 5
-
-
 def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     """Build (objective, fidelity, monitor) callables over the chosen field.
 
@@ -608,19 +606,23 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
 
     Every oracle builds its states directly until the fidelity's
     ``prepare(points)`` attribute first runs, the one switch, and from then
-    on takes them from one rng-free memo of the ``MEMO_STATES`` last used
-    states, read-only and keyed by the parameter bytes in the field's dtype,
-    which for interleaved reals are the complex parameter bytes.  ``prepare``
-    builds the states the memo lacks among the rows of ``points`` in one
-    ``problem.state`` call on the stack of those rows; it draws nothing and
-    is charged to no budget.  `run` calls it once per quantum-natural
-    resample with z, z ± b_kΔ and z ± b_kΔ + b_kΔ̃, the points of
-    `quantum_natural_points`.  The metric estimate pins the fidelity's first
-    argument at the iterate, which the monitor built at the end of the
-    previous iteration, and shares z ± b_kΔ with the gradient estimate, so
-    a quantum-natural iteration builds 5 states, 4 of them in one stack,
-    where building each evaluation's states would take 11, with the same
-    values and random draws.  Runs that never call ``prepare`` never form a
+    on takes them from one rng-free memo of read-only states, keyed by the
+    parameter bytes in the field's dtype, which for interleaved reals are
+    the complex parameter bytes.  The memo keeps what a run needs next:
+    each ``prepare`` keeps exactly the states of the rows of ``points``,
+    reusing those the memo holds and dropping the rest, and builds the
+    states it lacks in one ``problem.state`` call on the stack of those
+    rows; a state built after a ``prepare`` stays until the next one.
+    ``prepare`` draws nothing and is charged to no budget.  `run` calls it
+    once per quantum-natural resample with z, z ± b_kΔ and z ± b_kΔ + b_kΔ̃,
+    the points of `quantum_natural_points`.  The metric estimate pins the
+    fidelity's first argument at the iterate, which the monitor built at
+    the end of the previous iteration, and shares z ± b_kΔ with the
+    gradient estimate, so a quantum-natural iteration builds 5 states, 4 of
+    them in one stack, where building each evaluation's states would take
+    11, with the same values and random draws; the memo then holds at most
+    6 states, the resample's 5 and the blocking candidate's or the
+    monitor's iterate's.  Runs that never call ``prepare`` never form a
     key.  ``prepare`` raises ``ValueError`` when ``problem.state`` does not
     return one state per row of a stack.
     """
@@ -630,31 +632,26 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     state, measure, shots = problem.state, problem.measure, problem.shots
     if field == REAL:
         state = lambda theta: problem.state(complex_from_interleaved(theta))
-    kept = {}  # parameter bytes -> state, least recently used first
-
-    def keep(key, psi):
-        if len(kept) == MEMO_STATES:
-            del kept[next(iter(kept))]
-        kept[key] = psi
+    kept = {}  # parameter bytes -> state: the last prepare's and those built since
 
     def memo(z):
         key = np.asarray(z, dtype=dtype).tobytes()
-        psi = kept.pop(key, None)
+        psi = kept.get(key)
         if psi is None:
-            psi = state(z)
+            psi = kept[key] = state(z)
             psi.flags.writeable = False
-        keep(key, psi)
         return psi
 
     def prepare(points):
-        nonlocal build
+        nonlocal build, kept
         build = memo
         points = np.asarray(points, dtype=dtype)
+        previous, kept = kept, {}
         missing = {}  # parameter bytes -> the first row that has them
         for i, row in enumerate(points):
             key = row.tobytes()
-            if key in kept:
-                kept[key] = kept.pop(key)
+            if key in previous:
+                kept[key] = previous[key]
             else:
                 missing.setdefault(key, i)
         if not missing:
@@ -665,8 +662,7 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
                              f"{len(missing)} parameter vectors; it must return one state "
                              "per row")
         states.flags.writeable = False
-        for key, psi in zip(missing, states):
-            keep(key, psi)
+        kept.update(zip(missing, states))
 
     build = state  # how every oracle builds a state: directly until prepare runs
 

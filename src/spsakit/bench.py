@@ -71,8 +71,10 @@ class EnsembleSpec:
                              "which has no a to calibrate")
 
     def resolved_workers(self) -> int:
-        """The size of the process pool ``run_ensemble`` uses for more than one run."""
-        return self.workers or available_cpus()
+        """The size of the process pool ``run_ensemble`` uses when it is more
+        than 1: ``workers``, or the CPUs for None, capped at ``n_runs``, since
+        a forked pool starts every worker at its first submit."""
+        return min(self.workers or available_cpus(), self.n_runs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,10 +177,11 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     config, calibrated_a = _calibrated_config(spec)
     job = partial(run_single, spec.problem, config)
     seeds = range(spec.base_seed, spec.base_seed + spec.n_runs)
+    workers = spec.resolved_workers()
     # Forked pool workers inherit the pin, so their runs call no setter.
     with one_blas_thread():
-        if spec.resolved_workers() > 1 and spec.n_runs > 1:
-            with ProcessPoolExecutor(max_workers=spec.resolved_workers()) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 traces = list(pool.map(job, seeds))
         else:
             traces = list(map(job, seeds))

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 import typing
@@ -44,6 +45,13 @@ PROBLEM_FIELDS = {
     "qubits": "n_qubits", "shots": "shots", "layers": "layers", "slices": "slices",
     "j": "j", "h": "h", "periodic": "periodic", "entangler": "entangler",
 }
+
+# Each library field that an option sets, and the option's name where it
+# differs: the problem fields, and the runs, seed and iterations of the
+# ensemble and the optimizer.  A library error starts with the field it is
+# about, which `main` prints as its option.
+OPTION_OF_FIELD = {name: flag for flag, name in PROBLEM_FIELDS.items()} | {
+    "n_runs": "runs", "base_seed": "seed", "max_iterations": "iterations"}
 
 
 @dataclasses.dataclass
@@ -139,9 +147,10 @@ def _parse_number(text):
     """An integral literal as an int, so that a shot budget past 2^53 stays
     exact, and any other number as a float.  A non-finite number must be
     spelled ``inf``: an overflowing literal such as ``1e400`` is an error,
-    not a request for exact evaluation."""
+    not a request for exact evaluation, and an integral one past the float
+    range raises ``OverflowError``."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         value = float(text)
     if not (math.isfinite(value) or text == "inf"):
@@ -168,7 +177,7 @@ def _option_parser(name, annotation):
         if isinstance(value, str):
             try:
                 return read(value)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{name}: {exc}") from None
         if type(value) in (kind, int if kind is float else kind) and abs(value) < math.inf:
             return value
@@ -325,7 +334,8 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv)
     except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = re.sub(r"^\w+", lambda field: OPTION_OF_FIELD.get(field[0], field[0]), str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 2
     return execute(config)
 

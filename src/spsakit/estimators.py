@@ -64,9 +64,9 @@ class GainSchedule:
 
     def __post_init__(self):
         if not (0 < self.a < math.inf and 0 < self.b < math.inf):
-            raise ValueError("gain parameters a and b must be positive and finite")
+            raise ValueError("gains a and b must be positive and finite")
         if not all(0 <= v < math.inf for v in (self.A, self.s, self.t)):
-            raise ValueError("gain parameters A, s, t must be non-negative and finite")
+            raise ValueError("gains A, s, t must be non-negative and finite")
 
 
 GAIN_PRESETS = {

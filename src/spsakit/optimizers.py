@@ -176,9 +176,6 @@ class RunTrace:
             1, self.recorded + 1, dtype=np.int64)
         return counts
 
-    def __len__(self):
-        return len(self.objective)
-
 
 def _hermitian_part(h_raw, memory):
     """H′: the estimate's real part in scalar mode, else its hermitian part."""
@@ -261,6 +258,7 @@ def _resample(config, f, fid, z, b_k, draws, prepare=None):
     return g, metric_estimate(fid, z, b_k, delta_vec, delta_tilde, config.scalar)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
         callback=None):
     """Execute ``config.max_iterations`` iterations of the configured method.
@@ -313,6 +311,17 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
     that draws each vector when it needs it.  A run that diverges leaves
     the rest of its block unused.  The oracles draw shot noise from their
     own generators, never from this one.
+
+    Floating point
+    --------------
+    The whole call, the oracles and ``callback`` included, runs under one
+    rule, ``np.errstate(over="ignore", invalid="ignore")``: an overflow or
+    an invalid operation gives inf or NaN without a warning.  That loses
+    nothing, because a non-finite value in a run, from its arithmetic or
+    its oracles, already ends it: a non-finite blocking reference,
+    estimate, preconditioner, candidate or recorded value ends the run as a
+    `RunTrace` divergence record, and under blocking a candidate whose
+    objective value is NaN or +inf fails the blocking test and is rejected.
     """
     if config.method == "quantum_natural" and fidelity is None:
         raise ValueError("quantum_natural methods require a fidelity oracle")
@@ -401,12 +410,11 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
             # is not finite, or fail a factorization in the square root or
             # the step's solve.
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if config.postproc == "spall":
-                        memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
-                    else:
-                        basis = bases[(k - 1) % PERTURBATION_BLOCK] if gidi_matrix else None
-                        memory, preconditioner = postprocess_gidi(h_raw, memory, k, epsilon, basis)
+                if config.postproc == "spall":
+                    memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
+                else:
+                    basis = bases[(k - 1) % PERTURBATION_BLOCK] if gidi_matrix else None
+                    memory, preconditioner = postprocess_gidi(h_raw, memory, k, epsilon, basis)
                 if not np.isfinite(preconditioner).all():
                     raise np.linalg.LinAlgError("the preconditioner is not finite")
                 candidate = (z - (abar_k / preconditioner) * g if config.scalar

@@ -110,10 +110,6 @@ class PauliTermSum:
             out[rows[kept], kept] += values[kept]
         return out
 
-    def to_dense(self):
-        """The 2^n × 2^n matrix Σ_i h_i σ_i: ``block`` over every basis state."""
-        return self.block(np.arange(2**self.n_qubits))
-
 
 def haar_random_state(n: int, rng: np.random.Generator):
     """Haar-uniform pure state from normalized i.i.d. complex Gaussians."""
@@ -226,7 +222,7 @@ def exact_ground_energy(hamiltonian: PauliTermSum):
     smallest of the ``eigvalsh`` ground energies of its n + 1 popcount
     blocks, each at most C(n, ⌊n/2⌋) states square, built by ``block``
     with the states in ascending order.  Any other operator is one block of
-    all 2^n states, bit for bit ``eigvalsh(to_dense())[0]``.
+    all 2^n states, bit for bit ``eigvalsh(block(np.arange(2**n)))[0]``.
     """
     n = hamiltonian.n_qubits
     if n > MAX_DENSE_QUBITS:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -922,8 +923,8 @@ class TestOracleSuite:
 
 
 class TestPinnedStateMemo:
-    """make_oracles reuses built states through one bounded memo once the
-    fidelity's prepare has run."""
+    """make_oracles reuses built states through one memo once the fidelity's
+    prepare has run: each prepare keeps exactly the states of its points."""
 
     @staticmethod
     def _count_builds(monkeypatch, name):
@@ -1023,6 +1024,55 @@ class TestPinnedStateMemo:
         oracles.fidelity(z, w)
         oracles.fidelity(w, z)
         assert len(builds) == 8  # the monitor and both fidelity arguments reuse the memo
+
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    def test_prepare_keeps_exactly_the_states_of_its_points(self, monkeypatch, field):
+        calls = self._count_builds(monkeypatch, "vqe_state")
+        problem = VqeProblem(n_qubits=3, shots=100)
+        oracles = make_oracles(problem, np.random.default_rng(5), field)
+        z, w, v = (problem.initial_point(np.random.default_rng(seed)) for seed in (6, 7, 8))
+        if field == REAL:
+            z, w, v = interleave_complex(z), interleave_complex(w), interleave_complex(v)
+        oracles.fidelity.prepare(np.stack([z, w]))
+        oracles.fidelity.prepare(np.stack([z, v]))
+        assert sum(calls) == 3  # the second prepare reuses z
+        oracles.objective(z)
+        oracles.fidelity(z, v)
+        assert sum(calls) == 3
+        oracles.objective(w)
+        assert sum(calls) == 4  # the second prepare dropped w
+        oracles.monitor(w)
+        assert sum(calls) == 4  # a state built after a prepare stays
+        oracles.fidelity.prepare(np.stack([z, v]))
+        oracles.monitor(w)
+        assert sum(calls) == 5  # until the next one
+
+    @staticmethod
+    def _memo(oracles):
+        """The states the memo holds: the ``kept`` that the fidelity's
+        prepare closes over."""
+        return inspect.getclosurevars(oracles.fidelity.prepare).nonlocals["kept"]
+
+    @pytest.mark.parametrize("blocking", [None, 0.05])
+    @pytest.mark.parametrize("resampling", [1, 2])
+    def test_run_holds_at_most_six_states(self, resampling, blocking):
+        # a resample's 5 points, and the candidate the blocking test or the
+        # monitor built; the monitor's call is the last before a prepare
+        problem = VqeProblem(n_qubits=3, shots=1000)
+        oracles = make_oracles(problem, np.random.default_rng(4))
+        sizes = []
+
+        def monitor(z):
+            value = oracles.monitor(z)
+            sizes.append(len(self._memo(oracles)))
+            return value
+
+        config = OptimizerConfig(method="quantum_natural", max_iterations=6,
+                                 resampling=resampling, blocking=blocking)
+        trace = run(oracles.objective, config, problem.initial_point(np.random.default_rng(3)),
+                    seed=5, fidelity=oracles.fidelity, monitor=monitor)
+        assert not trace.diverged
+        assert sizes == [6] * 6
 
     @pytest.mark.parametrize("field", [COMPLEX, REAL])
     def test_first_argument_changed_in_place_is_rebuilt(self, field):

@@ -19,7 +19,7 @@ from spsakit.bench import (
     summarize_at_budget,
     summarize_final,
 )
-from spsakit.estimators import GAIN_PRESETS, GainSchedule
+from spsakit.estimators import GAIN_PRESETS, MAX_COUNT, GainSchedule
 from spsakit.optimizers import OptimizerConfig
 from spsakit.quantum import fidelity_with_shots
 
@@ -172,6 +172,39 @@ class TestRunEnsemble:
         self._forbid_pool(monkeypatch)
         assert run_ensemble(small_spec(workers=None)).n_excluded == 0
 
+    @pytest.mark.parametrize("workers, cpus, n_runs, expected", [
+        (MAX_COUNT, 2, 2, 2), (3, 64, 4, 3), (1, 64, 4, 1), (None, 64, 3, 3), (None, 2, 4, 2),
+    ])
+    def test_resolved_workers_capped_at_the_run_count(self, monkeypatch, workers, cpus,
+                                                      n_runs, expected):
+        monkeypatch.setattr(bench, "available_cpus", lambda: cpus)
+        assert small_spec(workers=workers, n_runs=n_runs).resolved_workers() == expected
+
+    def test_pool_holds_no_more_workers_than_runs(self, monkeypatch):
+        # a forked pool starts all its workers at the first submit; this
+        # stand-in records the size asked for and runs the jobs in-process
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingExecutor)
+        pooled = run_ensemble(small_spec(workers=MAX_COUNT, n_runs=2))
+        assert sizes == [2]
+        serial = run_ensemble(small_spec(workers=1, n_runs=2))
+        assert sizes == [2]
+        assert [s.mean for s in pooled.stats] == [s.mean for s in serial.stats]
+
     def test_diverged_runs_excluded_with_count(self):
         # enormous static steps overflow the GRAPE propagator: every run
         # diverges, is flagged, and drops out of the statistics
@@ -185,11 +218,25 @@ class TestRunEnsemble:
             n_runs=3,
             base_seed=0,
         )
-        with np.errstate(all="ignore"):
-            result = run_ensemble(spec)
+        result = run_ensemble(spec)
         assert result.n_excluded == 3
         assert all(t.diverged for t in result.traces)
         assert math.isnan(result.stats[-1].mean)
+
+    # Under this repository's error::RuntimeWarning filter a warning would
+    # raise: run computes under one floating-point rule, so an overflowing
+    # step (a = 1e308) or propagation (a = 1e6) ends the run as diverged.
+    @pytest.mark.parametrize("gains, reason", [
+        (GainSchedule(a=1e308, b=1e-3), "candidate"),
+        (GainSchedule(a=1e6, b=0.01, s=0.0, t=0.0), "recorded"),
+    ])
+    def test_overflowing_grape_run_diverges_without_a_warning(self, gains, reason):
+        from spsakit.applications import GrapeProblem
+
+        trace = run_single(GrapeProblem(n_qubits=2, slices=3),
+                           OptimizerConfig(gains=gains, max_iterations=5), 7)
+        assert (trace.diverged_at, trace.diverged_reason) == (1, reason)
+        assert np.isnan(trace.objective).all()
 
     def test_calibrated_ensemble_reports_a(self):
         spec = small_spec(calibrate=True)
@@ -388,8 +435,7 @@ class TestSummarizeAtBudget:
                                    max_iterations=10),
             n_runs=2,
         )
-        with np.errstate(all="ignore"):
-            result = run_ensemble(spec)
+        result = run_ensemble(spec)
         assert result.n_excluded == 2
         with pytest.raises(ValueError, match="diverged"):
             summarize_at_budget(result, spec.config, 100)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -338,49 +339,63 @@ class TestExecute:
 
 
 class TestApplicationTable:
-    @pytest.mark.parametrize("flags", [
-        ("--application", "sgqt", "--layers", "7"),
-        ("--application", "sgqt", "--slices", "3"),
-        ("--application", "sgqt", "--entangler", "bogus"),
-        ("--application", "grape", "--j", "2"),
-        ("--application", "vqe", "--qubits", "3", "--j", "1" + "0" * 400),
-        ("--application", "vqe", "--qubits", "3", "--j", "inf"),
-        ("--application", "vqe", "--qubits", "3", "--h", "nan"),
-        ("--application", "vqe", "--qubits", "2"),
-        ("--application", "vqe", "--qubits", "13"),
-        ("--application", "grape", "--qubits", "13"),
-        ("--application", "vqe", "--entangler", "bogus"),
-        ("--application", "vqe", "--qubits", "3", "--layers", "0", "--entangler", "bogus"),
-        ("--application", "vqe", "--layers", "-1"),
-        ("--application", "grape", "--slices", "0"),
-        ("--application", "grape", "--qubits", "2", "--periodic", "true"),
-        ("--application", "sgqt", "--qubits", "0"),
-        ("--application", "sgqt", "--workers", "0"),
-        ("--application", "sgqt", "--workers", "-3"),
-        ("--application", "sgqt", "--runs", "0"),
-        ("--application", "sgqt", "--seed", "-1"),
-        ("--application", "sgqt", "--blocking", "nan"),
-        ("--application", "sgqt", "--gains", "nan,0.1,0,0.6,0.1"),
-        ("--application", "sgqt", "--gains", "1,0.1,0,inf,0.1"),
-        ("--application", "sgqt", "--method", "second_order", "--epsilon", "nan"),
-        ("--application", "sgqt", "--method", "second_order", "--epsilon", "inf"),
-        ("--application", "sgqt", "--qubits", "3.5"),
-        ("--application", "sgqt", "--scalar", "maybe"),
-        ("--application", "sgqt", "--method", "second_order", "--calibrate", "true"),
-        ("--application", "sgqt", "--method", "quantum_natural", "--calibrate", "true"),
+    @pytest.mark.parametrize("option, flags", [
+        ("layers", ("--application", "sgqt", "--layers", "7")),
+        ("slices", ("--application", "sgqt", "--slices", "3")),
+        ("entangler", ("--application", "sgqt", "--entangler", "bogus")),
+        ("j", ("--application", "grape", "--j", "2")),
+        ("j", ("--application", "vqe", "--qubits", "3", "--j", "1" + "0" * 400)),
+        ("j", ("--application", "vqe", "--qubits", "3", "--j", "inf")),
+        ("h", ("--application", "vqe", "--qubits", "3", "--h", "nan")),
+        ("periodic", ("--application", "vqe", "--qubits", "2")),
+        ("qubits", ("--application", "vqe", "--qubits", "13")),
+        ("qubits", ("--application", "grape", "--qubits", "13")),
+        ("entangler", ("--application", "vqe", "--entangler", "bogus")),
+        ("entangler", ("--application", "vqe", "--qubits", "3", "--layers", "0",
+                       "--entangler", "bogus")),
+        ("layers", ("--application", "vqe", "--layers", "-1")),
+        ("slices", ("--application", "grape", "--slices", "0")),
+        ("periodic", ("--application", "grape", "--qubits", "2", "--periodic", "true")),
+        ("qubits", ("--application", "sgqt", "--qubits", "0")),
+        ("workers", ("--application", "sgqt", "--workers", "0")),
+        ("workers", ("--application", "sgqt", "--workers", "-3")),
+        ("runs", ("--application", "sgqt", "--runs", "0")),
+        ("seed", ("--application", "sgqt", "--seed", "-1")),
+        ("blocking", ("--application", "sgqt", "--blocking", "nan")),
+        ("gains", ("--application", "sgqt", "--gains", "nan,0.1,0,0.6,0.1")),
+        ("gains", ("--application", "sgqt", "--gains", "1,0.1,0,inf,0.1")),
+        ("epsilon", ("--application", "sgqt", "--method", "second_order", "--epsilon", "nan")),
+        ("epsilon", ("--application", "sgqt", "--method", "second_order", "--epsilon", "inf")),
+        ("qubits", ("--application", "sgqt", "--qubits", "3.5")),
+        ("scalar", ("--application", "sgqt", "--scalar", "maybe")),
+        ("calibrate", ("--application", "sgqt", "--method", "second_order",
+                       "--calibrate", "true")),
+        ("calibrate", ("--application", "sgqt", "--method", "quantum_natural",
+                       "--calibrate", "true")),
         # each of these used to fail after the runs had started, or to run
-        ("--application", "sgqt", "--qubits", "64"),
-        ("--application", "vqe", "--j", "1e308"),
-        ("--application", "vqe", "--qubits", "3", "--shots", "1e400"),
-        ("--application", "vqe", "--qubits", "3", "--shots", "Infinity"),
-        ("--application", "vqe", "--qubits", "3", "--layers", "9223372036854775807"),
-        ("--application", "vqe", "--qubits", "3", "--resampling", "9223372036854775807"),
-        ("--application", "sgqt", "--runs", "9223372036854775808"),
+        ("qubits", ("--application", "sgqt", "--qubits", "64")),
+        ("j", ("--application", "vqe", "--j", "1e308")),
+        ("shots", ("--application", "vqe", "--qubits", "3", "--shots", "1e400")),
+        ("shots", ("--application", "vqe", "--qubits", "3", "--shots", "Infinity")),
+        ("layers", ("--application", "vqe", "--qubits", "3", "--layers", "9223372036854775807")),
+        ("resampling", ("--application", "vqe", "--qubits", "3",
+                        "--resampling", "9223372036854775807")),
+        ("runs", ("--application", "sgqt", "--runs", "9223372036854775808")),
     ])
-    def test_invalid_flags_exit_2_with_error(self, tmp_path, capsys, flags):
+    def test_invalid_flags_exit_2_with_error(self, tmp_path, capsys, option, flags):
         assert main([*flags, "--iterations", "1", "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        # the option as the command line and a config file name it, and no
+        # library field such as n_runs, base_seed or n_qubits
+        assert re.search(rf"\b{option}\b", err), err
+        assert not re.search(r"\b(n_runs|base_seed|max_iterations|n_qubits)\b", err), err
         assert not list(tmp_path.iterdir())
+
+    def test_iteration_count_error_names_the_option(self, tmp_path, capsys):
+        assert main(["--application", "sgqt", "--iterations", "0",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: iterations must be an integer")
 
     @pytest.mark.parametrize("text", ["1e400", "Infinity", "-inf", "nan", '"1e400"', '"nan"'])
     def test_config_file_non_finite_numbers_rejected(self, tmp_path, capsys, text):

@@ -363,7 +363,7 @@ class TestRunContracts:
         cfg = OptimizerConfig(method="first_order", field="real", gains=STATIC,
                               max_iterations=17)
         trace = run(f, cfg, np.zeros(2), seed=0, monitor=f)
-        assert len(trace) == 17
+        assert len(trace.objective) == 17
         assert not trace.diverged
         assert trace.diverged_at is None and trace.diverged_reason is None
 
@@ -434,10 +434,9 @@ class TestRunContracts:
                               max_iterations=40)
         # runaway steps push the objective itself to overflow
         f = lambda z: float(np.exp(z[0] ** 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = run(f, cfg, np.array([1.0]), seed=0, monitor=f)
+        trace = run(f, cfg, np.array([1.0]), seed=0, monitor=f)
         assert trace.diverged
-        assert len(trace) == 40
+        assert len(trace.objective) == 40
         assert np.isnan(trace.objective).any()
         # the first step overflows the recorded objective exp(z²)
         assert (trace.diverged_at, trace.diverged_reason) == (1, "recorded")

@@ -31,6 +31,11 @@ from spsakit.quantum import (
 )
 
 
+def _full_block(hamiltonian):
+    """The 2^n × 2^n matrix Σ_i h_i σ_i: ``block`` over every basis state."""
+    return hamiltonian.block(np.arange(2**hamiltonian.n_qubits))
+
+
 class TestHaarRandomState:
     def test_normalized(self):
         rng = np.random.default_rng(0)
@@ -90,7 +95,7 @@ class TestHeisenbergHamiltonian:
 
     def test_two_site_spectrum(self):
         ham = heisenberg_hamiltonian(2, 1.0, 0.0)
-        w = np.linalg.eigvalsh(ham.to_dense())
+        w = np.linalg.eigvalsh(_full_block(ham))
         np.testing.assert_allclose(w, [-3.0, 1.0, 1.0, 1.0], atol=1e-12)
         assert exact_ground_energy(ham) == pytest.approx(-3.0)
 
@@ -124,13 +129,13 @@ class TestHeisenbergHamiltonian:
 
     def test_ring_spectrum_invariant_under_cyclic_relabeling(self):
         ham = heisenberg_hamiltonian(4, 1.0, 0.3, periodic=True)
-        spectrum = np.linalg.eigvalsh(ham.to_dense())
+        spectrum = np.linalg.eigvalsh(_full_block(ham))
         # shift every string cyclically by one qubit
         shifted = PauliTermSum(
             n_qubits=4,
             terms=tuple((c, label[-1] + label[:-1]) for c, label in ham.terms),
         )
-        np.testing.assert_allclose(np.linalg.eigvalsh(shifted.to_dense()), spectrum,
+        np.testing.assert_allclose(np.linalg.eigvalsh(_full_block(shifted)), spectrum,
                                    atol=1e-10)
 
     def test_too_many_qubits_for_dense(self):
@@ -144,7 +149,7 @@ class TestPauliExpectation:
         rng = np.random.default_rng(3)
         for n in (2, 4, 6):
             ham = heisenberg_hamiltonian(n, 0.7, -0.2, periodic=n > 2)
-            dense = ham.to_dense()
+            dense = _full_block(ham)
             for _ in range(5):
                 psi = haar_random_state(n, rng)
                 exact = float(np.real(np.vdot(psi, dense @ psi)))
@@ -171,7 +176,7 @@ class TestExpectationWithShots:
         rng = np.random.default_rng(6)
         for n in (2, 5):
             ham = heisenberg_hamiltonian(n, 1.0, 0.5, periodic=n > 2)
-            dense = ham.to_dense()
+            dense = _full_block(ham)
             psi = haar_random_state(n, rng)
             expected = float(np.real(np.vdot(psi, dense @ psi)))
             assert expectation_with_shots(psi, ham, math.inf) == pytest.approx(expected, abs=1e-10)
@@ -403,7 +408,7 @@ class TestPauliTermSum:
 
     def test_dense_is_hermitian(self):
         ham = heisenberg_hamiltonian(3, 0.8, 0.1)
-        dense = ham.to_dense()
+        dense = _full_block(ham)
         np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
 
 
@@ -453,7 +458,7 @@ class TestToDense:
         rng = np.random.default_rng([n, len(kind)])
         for _ in range(5):
             ham = _random_pauli_sum(n, kind, rng)
-            dense, ref = ham.to_dense(), reference_to_dense(ham)
+            dense, ref = _full_block(ham), reference_to_dense(ham)
             if dense.dtype == np.float64:
                 assert not ref.imag.any()
                 ref = np.ascontiguousarray(ref.real)
@@ -470,7 +475,7 @@ class TestToDense:
     ])
     def test_float64_exactly_when_every_term_has_an_even_number_of_y(self, terms, dtype):
         n = len(terms[0][1]) if terms else 3
-        assert PauliTermSum(n_qubits=n, terms=terms).to_dense().dtype == dtype
+        assert _full_block(PauliTermSum(n_qubits=n, terms=terms)).dtype == dtype
 
     @pytest.mark.parametrize("n, periodic", [(n, periodic) for n in range(2, 11)
                                              for periodic in (False, True)
@@ -496,7 +501,7 @@ class TestBlock:
         rng = np.random.default_rng([n, len(kind), 1])
         for _ in range(5):
             ham = _random_pauli_sum(n, kind, rng)
-            dense = ham.to_dense()
+            dense = _full_block(ham)
             for size in (0, 1, rng.integers(1, 2**n + 1), 2**n):
                 states = rng.permutation(2**n)[:size]
                 block = ham.block(states)
@@ -515,7 +520,7 @@ class TestExactGroundEnergyBySector:
     ])
     def test_operator_that_changes_popcount_is_one_block(self, terms):
         ham = PauliTermSum(n_qubits=len(terms[0][1]), terms=terms)
-        dense = ham.to_dense()
+        dense = _full_block(ham)
         assert not _conserves_popcount(dense)
         assert exact_ground_energy(ham) == float(np.linalg.eigvalsh(dense)[0])
 
@@ -529,7 +534,7 @@ class TestExactGroundEnergyBySector:
         one_block = 0
         for _ in range(5):
             ham = _random_pauli_sum(n, kind, rng)
-            dense = ham.to_dense()
+            dense = _full_block(ham)
             energy = exact_ground_energy(ham)
             full = float(np.linalg.eigvalsh(dense)[0])
             if _conserves_popcount(dense):
