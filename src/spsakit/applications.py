@@ -614,8 +614,9 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     states it lacks in one ``problem.state`` call on the stack of those
     rows; a state built after a ``prepare`` stays until the next one.
     ``prepare`` draws nothing and is charged to no budget.  `run` calls it
-    once per quantum-natural resample with z, z ± b_kΔ and z ± b_kΔ + b_kΔ̃,
-    the points of `quantum_natural_points`.  The metric estimate pins the
+    once per quantum-natural resample, through `estimators.resample`, with
+    z, z ± b_kΔ and z ± b_kΔ + b_kΔ̃, the points that resample's oracle
+    calls then evaluate.  The metric estimate pins the
     fidelity's first argument at the iterate, which the monitor built at
     the end of the previous iteration, and shares z ± b_kΔ with the
     gradient estimate, so a quantum-natural iteration builds 5 states, 4 of

@@ -13,8 +13,8 @@ from functools import partial
 import numpy as np
 
 from .applications import Problem, make_oracles
-from .estimators import (MAX_COUNT, REAL, _count, gains_at, gains_label, gradient_estimate,
-                         interleave_complex, sample_perturbation)
+from .estimators import (MAX_COUNT, REAL, _count, gains_at, gains_label, interleave_complex,
+                         resample, sample_perturbation)
 from .linalg import one_blas_thread
 from .optimizers import OptimizerConfig, RunTrace, method_label, run
 
@@ -111,13 +111,17 @@ class EnsembleResult:
     calibrated_a: float | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def calibrate_first_order_gain(objective, z0_samples, gains, field, rng):
     """Choose the first-order gain a so the first update has sup-norm
     ≈ ``CALIBRATION_TARGET_STEP``.
 
     Draws ``CALIBRATION_PROBES`` gradient estimates at representative initial
     points with k = 1 gain coefficients and returns
-    ``CALIBRATION_TARGET_STEP / mean(‖g‖∞)``.
+    ``CALIBRATION_TARGET_STEP / mean(‖g‖∞)``.  It computes under `run`'s
+    floating-point rule, and raises a ``ValueError`` that starts with
+    ``calibrate:`` unless that gain is positive and finite: the probes
+    vanished, or overflowed to inf or NaN.
     """
     _count("the number of initial points to calibrate against", len(z0_samples), 1)
     _, _, b1 = gains_at(gains, 1)
@@ -125,12 +129,13 @@ def calibrate_first_order_gain(objective, z0_samples, gains, field, rng):
     for i in range(CALIBRATION_PROBES):
         z0 = np.asarray(z0_samples[i % len(z0_samples)])
         delta = sample_perturbation(z0.size, field, rng)
-        g, _ = gradient_estimate(objective, z0, b1, delta)
+        g, _ = resample("first_order", objective, None, z0, b1, delta)
         norms.append(float(np.max(np.abs(g))))
     mean_norm = float(np.mean(norms))
-    if mean_norm == 0.0:
-        raise ValueError("calibration failed: all probe gradients vanished")
-    return CALIBRATION_TARGET_STEP / mean_norm
+    a = CALIBRATION_TARGET_STEP / mean_norm if mean_norm > 0 else 0.0
+    if not 0 < a < np.inf:
+        raise ValueError(f"calibrate: probe gradients of mean sup-norm {mean_norm!r} give no gain")
+    return a
 
 
 def run_single(problem: Problem, config: OptimizerConfig, seed: int) -> RunTrace:
@@ -174,12 +179,13 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     the statistics but counted; quantiles use linear interpolation (numpy's
     default) and STD is the sample standard deviation with divisor n−1.
     """
-    config, calibrated_a = _calibrated_config(spec)
-    job = partial(run_single, spec.problem, config)
     seeds = range(spec.base_seed, spec.base_seed + spec.n_runs)
     workers = spec.resolved_workers()
-    # Forked pool workers inherit the pin, so their runs call no setter.
+    # Calibration runs on one thread as the runs do.  Forked pool workers
+    # inherit the pin, so their runs call no setter.
     with one_blas_thread():
+        config, calibrated_a = _calibrated_config(spec)
+        job = partial(run_single, spec.problem, config)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 traces = list(pool.map(job, seeds))

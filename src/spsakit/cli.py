@@ -163,24 +163,27 @@ def _option_parser(name, annotation):
     config file's JSON value alike.  A string is read as its type reads it
     (``_parse_bool`` for a bool, `_parse_number` for a float); any other
     value must already have the type, an int standing for a float and kept
-    as it is, and be finite: a config file gives exact evaluation as the
-    string ``"inf"``, and JSON reads ``1e400`` and ``Infinity`` as a float
-    inf that is rejected; None passes only where the field admits it."""
+    as it is.  A float must be finite, and an int standing for one must lie
+    in the float range: a config file gives exact evaluation as the string
+    ``"inf"``, and JSON reads ``1e400`` and ``Infinity`` as a float inf that
+    is rejected.  None passes only where the field admits it."""
     kinds = typing.get_args(annotation) or (annotation,)
     optional = type(None) in kinds
     kind, = (k for k in kinds if k is not type(None))
     read = {bool: _parse_bool, float: _parse_number}.get(kind, kind)
+    types = (kind, int) if kind is float else (kind,)
 
     def parse(value):
         if value is None and optional:
             return None
-        if isinstance(value, str):
-            try:
+        try:
+            if isinstance(value, str):
                 return read(value)
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        if type(value) in (kind, int if kind is float else kind) and abs(value) < math.inf:
-            return value
+            # math.isfinite raises OverflowError on an int past the float range
+            if type(value) in types and (kind is not float or math.isfinite(value)):
+                return value
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
         raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
 
     return parse
@@ -271,7 +274,15 @@ def execute(config: ExperimentConfig) -> int:
     spec = config.ensemble_spec()
     exact_minimum = spec.problem.exact_minimum()  # before any run: nothing fails after one
     start = time.perf_counter()
-    result = run_ensemble(spec)
+    try:
+        result = run_ensemble(spec)
+    except ValueError as exc:
+        # Gain calibration, before any run, rejects an option; a run's
+        # errors surface as they are.
+        if not str(exc).startswith("calibrate:"):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     wall_time = time.perf_counter() - start
 
     summary = {

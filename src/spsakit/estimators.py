@@ -5,8 +5,12 @@ unit modulus, so the reciprocals appearing in the estimator definitions are
 implemented as plain multiplication: 1/Δ = Δ for real ±1 entries and
 1/Δ* = Δ for complex entries drawn from {±1, ±i}.
 
-Each method's estimate is defined once, here; ``scalar=True`` gives the
-scalar form of a curvature estimate: its coefficient without ΔΔ̃†.
+`resample` is the one place that forms the points of a resample and calls
+the oracles on them.  The three estimators are arithmetic on the oracle
+values it hands them: `gradient_estimate` returns the gradient estimate,
+`hessian_estimate` and `metric_estimate` the coefficient c of a curvature
+estimate c·ΔΔ̃†, which `resample` returns as it is in scalar mode and as
+the matrix otherwise.
 """
 
 import math
@@ -20,10 +24,10 @@ __all__ = [
     "gains_label",
     "gains_at",
     "sample_perturbation",
+    "resample",
     "gradient_estimate",
     "hessian_estimate",
     "metric_estimate",
-    "quantum_natural_points",
     "complex_from_interleaved",
     "interleave_complex",
 ]
@@ -121,63 +125,68 @@ def sample_perturbation(p: int, field: str, rng: np.random.Generator, m: int | N
     raise ValueError(f"unknown field {field!r}")
 
 
-def gradient_estimate(f, z, b_k, delta):
-    """Two-sided simultaneous-perturbation gradient estimate.
+def resample(method, f, fid, z, b_k, delta, delta_tilde=None, scalar=False, prepare=None):
+    """One resample of an iteration's estimates: the one place that forms
+    the points z ± b_kΔ and z ± b_kΔ + b_kΔ̃ and calls the oracles on them.
 
-    Returns ``(g, (f_plus, f_minus))``.  The two raw evaluations are part of
-    the contract: the Hessian estimator reuses them so that a second-order
-    iteration costs exactly four objective evaluations.
-    """
-    shift = b_k * delta
-    f_plus = f(z + shift)
-    f_minus = f(z - shift)
-    scale = (f_plus - f_minus) / (2.0 * b_k)
-    return scale * delta, (f_plus, f_minus)
+    Returns ``(g, h)``: the gradient estimate and, for ``"second_order"`` or
+    ``"quantum_natural"``, the Hessian or metric estimate from the second
+    perturbation ``delta_tilde``; h is None for ``"first_order"``.  In
+    ``scalar`` mode h is the estimate's coefficient c, a float, else the
+    matrix c·ΔΔ̃†.  A preconditioned resample hands ``prepare``, if given,
+    the (5, p) stack z, z + b_kΔ, z − b_kΔ, z + b_kΔ + b_kΔ̃, z − b_kΔ + b_kΔ̃
+    before its first oracle call; every point the oracles then receive has
+    the bytes of one of its rows.
 
-
-def hessian_estimate(f, z, b_k, delta, delta_tilde, cached_pair, scalar=False):
-    """Simultaneous-perturbation Hessian estimate δ²f/(2 b_k²) · ΔΔ̃†.
-
-    The second difference δ²f reuses the gradient estimator's
-    ``cached_pair`` and costs exactly two more objective evaluations.  The
-    entries δ²f/(2 b_k² Δ_i Δ̃_j), with Δ*_i in the complex field, form the
-    outer product because the perturbation entries have unit modulus.  With
-    ``scalar``, the coefficient δ²f/(2 b_k²) alone: a 1×1 hermitian matrix.
-    """
-    f_plus, f_minus = cached_pair
-    shift = b_k * delta_tilde
-    d2 = f(z + b_k * delta + shift) - f_plus - f(z - b_k * delta + shift) + f_minus
-    coefficient = d2 / (2.0 * b_k * b_k)
-    return coefficient if scalar else coefficient * np.outer(delta, np.conj(delta_tilde))
-
-
-def metric_estimate(fidelity, z, b_k, delta, delta_tilde, scalar=False):
-    """Simultaneous-perturbation Fubini-Study metric estimate −δ²F/(4 b_k²) · ΔΔ̃†.
-
-    The second difference δ²F of the fidelity, its first argument pinned at
-    z, costs exactly four fidelity evaluations and no objective evaluations.
-    With ``scalar``, the coefficient −δ²F/(4 b_k²) alone, as in
-    `hessian_estimate`.
-    """
-    shift = b_k * delta_tilde
-    plus, minus = z + b_k * delta, z - b_k * delta
-    d2 = (fidelity(z, plus + shift) - fidelity(z, plus)
-          - fidelity(z, minus + shift) + fidelity(z, minus))
-    coefficient = -d2 / (4.0 * b_k * b_k)
-    return coefficient if scalar else coefficient * np.outer(delta, np.conj(delta_tilde))
-
-
-def quantum_natural_points(z, b_k, delta, delta_tilde):
-    """The (5, p) stack of the points one quantum-natural resample evaluates:
-    z, z + b_kΔ, z − b_kΔ, z + b_kΔ + b_kΔ̃ and z − b_kΔ + b_kΔ̃.
-
-    Each row is computed as `gradient_estimate` and `metric_estimate`
-    compute it, so its bytes equal those of the argument they pass.
+    The objective ``f`` is called at z + b_kΔ and z − b_kΔ, then, second
+    order, at z + b_kΔ + b_kΔ̃ and z − b_kΔ + b_kΔ̃: 2 or 4 calls.  The
+    fidelity ``fid``, its first argument pinned at z, is called by the
+    quantum-natural method alone, at z + b_kΔ + b_kΔ̃, z + b_kΔ,
+    z − b_kΔ + b_kΔ̃ and z − b_kΔ, in this order.
     """
     shift = b_k * delta
     plus, minus = z + shift, z - shift
+    if method == "first_order":
+        return gradient_estimate(f(plus), f(minus), b_k, delta), None
     tilde = b_k * delta_tilde
-    return np.array([z, plus, minus, plus + tilde, minus + tilde])
+    plus_tilde, minus_tilde = plus + tilde, minus + tilde
+    if prepare is not None:
+        prepare(np.array([z, plus, minus, plus_tilde, minus_tilde]))
+    f_plus, f_minus = f(plus), f(minus)
+    g = gradient_estimate(f_plus, f_minus, b_k, delta)
+    if method == "second_order":
+        c = hessian_estimate(f(plus_tilde), f_plus, f(minus_tilde), f_minus, b_k)
+    else:
+        c = metric_estimate(fid(z, plus_tilde), fid(z, plus), fid(z, minus_tilde), fid(z, minus),
+                            b_k)
+    return g, c if scalar else c * np.outer(delta, np.conj(delta_tilde))
+
+
+def gradient_estimate(f_plus, f_minus, b_k, delta):
+    """Two-sided simultaneous-perturbation gradient estimate
+    (f(z + b_kΔ) − f(z − b_kΔ))/(2 b_k) · Δ, from the two objective values."""
+    return (f_plus - f_minus) / (2.0 * b_k) * delta
+
+
+def hessian_estimate(f_plus_tilde, f_plus, f_minus_tilde, f_minus, b_k):
+    """The coefficient δ²f/(2 b_k²) of the simultaneous-perturbation Hessian
+    estimate δ²f/(2 b_k²) · ΔΔ̃†, from the four terms of the second difference
+    δ²f = f(z + b_kΔ + b_kΔ̃) − f(z + b_kΔ) − f(z − b_kΔ + b_kΔ̃) + f(z − b_kΔ).
+
+    The entries δ²f/(2 b_k² Δ_i Δ̃_j), with Δ*_i in the complex field, form
+    the outer product because the perturbation entries have unit modulus.
+    """
+    d2 = f_plus_tilde - f_plus - f_minus_tilde + f_minus
+    return d2 / (2.0 * b_k * b_k)
+
+
+def metric_estimate(fid_plus_tilde, fid_plus, fid_minus_tilde, fid_minus, b_k):
+    """The coefficient −δ²F/(4 b_k²) of the simultaneous-perturbation
+    Fubini-Study metric estimate −δ²F/(4 b_k²) · ΔΔ̃†, from the four fidelity
+    terms of δ²F, ordered as `hessian_estimate`'s, each F(z, ·) pinned at z.
+    """
+    d2 = fid_plus_tilde - fid_plus - fid_minus_tilde + fid_minus
+    return -d2 / (4.0 * b_k * b_k)
 
 
 def complex_from_interleaved(theta):

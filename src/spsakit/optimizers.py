@@ -35,10 +35,7 @@ from .estimators import (
     GAIN_PRESETS,
     _count,
     gains_at,
-    gradient_estimate,
-    hessian_estimate,
-    metric_estimate,
-    quantum_natural_points,
+    resample,
     sample_perturbation,
 )
 from .linalg import hermitize, matrix_abs, orthonormal_bases, psd_sqrt_shifted, solve_pd
@@ -238,26 +235,6 @@ def estimate_blocking_tolerance(f, z0):
     return 2.0 * float(np.std(values, ddof=1))
 
 
-def _resample(config, f, fid, z, b_k, draws, prepare=None):
-    """One resample of an iteration's estimates, from the next rows of ``draws``.
-
-    Returns ``(g, h)``: the gradient estimate and, for a preconditioned
-    method, the Hessian or metric estimate (a float in scalar mode); h is
-    None for first-order methods.  ``prepare``, if given, is handed the
-    resample's `quantum_natural_points` before any oracle call.
-    """
-    delta_vec = next(draws)
-    if config.method == "first_order":
-        return gradient_estimate(f, z, b_k, delta_vec)[0], None
-    delta_tilde = next(draws)
-    if prepare is not None:
-        prepare(quantum_natural_points(z, b_k, delta_vec, delta_tilde))
-    g, pair = gradient_estimate(f, z, b_k, delta_vec)
-    if config.method == "second_order":
-        return g, hessian_estimate(f, z, b_k, delta_vec, delta_tilde, pair, config.scalar)
-    return g, metric_estimate(fid, z, b_k, delta_vec, delta_tilde, config.scalar)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
         callback=None):
@@ -279,10 +256,10 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
         ``fidelity(za, zb)`` in [0, 1], counted as ``objective`` is;
         required by quantum_natural methods.
         If it has a ``prepare`` attribute, as the fidelity of
-        `make_oracles` has, a quantum-natural run calls
-        ``fidelity.prepare(points)`` once per resample, uncharged, with the
-        (5, p) stack of `quantum_natural_points` that the resample's
-        estimates evaluate, before their first oracle call.
+        `make_oracles` has, a quantum-natural run hands it to
+        `estimators.resample`, which calls ``fidelity.prepare(points)``
+        once per resample, uncharged, with the (5, p) stack of the points
+        the resample evaluates, before its first oracle call.
     callback : callable, optional
         ``callback(k, z, g, step)`` invoked after every parameter update.
 
@@ -387,14 +364,15 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
         a_k, abar_k, b_k = gains_at(config.gains, k)
 
         if n_r == 1 and not preconditioned:
-            g, _ = _resample(config, f, fid, z, b_k, draws)
+            g, _ = resample(config.method, f, fid, z, b_k, next(draws))
         else:
             # Preconditioned methods sum into 0.0 even at N_R = 1: that
             # turns the estimate's -0.0 entries into 0.0, and eigh rounds
             # differently for matrices that differ only in the sign of a zero.
             g_sum = h_sum = 0.0
             for _ in range(n_r):
-                g, h = _resample(config, f, fid, z, b_k, draws, prepare)
+                g, h = resample(config.method, f, fid, z, b_k, next(draws),
+                                next(draws) if preconditioned else None, config.scalar, prepare)
                 g_sum += g
                 if preconditioned:
                     h_sum += h

@@ -16,6 +16,12 @@ iteration in arrays of its own record, `ReferenceTrace`, where the library
 stores one increment per counter and derives the arrays from it; comparing
 the two checks the derived counts against a count made call by call.
 
+It forms each resample's points z ± b_kΔ and z ± b_kΔ + b_kΔ̃ and makes its
+oracle calls itself, in the order `spsakit.estimators.resample` documents,
+and hands the values to the three estimators; a curvature estimate's matrix
+form is their coefficient times ΔΔ̃†.  So a bit-identical trace checks
+``resample``'s points, call order and matrix form against a second writing.
+
 It takes the perturbations' ``seed`` as ``run`` does, and writes the step
 formulas itself rather than take them from the code it checks:
 
@@ -109,17 +115,21 @@ def reference_run(objective, config, z0, *, seed, monitor, fidelity=None, callba
         for _ in range(config.resampling):
             delta_vec = sample_perturbation(p, config.field, rng)
             drawn.append(delta_vec)
-            g, pair = gradient_estimate(f, z, b_k, delta_vec)
-            g_sum += g
+            plus, minus = z + b_k * delta_vec, z - b_k * delta_vec
+            f_plus, f_minus = f(plus), f(minus)
+            g_sum += gradient_estimate(f_plus, f_minus, b_k, delta_vec)
+            if not preconditioned:
+                continue
+            delta_tilde = sample_perturbation(p, config.field, rng)
+            drawn.append(delta_tilde)
+            plus_tilde, minus_tilde = plus + b_k * delta_tilde, minus + b_k * delta_tilde
+            # arguments are evaluated left to right: in the oracles' call order
             if config.method == "second_order":
-                delta_tilde = sample_perturbation(p, config.field, rng)
-                drawn.append(delta_tilde)
-                h_sum += hessian_estimate(f, z, b_k, delta_vec, delta_tilde, pair,
-                                          config.scalar)
-            elif config.method == "quantum_natural":
-                delta_tilde = sample_perturbation(p, config.field, rng)
-                drawn.append(delta_tilde)
-                h_sum += metric_estimate(fid, z, b_k, delta_vec, delta_tilde, config.scalar)
+                c = hessian_estimate(f(plus_tilde), f_plus, f(minus_tilde), f_minus, b_k)
+            else:
+                c = metric_estimate(fid(z, plus_tilde), fid(z, plus), fid(z, minus_tilde),
+                                    fid(z, minus), b_k)
+            h_sum += c if config.scalar else c * np.outer(delta_vec, np.conj(delta_tilde))
         g = g_sum / config.resampling
 
         if preconditioned:

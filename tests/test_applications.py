@@ -41,8 +41,8 @@ from spsakit.estimators import (
     COMPLEX,
     REAL,
     complex_from_interleaved,
-    gradient_estimate,
     interleave_complex,
+    resample,
     sample_perturbation,
 )
 from spsakit.optimizers import OptimizerConfig, run
@@ -914,7 +914,7 @@ class TestOracleSuite:
         count = 0
         for signs in itertools.product([1.0, -1.0], repeat=p):
             delta = np.array(signs)
-            g, _ = gradient_estimate(oracles.monitor, theta, 1e-4, delta)
+            g, _ = resample("first_order", oracles.monitor, None, theta, 1e-4, delta)
             total += g
             count += 1
         est = total / count

@@ -81,7 +81,7 @@ class TestCalibration:
     def test_first_step_near_target(self):
         # resulting first-step sup-norm within 3x of target on a VQE instance
         from spsakit.applications import make_oracles
-        from spsakit.estimators import gains_at, gradient_estimate, sample_perturbation
+        from spsakit.estimators import gains_at, resample, sample_perturbation
 
         prob = VqeProblem(n_qubits=3, layers=1, periodic=True, shots=math.inf)
         rng = np.random.default_rng(1)
@@ -94,15 +94,38 @@ class TestCalibration:
             z0 = prob.initial_point(check_rng)
             delta = sample_perturbation(6, "complex", check_rng)
             _, _, b1 = gains_at(STATIC, 1)
-            g, _ = gradient_estimate(oracles.objective, z0, b1, delta)
+            g, _ = resample("first_order", oracles.objective, None, z0, b1, delta)
             step = a * np.max(np.abs(g))
             assert step <= 3 * target
 
     def test_vanishing_gradients_raise(self):
         f = lambda z: 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^calibrate:"):
             calibrate_first_order_gain(f, [np.zeros(2)], STATIC, "real",
                                        np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1e308])
+    def test_non_finite_probe_norms_raise_without_a_warning(self, value):
+        # f(z ± b_1Δ) = ±value·Δ_0: the probe differences are inf, NaN or
+        # overflow numpy's float64, which warns outside run's rule
+        f = lambda z: np.float64(value) * np.sign(z[0])
+        with pytest.raises(ValueError, match="^calibrate:"):
+            calibrate_first_order_gain(f, [np.zeros(2)], STATIC, "real",
+                                       np.random.default_rng(0))
+
+    def test_calibration_holds_one_blas_thread(self, monkeypatch):
+        seen = []
+        original = bench.calibrate_first_order_gain
+
+        def spy(*args):
+            seen.append(linalg.blas_threads())
+            return original(*args)
+
+        monkeypatch.setattr(bench, "calibrate_first_order_gain", spy)
+        before = linalg.blas_threads()
+        result = run_ensemble(small_spec(n_runs=1, calibrate=True))
+        assert seen == [None if before is None else 1]
+        assert result.calibrated_a is not None
 
 
 class TestRunEnsemble:

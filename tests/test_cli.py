@@ -372,6 +372,10 @@ class TestApplicationTable:
                        "--calibrate", "true")),
         ("calibrate", ("--application", "sgqt", "--method", "quantum_natural",
                        "--calibrate", "true")),
+        # gain calibration whose probe gradients overflow
+        ("calibrate", ("--application", "grape", "--qubits", "2", "--slices", "3",
+                       "--calibrate", "true", "--gains", "1,1e10,0,0.602,0.101",
+                       "--runs", "2")),
         # each of these used to fail after the runs had started, or to run
         ("qubits", ("--application", "sgqt", "--qubits", "64")),
         ("j", ("--application", "vqe", "--j", "1e308")),
@@ -406,6 +410,34 @@ class TestApplicationTable:
         assert main(["--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("option", ["j", "h", "shots"])
+    def test_config_file_integer_past_the_float_range_names_its_option(self, tmp_path,
+                                                                       capsys, option):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "vqe", "qubits": 3, option: 10**400}))
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {option}: int too large to convert to float\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_config_file_largest_shot_budget_is_exact(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"application": "sgqt", "shots": 2**63 - 1}))
+        shots = parse_config(["--config", str(cfg_file)]).shots
+        assert type(shots) is int and shots == 2**63 - 1
+
+    @pytest.mark.parametrize("error", [RuntimeError("an estimator broke its evaluation "
+                                                    "contract"),
+                                       ValueError("a run's error")])
+    def test_errors_inside_runs_surface(self, tmp_path, monkeypatch, error):
+        # only calibration's errors are reported as an option's
+        def fail(spec):
+            raise error
+
+        monkeypatch.setattr(cli, "run_ensemble", fail)
+        with pytest.raises(type(error), match=str(error)):
+            main(["--application", "sgqt", "--qubits", "2", "--out", str(tmp_path / "x")])
+        assert not list(tmp_path.iterdir())
 
     def test_config_file_inf_string_is_exact(self, tmp_path):
         cfg_file = tmp_path / "c.json"

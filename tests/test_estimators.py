@@ -12,7 +12,7 @@ from spsakit.estimators import (
     hessian_estimate,
     interleave_complex,
     metric_estimate,
-    quantum_natural_points,
+    resample,
     sample_perturbation,
 )
 
@@ -105,23 +105,44 @@ class TestSamplePerturbation:
         assert block_rng.bit_generator.state == single_rng.bit_generator.state
 
 
+def gradient(f, z, b, delta):
+    """The gradient estimate of one first-order resample."""
+    return resample("first_order", f, None, z, b, delta)[0]
+
+
+def curvature(method, f, fid, z, b, delta, delta_tilde, scalar=False):
+    """The Hessian or metric estimate of one preconditioned resample."""
+    return resample(method, f, fid, z, b, delta, delta_tilde, scalar)[1]
+
+
+def hessian(f, z, b, delta, delta_tilde, scalar=False):
+    return curvature("second_order", f, None, z, b, delta, delta_tilde, scalar)
+
+
+def metric(fid, z, b, delta, delta_tilde, scalar=False):
+    return curvature("quantum_natural", lambda x: 0.0, fid, z, b, delta, delta_tilde, scalar)
+
+
 class TestGradientEstimate:
     def test_real_quadratic_example(self):
-        f = lambda t: float(t @ t)
+        values = []
+        f = lambda t: values.append(float(t @ t)) or values[-1]
         theta = np.array([1.0, 0.0])
         delta = np.array([1.0, -1.0])
-        g, pair = gradient_estimate(f, theta, 0.1, delta)
+        g, h = resample("first_order", f, None, theta, 0.1, delta)
         np.testing.assert_allclose(g, [2.0, -2.0], atol=1e-12)
-        assert pair == (pytest.approx(1.22), pytest.approx(0.82))
+        assert h is None
+        assert values == [pytest.approx(1.22), pytest.approx(0.82)]
+        assert gradient_estimate(*values, 0.1, delta).tobytes() == g.tobytes()
 
     def test_constant_function(self):
-        g, _ = gradient_estimate(lambda t: 5.0, np.zeros(3), 0.1, np.ones(3))
+        g = gradient(lambda t: 5.0, np.zeros(3), 0.1, np.ones(3))
         np.testing.assert_array_equal(g, np.zeros(3))
 
     def test_complex_single_perturbation(self):
         f = lambda z: float(abs(z[0]) ** 2)
         z = np.array([1.0 + 0.0j])
-        g, _ = gradient_estimate(f, z, 0.3, np.array([1.0j]))
+        g = gradient(f, z, 0.3, np.array([1.0j]))
         np.testing.assert_allclose(g, [0.0], atol=1e-12)
 
     def test_complex_enumeration_average_is_wirtinger_gradient(self):
@@ -129,8 +150,7 @@ class TestGradientEstimate:
         z = np.array([1.0 + 0.0j])
         avg = np.zeros(1, dtype=complex)
         for sym in (1, -1, 1j, -1j):
-            g, _ = gradient_estimate(f, z, 0.2, np.array([sym], dtype=complex))
-            avg += g
+            avg += gradient(f, z, 0.2, np.array([sym], dtype=complex))
         np.testing.assert_allclose(avg / 4, [1.0 + 0.0j], atol=1e-12)
 
     def test_real_unbiasedness_quadratic(self):
@@ -144,9 +164,7 @@ class TestGradientEstimate:
         total = np.zeros(3)
         n = 100_000
         for _ in range(n):
-            delta = sample_perturbation(3, "real", rng)
-            g, _ = gradient_estimate(f, theta, 1e-3, delta)
-            total += g
+            total += gradient(f, theta, 1e-3, sample_perturbation(3, "real", rng))
         np.testing.assert_allclose(total / n, expected, rtol=0.01)
 
     def test_complex_unbiasedness_hermitian_quadratic(self):
@@ -159,9 +177,7 @@ class TestGradientEstimate:
         total = np.zeros(2, dtype=complex)
         n = 100_000
         for _ in range(n):
-            delta = sample_perturbation(2, "complex", rng)
-            g, _ = gradient_estimate(f, z, 1e-3, delta)
-            total += g
+            total += gradient(f, z, 1e-3, sample_perturbation(2, "complex", rng))
         np.testing.assert_allclose(total / n, expected, rtol=0.01)
 
 
@@ -172,11 +188,10 @@ class TestHessianEstimate:
         theta = np.zeros(2)
         delta = np.array([1.0, 1.0])
         delta_t = np.array([1.0, -1.0])
-        _, pair = gradient_estimate(f, theta, 0.1, delta)
         # the second difference δ²f is -0.04
-        h_scalar = hessian_estimate(f, theta, 0.1, delta, delta_t, pair, scalar=True)
+        h_scalar = hessian(f, theta, 0.1, delta, delta_t, scalar=True)
         assert h_scalar == pytest.approx(-0.04 / (2 * 0.1 * 0.1))
-        h = hessian_estimate(f, theta, 0.1, delta, delta_t, pair)
+        h = hessian(f, theta, 0.1, delta, delta_t)
         np.testing.assert_allclose(h, [[-2.0, 2.0], [-2.0, 2.0]], atol=1e-9)
 
     def test_linear_function_gives_zero(self):
@@ -184,8 +199,7 @@ class TestHessianEstimate:
         theta = np.array([0.3, -0.6])
         delta = np.array([1.0, -1.0])
         delta_t = np.array([-1.0, -1.0])
-        _, pair = gradient_estimate(f, theta, 0.1, delta)
-        h = hessian_estimate(f, theta, 0.1, delta, delta_t, pair)
+        h = hessian(f, theta, 0.1, delta, delta_t)
         np.testing.assert_allclose(h, np.zeros((2, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -199,10 +213,7 @@ class TestHessianEstimate:
         count = 0
         for delta in itertools.product([1.0, -1.0], repeat=p):
             for delta_t in itertools.product([1.0, -1.0], repeat=p):
-                d = np.array(delta)
-                dt = np.array(delta_t)
-                _, pair = gradient_estimate(f, theta, 0.1, d)
-                total += hessian_estimate(f, theta, 0.1, d, dt, pair)
+                total += hessian(f, theta, 0.1, np.array(delta), np.array(delta_t))
                 count += 1
         np.testing.assert_allclose(total / count, 2 * a, atol=1e-10)
 
@@ -220,8 +231,7 @@ class TestHessianEstimate:
             for delta_t in itertools.product(alphabet, repeat=p):
                 d = np.array(delta, dtype=complex)
                 dt = np.array(delta_t, dtype=complex)
-                _, pair = gradient_estimate(f, z0, 0.1, d)
-                total += hessian_estimate(f, z0, 0.1, d, dt, pair)
+                total += hessian(f, z0, 0.1, d, dt)
                 count += 1
         np.testing.assert_allclose(total / count, m, atol=1e-10)
 
@@ -241,45 +251,80 @@ class TestMetricEstimate:
         for _ in range(n):
             d = sample_perturbation(1, "real", rng)
             dt = sample_perturbation(1, "real", rng)
-            total += metric_estimate(self.bloch_fidelity, theta, b, d, dt)[0, 0]
+            total += metric(self.bloch_fidelity, theta, b, d, dt)[0, 0]
         assert total / n == pytest.approx(0.25, rel=0.05)
 
     def test_constant_fidelity_gives_zero(self):
         f = lambda a, b: 1.0
         d = np.array([1.0])
-        h = metric_estimate(f, np.zeros(1), 0.1, d, d)
+        h = metric(f, np.zeros(1), 0.1, d, d)
         np.testing.assert_allclose(h, [[0.0]])
 
     def test_sign_swap_invariance(self):
         theta = np.array([0.4])
         d = np.array([1.0])
         dt = np.array([-1.0])
-        h1 = metric_estimate(self.bloch_fidelity, theta, 0.05, d, dt)
-        h2 = metric_estimate(self.bloch_fidelity, theta, 0.05, -d, -dt)
+        h1 = metric(self.bloch_fidelity, theta, 0.05, d, dt)
+        h2 = metric(self.bloch_fidelity, theta, 0.05, -d, -dt)
         np.testing.assert_allclose(h1, h2, atol=1e-12)
 
-    def test_uses_four_fidelity_evaluations(self):
-        calls = []
-        f = lambda a, b: calls.append(1) or 1.0
-        metric_estimate(f, np.zeros(2), 0.1, np.ones(2), np.ones(2), scalar=True)
-        assert len(calls) == 4
 
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_quantum_natural_points_are_the_evaluated_points(self, field):
-        # every point the gradient and metric estimates evaluate is a row of
-        # the stack, byte for byte, and every row is evaluated
+class TestResample:
+    """`resample` forms each point once, hands ``prepare`` the stack of them
+    and calls the oracles on those points, in a fixed order."""
+
+    @staticmethod
+    def _logged(method, field, prepare=True, scalar=False):
+        """The calls one resample at a random point makes, in order, each
+        with the bytes of its arguments, and the stack handed to prepare."""
         rng = np.random.default_rng(8)
         z = rng.standard_normal(5)
         if field == "complex":
             z = z + 1j * rng.standard_normal(5)
         d, dt = sample_perturbation(5, field, rng, 2)
-        seen = set()
-        record = lambda *args: seen.update(a.tobytes() for a in args) or 0.5
-        gradient_estimate(record, z, 0.07, d)
-        metric_estimate(record, z, 0.07, d, dt)
-        points = quantum_natural_points(z, 0.07, d, dt)
+        log, stacks = [], []
+        f = lambda x: log.append(("f", x.tobytes())) or 0.5
+        fid = lambda xa, xb: log.append(("fid", xa.tobytes(), xb.tobytes())) or 0.5
+
+        def record(points):
+            stacks.append(points.copy())
+            log.append(("prepare",))
+
+        resample(method, f, fid, z, 0.07, d, None if method == "first_order" else dt, scalar,
+                 record if prepare else None)
+        return z, d, dt, log, stacks
+
+    @pytest.mark.parametrize("method", ["second_order", "quantum_natural"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_prepare_rows_are_the_points_the_oracles_receive(self, method, field):
+        z, d, dt, log, (points,) = self._logged(method, field)
         assert points.shape == (5, 5) and points.dtype == z.dtype
-        assert seen == {row.tobytes() for row in points}
+        b = 0.07
+        expected = [z, z + b * d, z - b * d, z + b * d + b * dt, z - b * d + b * dt]
+        assert [row.tobytes() for row in points] == [x.tobytes() for x in expected]
+        at, plus, minus, plus_tilde, minus_tilde = (row.tobytes() for row in points)
+        second = ([("f", plus_tilde), ("f", minus_tilde)] if method == "second_order" else
+                  [("fid", at, plus_tilde), ("fid", at, plus), ("fid", at, minus_tilde),
+                   ("fid", at, minus)])
+        assert log == [("prepare",), ("f", plus), ("f", minus)] + second
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_first_order_calls_the_objective_twice_and_never_prepares(self, field):
+        z, d, _, log, stacks = self._logged("first_order", field)
+        assert stacks == []
+        assert log == [("f", (z + 0.07 * d).tobytes()), ("f", (z - 0.07 * d).tobytes())]
+
+    @pytest.mark.parametrize("method,scalar,calls", [
+        ("first_order", False, {"f": 2}),
+        ("second_order", False, {"f": 4}),
+        ("second_order", True, {"f": 4}),
+        ("quantum_natural", False, {"f": 2, "fid": 4}),
+        ("quantum_natural", True, {"f": 2, "fid": 4}),
+    ])
+    def test_evaluation_counts(self, method, scalar, calls):
+        log = self._logged(method, "complex", prepare=False, scalar=scalar)[3]
+        assert {kind: sum(e[0] == kind for e in log) for kind in calls} == calls
+        assert len(log) == sum(calls.values())
 
 
 def replay(values):
@@ -294,20 +339,21 @@ class TestScalarPreconditioner:
 
     def test_second_order_example(self):
         # δ²f = f(z+bΔ+bΔ̃) − f₊ − f(z−bΔ+bΔ̃) + f₋ = −0.04 − 0 − 0 + 0
+        assert hessian_estimate(-0.04, 0.0, 0.0, 0.0, 0.1) == pytest.approx(-2.0)
         d = np.ones(2)
-        h = hessian_estimate(replay([-0.04, 0.0]), np.zeros(2), 0.1, d, d, (0.0, 0.0),
-                             scalar=True)
+        h = hessian(replay([0.0, 0.0, -0.04, 0.0]), np.zeros(2), 0.1, d, d, scalar=True)
         assert h == pytest.approx(-2.0)
 
     def test_zero(self):
+        assert metric_estimate(0.0, 0.0, 0.0, 0.0, 0.1) == 0.0
         d = np.ones(2)
-        h = metric_estimate(replay([0.0] * 4), np.zeros(2), 0.1, d, d, scalar=True)
-        assert h == 0.0
+        assert metric(replay([0.0] * 4), np.zeros(2), 0.1, d, d, scalar=True) == 0.0
 
     def test_quantum_natural_example(self):
+        # δ²F = F(z, z+bΔ+bΔ̃) − F(z, z+bΔ) − F(z, z−bΔ+bΔ̃) + F(z, z−bΔ)
+        assert metric_estimate(-0.004, 0.0, 0.0, 0.0, 0.1) == pytest.approx(0.1)
         d = np.ones(2)
-        h = metric_estimate(replay([-0.004, 0.0, 0.0, 0.0]), np.zeros(2), 0.1, d, d,
-                            scalar=True)
+        h = metric(replay([-0.004, 0.0, 0.0, 0.0]), np.zeros(2), 0.1, d, d, scalar=True)
         assert h == pytest.approx(0.1)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -323,14 +369,10 @@ class TestScalarPreconditioner:
         for _ in range(10):
             d = sample_perturbation(p, field, rng)
             dt = sample_perturbation(p, field, rng)
-            _, pair = gradient_estimate(f, z, 0.1, d)
             outer = np.outer(d, np.conj(dt))
-            for full, scalar in [
-                (hessian_estimate(f, z, 0.1, d, dt, pair),
-                 hessian_estimate(f, z, 0.1, d, dt, pair, scalar=True)),
-                (metric_estimate(fid, z, 0.1, d, dt),
-                 metric_estimate(fid, z, 0.1, d, dt, scalar=True)),
-            ]:
+            for method in ("second_order", "quantum_natural"):
+                full = curvature(method, f, fid, z, 0.1, d, dt)
+                scalar = curvature(method, f, fid, z, 0.1, d, dt, scalar=True)
                 assert np.isscalar(scalar)
                 assert full.tobytes() == (scalar * outer).tobytes()
 

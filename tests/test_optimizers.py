@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from optimizer_reference import reference_run
 
 import spsakit.optimizers as optimizers
-from spsakit.estimators import (GAIN_PRESETS, GainSchedule, gains_at, gradient_estimate,
-                                hessian_estimate, metric_estimate, sample_perturbation)
+from spsakit.estimators import (GAIN_PRESETS, GainSchedule, gains_at, resample,
+                                sample_perturbation)
 from spsakit.linalg import matrix_abs, orthonormal_bases, solve_pd
 from spsakit.optimizers import (
     OptimizerConfig,
@@ -165,14 +167,10 @@ class TestSteps:
         rng = np.random.default_rng(cls.SEED)
         _, _, b1 = gains_at(config.gains, 1)
         delta = sample_perturbation(z0.size, config.field, rng)
-        g, pair = gradient_estimate(f, z0, b1, delta)
         if config.method == "first_order":
-            return g, None, None
+            return resample(config.method, f, fid, z0, b1, delta)[0], None, None
         delta_tilde = sample_perturbation(z0.size, config.field, rng)
-        if config.method == "second_order":
-            h_raw = hessian_estimate(f, z0, b1, delta, delta_tilde, pair, config.scalar)
-        else:
-            h_raw = metric_estimate(fid, z0, b1, delta, delta_tilde, config.scalar)
+        g, h_raw = resample(config.method, f, fid, z0, b1, delta, delta_tilde, config.scalar)
         return g, h_raw, np.stack([delta, delta_tilde], axis=1)
 
     @classmethod
@@ -324,11 +322,10 @@ class TestResampleAverage:
 
     def _draws(self, n, seed=0):
         # the perturbations run draws from its seed, one per resample
-        from spsakit.estimators import gains_at, gradient_estimate, sample_perturbation
-
         rng = np.random.default_rng(seed)
         _, _, b1 = gains_at(STATIC, 1)
-        return [gradient_estimate(self._f, self.THETA, b1, sample_perturbation(3, "real", rng))[0]
+        return [resample("first_order", self._f, None, self.THETA, b1,
+                         sample_perturbation(3, "real", rng))[0]
                 for _ in range(n)]
 
     def test_single_draw_identity(self):
@@ -746,6 +743,45 @@ class TestEvaluationAccounting:
         np.testing.assert_array_equal(trace.objective_evals, expected_obj)
         np.testing.assert_array_equal(trace.fidelity_evals, expected_fid)
 
+    # 200 examples of the 180 combinations take about 0.5 s on a 2-core x86-64.
+    @settings(derandomize=True, max_examples=200, database=None, deadline=None)
+    @given(st.sampled_from([("first_order", False), ("second_order", False),
+                            ("second_order", True), ("quantum_natural", False),
+                            ("quantum_natural", True)]),
+           st.sampled_from(["spall", "gidi"]), st.sampled_from(["real", "complex"]),
+           st.integers(1, 3), st.sampled_from([None, 0.05, "auto"]))
+    def test_evaluation_plan(self, method_scalar, postproc, field, n_r, blocking):
+        # every iteration spends N_R × (4 second order, 2 otherwise) objective
+        # evaluations, + 1 under blocking, and N_R × 4 fidelity evaluations
+        # quantum natural, counted call by call outside run
+        method, scalar = method_scalar
+        c, f, fid = quadratic_problem(field)
+        counts = np.zeros(2, dtype=np.int64)
+
+        def objective(z):
+            counts[0] += 1
+            return f(z)
+
+        def fidelity(za, zb):
+            counts[1] += 1
+            return fid(za, zb)
+
+        after = []
+        cfg = OptimizerConfig(method=method, field=field, scalar=scalar, gains=STATIC,
+                              postproc=postproc, blocking=blocking, resampling=n_r,
+                              max_iterations=4)
+        trace = run(objective, cfg, c + 1.0, seed=0, fidelity=fidelity, monitor=f,
+                    callback=lambda *_: after.append(counts.copy()))
+        assert not trace.diverged
+        before = {None: 0, 0.05: 1, "auto": 26}[blocking]
+        per_iteration = (n_r * (4 if method == "second_order" else 2) + (blocking is not None),
+                         4 * n_r if method == "quantum_natural" else 0)
+        np.testing.assert_array_equal(
+            after, [(before, 0) + k * np.array(per_iteration) for k in range(1, 5)])
+        assert trace.objective_evals_before == before
+        np.testing.assert_array_equal(trace.objective_evals, [a[0] for a in after])
+        np.testing.assert_array_equal(trace.fidelity_evals, [a[1] for a in after])
+
     def test_scalar_budgets_match_matrix_budgets(self):
         c, f, fid = quadratic_problem("complex")
         for method in ("second_order", "quantum_natural"):
@@ -793,19 +829,34 @@ class TestEvaluationAccounting:
         ("quantum_natural", "metric_estimate"),
     ])
     def test_extra_call_at_iteration_3_raises(self, monkeypatch, method, estimator):
-        # an estimator that breaks its contract once would otherwise leave
-        # counts in the trace that the run never spent
-        original = getattr(optimizers, estimator)
-        calls = []
+        # an oracle that makes one extra call for one estimate would
+        # otherwise leave counts in the trace that the run never spent
+        original = optimizers.resample
+        resamples = []
 
-        def one_extra(oracle, z, *args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
-                # the metric estimate's oracle is the fidelity
-                oracle(z, z) if estimator == "metric_estimate" else oracle(z)
-            return original(oracle, z, *args, **kwargs)
+        def twice_at(oracle, n):
+            """``oracle``, calling itself once more at its n-th call."""
+            calls = []
 
-        monkeypatch.setattr(optimizers, estimator, one_extra)
+            def extra(*args):
+                calls.append(None)
+                if len(calls) == n:
+                    oracle(*args)
+                return oracle(*args)
+            return extra
+
+        def one_extra(method, f, fid, *args):
+            resamples.append(None)
+            if len(resamples) == 3:
+                # the gradient's calls are the objective's first two, the
+                # Hessian's its last two, the metric's the fidelity's four
+                if estimator == "metric_estimate":
+                    fid = twice_at(fid, 1)
+                else:
+                    f = twice_at(f, 3 if estimator == "hessian_estimate" else 1)
+            return original(method, f, fid, *args)
+
+        monkeypatch.setattr(optimizers, "resample", one_extra)
         c, f, fid = quadratic_problem("complex")
         cfg = OptimizerConfig(method=method, gains=STATIC, max_iterations=5)
         with pytest.raises(RuntimeError, match="iteration 3"):

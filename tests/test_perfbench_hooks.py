@@ -15,6 +15,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spsakit import bench
@@ -55,6 +56,25 @@ def test_problem_states_call_the_traced_module_globals(monkeypatch):
     assert applications.VqeProblem().state(None) == "vqe_state"
     assert applications.GrapeProblem().state(None) == "grape_final_state"
     assert calls == ["vqe_state", "grape_final_state"]
+
+
+@pytest.mark.parametrize("method, called", [
+    ("first_order", ["gradient_estimate"]),
+    ("second_order", ["gradient_estimate", "hessian_estimate"]),
+    ("quantum_natural", ["gradient_estimate", "metric_estimate"]),
+])
+def test_resample_calls_the_traced_estimator_globals(monkeypatch, method, called):
+    """The traced estimator spans count one call per resample only while
+    ``resample`` reaches each estimator once, as a module global."""
+    estimators = importlib.import_module("spsakit.estimators")
+    calls = []
+    for name in ("gradient_estimate", "hessian_estimate", "metric_estimate"):
+        monkeypatch.setattr(estimators, name,
+                            lambda *values, name=name: calls.append(name) or 0.0)
+    delta = np.ones(2)
+    estimators.resample(method, lambda z: 0.0, lambda za, zb: 1.0, np.zeros(2), 0.1, delta,
+                        None if method == "first_order" else delta)
+    assert calls == called
 
 
 @pytest.fixture(scope="module")
