@@ -36,6 +36,7 @@ finite, which bounds every matrix entry and every eigenvalue.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Protocol
@@ -430,51 +431,92 @@ def _bond_sectors(n, periodic):
     return _read_only(index), _read_only(blocks.reshape(3, -1))
 
 
-_TAYLOR_INV = tuple(1.0 / math.factorial(j) for j in range(13))
-# Paterson-Stockmeyer blocks of the degree-12 Taylor sum in B = A/2^s:
-# p_i = _PS_DIAG[i]·I + _PS_COEFFS[i] · (B, B², B³), and
-# exp(B) ≈ p0 + B³(p1 + B³(p2 + B³p3)).
-_PS_COEFFS = _read_only(np.array([
-    [_TAYLOR_INV[1], _TAYLOR_INV[2], 0.0],
-    [_TAYLOR_INV[4], _TAYLOR_INV[5], 0.0],
-    [_TAYLOR_INV[7], _TAYLOR_INV[8], 0.0],
-    [_TAYLOR_INV[10], _TAYLOR_INV[11], _TAYLOR_INV[12]],
+@lru_cache(maxsize=16)
+def _norm_table(n, periodic):
+    """GRAPE's row-sum norm table: the distinct rows of ``_bond_sectors``.
+
+    Entry (i, j) of a sector generator is c·t, with c the slice's three
+    scaled couplings and t = (B_x, B_y, B_z)[i, j] one of a few distinct
+    integer triples, so a row's sum Σ_j |c·t| is Σ_t count·|c·t| over the
+    triples of that row.  Returns read-only ``(triples, counts)``:
+    ``triples`` is the complex (3, K) array of the distinct triples, zero
+    included where a row has zeros, and ``counts`` the float (K, R) array
+    whose column r counts each triple in the r-th distinct row type, so
+    that ``(np.abs(c @ triples) @ counts).max()`` is the largest row-sum
+    norm of the slices whose couplings are the rows of ``c``.
+    """
+    index, generators = _bond_sectors(n, periodic)
+    h = index.shape[1]
+    # the (B_x, B_y, B_z) triples of each row, counted in Python: building
+    # the table with np.unique on rows raised a 5-qubit GRAPE process's peak
+    # RSS by about 1 MB
+    entries = generators.real.reshape(3, -1, h).transpose(1, 2, 0).tolist()
+    rows = [Counter(map(tuple, row)) for row in entries]
+    triples = sorted(set().union(*rows))
+    types = sorted({tuple(row[t] for t in triples) for row in rows})
+    return (_read_only(np.array(triples, dtype=np.complex128).T.copy()),
+            _read_only(np.array(types, dtype=np.float64).T.copy()))
+
+
+# The degree-18 Taylor polynomial T18 of Bader, Blanes & Casas (2019,
+# Mathematics 7:1174) in five products.  Row i holds the coefficients of
+# B_{i+1} on (I, A, A², A³, A⁶); then A9 = B1·B5 + B4 and
+# T18 = B2 + (B3 + A9)·A9 = Σ_{k≤18} A^k/k! up to the rounding of these
+# decimals (the coefficient test multiplies them out exactly).
+_T18 = _read_only(np.array([
+    [0.0, -0.10036558103014462001, -0.00802924648241156960, -0.00089213849804572995, 0.0],
+    [0.0, 0.39784974949964507614, 1.36783778460411719922, 0.49828962252538267755,
+     -0.00063789819459472463],
+    [-10.9676396052962062593, 1.68015813878906197182, 0.05717798464788655127,
+     -0.00698210122488052084, 0.00003349750170860705],
+    [-0.09043168323908105619, -0.06764045190713819075, 0.06759613017704596460,
+     0.02955525704293155274, -0.00001391802575160607],
+    [0.0, 0.0, -0.09233646193671185927, -0.01693649390020817171, -0.00001400867981820361],
 ]))
-_PS_DIAG = _read_only(np.array([_TAYLOR_INV[i] for i in (0, 3, 6, 9)])[:, None, None])
-# Norms above 2^_MAX_SQUARINGS would leave the scaled matrix outside the
-# unit ball where the degree-12 Taylor sum is accurate.
+# B1, B4, B5 (for A9) and B2, B3 (for T18): each one real GEMM on the powers
+_T18_A9 = _read_only(_T18[[0, 3, 4]])
+_T18_OUT = _read_only(_T18[[1, 2]])
+# Scaled norms up to θ18 keep the Taylor tail Σ_{k≥19} θ^k/k! within
+# Σ_{k≥13} 1/k! ≈ 1.73e-10, the tail of a degree-12 sum at norm 1; θ18 is
+# the largest such θ to four decimals.
+_THETA_18 = 2.4126
+# Norms above θ18·2^_MAX_SQUARINGS give NaN.
 _MAX_SQUARINGS = 60
 
 
 def _expm_stack(a, norm):
     """exp(A_m) for a stack of small square complex matrices, batched over the leading axis.
 
-    Degree-12 Taylor in Paterson-Stockmeyer form with scaling and squaring;
-    much faster than per-slice scipy.expm for the sizes used here.  One
-    squaring count s serves the whole stack: the smallest that brings the
-    largest row-sum norm ν = m·2^e (½ ≤ m < 1, from ``math.frexp``) to ≤ 1,
-    which is e, or e − 1 for m = ½.  ``norm`` is ν, ``_row_sum_norm(a)``,
-    which the caller computes once and also uses for GRAPE's rescaling.  The
-    Taylor remainder at a scaled norm ≤ 1 is at most about 1/13! ≈ 1.6e-10
-    relative, and each squaring roughly doubles the error, so the bound is
-    about 2^s·1.6e-10.  Measured against scipy.linalg.expm on the 16 × 16
-    GRAPE blocks of ``test_expm_stack_matches_scipy``: a relative error of
-    6.4e-14 at norm 1, 1.1e-12 at 8, 4.6e-12 at 32 and 9.1e-12 at 64; for
-    the 1 × 1 stack [−i·2^20], 1.7e-4.  A stack whose norm is non-finite or
-    needs more than ``_MAX_SQUARINGS`` squarings gives NaN, which the GRAPE
-    oracles report as a diverged evaluation.
+    The degree-18 Taylor polynomial T18 of Bader, Blanes & Casas (2019,
+    *Mathematics* 7:1174) with scaling and squaring; much faster than
+    per-slice scipy.linalg.expm at the sizes used here.  One squaring count
+    s serves the whole stack: the smallest with ν·2^−s ≤ θ18 = 2.4126,
+    where ``norm`` is ν, the largest row-sum norm of the stack, which the
+    caller computes once and also uses for GRAPE's rescaling.  With ν =
+    m·2^e (½ ≤ m < 1, from ``math.frexp``) and ½ ≤ θ18/4 < 1, s is e − 2 for
+    m ≤ θ18/4 and e − 1 otherwise, at least 0.  The Taylor remainder at
+    a scaled norm ≤ θ18 is at most Σ_{k≥19} θ18^k/k! ≤ Σ_{k≥13} 1/k! ≈
+    1.73e-10 relative, and each squaring roughly doubles the error, so the
+    bound is about 2^s·1.73e-10.  Measured against scipy.linalg.expm on the
+    16 × 16 GRAPE blocks of ``test_expm_stack_matches_scipy``: a relative
+    error of 3.0e-16 at norm 1, 8.9e-16 at 8, 4.0e-15 at 32, 1.4e-14 at 64
+    and 4.1e-14 at 256; for the 1 × 1 stack [−i·2^20], 2.2e-6.  A stack whose
+    norm is non-finite or needs more than ``_MAX_SQUARINGS`` squarings gives
+    NaN, which the GRAPE oracles report as a diverged evaluation.
 
-    Besides its 5 + s batched matrix products (two powers, three Horner
-    steps, s squarings), the kernel makes three passes over the stack: the
-    scaling multiplies by 2^−s, which is exact and bit-identical to dividing
-    by 2^s; the four blocks p_i are one real (4 × 3) GEMM on the float view
-    of (B, B², B³); and their identity terms are one update of the stacked
-    diagonals.
+    The 5 + s batched matrix products are A², A³, A⁶, B1·B5, (B3 + A9)·A9
+    and s squarings.  Besides them the kernel makes a few passes over the
+    stack: the scaling multiplies by 2^−s, which is exact and bit-identical
+    to dividing by 2^s; (B1, B4, B5) and then (B2, B3) are each one real
+    GEMM of their coefficients on the float view of (A, A², A³, A⁶), and
+    the identity terms of B4 and B3, the only nonzero ones, one update of
+    the stacked diagonals each; and three additions form A9, B3 + A9 and
+    T18.
     """
     if not math.isfinite(norm):
         return np.full_like(a, np.nan)
     mantissa, exponent = math.frexp(norm)
-    squarings = max(0, exponent - (mantissa == 0.5))
+    squarings = max(0, exponent - 1 - (mantissa <= _THETA_18 / 4))
     if squarings > _MAX_SQUARINGS:
         return np.full_like(a, np.nan)
     # All work arrays come from one block.  At 5 qubits, some 30 separate
@@ -483,31 +525,44 @@ def _expm_stack(a, norm):
     # of a build on a 2-core x86-64 machine.  glibc serves an 800 KB block
     # from the heap without trimming it once the first one has been freed.
     work = np.empty((8,) + a.shape, dtype=np.complex128)
-    b, b2, b3, p0, p1, p2, p3, t = work
-    np.multiply(a, 2.0**-squarings, out=b)
-    np.matmul(b, b, out=b2)
-    np.matmul(b2, b, out=b3)
-    # complex (B, B², B³) times real coefficients: one GEMM on the float view
-    powers = work[:3].reshape(3, -1).view(np.float64)
-    np.matmul(_PS_COEFFS, powers, out=work[3:7].reshape(4, -1).view(np.float64))
-    # identity terms go on the diagonals, every (h + 1)-th entry of each
-    # flattened h × h block: adding a broadcast eye is far slower
-    h = a.shape[-1]
-    diagonals = work[3:7].reshape(4, -1, h * h)[..., ::h + 1]
-    diagonals += _PS_DIAG
-    # p0 + b3 @ (p1 + b3 @ (p2 + b3 @ p3)), summed in place
-    p2 += np.matmul(b3, p3, out=t)
-    p1 += np.matmul(b3, p2, out=t)
-    p0 += np.matmul(b3, p1, out=t)
-    out, spare = p0, t
+    a1, a2, a3, a6, b1, b4, b5, a9 = work
+    np.multiply(a, 2.0**-squarings, out=a1)
+    np.matmul(a1, a1, out=a2)
+    np.matmul(a2, a1, out=a3)
+    np.matmul(a3, a3, out=a6)
+    # A9 = B1·B5 + B4, with (B1, B4, B5) in adjacent slots
+    _combine(_T18_A9, work)
+    np.matmul(b1, b5, out=a9)
+    a9 += b4
+    # T18 = B2 + (B3 + A9)·A9, with (B2, B3) in the slots of B1 and B4
+    b2, b3 = b1, b4
+    _combine(_T18_OUT, work)
+    b3 += a9
+    out, spare = np.matmul(b3, a9, out=b5), a9
+    out += b2
     for _ in range(squarings):
         out, spare = np.matmul(out, out, out=spare), out
     return out
 
 
-def _row_sum_norm(a):
-    """The largest row-sum norm ‖A_m‖∞ of a stack of square matrices."""
-    return float(np.abs(a).sum(axis=-1).max(initial=0.0))
+def _combine(coeffs, work):
+    """Write Σ_j coeffs[i, j]·P_j, P = (I, A, A², A³, A⁶), to ``work[4 + i]``,
+    with A…A⁶ in ``work[:4]``.
+
+    Complex powers times real coefficients are one GEMM on the float view.
+    A real identity term goes on the real parts of the diagonals, every
+    2(h + 1)-th float of each flattened h × h block, and only where it is
+    nonzero: in a 25-slice 16 × 16 build, adding to every complex diagonal
+    of the three and the two slots took 9 and 7 µs, and this 4 each.
+    """
+    rows, h = len(coeffs), work.shape[-1]
+    slots = work[4:4 + rows]
+    powers = work[:4].reshape(4, -1).view(np.float64)
+    np.matmul(coeffs[:, 1:], powers, out=slots.reshape(rows, -1).view(np.float64))
+    for slot, identity in zip(slots, coeffs[:, 0]):
+        if identity:
+            diagonal = slot.reshape(-1, h * h).view(np.float64)[:, ::2 * (h + 1)]
+            np.add(diagonal, identity, out=diagonal)
 
 
 # ln of the factor by which GRAPE's state norm may grow or shrink between two
@@ -540,11 +595,17 @@ def grape_final_state(prob: GrapeProblem, controls):
     ``_bond_sectors``, so the propagation never forms a 2^n × 2^n matrix.
     All M·nb sector generators are one (M × 3) @ (3 × nb·h·h) GEMM of the
     scaled couplings against that table, and are exponentiated in one
-    ``_expm_stack`` call, whose row-sum norm ν (computed once here and
-    shared with the rescaling rule) and hence squaring count equal those of
-    the full generators.  The state is gathered into its sector columns,
-    each slice is one batched product ``u @ psi``, and the result is
-    scattered back to the computational basis order.
+    ``_expm_stack`` call.  Its row-sum norm ν, shared with the rescaling
+    rule, and hence its squaring count equal those of the full generators.
+    ν is read from ``_norm_table`` rather than from the stack: each entry
+    is the slice's scaled couplings times one of a few integer triples, so
+    ν is the largest over slices and distinct row types of Σ count·|c·t|,
+    two small GEMMs in place of a pass over all M·nb·h·h entries.  It
+    equals the stack's row-sum norm up to a few ulps, from the order of the
+    sums, and is non-finite exactly where that norm is.  The state is
+    gathered into its sector columns, each slice is one batched product
+    ``u @ psi``, and the result is scattered back to the computational basis
+    order.
     """
     controls = np.asarray(controls, dtype=np.complex128)
     if controls.size != 3 * prob.slices:
@@ -552,11 +613,12 @@ def grape_final_state(prob: GrapeProblem, controls):
     if prob.psi0 is None:
         raise ValueError("GrapeProblem.psi0 is unset; materialize the problem first")
     index, generators = _bond_sectors(prob.n_qubits, prob.periodic)
+    triples, counts = _norm_table(prob.n_qubits, prob.periodic)
     nb, h = index.shape[:2]
     # exp(-i dt H_m) with H_m = -(1/2) sum_k J_k B_k
-    generators = ((0.5j * prob.dt) * controls.reshape(prob.slices, 3)) @ generators
-    stack = generators.reshape(-1, h, h)
-    nu = _row_sum_norm(stack)
+    couplings = (0.5j * prob.dt) * controls.reshape(prob.slices, 3)
+    stack = (couplings @ generators).reshape(-1, h, h)
+    nu = float((np.abs(couplings @ triples) @ counts).max())
     propagators = _expm_stack(stack, nu).reshape(prob.slices, nb, h, h)
     # ν = 0 needs only the final normalization, and a non-finite ν has given
     # NaN propagators, which the final rescaling catches; L/ν is capped before

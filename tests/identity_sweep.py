@@ -14,7 +14,10 @@ problem classes, whose signatures it needs unchanged.
 
 The grid: every method × scalar/matrix × spall/gidi × field × blocking
 off/auto/0.05 × N_R 1 and 2, on VQE at 3 qubits, GRAPE at 2 qubits and 3
-slices and SGQT at 2 qubits; GRAPE runs that diverge as ``"recorded"``,
+slices and SGQT at 2 qubits; GRAPE at the benchmark's size, 5 qubits and
+25 slices, whose 16 × 16 propagator blocks take several squarings, with
+first-order and quantum-natural runs in both fields; GRAPE runs that
+diverge as ``"recorded"``,
 ``"candidate"`` and ``"preconditioner"``; and one pooled calibrated ensemble
 per application.  A digest hashes each trace's ``objective``, ``accepted``,
 ``final_params``, ``objective_evals``, ``fidelity_evals``, ``recorded``,
@@ -51,6 +54,7 @@ PROBLEMS = {
     "grape2x3": GrapeProblem(n_qubits=2, slices=3),
     "sgqt2": SgqtProblem(n_qubits=2),
 }
+GRAPE_BENCHMARK_SIZE = GrapeProblem(n_qubits=5, slices=25)
 
 
 def _methods():
@@ -75,6 +79,10 @@ def single_runs():
                                                  max_iterations=ITERATIONS, **method)
                         yield (f"{app}/{label}/{field}/blocking={blocking}/nr={resampling}",
                                problem, config)
+    for field in ("real", "complex"):
+        for method in ("first_order", "quantum_natural"):
+            config = OptimizerConfig(method=method, field=field, max_iterations=ITERATIONS)
+            yield f"grape5x25/{method}/{field}", GRAPE_BENCHMARK_SIZE, config
     grape = PROBLEMS["grape2x3"]
     diverging = {
         # a step so long that the iterate's propagators overflow to NaN

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 from statevector_reference import (
@@ -20,6 +21,7 @@ from statevector_reference import (
     reference_grape_final_state,
     reference_oracles,
     reference_vqe_state,
+    row_sum_norm,
 )
 
 import spsakit.applications as applications
@@ -30,7 +32,6 @@ from spsakit.applications import (
     SgqtProblem,
     VqeProblem,
     _expm_stack,
-    _row_sum_norm,
     entangling_layer,
     grape_final_state,
     make_oracles,
@@ -56,6 +57,7 @@ _CACHED_CALLS = {
     "spsakit.applications.entangling_layer": (4, "ccz_ring"),
     "spsakit.applications._heisenberg": (3, 1.0, 0.3, True),
     "spsakit.applications._bond_sectors": (4, True),
+    "spsakit.applications._norm_table": (4, True),
 }
 
 
@@ -360,11 +362,13 @@ class TestGrape:
         assert make_oracles(prob, None).objective(controls) == pytest.approx(0.0, abs=1e-12)
 
     def test_propagator_norm_beyond_squaring_cap_gives_nan(self):
-        theta = 2.5 * 2.0**60  # needs 62 squarings; the cap is 60
-        a = np.array([[[-1j * theta]], [[0.5j]]])
-        assert np.isnan(_expm_stack(a, _row_sum_norm(a))).all()
+        # 2.5 * 2^60 > theta18 * 2^60 needs 61 squarings; the cap is 60
+        norm = 2.5 * 2.0**60
+        assert applications._THETA_18 * 2.0**60 < norm <= applications._THETA_18 * 2.0**61
+        a = np.array([[[-1j * norm]], [[0.5j]]])
+        assert np.isnan(_expm_stack(a, row_sum_norm(a))).all()
         a = np.array([[[-12j]], [[0.5j]]])
-        ok = _expm_stack(a, _row_sum_norm(a))
+        ok = _expm_stack(a, row_sum_norm(a))
         np.testing.assert_allclose(ok[:, 0, 0], np.exp([-12j, 0.5j]), atol=1e-8)
 
     @pytest.mark.parametrize("n, periodic", [
@@ -451,8 +455,9 @@ class TestGrape:
     @given(_grape_inputs(0.05))
     def test_final_state_matches_dense_expm_reference(self, inputs):
         # |parts| <= 0.05 keeps every generator's row-sum norm below 3/4
-        # (0.5 * sqrt(2) * 0.05 * 21 at n = 7 periodic), where the degree-12
-        # Taylor sum errs by < 1e-11; larger norms are covered below
+        # (0.5 * sqrt(2) * 0.05 * 21 at n = 7 periodic), which needs no
+        # squaring and where the degree-18 Taylor sum's tail is < 1e-19;
+        # larger norms are covered below
         prob, controls = inputs
         out = grape_final_state(prob, controls)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -467,7 +472,7 @@ class TestGrape:
         prob, controls = inputs
         coeffs = (0.5j * prob.dt) * controls.reshape(prob.slices, 3)
         full = np.einsum("mk,kij->mij", coeffs, bond_operators(prob.n_qubits, prob.periodic))
-        propagators = _expm_stack(full, _row_sum_norm(full))
+        propagators = _expm_stack(full, row_sum_norm(full))
         psi = prob.psi0
         for u in propagators:
             psi = u @ psi
@@ -481,7 +486,7 @@ class TestGrape:
         nb, h = index.shape[:2]
         stack = (0.5j * prob.dt) * controls.reshape(prob.slices, 3) @ generators
         stack = stack.reshape(-1, h, h)
-        propagators = _expm_stack(stack, _row_sum_norm(stack))
+        propagators = _expm_stack(stack, row_sum_norm(stack))
         return index, stack, propagators.reshape(prob.slices, nb, h, h)
 
     @settings(max_examples=60, deadline=None)
@@ -549,7 +554,7 @@ class TestGrape:
         np.testing.assert_allclose(grape_final_state(prob, controls), expected,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("norm", [0.5, 1.0, 3.0, 8.0, 32.0, 64.0])
+    @pytest.mark.parametrize("norm", [0.5, 1.0, 3.0, 8.0, 32.0, 64.0, 128.0, 256.0])
     def test_expm_stack_matches_scipy(self, norm):
         # 16 x 16 parity blocks of 5-qubit GRAPE generators, scaled to a
         # given largest row-sum norm
@@ -558,10 +563,10 @@ class TestGrape:
         coeffs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         a = np.tensordot(0.5j * coeffs, blocks[0], axes=1)
         a *= norm / np.abs(a).sum(axis=-1).max()
-        out = _expm_stack(a, _row_sum_norm(a))
+        out = _expm_stack(a, row_sum_norm(a))
         ref = np.stack([scipy.linalg.expm(m) for m in a])
         err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
-        assert err.max() < 1e-8
+        assert err.max() < 1e-12
 
     @pytest.mark.parametrize("length", [1, 25, 50])
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 6])  # blocks of 1, 2, 8, 16 and 32
@@ -582,7 +587,7 @@ class TestGrape:
             a *= 2.0**exponent / np.abs(a).sum(axis=-1).max()
             a.flags.writeable = False
             before = a.copy()
-            out, ref = _expm_stack(a, _row_sum_norm(a)), reference_expm_stack(a)
+            out, ref = _expm_stack(a, row_sum_norm(a)), reference_expm_stack(a)
             np.testing.assert_array_equal(a, before)
             err = np.linalg.norm(out - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
             assert err.max() <= 1e-13, (exponent, err.max())
@@ -591,39 +596,137 @@ class TestGrape:
         (np.nan, True),
         (complex(0.0, np.inf), True),
         (complex(-np.inf, 1.0), True),
-        (2.0**60, False),  # exactly 60 squarings: the cap
-        (2.0**60 * (1 + 2.0**-40), True),  # just past the cap
-        (2.0**60 * (1 + 2.0**-52), True),  # one ulp past the cap: 61 squarings
+        (applications._THETA_18 * 2.0**60, False),  # exactly 60 squarings: the cap
+        (applications._THETA_18 * 2.0**60 * (1 + 2.0**-40), True),  # just past the cap
+        # one ulp past the cap: 61 squarings
+        (math.nextafter(applications._THETA_18 * 2.0**60, math.inf), True),
         (2.5 * 2.0**60, True),
     ])
     def test_expm_stack_is_nan_exactly_where_the_reference_is(self, value, nan):
+        # a real negative entry, whose exponential underflows through the
+        # squarings: exp(-i x) at x = theta18 * 2^60 is unitary, but 60
+        # squarings of T18(-i theta18), of modulus 1 + 1.1e-10, overflow
         a = np.zeros((3, 2, 2), dtype=complex)
         a[:, 0, 1] = a[:, 1, 0] = 0.5j
-        a[1, 0, 0] = -1j * value
-        out, ref = _expm_stack(a, _row_sum_norm(a)), reference_expm_stack(a)
+        a[1, 0, 0] = -value
+        out, ref = _expm_stack(a, row_sum_norm(a)), reference_expm_stack(a)
         assert np.isnan(out).all() == np.isnan(ref).all() == nan
         if not nan:
             assert np.isfinite(out).all()
 
-    def test_squaring_count_is_the_smallest_that_reaches_the_unit_ball(self, monkeypatch):
+    def test_squaring_count_is_the_smallest_that_reaches_theta(self, monkeypatch):
         # A count past the cap gives NaN, so moving the cap reads the count:
         # finite at cap s and NaN at cap s - 1 means exactly s squarings.
-        # Norms one ulp above a power of two are where ceil(log2) falls short.
+        # For k >= 0, theta18 * 2^k is the largest norm that needs k
+        # squarings and one ulp more needs k + 1; the norms one ulp below
+        # and the powers of two with their next ulps lie inside a count's
+        # range.
         import statevector_reference
 
+        theta = applications._THETA_18
         for k in range(-3, 61):
-            for norm in (2.0**k, 2.0**k * (1 + 2.0**-52)):
+            edge = theta * 2.0**k
+            for norm in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+                         2.0**k, 2.0**k * (1 + 2.0**-52)):
                 s = 0
-                while norm * 2.0**-s > 1.0:
+                while norm * 2.0**-s > theta:
                     s += 1
-                a = np.array([[[-1j * norm]]])
+                if norm == edge:
+                    assert s == max(0, k)
+                elif norm > edge:
+                    assert s == max(0, k + 1)
+                # real and negative, so that the squarings underflow rather
+                # than overflow (see the test above)
+                a = np.array([[[-norm + 0j]]])
                 for cap, nan in ((s, False), (s - 1, True)):
                     if cap < 0:
                         continue
                     for module in (applications, statevector_reference):
                         monkeypatch.setattr(module, "_MAX_SQUARINGS", cap)
-                    for out in (_expm_stack(a, _row_sum_norm(a)), reference_expm_stack(a)):
+                    for out in (_expm_stack(a, row_sum_norm(a)), reference_expm_stack(a)):
                         assert np.isnan(out).all() == nan, (k, norm, cap)
+
+    def test_t18_coefficients_give_the_degree_18_taylor_polynomial(self):
+        # the stored float64 coefficients multiplied out exactly: every
+        # coefficient of x^0 ... x^18 is 1/k! within 2e-15 relative
+        def poly(row):
+            p = [Fraction(0)] * 7
+            for power, c in zip((0, 1, 2, 3, 6), row):
+                p[power] = Fraction(float(c))
+            return p
+
+        def add(p, q):
+            size = max(len(p), len(q))
+            return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                    for i in range(size)]
+
+        def mul(p, q):
+            out = [Fraction(0)] * (len(p) + len(q) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    out[i + j] += a * b
+            return out
+
+        b1, b2, b3, b4, b5 = (poly(row) for row in applications._T18)
+        a9 = add(mul(b1, b5), b4)
+        t18 = add(b2, mul(add(b3, a9), a9))
+        while t18[-1] == 0:
+            t18.pop()
+        assert len(t18) == 19
+        for k, c in enumerate(t18):
+            exact = Fraction(1, math.factorial(k))
+            assert abs(c - exact) <= Fraction(2e-15) * exact, k
+
+    def test_theta18_keeps_the_taylor_tail_within_the_degree_12_bound(self):
+        # sum_{k>=19} theta^k / k! <= sum_{k>=13} 1 / k!, the tail of the
+        # degree-12 sum at norm 1, and theta18 is the largest such theta to
+        # four decimals.  Both sums are cut at k = 80; the terms after
+        # shrink by a factor below 1/2, so the tail's rest is at most twice
+        # its first term, and dropping the bound's rest only lowers it.
+        def tail(theta):
+            theta = Fraction(theta)
+            terms = [theta**k / math.factorial(k) for k in range(19, 82)]
+            return sum(terms[:-1]) + 2 * terms[-1]
+
+        bound = sum(Fraction(1, math.factorial(k)) for k in range(13, 81))
+        assert float(bound) == pytest.approx(1.7287667e-10)
+        theta = applications._THETA_18
+        assert tail(theta) <= bound < tail(theta + 1e-4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.booleans(), st.integers(1, 6),
+           st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 1e3, 1e150, 1e306, 1e307, 3e307, 1e308]),
+           st.integers(0, 2**32 - 1),
+           st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                            complex(np.nan, 1.0)]))
+    # finite entries whose row sums overflow; a largest row sum of 1.76e308;
+    # a NaN and an infinite control
+    @example(7, True, 2, 3e307, 0, None)
+    @example(5, False, 2, 3e307, 1, None)
+    @example(4, True, 3, 1.0, 0, np.nan)
+    @example(6, False, 3, 1.0, 0, complex(0.0, np.inf))
+    def test_norm_table_gives_the_dense_row_sum_norm(self, n, periodic, slices, scale, seed,
+                                                     special):
+        # the stack's row-sum norm as grape_final_state reads it from
+        # _norm_table, against every entry of the stack: equal within a few
+        # ulps, and non-finite exactly where the dense norm is (a NaN or
+        # infinite control, or entries whose row sums overflow)
+        periodic = periodic and n >= 3
+        index, generators = applications._bond_sectors(n, periodic)
+        triples, counts = applications._norm_table(n, periodic)
+        h = index.shape[1]
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            controls = (rng.standard_normal((slices, 3))
+                        + 1j * rng.standard_normal((slices, 3))) * scale
+            if special is not None:
+                controls.flat[rng.integers(controls.size)] = special
+            couplings = (0.5j * GrapeProblem.dt) * controls
+            dense = row_sum_norm((couplings @ generators).reshape(-1, h, h))
+            table = float((np.abs(couplings @ triples) @ counts).max())
+        assert math.isfinite(table) == math.isfinite(dense), (dense, table)
+        if math.isfinite(dense):
+            assert abs(table - dense) <= 4 * np.spacing(dense), (dense, table)
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("slot, value", [
