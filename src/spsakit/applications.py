@@ -389,22 +389,23 @@ def vqe_state(prob: VqeProblem, z):
 @lru_cache(maxsize=16)
 def _bond_sectors(n, periodic):
     """GRAPE's operator table: the three coupling operators
-    B_k = Σ_{<a,b>} σᵏ_a σᵏ_b of ``heisenberg_hamiltonian(n, 1, 0, periodic)``,
-    k = x, y, z, by parity sector.
+    B_k = Σ_{<a,b>} σᵏ_a σᵏ_b of ``_heisenberg(n, 1, 0, periodic)``,
+    k = x, y, z, by parity sector, and their row-sum norm table.
 
     Every σᵏ_a σᵏ_b flips zero or two bits, so each B_k commutes with the
     parity ∏Z: it has no entries between basis states of even and odd
     popcount.  Each also commutes with the global flip ∏X, which for odd n
     maps the even-popcount states one-to-one onto the odd-popcount ones.
 
-    Returns read-only ``(index, generators)``.  ``generators`` is the complex
-    (3, nb·h·h) right factor of the slice generators' GEMM, h = 2^(n−1):
-    ``generators.reshape(3, nb, h, h)[k, b]`` is B_k on the b-th distinct
-    parity sector, built by ``PauliTermSum.block`` (real, and bit for bit
-    the same entries of the dense B_k), so no 2^n × 2^n operator is formed.
-    ``index`` has shape (nb, h, 2 // nb) and lists, for block b, the basis
-    states its rows act on, so that ``psi[index]`` gathers a state into
-    columns each block multiplies at once.
+    Returns read-only ``(index, generators, triples, counts)``.
+    ``generators`` is the complex (3, nb·h·h) right factor of the slice
+    generators' GEMM, h = 2^(n−1): ``generators.reshape(3, nb, h, h)[k, b]``
+    is B_k on the b-th distinct parity sector, built by
+    ``PauliTermSum.block`` (real, and bit for bit the same entries of the
+    dense B_k), so no 2^n × 2^n operator is formed.  ``index`` has shape
+    (nb, h, 2 // nb) and lists, for block b, the basis states its rows act
+    on, so that ``psi[index]`` gathers a state into columns each block
+    multiplies at once.
 
     For even n the two sectors differ: nb = 2, block 0 acts on the
     even-popcount states and block 1 on the odd ones, both in ascending
@@ -412,6 +413,17 @@ def _bond_sectors(n, periodic):
     i ^ (2^n − 1) of the even states; since ∏X commutes with every B_k, both
     sector blocks are then the same matrix, so nb = 1 and the even and odd
     amplitudes are the two columns of one (h, 2) array.
+
+    ``triples`` and ``counts`` are the distinct rows of the sector blocks.
+    Entry (i, j) of a sector generator is c·t, with c the slice's three
+    scaled couplings and t = (B_x, B_y, B_z)[i, j] one of a few distinct
+    integer triples, so a row's sum Σ_j |c·t| is Σ_t count·|c·t| over the
+    triples of that row.  ``triples`` is the complex (3, K) array of the
+    distinct triples, zero included where a row has zeros, and ``counts``
+    the float (K, R) array whose column r counts each triple in the r-th
+    distinct row type, so that ``(np.abs(c @ triples) @ counts).max()`` is
+    the largest row-sum norm of the slices whose couplings are the rows of
+    ``c``.
     """
     states = np.arange(2**n)
     popcount = _basis_bits(n).sum(axis=0)
@@ -422,39 +434,21 @@ def _bond_sectors(n, periodic):
     else:
         sectors = [even, states[popcount % 2 == 1]]
         index = np.stack(sectors)[:, :, None]
-    terms = heisenberg_hamiltonian(n, 1.0, 0.0, periodic).terms
+    terms = _heisenberg(n, 1.0, 0.0, periodic).terms
     blocks = np.empty((3, len(sectors), even.size, even.size), dtype=np.complex128)
     for k, pauli in enumerate("XYZ"):
         bond = PauliTermSum(n, tuple(t for t in terms if pauli in t[1]))
         for b, sector in enumerate(sectors):
             blocks[k, b] = bond.block(sector)
-    return _read_only(index), _read_only(blocks.reshape(3, -1))
-
-
-@lru_cache(maxsize=16)
-def _norm_table(n, periodic):
-    """GRAPE's row-sum norm table: the distinct rows of ``_bond_sectors``.
-
-    Entry (i, j) of a sector generator is c·t, with c the slice's three
-    scaled couplings and t = (B_x, B_y, B_z)[i, j] one of a few distinct
-    integer triples, so a row's sum Σ_j |c·t| is Σ_t count·|c·t| over the
-    triples of that row.  Returns read-only ``(triples, counts)``:
-    ``triples`` is the complex (3, K) array of the distinct triples, zero
-    included where a row has zeros, and ``counts`` the float (K, R) array
-    whose column r counts each triple in the r-th distinct row type, so
-    that ``(np.abs(c @ triples) @ counts).max()`` is the largest row-sum
-    norm of the slices whose couplings are the rows of ``c``.
-    """
-    index, generators = _bond_sectors(n, periodic)
-    h = index.shape[1]
     # the (B_x, B_y, B_z) triples of each row, counted in Python: building
     # the table with np.unique on rows raised a 5-qubit GRAPE process's peak
     # RSS by about 1 MB
-    entries = generators.real.reshape(3, -1, h).transpose(1, 2, 0).tolist()
+    entries = blocks.real.reshape(3, -1, even.size).transpose(1, 2, 0).tolist()
     rows = [Counter(map(tuple, row)) for row in entries]
     triples = sorted(set().union(*rows))
     types = sorted({tuple(row[t] for t in triples) for row in rows})
-    return (_read_only(np.array(triples, dtype=np.complex128).T.copy()),
+    return (_read_only(index), _read_only(blocks.reshape(3, -1)),
+            _read_only(np.array(triples, dtype=np.complex128).T.copy()),
             _read_only(np.array(types, dtype=np.float64).T.copy()))
 
 
@@ -597,23 +591,22 @@ def grape_final_state(prob: GrapeProblem, controls):
     scaled couplings against that table, and are exponentiated in one
     ``_expm_stack`` call.  Its row-sum norm ν, shared with the rescaling
     rule, and hence its squaring count equal those of the full generators.
-    ν is read from ``_norm_table`` rather than from the stack: each entry
-    is the slice's scaled couplings times one of a few integer triples, so
-    ν is the largest over slices and distinct row types of Σ count·|c·t|,
-    two small GEMMs in place of a pass over all M·nb·h·h entries.  It
-    equals the stack's row-sum norm up to a few ulps, from the order of the
-    sums, and is non-finite exactly where that norm is.  The state is
-    gathered into its sector columns, each slice is one batched product
-    ``u @ psi``, and the result is scattered back to the computational basis
-    order.
+    ν is read from the norm table of ``_bond_sectors`` rather than from the
+    stack: each entry is the slice's scaled couplings times one of a few
+    integer triples, so ν is the largest over slices and distinct row types
+    of Σ count·|c·t|, two small GEMMs in place of a pass over all M·nb·h·h
+    entries.  It equals the stack's row-sum norm up to a few ulps, from the
+    order of the sums, and is non-finite exactly where that norm is.  The
+    state is gathered into its sector columns, each slice is one batched
+    product ``u @ psi``, and the result is scattered back to the
+    computational basis order.
     """
     controls = np.asarray(controls, dtype=np.complex128)
     if controls.size != 3 * prob.slices:
         raise ValueError(f"expected {3 * prob.slices} complex controls, got {controls.size}")
     if prob.psi0 is None:
         raise ValueError("GrapeProblem.psi0 is unset; materialize the problem first")
-    index, generators = _bond_sectors(prob.n_qubits, prob.periodic)
-    triples, counts = _norm_table(prob.n_qubits, prob.periodic)
+    index, generators, triples, counts = _bond_sectors(prob.n_qubits, prob.periodic)
     nb, h = index.shape[:2]
     # exp(-i dt H_m) with H_m = -(1/2) sum_k J_k B_k
     couplings = (0.5j * prob.dt) * controls.reshape(prob.slices, 3)
@@ -691,7 +684,7 @@ def make_oracles(problem: Problem, rng, field: str = COMPLEX) -> Oracles:
     """
     if field not in FIELDS:
         raise ValueError(f"unknown field {field!r}")
-    dtype = np.float64 if field == REAL else np.complex128
+    dtype = FIELDS[field]
     state, measure, shots = problem.state, problem.measure, problem.shots
     if field == REAL:
         state = lambda theta: problem.state(complex_from_interleaved(theta))

@@ -138,19 +138,22 @@ def calibrate_first_order_gain(objective, z0_samples, gains, field, rng):
     return a
 
 
+def _start(problem: Problem, field: str, rng):
+    """A run's start: the problem materialized from ``rng``, and then its
+    initial point drawn from ``rng``, interleaved for the real field."""
+    prob = problem.materialize(rng)
+    z0 = prob.initial_point(rng)
+    return prob, interleave_complex(z0) if field == REAL else z0
+
+
 def run_single(problem: Problem, config: OptimizerConfig, seed: int) -> RunTrace:
-    """Execute one seeded run: materialize the problem, draw the initial point,
-    bind shot-noise rng streams, and run the optimizer, on one BLAS thread
+    """Execute one seeded run: start it (`_start`), bind shot-noise rng
+    streams, and run the optimizer, on one BLAS thread
     (`linalg.one_blas_thread`) so that pool workers do not oversubscribe
     the cores."""
     with one_blas_thread():
-        init_rng = np.random.default_rng([seed, 1])
-        oracle_rng = np.random.default_rng([seed, 2])
-        prob = problem.materialize(init_rng)
-        z0 = prob.initial_point(init_rng)
-        if config.field == REAL:
-            z0 = interleave_complex(z0)
-        oracles = make_oracles(prob, oracle_rng, config.field)
+        prob, z0 = _start(problem, config.field, np.random.default_rng([seed, 1]))
+        oracles = make_oracles(prob, np.random.default_rng([seed, 2]), config.field)
         return run(oracles.objective, config, z0, seed=seed, fidelity=oracles.fidelity,
                    monitor=oracles.monitor)
 
@@ -160,8 +163,7 @@ def _calibrated_config(spec: EnsembleSpec):
     if not spec.calibrate:
         return spec.config, None
     rng = np.random.default_rng([spec.base_seed, 3])
-    convert = interleave_complex if spec.config.field == REAL else np.asarray
-    samples = [convert(spec.problem.materialize(rng).initial_point(rng))
+    samples = [_start(spec.problem, spec.config.field, rng)[1]
                for _ in range(min(CALIBRATION_PROBES, spec.n_runs))]
     probe_problem = spec.problem.materialize(rng)
     oracles = make_oracles(probe_problem, rng, spec.config.field)
@@ -210,12 +212,8 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         obj_evals = np.zeros(n_iter, dtype=np.int64)
         fid_evals = np.zeros(n_iter, dtype=np.int64)
 
-    stats = [
-        IterationStatistics(k=k + 1, mean=float(means[k]), std=float(stds[k]),
-                            median=float(medians[k]), q1=float(q1s[k]),
-                            q3=float(q3s[k]))
-        for k in range(n_iter)
-    ]
+    stats = [IterationStatistics(k, *map(float, row))
+             for k, row in enumerate(zip(means, stds, medians, q1s, q3s), start=1)]
     return EnsembleResult(stats=stats, traces=traces, n_excluded=n_excluded,
                           objective_evals=obj_evals, fidelity_evals=fid_evals,
                           calibrated_a=calibrated_a)

@@ -112,18 +112,17 @@ def _parse_gains(spec):
     as in every other option, a bool or string entry is not a number."""
     if isinstance(spec, (list, tuple)):
         if not all(type(v) in (int, float) for v in spec):
-            raise ValueError(f"gains: expected five numbers a,b,A,s,t, got {list(spec)!r}")
+            raise ValueError(f"expected five numbers a,b,A,s,t, got {list(spec)!r}")
         values = [float(v) for v in spec]
     elif not isinstance(spec, str):
-        raise ValueError(f"gains: expected a preset, a,b,A,s,t or a list, got {spec!r}")
+        raise ValueError(f"expected a preset, a,b,A,s,t or a list, got {spec!r}")
     elif spec in GAIN_PRESETS:
         return GAIN_PRESETS[spec]
     else:
         values = [float(v) for v in spec.split(",")]
     if len(values) != 5:
-        raise ValueError("explicit gains must be the five values a,b,A,s,t")
-    a, b, big_a, s, t = values
-    return GainSchedule(a=a, b=b, A=big_a, s=s, t=t)
+        raise ValueError(f"expected a preset or the five values a,b,A,s,t, got {spec!r}")
+    return GainSchedule(*values)
 
 
 def _parse_blocking(spec):
@@ -132,6 +131,15 @@ def _parse_blocking(spec):
     if spec == "auto":
         return "auto"
     return float(spec)
+
+
+def _check_blocking(spec):
+    """A blocking option as given, once `_parse_blocking` reads it, so that
+    the config echo keeps its spelling."""
+    if not isinstance(spec, str):
+        raise ValueError(f"expected str, got {spec!r}")
+    _parse_blocking(spec)
+    return spec
 
 
 def _parse_bool(text):
@@ -158,27 +166,31 @@ def _parse_number(text):
     return value
 
 
-def _option_parser(name, annotation):
+def _option_parser(name, annotation, read=None):
     """The parser of one `ExperimentConfig` field, for a flag's string and a
-    config file's JSON value alike.  A string is read as its type reads it
-    (``_parse_bool`` for a bool, `_parse_number` for a float); any other
-    value must already have the type, an int standing for a float and kept
-    as it is.  A float must be finite, and an int standing for one must lie
-    in the float range: a config file gives exact evaluation as the string
-    ``"inf"``, and JSON reads ``1e400`` and ``Infinity`` as a float inf that
-    is rejected.  None passes only where the field admits it."""
+    config file's JSON value alike; its errors start with ``name``.  A
+    string is read as its type reads it (``_parse_bool`` for a bool,
+    `_parse_number` for a float); any other value must already have the
+    type, an int standing for a float and kept as it is.  A float must be
+    finite, and an int standing for one must lie in the float range: a
+    config file gives exact evaluation as the string ``"inf"``, and JSON
+    reads ``1e400`` and ``Infinity`` as a float inf that is rejected.  None
+    passes only where the field admits it.  ``read``, where given, reads
+    every other value in place of these rules."""
     kinds = typing.get_args(annotation) or (annotation,)
     optional = type(None) in kinds
     kind, = (k for k in kinds if k is not type(None))
-    read = {bool: _parse_bool, float: _parse_number}.get(kind, kind)
+    text = {bool: _parse_bool, float: _parse_number}.get(kind, kind)
     types = (kind, int) if kind is float else (kind,)
 
     def parse(value):
         if value is None and optional:
             return None
         try:
-            if isinstance(value, str):
+            if read is not None:
                 return read(value)
+            if isinstance(value, str):
+                return text(value)
             # math.isfinite raises OverflowError on an int past the float range
             if type(value) in types and (kind is not float or math.isfinite(value)):
                 return value
@@ -189,11 +201,11 @@ def _option_parser(name, annotation):
     return parse
 
 
-# One parser per option; gains are kept as their label, and a config file
-# may also give them as the list [a, b, A, s, t].
-OPTION_PARSERS = {f.name: _option_parser(f.name, f.type)
+# One parser per option; gains are kept as their label, a config file may
+# also give them as the list [a, b, A, s, t], and blocking is kept as given.
+_READERS = {"gains": lambda value: gains_label(_parse_gains(value)), "blocking": _check_blocking}
+OPTION_PARSERS = {f.name: _option_parser(f.name, f.type, _READERS.get(f.name))
                   for f in dataclasses.fields(ExperimentConfig)}
-OPTION_PARSERS["gains"] = lambda value: gains_label(_parse_gains(value))
 
 
 def _build_parser():
@@ -219,13 +231,16 @@ def parse_config(argv=None) -> ExperimentConfig:
 
     merged = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            merged = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                merged = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"config: {exc}") from None
         if not isinstance(merged, dict):
-            raise ValueError("config file must hold one JSON object")
+            raise ValueError("config: the file must hold one JSON object")
         unknown = set(merged) - set(OPTION_PARSERS)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"config: unknown keys {sorted(unknown)}")
     merged.update((name, value) for name, value in vars(args).items()
                   if value is not None and name in OPTION_PARSERS)
     merged = {name: OPTION_PARSERS[name](value) for name, value in merged.items()}
@@ -243,7 +258,8 @@ def parse_config(argv=None) -> ExperimentConfig:
 
     config = ExperimentConfig(**values)
     config.ensemble_spec()  # raises on any invalid option
-    if "\0" in config.out or not os.path.isdir(os.path.dirname(config.out) or "."):
+    head, tail = os.path.split(config.out)
+    if "\0" in config.out or tail in ("", ".", "..") or not os.path.isdir(head or "."):
         raise ValueError(f"out: {config.out!r} names no file in a directory that exists")
     return config
 

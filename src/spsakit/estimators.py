@@ -34,7 +34,8 @@ __all__ = [
 
 REAL = "real"
 COMPLEX = "complex"
-FIELDS = (REAL, COMPLEX)
+# Each field and the dtype of its parameters.
+FIELDS = {REAL: np.float64, COMPLEX: np.complex128}
 
 # The cap on runs, iterations, resamples and workers: 200 times the paper's
 # longest run (5000 iterations) and 10^4 times its ensembles (100 runs).  It

@@ -305,7 +305,7 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
 
     if config.field == REAL and np.iscomplexobj(np.asarray(z0)):
         raise ValueError("real-field run received a complex initial point")
-    z = np.array(z0, dtype=np.complex128 if config.field == COMPLEX else np.float64)
+    z = np.array(z0, dtype=FIELDS[config.field])
     if z.ndim != 1:
         raise ValueError("initial point must be a 1-D parameter vector")
     p = z.size

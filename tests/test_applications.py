@@ -57,14 +57,13 @@ _CACHED_CALLS = {
     "spsakit.applications.entangling_layer": (4, "ccz_ring"),
     "spsakit.applications._heisenberg": (3, 1.0, 0.3, True),
     "spsakit.applications._bond_sectors": (4, True),
-    "spsakit.applications._norm_table": (4, True),
 }
 
 
 def _sector_blocks(n, periodic):
     """The (nb, 3, h, h) real sector blocks of the three bond operators, taken
     from GRAPE's operator table ``_bond_sectors``."""
-    index, generators = applications._bond_sectors(n, periodic)
+    index, generators, _, _ = applications._bond_sectors(n, periodic)
     nb, h = index.shape[:2]
     return generators.real.reshape(3, nb, h, h).swapaxes(0, 1)
 
@@ -393,7 +392,7 @@ class TestGrape:
         if n >= 3 or not periodic
     ])
     def test_bond_sectors_rebuild_the_full_operators(self, n, periodic):
-        index, generators = applications._bond_sectors(n, periodic)
+        index, generators, _, _ = applications._bond_sectors(n, periodic)
         h = 2 ** (n - 1)
         nb = 1 if n % 2 else 2
         assert index.shape == (nb, h, 2 // nb)
@@ -426,7 +425,7 @@ class TestGrape:
             expected_index = np.stack(sectors)[:, :, None]
         expected = np.stack([bonds[:, s[:, None], s] for s in sectors], axis=1)
         expected = expected.reshape(3, -1).astype(np.complex128)
-        index, generators = applications._bond_sectors(n, periodic)
+        index, generators, _, _ = applications._bond_sectors(n, periodic)
         assert index.dtype == expected_index.dtype
         assert index.tobytes() == expected_index.tobytes()
         assert generators.shape == expected.shape
@@ -482,7 +481,7 @@ class TestGrape:
     @staticmethod
     def _sector_propagators(prob, controls):
         """GRAPE's gather index and its (M, nb, h, h) propagator stack."""
-        index, generators = applications._bond_sectors(prob.n_qubits, prob.periodic)
+        index, generators, _, _ = applications._bond_sectors(prob.n_qubits, prob.periodic)
         nb, h = index.shape[:2]
         stack = (0.5j * prob.dt) * controls.reshape(prob.slices, 3) @ generators
         stack = stack.reshape(-1, h, h)
@@ -707,13 +706,13 @@ class TestGrape:
     @example(6, False, 3, 1.0, 0, complex(0.0, np.inf))
     def test_norm_table_gives_the_dense_row_sum_norm(self, n, periodic, slices, scale, seed,
                                                      special):
-        # the stack's row-sum norm as grape_final_state reads it from
-        # _norm_table, against every entry of the stack: equal within a few
-        # ulps, and non-finite exactly where the dense norm is (a NaN or
-        # infinite control, or entries whose row sums overflow)
+        # the stack's row-sum norm as grape_final_state reads it from the
+        # norm table of _bond_sectors, against every entry of the stack:
+        # equal within a few ulps, and non-finite exactly where the dense
+        # norm is (a NaN or infinite control, or entries whose row sums
+        # overflow)
         periodic = periodic and n >= 3
-        index, generators = applications._bond_sectors(n, periodic)
-        triples, counts = applications._norm_table(n, periodic)
+        index, generators, triples, counts = applications._bond_sectors(n, periodic)
         h = index.shape[1]
         rng = np.random.default_rng(seed)
         with np.errstate(over="ignore", invalid="ignore"):

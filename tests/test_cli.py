@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -6,8 +7,10 @@ import pytest
 from test_bench import PlusStateProblem
 
 from spsakit import cli
+from spsakit.bench import EnsembleSpec
 from spsakit.cli import PROBLEM_FIELDS, execute, main, parse_config
 from spsakit.linalg import blas_threads
+from spsakit.optimizers import OptimizerConfig
 
 
 def run_cli(tmp_path, *flags):
@@ -44,6 +47,17 @@ class TestParseConfig:
         assert (config.qubits, config.slices) == (5, 25)
         assert config.shots == 2**13
         assert config.iterations == 1000
+
+    @pytest.mark.parametrize("application", sorted(cli.APPLICATIONS))
+    def test_defaults_are_the_library_defaults(self, application):
+        # ExperimentConfig restates the defaults of OptimizerConfig and
+        # EnsembleSpec; neither side may change them alone
+        config = parse_config(["--application", application])
+        _, iterations = cli.APPLICATIONS[application]
+        assert config.optimizer_config() == OptimizerConfig(max_iterations=iterations)
+        spec_defaults = {f.name: f.default for f in dataclasses.fields(EnsembleSpec)}
+        assert ((config.calibrate, config.workers, config.seed)
+                == tuple(spec_defaults[name] for name in ("calibrate", "workers", "base_seed")))
 
     def test_scalar_first_order_rejected(self):
         with pytest.raises(ValueError):
@@ -385,8 +399,19 @@ class TestApplicationTable:
         ("resampling", ("--application", "vqe", "--qubits", "3",
                         "--resampling", "9223372036854775807")),
         ("runs", ("--application", "sgqt", "--runs", "9223372036854775808")),
+        # each of these used to print an error that named no option
+        ("gains", ("--application", "sgqt", "--gains", "bogus")),
+        ("gains", ("--application", "sgqt", "--gains", "x,y,z,w,v")),
+        ("blocking", ("--application", "sgqt", "--blocking", "abc")),
+        ("blocking", ("--application", "sgqt", "--blocking", "")),
+        ("config", ("--config", "{configs}/missing.json")),
+        ("config", ("--config", "{configs}/not.json")),
     ])
-    def test_invalid_flags_exit_2_with_error(self, tmp_path, capsys, option, flags):
+    def test_invalid_flags_exit_2_with_error(self, tmp_path, tmp_path_factory, capsys, option,
+                                             flags):
+        configs = tmp_path_factory.mktemp("configs")
+        (configs / "not.json").write_text("not json")
+        flags = [flag.format(configs=configs) for flag in flags]
         assert main([*flags, "--iterations", "1", "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -449,6 +474,16 @@ class TestApplicationTable:
         cfg_file.write_text('{"application": "sgqt", "qubits": 2, "out": "x\\u0000y"}')
         assert main(["--config", str(cfg_file), "--runs", "1", "--iterations", "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("out", ["", "d/", ".", "d/.."])
+    def test_out_naming_no_file_exits_2(self, tmp_path, monkeypatch, capsys, out):
+        # "" and "d/" used to write the hidden files .csv and .json
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert main(["--application", "sgqt", "--qubits", "2", "--runs", "1",
+                     "--iterations", "1", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: out: ")
+        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
     def test_unused_problem_key_in_config_file_rejected(self, tmp_path):
         cfg_file = tmp_path / "c.json"
