@@ -2,13 +2,12 @@
 
 All matrices here are small (p up to a few hundred).  `matrix_abs` works from
 a full spectral decomposition.  `psd_sqrt_shifted` diagonalizes only on a
-subspace that the caller names, by an orthonormal basis, as holding the
-range of its input: the gidi preconditioner's input has rank ≤ 2·N_R, so its
+subspace that the caller names, by vectors that span it, as holding the
+range of its input, and orthonormalizes those vectors itself by a QR
+factorization: the gidi preconditioner's input has rank ≤ 2·N_R, so its
 square root costs O(p·N_R²) beyond forming the p × p result.  It maps each
 eigenvalue λ to √(λ² + ε) by one formula that never squares λ, so it stays
-finite for every finite λ.  `orthonormal_bases` computes such bases for a
-whole stack of spans at once, so that a run factors the spans of many
-iterations in one call.  `solve_pd` checks positive-definiteness by a
+finite for every finite λ.  `solve_pd` checks positive-definiteness by a
 Cholesky factorization and solves by LU.  Real symmetric matrices flow
 through the same code paths as complex hermitian ones; callers never need a
 separate real-field implementation.
@@ -43,8 +42,8 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-__all__ = ["blas_threads", "hermitize", "matrix_abs", "one_blas_thread", "orthonormal_bases",
-           "psd_sqrt_shifted", "solve_pd"]
+__all__ = ["blas_threads", "hermitize", "matrix_abs", "one_blas_thread", "psd_sqrt_shifted",
+           "solve_pd"]
 
 # Inputs arrive from exact arithmetic on function values, so deviations from
 # hermiticity beyond this are programming errors, not roundoff.
@@ -151,76 +150,53 @@ def matrix_abs(matrix):
     return (u * np.abs(w)) @ u.conj().T
 
 
-def orthonormal_bases(spans):
-    """Orthonormal bases of the subspaces that a stack of spans spans.
-
-    ``spans`` is a (…, p, r) array of p × r spans, such as the perturbation
-    vectors that outer-product estimates were built from.  The result is the
-    (…, p, min(p, r)) stack of the Q factors of their reduced QR
-    factorizations: numpy's ``qr_r_raw`` and ``qr_reduced`` (LAPACK
-    ``geqrf`` with ``orgqr``/``ungqr``), one call each for the whole stack,
-    complex128 if the spans are complex and float64 otherwise.  Each Q's
-    columns are orthonormal and their span holds the span's columns; for a
-    rank-deficient span, Q has further columns.
-
-    Raises
-    ------
-    ValueError
-        If ``spans`` has fewer than two dimensions.
-    numpy.linalg.LinAlgError
-        If a QR factorization fails.
-    """
-    spans = np.asarray(spans)
-    if spans.ndim < 2:
-        raise ValueError(f"orthonormal_bases: expected spans of shape (..., p, r), "
-                         f"got {spans.shape}")
-    c = "D" if spans.dtype.kind == "c" else "d"
-    factors = spans.astype(c)  # a copy, which qr_r_raw overwrites
-    failure = "orthonormal_bases: QR factorization failed"
-    tau = _lapack(_umath_linalg.qr_r_raw, f"{c}->{c}", factors, failure=failure)
-    return _lapack(_umath_linalg.qr_reduced, f"{c}{c}->{c}", factors, tau, failure=failure)
-
-
-def psd_sqrt_shifted(matrix, epsilon, basis):
+def psd_sqrt_shifted(matrix, epsilon, span):
     """Return √(M² + εI) for hermitian M and finite ε > 0.
 
-    ``basis`` is a p × r array Q with orthonormal columns whose span holds
-    the range of M: one of `orthonormal_bases` of the perturbation vectors
-    an outer-product estimate was built from, or ``np.eye(p)``, which spans
-    the whole space.  The r × r matrix Q†MQ = WΛW† is diagonalized, so
-    U = QW holds every eigenvector of M with a nonzero eigenvalue.  The
-    result is √ε·I + U g(Λ) U† with
+    ``span`` is an r × p array whose rows span a subspace that holds the
+    range of M: the perturbation vectors an outer-product estimate was
+    built from, any spanning set of them, or ``np.eye(p)``, which spans the
+    whole space.  Its rows are orthonormalized here, as the columns of the
+    p × min(p, r) Q factor of a reduced QR factorization, numpy's
+    ``qr_r_raw`` and ``qr_reduced`` (LAPACK ``geqrf`` with
+    ``orgqr``/``ungqr``).  The min(p, r) × min(p, r) matrix Q†MQ = WΛW† is
+    diagonalized, so U = QW holds every eigenvector of M with a nonzero
+    eigenvalue.  The result is √ε·I + U g(Λ) U† with
     g(λ) = |λ|·(|λ|/(hypot(λ, √ε) + √ε)) = √(λ² + ε) − √ε, a form that
     neither cancels nor squares λ, so it stays finite for every finite λ:
     directions outside the span, and any column of Q that a rank-deficient
-    span adds, have λ = 0 and get exactly √ε.  The columns' orthonormality
-    is the caller's to keep; it is not checked.
+    span adds, have λ = 0 and get exactly √ε.
 
     Every eigenvalue of the result is at least √ε, which makes the output
     strictly positive-definite even when M vanishes.
 
-    The eigensolver is numpy's ``eigh_lo`` (LAPACK ``syevd``/``heevd``),
-    called directly in double precision.  M must be finite; `run` ends a
+    The eigensolver is numpy's ``eigh_lo`` (LAPACK ``syevd``/``heevd``).
+    Every factorization runs in double precision, complex128 if M or the
+    span is complex and float64 otherwise.  M must be finite; `run` ends a
     run before a non-finite estimate gets here.
 
     Raises
     ------
     ValueError
         If ε is not in (0, ∞), if M is not square and hermitian, or if
-        ``basis`` is not a 2-D array with one row per row of M.
+        ``span`` is not a 2-D array with one column per row of M.
     numpy.linalg.LinAlgError
-        If the eigensolver fails.
+        If the QR factorization or the eigensolver fails.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     m = np.asarray(matrix)
     _require_hermitian(m, "psd_sqrt_shifted")
     p = m.shape[0]
-    q = np.asarray(basis)
-    if q.ndim != 2 or q.shape[0] != p:
-        raise ValueError(f"psd_sqrt_shifted: basis of shape {q.shape} does not "
-                         f"have the {p} rows of the matrix")
-    c = "D" if m.dtype.kind == "c" or q.dtype.kind == "c" else "d"
+    span = np.asarray(span)
+    if span.ndim != 2 or span.shape[1] != p:
+        raise ValueError(f"psd_sqrt_shifted: span of shape {span.shape} does not "
+                         f"have the {p} columns of the matrix")
+    c = "D" if m.dtype.kind == "c" or span.dtype.kind == "c" else "d"
+    factors = span.T.astype(c)  # a copy, which qr_r_raw overwrites
+    failure = "psd_sqrt_shifted: QR factorization failed"
+    tau = _lapack(_umath_linalg.qr_r_raw, f"{c}->{c}", factors, failure=failure)
+    q = _lapack(_umath_linalg.qr_reduced, f"{c}{c}->{c}", factors, tau, failure=failure)
     w, v = _lapack(_umath_linalg.eigh_lo, f"{c}->d{c}", q.conj().T @ m @ q,
                    failure="psd_sqrt_shifted: eigenvalues did not converge")
     u = q @ v

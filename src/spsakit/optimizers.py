@@ -15,10 +15,11 @@ H̄ and k; the post-processings are pure functions of the estimate, H̄_{k−1}
 and k.
 
 Random numbers: a run draws its perturbations from one generator seeded with
-`run`'s argument ``seed``, and from nothing else.  It draws them
-``PERTURBATION_BLOCK`` iterations at a time, one `sample_perturbation` call
-per block; the rows of a block are the vectors one draw per vector would
-give, so a seeded trace does not depend on the block size.
+`run`'s argument ``seed``, and from nothing else.  It draws them a block at
+a time, one `sample_perturbation` call per block of at most
+``PERTURBATION_BLOCK_ENTRIES`` entries, but never less than one iteration's
+draws; the rows of a block are the vectors one draw per vector would give,
+so a seeded trace does not depend on the block size.
 """
 
 import math
@@ -38,7 +39,7 @@ from .estimators import (
     resample,
     sample_perturbation,
 )
-from .linalg import hermitize, matrix_abs, orthonormal_bases, psd_sqrt_shifted, solve_pd
+from .linalg import hermitize, matrix_abs, psd_sqrt_shifted, solve_pd
 
 __all__ = [
     "OptimizerConfig",
@@ -57,10 +58,11 @@ POSTPROCS = ("spall", "gidi")
 # hence the different magnitudes.
 DEFAULT_EPSILON = {"spall": 1e-3, "gidi": 1e-4}
 
-# Iterations whose perturbations `run` draws in one `sample_perturbation`
-# call.  It bounds the memory of a block, not the result: the draws are
+# The entries of the perturbation block that `run` draws in one
+# `sample_perturbation` call, unless one iteration's draws take more.  It
+# bounds the memory of a block, not the result: the draws are
 # stream-identical to one call per vector.
-PERTURBATION_BLOCK = 64
+PERTURBATION_BLOCK_ENTRIES = 2**12
 
 # Evaluations at z₀ from which ``blocking="auto"`` estimates the noise level.
 BLOCKING_SAMPLES = 25
@@ -120,12 +122,12 @@ class RunTrace:
     averaged gradient or Hessian or metric ``"estimate"``, the
     ``"candidate"`` iterate or the ``"recorded"`` objective value turned
     non-finite; the ``"preconditioner"`` of a huge but finite estimate
-    overflowed, or a factorization failed: the square root's eigensolver,
-    or the step's Cholesky check or LU solve; or the ``"blocking"``
-    reference, which is checked before the first iteration: a blocking
-    tolerance or objective value at z₀ that is not finite ends the run at
-    iteration 1, with every record NaN, instead of letting it reject every
-    candidate.  Both are None for a run that completed.
+    overflowed, or a factorization failed: the square root's QR or
+    eigensolver, or the step's Cholesky check or LU solve; or the
+    ``"blocking"`` reference, which is checked before the first iteration:
+    a blocking tolerance or objective value at z₀ that is not finite ends
+    the run at iteration 1, with every record NaN, instead of letting it
+    reject every candidate.  Both are None for a run that completed.
 
     Evaluation counts are not stored per iteration: the estimator contract
     makes every iteration of a configuration cost the same.  The trace keeps
@@ -202,7 +204,7 @@ def postprocess_spall(h_raw, memory, k: int, epsilon: float):
     return h_pp, matrix_abs(h_pp) + epsilon * np.eye(h_pp.shape[0], dtype=h_pp.dtype)
 
 
-def postprocess_gidi(h_raw, memory, k: int, epsilon: float, basis):
+def postprocess_gidi(h_raw, memory, k: int, epsilon: float, span):
     """Hermitize, regularize as √(H′² + εI), then blend with inertia.
 
     The regularization happens before the inertia blend, so every summand has
@@ -211,19 +213,21 @@ def postprocess_gidi(h_raw, memory, k: int, epsilon: float, basis):
     `postprocess_spall`; the blend of iteration k is returned twice, as the
     new blend and as the preconditioner.
 
-    ``basis`` is handed to `psd_sqrt_shifted`: a p × r array with
-    orthonormal columns whose span holds the range of H′.  An estimate
-    averaged from N_R outer products δδ̃† has its range in the span of the
-    2·N_R perturbation vectors, whose `orthonormal_bases` `run` passes, so
-    the square root costs O(p·N_R²) beyond forming the result.  Scalar mode
-    ignores it.  Raises ``ValueError`` if the estimate's dimension does not
-    match ``memory`` or the basis's row count does not match the estimate.
+    ``span`` is handed to `psd_sqrt_shifted`: an r × p array whose rows
+    span a subspace that holds the range of H′, such as the rows the
+    estimate was built from, any spanning set, or ``np.eye(p)``, which spans
+    the whole space.  An estimate averaged from N_R outer products δδ̃† has
+    its range in the span of the 2·N_R perturbation vectors, which `run`
+    passes, so the square root costs O(p·N_R²) beyond forming the result.
+    Scalar mode ignores it.  Raises ``ValueError`` if the estimate's
+    dimension does not match ``memory`` or the span's column count does not
+    match the estimate.
     """
     h_prime = _hermitian_part(h_raw, memory)
     if np.isscalar(memory):
         summand = math.sqrt(h_prime * h_prime + epsilon)
     else:
-        summand = psd_sqrt_shifted(h_prime, epsilon, basis)
+        summand = psd_sqrt_shifted(h_prime, epsilon, span)
     blend = _blend(memory, k, summand)
     return blend, blend
 
@@ -248,7 +252,8 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
     z0 : array_like
         Initial parameter vector in the configured field.
     seed : int
-        Non-negative seed of the run's perturbations; see Random numbers.
+        Non-negative seed of the run's perturbations, an int or numpy
+        integer, not a bool; see Random numbers.
     monitor : callable
         Uncharged objective that records the trace once per iteration,
         typically the noiseless version of a shot-noisy oracle.
@@ -271,6 +276,8 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
 
     Raises
     ------
+    ValueError
+        If ``seed`` is not a non-negative integer.
     RuntimeError
         If a recorded iteration after the first spends a different number of
         objective or fidelity evaluations than the first: the trace stores
@@ -281,9 +288,13 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
     --------------
     The perturbations come from ``np.random.default_rng(seed)``, in
     the order Δ, Δ̃ of the first resample, then of the second, and so on;
-    first-order methods draw no Δ̃.  They are drawn ``PERTURBATION_BLOCK``
-    iterations at a time, the last block cut to the iterations left, so the
-    run holds at most one block.  Each block is stream-identical to one
+    first-order methods draw no Δ̃.  They are drawn a block at a time: as
+    many iterations as ``PERTURBATION_BLOCK_ENTRIES`` entries hold, but at
+    least one, the last block cut to the iterations left, so the run holds
+    at most one block.  A block is read as an (iterations, N_R, d, p) array,
+    d = 1 for first-order methods and 2 otherwise, whose slice of one
+    iteration gives each resample its row pair and the gidi square root all
+    its rows as the span.  Each block is stream-identical to one
     `sample_perturbation` call per vector, so traces equal those of a loop
     that draws each vector when it needs it.  A run that diverges leaves
     the rest of its block unused.  The oracles draw shot noise from their
@@ -300,6 +311,7 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
     `RunTrace` divergence record, and under blocking a candidate whose
     objective value is NaN or +inf fails the blocking test and is rejected.
     """
+    _count("seed", seed, 0)
     if config.method == "quantum_natural" and fidelity is None:
         raise ValueError("quantum_natural methods require a fidelity oracle")
 
@@ -349,30 +361,26 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
         return trace
 
     n_r = config.resampling
-    draws_per_iter = n_r * (2 if preconditioned else 1)
-    gidi_matrix = preconditioned and config.postproc == "gidi" and not config.scalar
+    d = 2 if preconditioned else 1  # Δ, and Δ̃ if preconditioned, per resample
+    block_iterations = max(1, PERTURBATION_BLOCK_ENTRIES // (n_r * d * p))
     for k in range(1, n_iter + 1):
-        if (k - 1) % PERTURBATION_BLOCK == 0:
-            rows = min(PERTURBATION_BLOCK, n_iter - k + 1) * draws_per_iter
-            block = sample_perturbation(p, config.field, rng, rows)
-            draws = iter(block)
-            if gidi_matrix:
-                # Iteration k's estimate has its range in the span of its
-                # Δ, Δ̃ rows of the block: one QR call for the whole block.
-                bases = orthonormal_bases(
-                    block.reshape(-1, draws_per_iter, p).transpose(0, 2, 1))
+        if (k - 1) % block_iterations == 0:
+            iterations = min(block_iterations, n_iter - k + 1)
+            block = sample_perturbation(p, config.field, rng, iterations * n_r * d).reshape(
+                iterations, n_r, d, p)
+        draws = block[(k - 1) % block_iterations]
         a_k, abar_k, b_k = gains_at(config.gains, k)
 
         if n_r == 1 and not preconditioned:
-            g, _ = resample(config.method, f, fid, z, b_k, next(draws))
+            g, _ = resample(config.method, f, fid, z, b_k, draws[0, 0])
         else:
             # Preconditioned methods sum into 0.0 even at N_R = 1: that
             # turns the estimate's -0.0 entries into 0.0, and eigh rounds
             # differently for matrices that differ only in the sign of a zero.
             g_sum = h_sum = 0.0
-            for _ in range(n_r):
-                g, h = resample(config.method, f, fid, z, b_k, next(draws),
-                                next(draws) if preconditioned else None, config.scalar, prepare)
+            for pair in draws:
+                g, h = resample(config.method, f, fid, z, b_k, pair[0],
+                                pair[1] if preconditioned else None, config.scalar, prepare)
                 g_sum += g
                 if preconditioned:
                     h_sum += h
@@ -391,8 +399,9 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
                 if config.postproc == "spall":
                     memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
                 else:
-                    basis = bases[(k - 1) % PERTURBATION_BLOCK] if gidi_matrix else None
-                    memory, preconditioner = postprocess_gidi(h_raw, memory, k, epsilon, basis)
+                    # the estimate's range lies in the span of its Δ, Δ̃ rows
+                    memory, preconditioner = postprocess_gidi(h_raw, memory, k, epsilon,
+                                                              draws.reshape(-1, p))
                 if not np.isfinite(preconditioner).all():
                     raise np.linalg.LinAlgError("the preconditioner is not finite")
                 candidate = (z - (abar_k / preconditioner) * g if config.scalar

@@ -240,15 +240,18 @@ def exact_ground_energy(hamiltonian: PauliTermSum):
 
 # The largest budget ``rng.binomial`` takes: its trial count is a C long.
 MAX_SHOTS = 2**63 - 1
+# Bools compare as 0 and 1 but are no shot budget; a type lookup in this
+# tuple is the cheapest test on the path of every measurement.
+_BOOLS = (bool, np.bool_)
 
 
 def _shot_count(shots):
     """The int shot count of a budget, None for ``math.inf`` (exact); raises
-    ``ValueError`` for anything else, such as zero, a fraction, −inf, NaN or
-    a count past ``MAX_SHOTS``."""
+    ``ValueError`` for anything else, such as zero, a fraction, −inf, NaN, a
+    bool or a count past ``MAX_SHOTS``."""
     if shots == math.inf:
         return None
-    if not (1 <= shots <= MAX_SHOTS and shots == int(shots)):
+    if type(shots) in _BOOLS or not (1 <= shots <= MAX_SHOTS and shots == int(shots)):
         raise ValueError(f"shots must be a positive integer or math.inf, at most "
                          f"2**63 - 1 shots, got {shots!r}")
     return int(shots)

@@ -7,7 +7,7 @@ comparison of two sweeps against an allow-list.
 with a tree's ``src`` on ``PYTHONPATH``.
 
 ``write`` runs the grid below with whichever ``spsakit`` is on the import
-path, so the same script sweeps two trees.  It takes about 15 s on two
+path, so the same script sweeps two trees.  It takes about 5 s on two
 cores.  It uses only ``bench.run_single``, ``bench.run_ensemble``,
 ``EnsembleSpec``, ``OptimizerConfig``, ``GainSchedule`` and the three
 problem classes, whose signatures it needs unchanged.
@@ -16,8 +16,11 @@ The grid: every method × scalar/matrix × spall/gidi × field × blocking
 off/auto/0.05 × N_R 1 and 2, on VQE at 3 qubits, GRAPE at 2 qubits and 3
 slices and SGQT at 2 qubits; GRAPE at the benchmark's size, 5 qubits and
 25 slices, whose 16 × 16 propagator blocks take several squarings, with
-first-order and quantum-natural runs in both fields; GRAPE runs that
-diverge as ``"recorded"``,
+first-order and quantum-natural runs in both fields; the two sides of
+the perturbation block's entry bound on SGQT at 2 qubits, a first-order
+run past the 1024 iterations that one block holds at p = 4 and a gidi
+matrix run at N_R = 600, whose one iteration holds more entries than the
+bound; GRAPE runs that diverge as ``"recorded"``,
 ``"candidate"`` and ``"preconditioner"``; and one pooled calibrated ensemble
 per application.  A digest hashes each trace's ``objective``, ``accepted``,
 ``final_params``, ``objective_evals``, ``fidelity_evals``, ``recorded``,
@@ -45,7 +48,7 @@ from spsakit.bench import EnsembleSpec, run_ensemble, run_single
 from spsakit.estimators import GainSchedule
 from spsakit.optimizers import OptimizerConfig
 
-ITERATIONS = 70  # past one 64-iteration perturbation block
+ITERATIONS = 70  # past the 54 first-order iterations of one block at GRAPE's p = 75
 SEED = 7
 WORKERS = 2
 
@@ -83,6 +86,10 @@ def single_runs():
         for method in ("first_order", "quantum_natural"):
             config = OptimizerConfig(method=method, field=field, max_iterations=ITERATIONS)
             yield f"grape5x25/{method}/{field}", GRAPE_BENCHMARK_SIZE, config
+    sgqt = PROBLEMS["sgqt2"]
+    yield "sgqt2/first_order/blocks-of-1024", sgqt, OptimizerConfig(max_iterations=1030)
+    yield ("sgqt2/second_order-matrix-gidi/nr=600", sgqt,
+           OptimizerConfig(method="second_order", resampling=600, max_iterations=5))
     grape = PROBLEMS["grape2x3"]
     diverging = {
         # a step so long that the iterate's propagators overflow to NaN

@@ -7,9 +7,9 @@ of these the plain way: one ``sample_perturbation(p, field, rng)`` call per
 vector, at the point of use, zero-initialized accumulators divided by N_R
 on every iteration, and the step on every iteration, so tests can require
 the two to give bit-identical traces.  It hands the gidi square root the
-same basis as the library: `orthonormal_bases` of the iteration's
-perturbation vectors in draw order as columns, stacked from the vectors it
-drew, one iteration at a time where the library factors a whole block.
+same span as the library: the iteration's perturbation vectors in draw order
+as rows, stacked from the vectors it drew, where the library passes its
+slice of a block.
 
 It counts the oracle calls itself and stores the cumulative counts of every
 iteration in arrays of its own record, `ReferenceTrace`, where the library
@@ -43,7 +43,7 @@ from spsakit.estimators import (
     metric_estimate,
     sample_perturbation,
 )
-from spsakit.linalg import orthonormal_bases, solve_pd
+from spsakit.linalg import solve_pd
 from spsakit.optimizers import estimate_blocking_tolerance, postprocess_gidi, postprocess_spall
 
 
@@ -145,8 +145,7 @@ def reference_run(objective, config, z0, *, seed, monitor, fidelity=None, callba
                         memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
                     else:
                         memory, preconditioner = postprocess_gidi(
-                            h_raw, memory, k, epsilon,
-                            orthonormal_bases(np.stack(drawn, axis=1)))
+                            h_raw, memory, k, epsilon, np.array(drawn))
                 if not np.all(np.isfinite(preconditioner)):
                     raise np.linalg.LinAlgError("the preconditioner is not finite")
                 if config.scalar:

@@ -811,12 +811,14 @@ class TestProblemValidation:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("shots", [0, 0.5, 2.5, -1, -math.inf, math.nan, 2**63])
+    @pytest.mark.parametrize("shots", [0, 0.5, 2.5, -1, -math.inf, math.nan, 2**63,
+                                       True, np.True_])
     @pytest.mark.parametrize("cls", [VqeProblem, GrapeProblem, SgqtProblem])
     def test_invalid_shots_rejected(self, cls, shots):
         # at construction: a run, or a pool worker, would otherwise fail at
         # its first measurement, or silently measure with int(shots) shots;
-        # rng.binomial takes at most 2**63 - 1 trials
+        # rng.binomial takes at most 2**63 - 1 trials, and a bool is no
+        # count, as under every count rule
         with pytest.raises(ValueError, match="shots must be a positive integer or math.inf"):
             cls(n_qubits=3, shots=shots)
 

@@ -13,8 +13,8 @@ from scipy.linalg import cho_factor, cho_solve
 from spsakit.estimators import sample_perturbation
 from spsakit import linalg
 from spsakit.linalg import (HERMITICITY_ATOL, _lapack, _require_hermitian, blas_threads,
-                            hermitize, matrix_abs, one_blas_thread, orthonormal_bases,
-                            psd_sqrt_shifted, solve_pd)
+                            hermitize, matrix_abs, one_blas_thread, psd_sqrt_shifted,
+                            solve_pd)
 
 
 def random_hermitian(p, rng):
@@ -128,7 +128,7 @@ class TestPsdSqrtShifted:
         # √(λ² + ε) for λ past 1e154, without overflow or a warning
         eps = 1e-4
         out = psd_sqrt_shifted(np.diag([huge, 2.0, 0.0]), eps,
-                               np.eye(3)[:, :2] if span else np.eye(3))
+                               np.eye(3)[:2] if span else np.eye(3))
         assert np.isfinite(out).all()
         np.testing.assert_allclose(np.diag(out), [abs(huge), np.sqrt(4.0 + eps), np.sqrt(eps)],
                                    rtol=1e-14)
@@ -227,7 +227,7 @@ _TILDE = {"independent": None, "+δ": 1.0, "-δ": -1.0, "+iδ": 1j, "-iδ": -1j}
 
 def outer_product_estimate(field, p, n_r, tilde, seed):
     """H′ = hermitize(Σ_r c_r δ_r δ̃_r†)/N_R as the gidi pipeline sees it, and
-    its span: the columns Δ_1, Δ̃_1, …, Δ_NR, Δ̃_NR."""
+    its span: the rows Δ_1, Δ̃_1, …, Δ_NR, Δ̃_NR."""
     rng = np.random.default_rng(seed)
     rows = sample_perturbation(p, field, rng, 2 * n_r)
     if _TILDE[tilde] is not None:
@@ -235,7 +235,7 @@ def outer_product_estimate(field, p, n_r, tilde, seed):
     coeffs = rng.standard_normal(n_r)
     h = sum(c * np.outer(rows[2 * r], np.conj(rows[2 * r + 1]))
             for r, c in enumerate(coeffs)) / n_r
-    return hermitize(h), rows.T
+    return hermitize(h), rows
 
 
 @st.composite
@@ -259,7 +259,7 @@ class TestPsdSqrtShiftedOnASpan:
     def test_matches_the_full_decomposition(self, estimate, epsilon):
         h, span = outer_product_estimate(*estimate)
         full = reference_psd_sqrt_shifted(h, epsilon)
-        on_span = psd_sqrt_shifted(h, epsilon, orthonormal_bases(span))
+        on_span = psd_sqrt_shifted(h, epsilon, span)
         assert on_span.dtype == full.dtype
         assert np.abs(on_span - full).max() <= 1e-12 * np.abs(full).max()
 
@@ -270,7 +270,7 @@ class TestPsdSqrtShiftedOnASpan:
     @example(estimate=("complex", 37, 1, "-δ", 2277), epsilon=1e-4)
     def test_hermitian_with_eigenvalues_at_least_sqrt_eps(self, estimate, epsilon):
         h, span = outer_product_estimate(*estimate)
-        out = psd_sqrt_shifted(h, epsilon, orthonormal_bases(span))
+        out = psd_sqrt_shifted(h, epsilon, span)
         norm = np.linalg.norm(out, 2)
         assert np.abs(out - out.conj().T).max() <= 1e-12 * norm
         # eigvalsh resolves an eigenvalue of `out` only to about 1e-16·‖out‖,
@@ -280,22 +280,17 @@ class TestPsdSqrtShiftedOnASpan:
         root = np.sqrt(epsilon)
         assert np.linalg.eigvalsh(out).min() >= root - 1e-12 * max(root, norm)
 
-    @pytest.mark.parametrize("columns", [2, 0])
-    def test_vanishing_matrix_gives_sqrt_eps_identity(self, columns):
-        span = sample_perturbation(5, "complex", np.random.default_rng(0), 2).T[:, :columns]
-        out = psd_sqrt_shifted(np.zeros((5, 5), dtype=complex), 1e-4, orthonormal_bases(span))
+    @pytest.mark.parametrize("rows", [2, 0])
+    def test_vanishing_matrix_gives_sqrt_eps_identity(self, rows):
+        span = sample_perturbation(5, "complex", np.random.default_rng(0), 2)[:rows]
+        out = psd_sqrt_shifted(np.zeros((5, 5), dtype=complex), 1e-4, span)
         np.testing.assert_array_equal(out, 1e-2 * np.eye(5))
 
-    @pytest.mark.parametrize("shape", [(4, 2), (6, 2), (5,), (1, 5, 2)])
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 6), (5,), (1, 2, 5)])
     def test_span_with_wrong_shape_rejected(self, shape):
         h, _ = outer_product_estimate("complex", 5, 1, "independent", 0)
-        with pytest.raises(ValueError, match="basis"):
+        with pytest.raises(ValueError, match="span"):
             psd_sqrt_shifted(h, 1e-4, np.ones(shape))
-
-    @pytest.mark.parametrize("shape", [(), (5,)])
-    def test_orthonormal_bases_rejects_fewer_than_two_dimensions(self, shape):
-        with pytest.raises(ValueError, match="orthonormal_bases"):
-            orthonormal_bases(np.ones(shape))
 
 
 def _pd_matrix(field, p, rng):
@@ -410,7 +405,14 @@ class TestNumpyLapackContract:
             assert set(loops) <= set(gufunc.types), name
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_qr_is_np_linalg_qr_one_span_or_a_stack(self, field):
+    def test_qr_is_np_linalg_qr_and_psd_sqrt_shifted_uses_it(self, monkeypatch, field):
+        factored = {}
+
+        def spy(gufunc, signature, *args, failure):
+            factored[gufunc.__name__] = _lapack(gufunc, signature, *args, failure=failure)
+            return factored[gufunc.__name__]
+
+        monkeypatch.setattr(linalg, "_lapack", spy)
         rng = np.random.default_rng(0)
         for p in range(1, 65):
             for span in _spans(field, p, rng):
@@ -419,10 +421,9 @@ class TestNumpyLapackContract:
                 q = _call("qr_reduced", field, factors, tau)
                 expected = np.linalg.qr(span).Q
                 assert _identical(q, expected), (p, span.shape)
-                assert _identical(orthonormal_bases(span), expected), (p, span.shape)
-                # a span in a stack, as `run` factors a block's spans
-                stack = np.stack([_field_array(field, span.shape, rng), span, span[::-1]])
-                assert _identical(orthonormal_bases(stack)[1], expected), (p, span.shape)
+                # the Q of the span's rows, which psd_sqrt_shifted factors
+                psd_sqrt_shifted(np.zeros((p, p), dtype=span.dtype), 1e-4, span.T)
+                assert _identical(factored["qr_reduced"], expected), (p, span.shape)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_eigh_lo_is_np_linalg_eigh_and_matrix_abs_uses_it(self, field):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 from optimizer_reference import reference_run
 
 import spsakit.optimizers as optimizers
+from spsakit.applications import VqeProblem
+from spsakit.bench import run_single
 from spsakit.estimators import (GAIN_PRESETS, GainSchedule, gains_at, resample,
                                 sample_perturbation)
-from spsakit.linalg import matrix_abs, orthonormal_bases, solve_pd
+from spsakit.linalg import matrix_abs, solve_pd
 from spsakit.optimizers import (
     OptimizerConfig,
     estimate_blocking_tolerance,
@@ -171,7 +174,7 @@ class TestSteps:
             return resample(config.method, f, fid, z0, b1, delta)[0], None, None
         delta_tilde = sample_perturbation(z0.size, config.field, rng)
         g, h_raw = resample(config.method, f, fid, z0, b1, delta, delta_tilde, config.scalar)
-        return g, h_raw, np.stack([delta, delta_tilde], axis=1)
+        return g, h_raw, np.array([delta, delta_tilde])
 
     @classmethod
     def _one_iteration(cls, config, f, z0, fid=None):
@@ -223,8 +226,7 @@ class TestSteps:
         if postproc == "spall":
             _, h = postprocess_spall(h_raw, memory, 1, config.effective_epsilon)
         else:
-            _, h = postprocess_gidi(h_raw, memory, 1, config.effective_epsilon,
-                                    orthonormal_bases(vectors))
+            _, h = postprocess_gidi(h_raw, memory, 1, config.effective_epsilon, vectors)
         _, abar1, _ = gains_at(STATIC, 1)
         expected = z0 - abar1 * g / h if scalar else z0 - abar1 * solve_pd(h, g)
         np.testing.assert_allclose(final, expected, rtol=1e-12, atol=0)
@@ -378,6 +380,15 @@ class TestRunContracts:
             run(f, OptimizerConfig(max_iterations=1), np.zeros(2, dtype=complex), monitor=f)
         with pytest.raises(TypeError, match="seed"):
             OptimizerConfig(seed=1)
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, -1])
+    def test_seed_follows_the_count_rule(self, seed):
+        # None would run unseeded, True as seed 1, and numpy's own errors
+        # for 1.5 and -1 name no argument
+        f = lambda z: 0.0
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            run(f, OptimizerConfig(max_iterations=1), np.zeros(2, dtype=complex), seed=seed,
+                monitor=f)
 
     def test_scalar_first_order_rejected(self):
         with pytest.raises(ValueError):
@@ -601,10 +612,18 @@ METHOD_VARIANTS = [("first_order", False), ("second_order", False), ("second_ord
                    ("quantum_natural", False), ("quantum_natural", True)]
 
 
+def block_iterations(config, p):
+    """The iterations of one perturbation block of ``run``: as many as
+    ``PERTURBATION_BLOCK_ENTRIES`` entries hold, at least one."""
+    d = 1 if config.method == "first_order" else 2
+    return max(1, optimizers.PERTURBATION_BLOCK_ENTRIES // (config.resampling * d * p))
+
+
 class TestBlockDraws:
-    """``run`` draws its perturbations PERTURBATION_BLOCK iterations at a time;
-    its traces must equal, bit for bit, those of ``reference_run``, which
-    draws each vector when it needs it."""
+    """``run`` draws its perturbations a block of at most
+    PERTURBATION_BLOCK_ENTRIES entries at a time, but never less than one
+    iteration's draws; its traces must equal, bit for bit, those of
+    ``reference_run``, which draws each vector when it needs it."""
 
     @staticmethod
     def _compare(config, seed, nan_after=None, nan_at=None):
@@ -629,50 +648,86 @@ class TestBlockDraws:
     @pytest.mark.parametrize("method,scalar", METHOD_VARIANTS)
     def test_small_blocks_match_one_draw_per_vector(self, monkeypatch, method, scalar,
                                                     field, n_r, blocking):
+        # one entry short of five iterations' draws: blocks of four iterations
+        per_iter = n_r * (1 if method == "first_order" else 2) * 3
+        monkeypatch.setattr(optimizers, "PERTURBATION_BLOCK_ENTRIES", 5 * per_iter - 1)
         block = 4
-        monkeypatch.setattr(optimizers, "PERTURBATION_BLOCK", block)
         for n_iter in (block - 1, block, block + 1, 2 * block + 1):
             config = OptimizerConfig(method=method, field=field, scalar=scalar,
                                      resampling=n_r, blocking=blocking,
                                      max_iterations=n_iter)
+            assert block_iterations(config, 3) == block
             assert not self._compare(config, n_iter).diverged
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("method,scalar", METHOD_VARIANTS)
     def test_library_block_matches_one_draw_per_vector(self, method, scalar, field):
-        block = optimizers.PERTURBATION_BLOCK
+        block = block_iterations(OptimizerConfig(method=method), 3)
         for n_iter in (block - 1, block, block + 1, 2 * block + 1):
             config = OptimizerConfig(method=method, field=field, scalar=scalar,
                                      max_iterations=n_iter)
             assert not self._compare(config, n_iter).diverged
 
-    @pytest.mark.parametrize("method,per_iter", [("first_order", 3), ("quantum_natural", 6)])
-    def test_one_draw_per_block_bounded_by_the_block(self, monkeypatch, method, per_iter):
-        # N_R = 3: three Δ per first-order iteration, three (Δ, Δ̃) pairs otherwise
-        block = optimizers.PERTURBATION_BLOCK
+    @staticmethod
+    def _spy_on_draws(monkeypatch):
+        """The (m, p) of every `sample_perturbation` call that ``run`` makes."""
         draws = []
         original = optimizers.sample_perturbation
 
         def spy(p, field, rng, m=None):
-            draws.append(m)
+            draws.append((m, p))
             return original(p, field, rng, m)
 
         monkeypatch.setattr(optimizers, "sample_perturbation", spy)
-        config = OptimizerConfig(method=method, resampling=3, max_iterations=2 * block + 1)
+        return draws
+
+    @pytest.mark.parametrize("entries", [None, 9, 8])
+    @pytest.mark.parametrize("method,per_iter", [("first_order", 3), ("quantum_natural", 6)])
+    def test_a_block_holds_at_most_its_entries_but_one_iteration_at_least(
+            self, monkeypatch, method, per_iter, entries):
+        # N_R = 3 and p = 3: three Δ per first-order iteration, three
+        # (Δ, Δ̃) pairs otherwise, so 9 or 18 entries.  The library's bound
+        # holds many iterations of either; a bound of 9 one first-order
+        # iteration and no quantum-natural one; a bound of 8 neither.
+        if entries is not None:
+            monkeypatch.setattr(optimizers, "PERTURBATION_BLOCK_ENTRIES", entries)
+        bound = optimizers.PERTURBATION_BLOCK_ENTRIES
+        config = OptimizerConfig(method=method, resampling=3)
+        n_iter = 2 * block_iterations(config, 3) + 1
+        config = dataclasses.replace(config, max_iterations=n_iter)
+        draws = self._spy_on_draws(monkeypatch)
         c, objective, fidelity, f = noisy_oracles("complex", 3)
         run(objective, config, c, seed=0, fidelity=fidelity, monitor=f)
-        assert draws == [block * per_iter, block * per_iter, per_iter]
+        rows = [m for m, _ in draws]
+        assert len(rows) == 3 and {p for _, p in draws} == {3}
+        assert sum(rows) == n_iter * per_iter and all(m % per_iter == 0 for m in rows)
+        if per_iter * 3 <= bound:
+            assert all(m * 3 <= bound for m in rows)
+            # every block but the last as large as the bound admits
+            assert all((m + per_iter) * 3 > bound for m in rows[:-1])
+        else:
+            assert rows == [per_iter] * n_iter
+
+    def test_a_resampled_iteration_past_the_bound_is_one_block(self, monkeypatch):
+        # 4096 resamples of p = 6: 24576 entries per iteration, drawn one
+        # iteration at a time, where 64-iteration blocks asked for all three
+        # iterations' (12288, 6) at once
+        draws = self._spy_on_draws(monkeypatch)
+        config = OptimizerConfig(resampling=4096, max_iterations=3)
+        trace = run_single(VqeProblem(n_qubits=3, shots=math.inf), config, 0)
+        assert not trace.diverged
+        assert draws == [(4096, 6)] * 3
 
     @pytest.mark.parametrize("method,reason", [("first_order", "candidate"),
                                                ("second_order", "estimate")])
     def test_divergence_in_mid_block(self, method, reason):
         # NaN from the first objective call of iteration k_nan, which lies
         # inside the second block
-        block = optimizers.PERTURBATION_BLOCK
+        config = OptimizerConfig(method=method, field="complex")
+        block = block_iterations(config, 3)
         k_nan = block + block // 2
         calls_per_iter = 2 if method == "first_order" else 4
-        config = OptimizerConfig(method=method, field="complex",
-                                 max_iterations=2 * block + 1)
+        config = dataclasses.replace(config, max_iterations=2 * block + 1)
         trace = self._compare(config, 4, nan_after=calls_per_iter * (k_nan - 1))
         assert (trace.diverged_at, trace.diverged_reason) == (k_nan, reason)
         assert np.isfinite(trace.objective[:k_nan - 1]).all()
