@@ -8,9 +8,10 @@ implemented as plain multiplication: 1/Δ = Δ for real ±1 entries and
 `resample` is the one place that forms the points of a resample and calls
 the oracles on them.  The three estimators are arithmetic on the oracle
 values it hands them: `gradient_estimate` returns the gradient estimate,
-`hessian_estimate` and `metric_estimate` the coefficient c of a curvature
-estimate c·ΔΔ̃†, which `resample` returns as it is in scalar mode and as
-the matrix otherwise.
+`hessian_estimate` and `metric_estimate` the real coefficient c of a
+curvature estimate c·ΔΔ̃†.  `resample` returns c and nothing larger: the
+estimate travels as its coefficients and its Δ, Δ̃ rows, and no p × p
+matrix is formed here.
 """
 
 import math
@@ -126,18 +127,17 @@ def sample_perturbation(p: int, field: str, rng: np.random.Generator, m: int | N
     raise ValueError(f"unknown field {field!r}")
 
 
-def resample(method, f, fid, z, b_k, delta, delta_tilde=None, scalar=False, prepare=None):
+def resample(method, f, fid, z, b_k, delta, delta_tilde=None, prepare=None):
     """One resample of an iteration's estimates: the one place that forms
     the points z ± b_kΔ and z ± b_kΔ + b_kΔ̃ and calls the oracles on them.
 
-    Returns ``(g, h)``: the gradient estimate and, for ``"second_order"`` or
-    ``"quantum_natural"``, the Hessian or metric estimate from the second
-    perturbation ``delta_tilde``; h is None for ``"first_order"``.  In
-    ``scalar`` mode h is the estimate's coefficient c, a float, else the
-    matrix c·ΔΔ̃†.  A preconditioned resample hands ``prepare``, if given,
-    the (5, p) stack z, z + b_kΔ, z − b_kΔ, z + b_kΔ + b_kΔ̃, z − b_kΔ + b_kΔ̃
-    before its first oracle call; every point the oracles then receive has
-    the bytes of one of its rows.
+    Returns ``(g, c)``: the gradient estimate and, for ``"second_order"`` or
+    ``"quantum_natural"``, the real coefficient c of the Hessian or metric
+    estimate c·ΔΔ̃† from the second perturbation ``delta_tilde``; c is None
+    for ``"first_order"``.  A preconditioned resample hands ``prepare``, if
+    given, the (5, p) stack z, z + b_kΔ, z − b_kΔ, z + b_kΔ + b_kΔ̃,
+    z − b_kΔ + b_kΔ̃ before its first oracle call; every point the oracles
+    then receive has the bytes of one of its rows.
 
     The objective ``f`` is called at z + b_kΔ and z − b_kΔ, then, second
     order, at z + b_kΔ + b_kΔ̃ and z − b_kΔ + b_kΔ̃: 2 or 4 calls.  The
@@ -156,11 +156,9 @@ def resample(method, f, fid, z, b_k, delta, delta_tilde=None, scalar=False, prep
     f_plus, f_minus = f(plus), f(minus)
     g = gradient_estimate(f_plus, f_minus, b_k, delta)
     if method == "second_order":
-        c = hessian_estimate(f(plus_tilde), f_plus, f(minus_tilde), f_minus, b_k)
-    else:
-        c = metric_estimate(fid(z, plus_tilde), fid(z, plus), fid(z, minus_tilde), fid(z, minus),
-                            b_k)
-    return g, c if scalar else c * np.outer(delta, np.conj(delta_tilde))
+        return g, hessian_estimate(f(plus_tilde), f_plus, f(minus_tilde), f_minus, b_k)
+    return g, metric_estimate(fid(z, plus_tilde), fid(z, plus), fid(z, minus_tilde),
+                              fid(z, minus), b_k)
 
 
 def gradient_estimate(f_plus, f_minus, b_k, delta):

@@ -1,14 +1,15 @@
 """Dense hermitian-matrix utilities for preconditioned stochastic optimizers.
 
 All matrices here are small (p up to a few hundred).  `matrix_abs` works from
-a full spectral decomposition.  `psd_sqrt_shifted` diagonalizes only on a
-subspace that the caller names, by vectors that span it, as holding the
-range of its input, and orthonormalizes those vectors itself by a QR
-factorization: the gidi preconditioner's input has rank ≤ 2·N_R, so its
-square root costs O(p·N_R²) beyond forming the p × p result.  It maps each
-eigenvalue λ to √(λ² + ε) by one formula that never squares λ, so it stays
-finite for every finite λ.  `solve_pd` checks positive-definiteness by a
-Cholesky factorization and solves by LU.  Real symmetric matrices flow
+a full spectral decomposition.  `psd_sqrt_shifted` takes its input as the
+estimate `run` averages, N_R real coefficients c_r and the row pairs Δ_r,
+Δ̃_r of the outer products c_r·Δ_rΔ̃_r†, and never forms it as a p × p
+matrix: it orthonormalizes the 2·N_R rows by a QR factorization and
+diagonalizes on their span, so the gidi square root costs O(p·N_R²) beyond
+forming the p × p result.  It maps each eigenvalue λ to √(λ² + ε) by one
+formula that never squares λ, so it stays finite for every finite λ.
+`solve_pd` checks positive-definiteness by a Cholesky factorization and
+solves by LU.  Real symmetric matrices flow
 through the same code paths as complex hermitian ones; callers never need a
 separate real-field implementation.
 
@@ -150,54 +151,58 @@ def matrix_abs(matrix):
     return (u * np.abs(w)) @ u.conj().T
 
 
-def psd_sqrt_shifted(matrix, epsilon, span):
-    """Return √(M² + εI) for hermitian M and finite ε > 0.
+def psd_sqrt_shifted(coefficients, rows, epsilon):
+    """Return √(M² + εI) for M = Σ_r c_r(Δ_rΔ̃_r† + Δ̃_rΔ_r†)/(2N_R) and finite ε > 0.
 
-    ``span`` is an r × p array whose rows span a subspace that holds the
-    range of M: the perturbation vectors an outer-product estimate was
-    built from, any spanning set of them, or ``np.eye(p)``, which spans the
-    whole space.  Its rows are orthonormalized here, as the columns of the
-    p × min(p, r) Q factor of a reduced QR factorization, numpy's
-    ``qr_r_raw`` and ``qr_reduced`` (LAPACK ``geqrf`` with
-    ``orgqr``/``ungqr``).  The min(p, r) × min(p, r) matrix Q†MQ = WΛW† is
-    diagonalized, so U = QW holds every eigenvector of M with a nonzero
-    eigenvalue.  The result is √ε·I + U g(Λ) U† with
+    M is the hermitian part of the mean Σ_r c_r·Δ_rΔ̃_r†/N_R of N_R outer
+    products, given by their real ``coefficients`` c_r and an (N_R, 2, p)
+    array of ``rows`` whose pair r is Δ_r, Δ̃_r.  Any hermitian M = Σ_i λ_i
+    v_iv_i† can be given so, as the N coefficients N·λ_i with the pairs
+    (v_i, v_i).  M is never formed: its range lies in the span of the 2·N_R
+    rows, which are orthonormalized as the columns of the p × m Q factor,
+    m = min(p, 2N_R), of a reduced QR factorization, numpy's ``qr_r_raw``
+    and ``qr_reduced`` (LAPACK ``geqrf`` with ``orgqr``/``ungqr``).  With
+    a_r = Q†Δ_r and b_r = Q†Δ̃_r, the m × m matrix
+    Q†MQ = Σ_r (c_r/2N_R)(a_rb_r† + b_ra_r†) = WΛW† is diagonalized, so
+    U = QW holds every eigenvector of M with a nonzero eigenvalue.  The
+    result is √ε·I + U g(Λ) U† with
     g(λ) = |λ|·(|λ|/(hypot(λ, √ε) + √ε)) = √(λ² + ε) − √ε, a form that
     neither cancels nor squares λ, so it stays finite for every finite λ:
-    directions outside the span, and any column of Q that a rank-deficient
-    span adds, have λ = 0 and get exactly √ε.
+    directions outside the span, and any column of Q that rank-deficient
+    rows add, have λ = 0 and get exactly √ε.
 
     Every eigenvalue of the result is at least √ε, which makes the output
     strictly positive-definite even when M vanishes.
 
     The eigensolver is numpy's ``eigh_lo`` (LAPACK ``syevd``/``heevd``).
-    Every factorization runs in double precision, complex128 if M or the
-    span is complex and float64 otherwise.  M must be finite; `run` ends a
-    run before a non-finite estimate gets here.
+    Every factorization runs in double precision, complex128 if the rows
+    are complex and float64 otherwise.  The coefficients must be finite;
+    `run` ends a run before a non-finite estimate gets here.
 
     Raises
     ------
     ValueError
-        If ε is not in (0, ∞), if M is not square and hermitian, or if
-        ``span`` is not a 2-D array with one column per row of M.
+        If ε is not in (0, ∞), or ``rows`` is not an (N_R, 2, p) array
+        with one pair per coefficient.
     numpy.linalg.LinAlgError
         If the QR factorization or the eigensolver fails.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    m = np.asarray(matrix)
-    _require_hermitian(m, "psd_sqrt_shifted")
-    p = m.shape[0]
-    span = np.asarray(span)
-    if span.ndim != 2 or span.shape[1] != p:
-        raise ValueError(f"psd_sqrt_shifted: span of shape {span.shape} does not "
-                         f"have the {p} columns of the matrix")
-    c = "D" if m.dtype.kind == "c" or span.dtype.kind == "c" else "d"
-    factors = span.T.astype(c)  # a copy, which qr_r_raw overwrites
+    rows = np.asarray(rows)
+    if rows.ndim != 3 or rows.shape[:2] != (len(coefficients), 2):
+        raise ValueError(f"psd_sqrt_shifted: rows of shape {rows.shape} are not one "
+                         f"(Δ, Δ̃) pair for each of the {len(coefficients)} coefficients")
+    p = rows.shape[2]
+    span = rows.reshape(-1, p).T  # Δ_1, Δ̃_1, …, Δ_NR, Δ̃_NR as columns
+    c = "D" if rows.dtype.kind == "c" else "d"
+    factors = span.astype(c)  # a copy, which qr_r_raw overwrites
     failure = "psd_sqrt_shifted: QR factorization failed"
     tau = _lapack(_umath_linalg.qr_r_raw, f"{c}->{c}", factors, failure=failure)
     q = _lapack(_umath_linalg.qr_reduced, f"{c}{c}->{c}", factors, tau, failure=failure)
-    w, v = _lapack(_umath_linalg.eigh_lo, f"{c}->d{c}", q.conj().T @ m @ q,
+    ab = q.conj().T @ span  # a_1, b_1, …, a_NR, b_NR as columns
+    half = (ab[:, 0::2] * (np.asarray(coefficients) / (2 * len(rows)))) @ ab[:, 1::2].conj().T
+    w, v = _lapack(_umath_linalg.eigh_lo, f"{c}->d{c}", half + half.conj().T,
                    failure="psd_sqrt_shifted: eigenvalues did not converge")
     u = q @ v
     root = math.sqrt(epsilon)

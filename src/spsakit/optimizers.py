@@ -9,6 +9,14 @@ and resampling as orthogonal switches.  Both switches live only in `run`: it
 averages the N_R estimator draws of an iteration and blocks a candidate
 against the cached objective value of the accepted iterate.
 
+A curvature estimate is the mean Σ_r c_r·Δ_rΔ̃_r†/N_R of an iteration's
+resamples, and it travels in that factored form: `run` keeps the N_R real
+coefficients c_r that `estimators.resample` returns and the iteration's
+(N_R, 2, p) rows Δ_r, Δ̃_r, and hands both to either post-processing.
+Scalar mode uses the coefficients' mean alone, spall forms the p × p mean,
+and gidi takes its square root from the factors through
+`linalg.psd_sqrt_shifted`, with no p × p estimate.
+
 The preconditioned methods smooth each curvature estimate with Spall's
 inertia blend H̄_k = k/(k+1)·H̄_{k−1} + Ĥ_k/(k+1), H̄_0 = I.  `run` keeps
 H̄ and k; the post-processings are pure functions of the estimate, H̄_{k−1}
@@ -119,15 +127,16 @@ class RunTrace:
     of each iteration; diverged runs are padded with NaN and flagged.
     ``diverged_at`` is the 1-based iteration at which a run diverged, and
     ``diverged_reason`` what went wrong there: a preconditioned iteration's
-    averaged gradient or Hessian or metric ``"estimate"``, the
-    ``"candidate"`` iterate or the ``"recorded"`` objective value turned
-    non-finite; the ``"preconditioner"`` of a huge but finite estimate
-    overflowed, or a factorization failed: the square root's QR or
-    eigensolver, or the step's Cholesky check or LU solve; or the
-    ``"blocking"`` reference, which is checked before the first iteration:
-    a blocking tolerance or objective value at z₀ that is not finite ends
-    the run at iteration 1, with every record NaN, instead of letting it
-    reject every candidate.  Both are None for a run that completed.
+    ``"estimate"``, its averaged gradient or the mean of its Hessian or
+    metric coefficients, the ``"candidate"`` iterate or the ``"recorded"``
+    objective value turned non-finite; the ``"preconditioner"`` of a huge
+    but finite estimate overflowed, or a factorization failed: the square
+    root's QR or eigensolver, or the step's Cholesky check or LU solve; or
+    the ``"blocking"`` reference, which is checked before the first
+    iteration: a blocking tolerance or objective value at z₀ that is not
+    finite ends the run at iteration 1, with every record NaN, instead of
+    letting it reject every candidate.  Both are None for a run that
+    completed.
 
     Evaluation counts are not stored per iteration: the estimator contract
     makes every iteration of a configuration cost the same.  The trace keeps
@@ -176,58 +185,66 @@ class RunTrace:
         return counts
 
 
-def _hermitian_part(h_raw, memory):
-    """H′: the estimate's real part in scalar mode, else its hermitian part."""
-    if np.isscalar(memory):
-        return float(np.real(h_raw))
-    h_prime = hermitize(h_raw)
-    if h_prime.shape != memory.shape:
-        raise ValueError("Hessian estimate dimension does not match the blend")
-    return h_prime
+def _coefficient_mean(coefficients):
+    """Σ_r c_r/N_R, summed in resample order into 0.0, as a float."""
+    total = 0.0
+    for c in coefficients:
+        total += c
+    return float(total / len(coefficients))
 
 
 def _blend(memory, k: int, summand):
     """Spall's inertia blend k/(k+1)·H̄_{k−1} + Ĥ_k/(k+1)."""
+    if np.shape(summand) != np.shape(memory):
+        raise ValueError("the estimate's dimension does not match the blend")
     return (k / (k + 1)) * memory + summand / (k + 1)
 
 
-def postprocess_spall(h_raw, memory, k: int, epsilon: float):
+def postprocess_spall(coefficients, rows, memory, k: int, epsilon: float):
     """Hermitize, blend with inertia, then regularize as √(H″²) + εI.
 
-    ``memory`` is the previous blend H̄_{k−1}, a hermitian matrix or a float
-    in scalar mode.  Returns ``(H″, preconditioner)``: the blend of
+    The estimate is Σ_r c_r·Δ_rΔ̃_r†/N_R, given by its N_R real
+    ``coefficients`` c_r and an (N_R, 2, p) array of ``rows`` whose pair r
+    is Δ_r, Δ̃_r.  It is formed here as a p × p matrix, the outer products
+    summed in resample order into 0.0, whose hermitian part is blended; in
+    scalar mode the estimate is the coefficients' mean and ``rows`` is not
+    read.  ``memory`` is the previous blend H̄_{k−1}, a hermitian matrix or
+    a float in scalar mode.  Returns ``(H″, preconditioner)``: the blend of
     iteration k, and a positive-definite matrix with eigenvalues ≥ ε.
+    Raises ``ValueError`` if the estimate's dimension does not match
+    ``memory``.
     """
-    h_pp = _blend(memory, k, _hermitian_part(h_raw, memory))
     if np.isscalar(memory):
+        h_pp = _blend(memory, k, _coefficient_mean(coefficients))
         return h_pp, abs(h_pp) + epsilon
+    # Summing into 0.0 turns the estimate's -0.0 entries into 0.0, and eigh
+    # rounds differently for matrices that differ only in the sign of a zero.
+    h_sum = 0.0
+    for c, (delta, delta_tilde) in zip(coefficients, rows):
+        h_sum += c * np.outer(delta, np.conj(delta_tilde))
+    h_pp = _blend(memory, k, hermitize(h_sum / len(coefficients)))
     return h_pp, matrix_abs(h_pp) + epsilon * np.eye(h_pp.shape[0], dtype=h_pp.dtype)
 
 
-def postprocess_gidi(h_raw, memory, k: int, epsilon: float, span):
-    """Hermitize, regularize as √(H′² + εI), then blend with inertia.
+def postprocess_gidi(coefficients, rows, memory, k: int, epsilon: float):
+    """Regularize the estimate's hermitian part H′ as √(H′² + εI), then
+    blend with inertia.
 
-    The regularization happens before the inertia blend, so every summand has
-    eigenvalues ≥ √ε and a vanishing Hessian yields a preconditioner
-    proportional to the identity.  ``memory`` is the previous blend, as in
-    `postprocess_spall`; the blend of iteration k is returned twice, as the
-    new blend and as the preconditioner.
-
-    ``span`` is handed to `psd_sqrt_shifted`: an r × p array whose rows
-    span a subspace that holds the range of H′, such as the rows the
-    estimate was built from, any spanning set, or ``np.eye(p)``, which spans
-    the whole space.  An estimate averaged from N_R outer products δδ̃† has
-    its range in the span of the 2·N_R perturbation vectors, which `run`
-    passes, so the square root costs O(p·N_R²) beyond forming the result.
-    Scalar mode ignores it.  Raises ``ValueError`` if the estimate's
-    dimension does not match ``memory`` or the span's column count does not
-    match the estimate.
+    The estimate, ``memory`` and the scalar mode are those of
+    `postprocess_spall`.  The regularization happens before the inertia
+    blend, so every summand has eigenvalues ≥ √ε and a vanishing Hessian
+    yields a preconditioner proportional to the identity.  The square root
+    is `psd_sqrt_shifted` of the coefficients and rows, which forms no p × p
+    estimate: H′ has its range in the span of the 2·N_R rows, so it costs
+    O(p·N_R²) beyond forming the result.  The blend of iteration k is
+    returned twice, as the new blend and as the preconditioner.  Raises
+    ``ValueError`` if the estimate's dimension does not match ``memory``.
     """
-    h_prime = _hermitian_part(h_raw, memory)
     if np.isscalar(memory):
+        h_prime = _coefficient_mean(coefficients)
         summand = math.sqrt(h_prime * h_prime + epsilon)
     else:
-        summand = psd_sqrt_shifted(h_prime, epsilon, span)
+        summand = psd_sqrt_shifted(coefficients, rows, epsilon)
     blend = _blend(memory, k, summand)
     return blend, blend
 
@@ -293,8 +310,9 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
     least one, the last block cut to the iterations left, so the run holds
     at most one block.  A block is read as an (iterations, N_R, d, p) array,
     d = 1 for first-order methods and 2 otherwise, whose slice of one
-    iteration gives each resample its row pair and the gidi square root all
-    its rows as the span.  Each block is stream-identical to one
+    iteration gives each resample its rows and the post-processing the
+    rows of the estimate; a first-order iteration at N_R = 1 reads its Δ
+    as the next row of the block.  Each block is stream-identical to one
     `sample_perturbation` call per vector, so traces equal those of a loop
     that draws each vector when it needs it.  A run that diverges leaves
     the rest of its block unused.  The oracles draw shot noise from their
@@ -339,6 +357,7 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
     preconditioned = config.method != "first_order"
     memory = 1.0 if config.scalar else np.eye(p, dtype=z.dtype)  # H̄_0 = I
     epsilon = config.effective_epsilon
+    postprocess = postprocess_spall if config.postproc == "spall" else postprocess_gidi
 
     delta = config.blocking
     if delta == "auto":
@@ -366,29 +385,27 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
     for k in range(1, n_iter + 1):
         if (k - 1) % block_iterations == 0:
             iterations = min(block_iterations, n_iter - k + 1)
-            block = sample_perturbation(p, config.field, rng, iterations * n_r * d).reshape(
-                iterations, n_r, d, p)
-        draws = block[(k - 1) % block_iterations]
+            block = sample_perturbation(p, config.field, rng, iterations * n_r * d)
+            # one view per iteration: a lone Δ, or the (N_R, d, p) rows
+            draws = iter(block if n_r * d == 1 else block.reshape(iterations, n_r, d, p))
+        rows = next(draws)
         a_k, abar_k, b_k = gains_at(config.gains, k)
 
-        if n_r == 1 and not preconditioned:
-            g, _ = resample(config.method, f, fid, z, b_k, draws[0, 0])
+        if n_r * d == 1:
+            g, _ = resample(config.method, f, fid, z, b_k, rows)
         else:
-            # Preconditioned methods sum into 0.0 even at N_R = 1: that
-            # turns the estimate's -0.0 entries into 0.0, and eigh rounds
-            # differently for matrices that differ only in the sign of a zero.
-            g_sum = h_sum = 0.0
-            for pair in draws:
-                g, h = resample(config.method, f, fid, z, b_k, pair[0],
-                                pair[1] if preconditioned else None, config.scalar, prepare)
+            g_sum, coefficients = 0.0, []
+            for pair in rows:
+                g, c = resample(config.method, f, fid, z, b_k, pair[0],
+                                pair[1] if preconditioned else None, prepare)
                 g_sum += g
-                if preconditioned:
-                    h_sum += h
+                coefficients.append(c)
             g = g_sum / n_r
-            h_raw = h_sum / n_r
 
         if preconditioned:
-            if not (np.isfinite(g).all() and np.isfinite(h_raw).all()):
+            # The estimate is non-finite when its coefficients' mean is,
+            # also when finite coefficients overflow in their sum.
+            if not (np.isfinite(g).all() and math.isfinite(_coefficient_mean(coefficients))):
                 trace.diverged_at, trace.diverged_reason = k, "estimate"
                 break
             # A huge but finite estimate can overflow in the hermitian part,
@@ -396,12 +413,7 @@ def run(objective, config: OptimizerConfig, z0, *, seed, monitor, fidelity=None,
             # is not finite, or fail a factorization in the square root or
             # the step's solve.
             try:
-                if config.postproc == "spall":
-                    memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
-                else:
-                    # the estimate's range lies in the span of its Δ, Δ̃ rows
-                    memory, preconditioner = postprocess_gidi(h_raw, memory, k, epsilon,
-                                                              draws.reshape(-1, p))
+                memory, preconditioner = postprocess(coefficients, rows, memory, k, epsilon)
                 if not np.isfinite(preconditioner).all():
                     raise np.linalg.LinAlgError("the preconditioner is not finite")
                 candidate = (z - (abar_k / preconditioner) * g if config.scalar

@@ -6,10 +6,10 @@ and averages the resamples only when there are several.  This loop does each
 of these the plain way: one ``sample_perturbation(p, field, rng)`` call per
 vector, at the point of use, zero-initialized accumulators divided by N_R
 on every iteration, and the step on every iteration, so tests can require
-the two to give bit-identical traces.  It hands the gidi square root the
-same span as the library: the iteration's perturbation vectors in draw order
-as rows, stacked from the vectors it drew, where the library passes its
-slice of a block.
+the two to give bit-identical traces.  It hands the post-processings the
+same estimate as the library, the iteration's coefficients and its
+perturbation vectors in draw order as (Δ, Δ̃) row pairs, stacked from the
+vectors it drew, where the library passes its slice of a block.
 
 It counts the oracle calls itself and stores the cumulative counts of every
 iteration in arrays of its own record, `ReferenceTrace`, where the library
@@ -18,9 +18,10 @@ the two checks the derived counts against a count made call by call.
 
 It forms each resample's points z ± b_kΔ and z ± b_kΔ + b_kΔ̃ and makes its
 oracle calls itself, in the order `spsakit.estimators.resample` documents,
-and hands the values to the three estimators; a curvature estimate's matrix
-form is their coefficient times ΔΔ̃†.  So a bit-identical trace checks
-``resample``'s points, call order and matrix form against a second writing.
+and hands the values to the three estimators; a curvature estimate is the
+coefficients they return with the rows Δ, Δ̃, and it is non-finite when
+the mean of its coefficients is.  So a bit-identical trace checks
+``resample``'s points, call order and coefficients against a second writing.
 
 It takes the perturbations' ``seed`` as ``run`` does, and writes the step
 formulas itself rather than take them from the code it checks:
@@ -110,8 +111,7 @@ def reference_run(objective, config, z0, *, seed, monitor, fidelity=None, callba
         a_k, abar_k, b_k = gains_at(config.gains, k)
 
         g_sum = np.zeros(p, dtype=dtype)
-        h_sum = 0.0 if (not preconditioned or config.scalar) else np.zeros((p, p), dtype=dtype)
-        drawn = []
+        drawn, coefficients = [], []
         for _ in range(config.resampling):
             delta_vec = sample_perturbation(p, config.field, rng)
             drawn.append(delta_vec)
@@ -129,23 +129,25 @@ def reference_run(objective, config, z0, *, seed, monitor, fidelity=None, callba
             else:
                 c = metric_estimate(fid(z, plus_tilde), fid(z, plus), fid(z, minus_tilde),
                                     fid(z, minus), b_k)
-            h_sum += c if config.scalar else c * np.outer(delta_vec, np.conj(delta_tilde))
+            coefficients.append(c)
         g = g_sum / config.resampling
 
         if preconditioned:
-            h_raw = h_sum / config.resampling
-            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h_raw))):
+            c_sum = 0.0
+            for c in coefficients:
+                c_sum += c
+            rows = np.array(drawn).reshape(config.resampling, 2, p)
+            if not (np.all(np.isfinite(g)) and np.isfinite(c_sum / config.resampling)):
                 trace.diverged_at, trace.diverged_reason = k, "estimate"
                 break
             try:
                 # Overflow to a non-finite preconditioner, a failed eigensolver
                 # and a failed Cholesky factorization all end the run.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if config.postproc == "spall":
-                        memory, preconditioner = postprocess_spall(h_raw, memory, k, epsilon)
-                    else:
-                        memory, preconditioner = postprocess_gidi(
-                            h_raw, memory, k, epsilon, np.array(drawn))
+                    postprocess = (postprocess_spall if config.postproc == "spall"
+                                   else postprocess_gidi)
+                    memory, preconditioner = postprocess(np.array(coefficients), rows, memory,
+                                                         k, epsilon)
                 if not np.all(np.isfinite(preconditioner)):
                     raise np.linalg.LinAlgError("the preconditioner is not finite")
                 if config.scalar:

@@ -1,8 +1,12 @@
+import concurrent.futures
 import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from spsakit.optimizers import OptimizerConfig
 from spsakit.quantum import fidelity_with_shots
 
 STATIC = GAIN_PRESETS["static"]
+SRC = str(Path(bench.__file__).resolve().parent.parent)
 
 
 def small_spec(**overrides):
@@ -179,7 +184,7 @@ class TestRunEnsemble:
         def no_pool(*args, **kwargs):
             raise AssertionError("the ensemble started a process pool")
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
 
     def test_workers_none_counts_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -221,7 +226,7 @@ class TestRunEnsemble:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         pooled = run_ensemble(small_spec(workers=MAX_COUNT, n_runs=2))
         assert sizes == [2]
         serial = run_ensemble(small_spec(workers=1, n_runs=2))
@@ -288,6 +293,16 @@ class TestRunEnsemble:
             for a, b in zip(pooled.traces, serial.traces):
                 assert getattr(a, name).dtype == np.int64
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_importing_the_cli_leaves_the_process_pool_unimported(self):
+        # concurrent.futures costs a fresh interpreter about 18 ms, which
+        # only an ensemble on a pool needs: run_ensemble imports it there
+        code = ("import sys, spsakit.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_statistics_rows_have_no_instance_dict(self):
         row = run_ensemble(small_spec(n_runs=1)).stats[0]

@@ -100,18 +100,32 @@ class TestMatrixAbs:
             matrix_abs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def pairs(m):
+    """Hermitian M as `psd_sqrt_shifted` takes it: the coefficients p·λ_i and
+    the row pairs (v_i, v_i) of its p eigenpairs, so that
+    M = Σ_i (p·λ_i)(v_iv_i† + v_iv_i†)/(2p)."""
+    w, v = np.linalg.eigh(m)
+    return w.size * w, np.stack([v.T, v.T], axis=1)
+
+
+def diagonal(w):
+    """diag(w) as `pairs` gives it, with the unit vectors as rows."""
+    e = np.eye(len(w))
+    return len(w) * np.asarray(w, dtype=float), np.stack([e, e], axis=1)
+
+
 class TestPsdSqrtShifted:
     def test_zero_matrix(self):
-        out = psd_sqrt_shifted(np.zeros((2, 2)), 1e-4, np.eye(2))
+        out = psd_sqrt_shifted(*diagonal([0.0, 0.0]), 1e-4)
         np.testing.assert_allclose(out, np.diag([1e-2, 1e-2]), atol=1e-14)
 
     def test_scalar_diagonal(self):
         eps = 1e-3
-        out = psd_sqrt_shifted(np.diag([3.0]), eps, np.eye(1))
+        out = psd_sqrt_shifted(*diagonal([3.0]), eps)
         np.testing.assert_allclose(out, [[np.sqrt(9.0 + eps)]])
 
     def test_identity_small_eps_limit(self):
-        out = psd_sqrt_shifted(np.eye(3), 1e-14, np.eye(3))
+        out = psd_sqrt_shifted(*diagonal([1.0] * 3), 1e-14)
         np.testing.assert_allclose(out, np.eye(3), atol=1e-7)
 
     def test_min_eigenvalue_at_least_sqrt_eps(self):
@@ -119,16 +133,19 @@ class TestPsdSqrtShifted:
         eps = 1e-4
         for _ in range(20):
             m = random_hermitian(5, rng)
-            w = np.linalg.eigvalsh(psd_sqrt_shifted(m, eps, np.eye(5)))
+            w = np.linalg.eigvalsh(psd_sqrt_shifted(*pairs(m), eps))
             assert w.min() >= np.sqrt(eps) - 1e-12
 
     @pytest.mark.parametrize("span", [False, True])
     @pytest.mark.parametrize("huge", [1e160, -1e200, 1e300])
     def test_eigenvalue_whose_square_overflows(self, huge, span):
-        # √(λ² + ε) for λ past 1e154, without overflow or a warning
+        # √(λ² + ε) for λ past 1e154, without overflow or a warning; with
+        # ``span``, the rows leave out the direction of the zero eigenvalue
         eps = 1e-4
-        out = psd_sqrt_shifted(np.diag([huge, 2.0, 0.0]), eps,
-                               np.eye(3)[:2] if span else np.eye(3))
+        coefficients, rows = diagonal([huge, 2.0, 0.0])
+        if span:
+            coefficients, rows = 2 * np.array([huge, 2.0]), rows[:2]
+        out = psd_sqrt_shifted(coefficients, rows, eps)
         assert np.isfinite(out).all()
         np.testing.assert_allclose(np.diag(out), [abs(huge), np.sqrt(4.0 + eps), np.sqrt(eps)],
                                    rtol=1e-14)
@@ -136,10 +153,11 @@ class TestPsdSqrtShifted:
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
     def test_within_4_ulps_of_the_root_from_1e_minus_300_to_1e308(self, eps):
-        # one formula for every eigenvalue, tiny, near √ε, or past 1e154
+        # one formula for every eigenvalue, tiny, near √ε, or past 1e154:
+        # each as the one coefficient of a 1 × 1 estimate, M = λ exactly
         magnitudes = np.concatenate([np.logspace(-300, 308, 77), np.geomspace(1e-4, 1e2, 25)])
         w = np.concatenate([-magnitudes, magnitudes])
-        got = np.diag(psd_sqrt_shifted(np.diag(w), eps, np.eye(w.size)))
+        got = np.array([psd_sqrt_shifted([lam], np.ones((1, 2, 1)), eps)[0, 0] for lam in w])
         wide = np.longdouble(w)
         expected = np.sqrt(wide * wide + np.longdouble(eps)).astype(np.float64)
         assert np.isfinite(got).all()
@@ -149,7 +167,7 @@ class TestPsdSqrtShifted:
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         w = np.array([-3e250, 1e-3, 2.0, 1e200])
-        out = psd_sqrt_shifted((q * w) @ q.conj().T, 1e-4, np.eye(4))
+        out = psd_sqrt_shifted(4 * w, np.stack([q.T, q.T], axis=1), 1e-4)
         assert np.isfinite(out).all()
         np.testing.assert_allclose(np.linalg.eigvalsh(out), np.sort(np.abs(w)), rtol=1e-12,
                                    atol=1e-12 * 3e250)
@@ -157,12 +175,12 @@ class TestPsdSqrtShifted:
     def test_nonpositive_eps_rejected(self):
         for eps in (0.0, -1e-3, -np.inf):
             with pytest.raises(ValueError, match="epsilon"):
-                psd_sqrt_shifted(np.eye(2), eps, np.eye(2))
+                psd_sqrt_shifted(*diagonal([1.0, 1.0]), eps)
 
     @pytest.mark.parametrize("eps", [np.inf, np.nan])
     def test_nonfinite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
-            psd_sqrt_shifted(np.eye(2), eps, np.eye(2))
+            psd_sqrt_shifted(*diagonal([1.0, 1.0]), eps)
 
 
 class TestSolvePd:
@@ -200,7 +218,7 @@ class TestSharedEigenbasis:
         rng = np.random.default_rng(5)
         for p in (2, 8, 16):
             m = random_hermitian(p, rng)
-            for result in (matrix_abs(m), psd_sqrt_shifted(m, 1e-4, np.eye(p))):
+            for result in (matrix_abs(m), psd_sqrt_shifted(*pairs(m), 1e-4)):
                 comm = result @ m - m @ result
                 assert np.abs(comm).max() <= 1e-10
 
@@ -225,17 +243,21 @@ def reference_psd_sqrt_shifted(m, epsilon):
 _TILDE = {"independent": None, "+δ": 1.0, "-δ": -1.0, "+iδ": 1j, "-iδ": -1j}
 
 
-def outer_product_estimate(field, p, n_r, tilde, seed):
-    """H′ = hermitize(Σ_r c_r δ_r δ̃_r†)/N_R as the gidi pipeline sees it, and
-    its span: the rows Δ_1, Δ̃_1, …, Δ_NR, Δ̃_NR."""
+def outer_product_estimate(field, p, n_r, tilde, seed, repeated=False):
+    """The N_R coefficients c_r and (N_R, 2, p) rows Δ_r, Δ̃_r of an estimate
+    as `run` hands them over, and its hermitian part formed explicitly,
+    M = Σ_r c_r(Δ_rΔ̃_r† + Δ̃_rΔ_r†)/(2N_R).  With ``repeated``, every pair
+    is the first one, which makes the span rank-deficient too."""
     rng = np.random.default_rng(seed)
-    rows = sample_perturbation(p, field, rng, 2 * n_r)
+    rows = sample_perturbation(p, field, rng, 2 * n_r).reshape(n_r, 2, p)
     if _TILDE[tilde] is not None:
-        rows[1::2] = _TILDE[tilde] * rows[0::2]
-    coeffs = rng.standard_normal(n_r)
-    h = sum(c * np.outer(rows[2 * r], np.conj(rows[2 * r + 1]))
-            for r, c in enumerate(coeffs)) / n_r
-    return hermitize(h), rows
+        rows[:, 1] = _TILDE[tilde] * rows[:, 0]
+    if repeated:
+        rows[1:] = rows[0]
+    coefficients = rng.standard_normal(n_r)
+    m = sum(c * (np.outer(d, np.conj(dt)) + np.outer(dt, np.conj(d)))
+            for c, (d, dt) in zip(coefficients, rows)) / (2 * n_r)
+    return coefficients, rows, m
 
 
 @st.composite
@@ -243,7 +265,7 @@ def _estimates(draw):
     field = draw(st.sampled_from(["real", "complex"]))
     tilde = draw(st.sampled_from(list(_TILDE) if field == "complex" else list(_TILDE)[:3]))
     return (field, draw(st.integers(1, 40)), draw(st.integers(1, 3)), tilde,
-            draw(st.integers(0, 2**32 - 1)))
+            draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
 
 
 _EPSILONS = st.sampled_from([1e-8, 1e-4, 1e-2, 1.0])
@@ -252,25 +274,27 @@ _EPSILONS = st.sampled_from([1e-8, 1e-4, 1e-2, 1.0])
 class TestPsdSqrtShiftedOnASpan:
     @settings(max_examples=120, deadline=None)
     @given(estimate=_estimates(), epsilon=_EPSILONS)
-    @example(estimate=("complex", 1, 3, "independent", 0), epsilon=1e-4)  # p < 2·N_R
-    @example(estimate=("real", 3, 2, "independent", 1), epsilon=1e-4)
-    @example(estimate=("complex", 40, 3, "+iδ", 2), epsilon=1e-4)  # rank 1 per term
-    @example(estimate=("real", 40, 1, "-δ", 3), epsilon=1e-8)
+    @example(estimate=("complex", 1, 3, "independent", 0, False), epsilon=1e-4)  # p < 2·N_R
+    @example(estimate=("real", 3, 2, "independent", 1, False), epsilon=1e-4)
+    @example(estimate=("complex", 40, 3, "+iδ", 2, False), epsilon=1e-4)  # rank 1 per term
+    @example(estimate=("real", 40, 1, "-δ", 3, False), epsilon=1e-8)
+    @example(estimate=("real", 40, 3, "+δ", 4, True), epsilon=1e-4)  # Δ̃ = Δ, repeated
+    @example(estimate=("complex", 2, 3, "independent", 5, True), epsilon=1e-2)
     def test_matches_the_full_decomposition(self, estimate, epsilon):
-        h, span = outer_product_estimate(*estimate)
-        full = reference_psd_sqrt_shifted(h, epsilon)
-        on_span = psd_sqrt_shifted(h, epsilon, span)
-        assert on_span.dtype == full.dtype
-        assert np.abs(on_span - full).max() <= 1e-12 * np.abs(full).max()
+        coefficients, rows, m = outer_product_estimate(*estimate)
+        full = reference_psd_sqrt_shifted(m, epsilon)
+        factored = psd_sqrt_shifted(coefficients, rows, epsilon)
+        assert factored.dtype == full.dtype
+        assert np.abs(factored - full).max() <= 1e-12 * np.abs(full).max()
 
     @settings(max_examples=120, deadline=None)
     @given(estimate=_estimates(), epsilon=_EPSILONS)
-    @example(estimate=("complex", 1, 3, "independent", 0), epsilon=1e-4)
-    @example(estimate=("complex", 40, 3, "-iδ", 2), epsilon=1e-4)
-    @example(estimate=("complex", 37, 1, "-δ", 2277), epsilon=1e-4)
+    @example(estimate=("complex", 1, 3, "independent", 0, False), epsilon=1e-4)
+    @example(estimate=("complex", 40, 3, "-iδ", 2, False), epsilon=1e-4)
+    @example(estimate=("complex", 37, 1, "-δ", 2277, False), epsilon=1e-4)
     def test_hermitian_with_eigenvalues_at_least_sqrt_eps(self, estimate, epsilon):
-        h, span = outer_product_estimate(*estimate)
-        out = psd_sqrt_shifted(h, epsilon, span)
+        coefficients, rows, _ = outer_product_estimate(*estimate)
+        out = psd_sqrt_shifted(coefficients, rows, epsilon)
         norm = np.linalg.norm(out, 2)
         assert np.abs(out - out.conj().T).max() <= 1e-12 * norm
         # eigvalsh resolves an eigenvalue of `out` only to about 1e-16·‖out‖,
@@ -280,17 +304,30 @@ class TestPsdSqrtShiftedOnASpan:
         root = np.sqrt(epsilon)
         assert np.linalg.eigvalsh(out).min() >= root - 1e-12 * max(root, norm)
 
-    @pytest.mark.parametrize("rows", [2, 0])
-    def test_vanishing_matrix_gives_sqrt_eps_identity(self, rows):
-        span = sample_perturbation(5, "complex", np.random.default_rng(0), 2)[:rows]
-        out = psd_sqrt_shifted(np.zeros((5, 5), dtype=complex), 1e-4, span)
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["real", "complex"]), p=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1), epsilon=_EPSILONS)
+    def test_any_hermitian_matrix_as_pairs_gives_the_dense_root(self, field, p, seed,
+                                                                 epsilon):
+        # M = Σ_i λ_i v_iv_i† as the p coefficients p·λ_i with the pairs
+        # (v_i, v_i) gives √(M² + εI) of the dense eigendecomposition
+        m = _field_array(field, (p, p), np.random.default_rng(seed))
+        m = (m + m.conj().T) / 2
+        full = reference_psd_sqrt_shifted(m, epsilon)
+        factored = psd_sqrt_shifted(*pairs(m), epsilon)
+        assert factored.dtype == full.dtype
+        assert np.abs(factored - full).max() <= 1e-12 * np.abs(full).max()
+
+    @pytest.mark.parametrize("n_r", [2, 0])
+    def test_vanishing_matrix_gives_sqrt_eps_identity(self, n_r):
+        rows = sample_perturbation(5, "complex", np.random.default_rng(0), 4)[:2 * n_r]
+        out = psd_sqrt_shifted(np.zeros(n_r), rows.reshape(n_r, 2, 5), 1e-4)
         np.testing.assert_array_equal(out, 1e-2 * np.eye(5))
 
-    @pytest.mark.parametrize("shape", [(2, 4), (2, 6), (5,), (1, 2, 5)])
-    def test_span_with_wrong_shape_rejected(self, shape):
-        h, _ = outer_product_estimate("complex", 5, 1, "independent", 0)
-        with pytest.raises(ValueError, match="span"):
-            psd_sqrt_shifted(h, 1e-4, np.ones(shape))
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 3, 5), (2, 2, 5), (5,), (1, 1, 2, 5)])
+    def test_rows_with_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="rows"):
+            psd_sqrt_shifted([0.5], np.ones(shape), 1e-4)
 
 
 def _pd_matrix(field, p, rng):
@@ -375,9 +412,10 @@ def _identical(got, expected):
 
 
 def _spans(field, p, rng):
-    """p-row spans: full rank with 1, p and p + 3 columns, and rank-deficient,
-    with a repeated, a scaled and a zero column."""
-    yield from (_field_array(field, (p, r), rng) for r in (1, p, p + 3))
+    """p-row spans of an even column count, as the Δ, Δ̃ pairs of an estimate
+    give: full rank with 2, p or p + 1 and p + 3 or p + 4 columns, and
+    rank-deficient, with a repeated, a scaled and a zero column."""
+    yield from (_field_array(field, (p, r + r % 2), rng) for r in (2, p, p + 3))
     span = _field_array(field, (p, 6), rng)
     span[:, 1] = span[:, 0]
     span[:, 3] = -2.5 * span[:, 2]
@@ -421,8 +459,10 @@ class TestNumpyLapackContract:
                 q = _call("qr_reduced", field, factors, tau)
                 expected = np.linalg.qr(span).Q
                 assert _identical(q, expected), (p, span.shape)
-                # the Q of the span's rows, which psd_sqrt_shifted factors
-                psd_sqrt_shifted(np.zeros((p, p), dtype=span.dtype), 1e-4, span.T)
+                # the Q of the span's columns as row pairs, which
+                # psd_sqrt_shifted factors
+                pairs_of_rows = span.T.reshape(-1, 2, p)
+                psd_sqrt_shifted(np.zeros(len(pairs_of_rows)), pairs_of_rows, 1e-4)
                 assert _identical(factored["qr_reduced"], expected), (p, span.shape)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -430,7 +470,7 @@ class TestNumpyLapackContract:
         rng = np.random.default_rng(1)
         for p in range(1, 65):
             full = hermitize(_field_array(field, (p, p), rng))
-            span = next(_spans(field, p, rng))
+            span = next(_spans(field, p, rng))[:, :1]
             low_rank = hermitize(span @ span.conj().T)  # rank 1
             for m in (full, low_rank):
                 w, v = _call("eigh_lo", field, m)

@@ -35,12 +35,12 @@ class RefuseScipy:
 
 sys.meta_path.insert(0, RefuseScipy())
 
+import concurrent.futures
 import json
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import spsakit.bench as bench
 from spsakit.applications import SgqtProblem
 from spsakit.bench import EnsembleSpec, run_ensemble, run_single
 from spsakit.cli import main
@@ -49,7 +49,7 @@ from spsakit.optimizers import OptimizerConfig
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-class ReportingPool(bench.ProcessPoolExecutor):
+class ReportingPool(concurrent.futures.ProcessPoolExecutor):
     # What each pooled run refused and left in its worker's modules.
     def map(self, fn, *iterables, **kwargs):
         for result, report in super().map(partial(reporting, fn), *iterables, **kwargs):
@@ -59,7 +59,7 @@ class ReportingPool(bench.ProcessPoolExecutor):
 def reporting(job, seed):
     return job(seed), refused + scipy_modules()
 
-bench.ProcessPoolExecutor = ReportingPool
+concurrent.futures.ProcessPoolExecutor = ReportingPool
 in_workers = []
 problem = SgqtProblem(n_qubits=2, shots=100)
 seen = {"diverged": [], "exit": {}, "same": {}}

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from optimizer_reference import reference_run
 
+import spsakit.linalg as linalg
 import spsakit.optimizers as optimizers
 from spsakit.applications import VqeProblem
 from spsakit.bench import run_single
 from spsakit.estimators import (GAIN_PRESETS, GainSchedule, gains_at, resample,
                                 sample_perturbation)
-from spsakit.linalg import matrix_abs, solve_pd
+from spsakit.linalg import hermitize, matrix_abs, solve_pd
 from spsakit.optimizers import (
     OptimizerConfig,
     estimate_blocking_tolerance,
@@ -28,10 +29,33 @@ STATIC = GAIN_PRESETS["static"]
 I2 = np.eye(2)
 
 
+def diagonal(w, dtype=float):
+    """diag(w) as an estimate's coefficients p·w_i and row pairs (e_i, e_i)."""
+    e = np.eye(len(w), dtype=dtype)
+    return len(w) * np.asarray(w, dtype=float), np.stack([e, e], axis=1)
+
+
+def random_estimate(field, p, n_r, rng):
+    """N_R random coefficients and (N_R, 2, p) random rows of ``field``."""
+    rows = rng.standard_normal((n_r, 2, p))
+    if field == "complex":
+        rows = rows + 1j * rng.standard_normal((n_r, 2, p))
+    return rng.standard_normal(n_r), rows
+
+
+def dense_estimate(coefficients, rows):
+    """The p × p mean Σ_r c_r·Δ_rΔ̃_r†/N_R, summed as `run` summed it before
+    estimates were handed over as coefficients and rows."""
+    h_sum = 0.0
+    for c, (delta, delta_tilde) in zip(coefficients, rows):
+        h_sum += c * np.outer(delta, np.conj(delta_tilde))
+    return h_sum / len(coefficients)
+
+
 class TestPostprocessSpall:
     def test_worked_example(self):
-        h_raw = np.array([[-2.0, 2.0], [-2.0, 2.0]])
-        memory, out = postprocess_spall(h_raw, I2, 1, 1e-3)
+        # 2·ΔΔ̃† with Δ = (1, 1), Δ̃ = (−1, 1) is [[−2, 2], [−2, 2]]
+        memory, out = postprocess_spall([2.0], [[[1.0, 1.0], [-1.0, 1.0]]], I2, 1, 1e-3)
         np.testing.assert_allclose(memory, np.diag([-0.5, 1.5]))
         np.testing.assert_allclose(out, np.diag([0.501, 1.501]), atol=1e-12)
 
@@ -39,30 +63,49 @@ class TestPostprocessSpall:
         memory = np.eye(3, dtype=complex)
         eps = 1e-3
         for k in range(1, 6):
-            memory, out = postprocess_spall(np.eye(3, dtype=complex), memory, k, eps)
+            memory, out = postprocess_spall(*diagonal([1.0] * 3, complex), memory, k, eps)
             np.testing.assert_allclose(out, (1 + eps) * np.eye(3), atol=1e-12)
 
     def test_zero_input_first_step(self):
-        memory, out = postprocess_spall(np.zeros((2, 2)), I2, 1, 1e-3)
+        memory, out = postprocess_spall(*diagonal([0.0, 0.0]), I2, 1, 1e-3)
         np.testing.assert_allclose(memory, 0.5 * np.eye(2))
         np.testing.assert_allclose(out, (0.5 + 1e-3) * np.eye(2), atol=1e-12)
 
     def test_scalar_mode(self):
-        memory, out = postprocess_spall(-2.0, 1.0, 1, 1e-3)
+        memory, out = postprocess_spall([-1.0, -3.0], None, 1.0, 1, 1e-3)
         assert memory == pytest.approx(-0.5)
         assert out == pytest.approx(0.501)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            postprocess_spall(np.zeros((3, 3)), I2, 1, 1e-3)
+            postprocess_spall(*diagonal([0.0] * 3), I2, 1, 1e-3)
 
     def test_memory_stays_hermitian(self):
         rng = np.random.default_rng(0)
         memory = np.eye(4, dtype=complex)
         for k in range(1, 11):
-            raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            memory, _ = postprocess_spall(raw, memory, k, 1e-3)
+            memory, _ = postprocess_spall(*random_estimate("complex", 4, 2, rng), memory, k,
+                                          1e-3)
             np.testing.assert_allclose(memory, memory.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("n_r", [1, 2, 3, 7])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_forms_the_old_dense_mean_bit_for_bit(self, field, n_r):
+        # the p × p mean summed into 0.0 in resample order, then hermitized,
+        # blended and regularized, as before estimates were factored
+        rng = np.random.default_rng(n_r)
+        p, k, eps = 5, 3, 1e-3
+        rows = sample_perturbation(p, field, rng, 2 * n_r).reshape(n_r, 2, p)
+        coefficients = list(rng.standard_normal(n_r))
+        coefficients[0] = -0.0  # the sum into 0.0 turns -0.0 entries into 0.0
+        a = rng.standard_normal((p, p)) + (1j * rng.standard_normal((p, p))
+                                           if field == "complex" else 0)
+        previous = hermitize(a)
+        memory, out = postprocess_spall(coefficients, rows, previous, k, eps)
+        blend = (k / (k + 1)) * previous + hermitize(dense_estimate(coefficients, rows)) / (k + 1)
+        assert memory.tobytes() == blend.tobytes()
+        expected = matrix_abs(blend) + eps * np.eye(p, dtype=blend.dtype)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestPostprocessGidi:
@@ -70,7 +113,7 @@ class TestPostprocessGidi:
         eps = 1e-4
         memory = I2
         for k in range(1, 20):
-            memory, out = postprocess_gidi(np.zeros((2, 2)), memory, k, eps, I2)
+            memory, out = postprocess_gidi(*diagonal([0.0, 0.0]), memory, k, eps)
             w = np.linalg.eigvalsh(out)
             assert w.min() >= np.sqrt(eps) - 1e-12
             assert w.max() <= 1.0 + 1e-12
@@ -78,24 +121,42 @@ class TestPostprocessGidi:
             np.testing.assert_allclose(out, out[0, 0] * np.eye(2), atol=1e-12)
 
     def test_worked_example_small_eps(self):
-        _, out = postprocess_gidi(np.diag([3.0, -3.0]), I2, 1, 1e-12, I2)
+        _, out = postprocess_gidi(*diagonal([3.0, -3.0]), I2, 1, 1e-12)
         np.testing.assert_allclose(out, np.diag([2.0, 2.0]), atol=1e-5)
 
     def test_differs_from_spall_on_vanishing_hessian(self):
         eps = 1e-3
         spall_memory = gidi_memory = I2
-        h_raw = np.zeros((2, 2))
+        estimate = diagonal([0.0, 0.0])
         for k in range(1, 51):
-            spall_memory, spall_out = postprocess_spall(h_raw, spall_memory, k, eps)
-            gidi_memory, gidi_out = postprocess_gidi(h_raw, gidi_memory, k, eps, I2)
+            spall_memory, spall_out = postprocess_spall(*estimate, spall_memory, k, eps)
+            gidi_memory, gidi_out = postprocess_gidi(*estimate, gidi_memory, k, eps)
         # spall decays to eps*I, gidi stays lower-bounded by sqrt(eps)*I
         assert np.linalg.eigvalsh(spall_out).max() < 0.05
         assert np.linalg.eigvalsh(gidi_out).min() >= np.sqrt(eps) - 1e-12
         np.testing.assert_allclose(gidi_out, gidi_out[0, 0] * np.eye(2), atol=1e-12)
 
     def test_scalar_mode(self):
-        _, out = postprocess_gidi(0.0, 1.0, 1, 1e-4, None)
+        _, out = postprocess_gidi([0.0], None, 1.0, 1, 1e-4)
         assert out == pytest.approx(0.5 * (1.0 + 1e-2))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            postprocess_gidi(*diagonal([0.0] * 3), I2, 1, 1e-4)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_never_forms_or_checks_a_p_by_p_estimate(self, monkeypatch, field):
+        def refuse(*args):
+            raise AssertionError("the gidi path formed or checked a p × p estimate")
+
+        for name in ("hermitize", "_require_hermitian"):
+            monkeypatch.setattr(linalg, name, refuse)
+        monkeypatch.setattr(optimizers, "hermitize", refuse)
+        monkeypatch.setattr(np, "outer", refuse)
+        rng = np.random.default_rng(1)
+        memory = np.eye(6, dtype=complex if field == "complex" else float)
+        blend, _ = postprocess_gidi(*random_estimate(field, 6, 2, rng), memory, 1, 1e-4)
+        assert blend.shape == (6, 6)
 
 
 def _regularized(postproc, h_prime, epsilon):
@@ -120,21 +181,17 @@ class TestPostprocessingIsPure:
         rng = np.random.default_rng(k)
         dtype = complex if field == "complex" else float
         p, eps = 4, 1e-3
-
-        def draw():
-            a = rng.standard_normal((p, p))
-            return (a + 1j * rng.standard_normal((p, p)) if field == "complex" else a)
-
-        h_raw, previous = draw(), draw()
-        previous = (previous + previous.conj().T) / 2
-        h_copy, previous_copy = h_raw.copy(), previous.copy()
+        coefficients, rows = random_estimate(field, p, 2, rng)
+        a = rng.standard_normal((p, p)) + (1j * rng.standard_normal((p, p))
+                                           if field == "complex" else 0)
+        previous = hermitize(a)
+        copies = coefficients.copy(), rows.copy(), previous.copy()
         fn = postprocess_spall if postproc == "spall" else postprocess_gidi
-        args = () if postproc == "spall" else (np.eye(p),)
-        memory, preconditioner = fn(h_raw, previous, k, eps, *args)
-        assert h_raw.tobytes() == h_copy.tobytes()
-        assert previous.tobytes() == previous_copy.tobytes()
+        memory, preconditioner = fn(coefficients, rows, previous, k, eps)
+        for array, copy in zip((coefficients, rows, previous), copies):
+            assert array.tobytes() == copy.tobytes()
         expected = k / (k + 1) * previous + _regularized(
-            postproc, (h_raw + h_raw.conj().T) / 2, eps) / (k + 1)
+            postproc, hermitize(dense_estimate(coefficients, rows)), eps) / (k + 1)
         assert memory.dtype == np.dtype(dtype)
         np.testing.assert_allclose(memory, expected, rtol=1e-12, atol=1e-12)
         if postproc == "gidi":
@@ -146,11 +203,10 @@ class TestPostprocessingIsPure:
     @pytest.mark.parametrize("postproc", ["spall", "gidi"])
     @pytest.mark.parametrize("k", [1, 3, 50])
     def test_scalar_blend_for_the_given_k(self, postproc, k):
-        eps, previous, h_raw = 1e-3, 0.75, -2.5
+        eps, previous, coefficients = 1e-3, 0.75, [-2.0, -3.0]
         fn = postprocess_spall if postproc == "spall" else postprocess_gidi
-        args = () if postproc == "spall" else (None,)
-        memory, preconditioner = fn(h_raw, previous, k, eps, *args)
-        expected = k / (k + 1) * previous + _regularized(postproc, h_raw, eps) / (k + 1)
+        memory, preconditioner = fn(coefficients, None, previous, k, eps)
+        expected = k / (k + 1) * previous + _regularized(postproc, -2.5, eps) / (k + 1)
         assert memory == pytest.approx(expected, rel=1e-15)
         assert preconditioner == pytest.approx(
             abs(expected) + eps if postproc == "spall" else expected, rel=1e-15)
@@ -166,15 +222,16 @@ class TestSteps:
 
     @classmethod
     def _first_estimates(cls, config, f, fid, z0):
-        """g, the raw estimate (None first order) and the perturbations of iteration 1."""
+        """g, and the coefficients and rows of the estimate (None first
+        order), of iteration 1."""
         rng = np.random.default_rng(cls.SEED)
         _, _, b1 = gains_at(config.gains, 1)
         delta = sample_perturbation(z0.size, config.field, rng)
         if config.method == "first_order":
             return resample(config.method, f, fid, z0, b1, delta)[0], None, None
         delta_tilde = sample_perturbation(z0.size, config.field, rng)
-        g, h_raw = resample(config.method, f, fid, z0, b1, delta, delta_tilde, config.scalar)
-        return g, h_raw, np.array([delta, delta_tilde])
+        g, c = resample(config.method, f, fid, z0, b1, delta, delta_tilde)
+        return g, [c], np.array([[delta, delta_tilde]])
 
     @classmethod
     def _one_iteration(cls, config, f, z0, fid=None):
@@ -201,7 +258,8 @@ class TestSteps:
         # H̄ = I reduces the step to a first-order one with gain ā₁; a
         # diagonal H̄ divides each entry of g by its own eigenvalue
         monkeypatch.setattr(optimizers, "postprocess_spall",
-                            lambda h_raw, memory, k, eps: (memory, np.diag(diagonal)))
+                            lambda coefficients, rows, memory, k, eps: (memory,
+                                                                        np.diag(diagonal)))
         c, f, _ = quadratic_problem("real", p=3)
         z0 = c + 1.0
         final, config = self._one_iteration(
@@ -221,12 +279,10 @@ class TestSteps:
         final, config = self._one_iteration(
             OptimizerConfig(method=method, field=field, scalar=scalar, postproc=postproc),
             f, z0, fid)
-        g, h_raw, vectors = self._first_estimates(config, f, fid, z0)
+        g, coefficients, rows = self._first_estimates(config, f, fid, z0)
         memory = 1.0 if scalar else np.eye(3, dtype=final.dtype)
-        if postproc == "spall":
-            _, h = postprocess_spall(h_raw, memory, 1, config.effective_epsilon)
-        else:
-            _, h = postprocess_gidi(h_raw, memory, 1, config.effective_epsilon, vectors)
+        fn = postprocess_spall if postproc == "spall" else postprocess_gidi
+        _, h = fn(coefficients, rows, memory, 1, config.effective_epsilon)
         _, abar1, _ = gains_at(STATIC, 1)
         expected = z0 - abar1 * g / h if scalar else z0 - abar1 * solve_pd(h, g)
         np.testing.assert_allclose(final, expected, rtol=1e-12, atol=0)
@@ -477,6 +533,26 @@ class TestRunContracts:
         assert np.isfinite(trace.objective[:2]).all()
         assert np.isnan(trace.objective[2:]).all()
         assert not trace.accepted[2:].any()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("postproc", ["spall", "gidi"])
+    def test_finite_coefficients_whose_sum_overflows_end_the_run_as_estimate(
+            self, field, scalar, postproc):
+        # f(z + bΔ + bΔ̃) = 2e304 and 0 elsewhere give each of the two
+        # resamples c = δ²f/(2b²) = 1e308, finite, and their sum overflows:
+        # the estimate is non-finite with its coefficients' mean, in every
+        # mode, whatever the signs of the rows' entries
+        cfg = OptimizerConfig(method="second_order", field=field, scalar=scalar,
+                              postproc=postproc, gains=STATIC, resampling=2,
+                              max_iterations=3)
+        z0 = np.zeros(2, dtype=complex if field == "complex" else float)
+        for seed in range(4):
+            for run_fn in (run, reference_run):
+                calls = []
+                f = lambda z: calls.append(None) or (2e304 if len(calls) % 4 == 3 else 0.0)
+                trace = run_fn(f, cfg, z0, seed=seed, monitor=lambda z: 0.0)
+                assert (trace.diverged_at, trace.diverged_reason) == (1, "estimate")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -997,16 +1073,17 @@ class TestRunBehavior:
         original = getattr(optimizers, name)
         received = []
 
-        def spy(h_raw, memory, k, *args):
-            received.append((k, h_raw, memory))
-            return original(h_raw, memory, k, *args)
+        def spy(coefficients, rows, memory, k, *args):
+            received.append((k, coefficients, memory))
+            return original(coefficients, rows, memory, k, *args)
 
         monkeypatch.setattr(optimizers, name, spy)
         run(f, cfg, c + np.ones(6, dtype=complex), seed=0, fidelity=fid, monitor=f)
         assert [k for k, _, _ in received] == [1, 2, 3, 4, 5]
         assert received[0][2] == 1.0
-        for _, h_raw, memory in received:
-            assert np.isscalar(h_raw) and np.isscalar(memory)
+        for _, coefficients, memory in received:
+            assert len(coefficients) == 1 and np.isscalar(coefficients[0])
+            assert np.isscalar(memory)
 
     @pytest.mark.parametrize("postproc", ["spall", "gidi"])
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -1018,8 +1095,8 @@ class TestRunBehavior:
         original = getattr(optimizers, name)
         calls = []
 
-        def spy(h_raw, memory, k, *args):
-            out = original(h_raw, memory, k, *args)
+        def spy(coefficients, rows, memory, k, *args):
+            out = original(coefficients, rows, memory, k, *args)
             calls.append((k, memory, out[0]))
             return out
 
